@@ -12,14 +12,15 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .bernstein import check_noise_mgf
-from .coupling import verify_coupling
+from .coupling import CHECK_CSV_HEADER, verify_coupling
 from .ewa import DV_TOLERANCE, dv_minimality_test
 from .model import ExperimentConfig, _CONFIG_KEYS
-from .noise import DISCRETE_FAMILIES, sample_noise
+from .noise import sample_noise
 from .oracle import (
     RISK_CSV_HEADER,
     certify_config,
@@ -30,7 +31,7 @@ from .oracle import (
 )
 
 _EXTENSION_KEYS = ("alpha_grid", "method", "trials", "t_grid_points", "sample_size", "mode")
-_CHECK_HEADER = ["family", "alpha", "method", "statistic", "threshold", "verdict", "seed"]
+_CHECK_HEADER = [*CHECK_CSV_HEADER, "seed"]
 _DEFAULT_ALPHA_GRID = (0.1, 0.5, 1.0)
 
 _COUPLING_STREAM = 101
@@ -85,7 +86,7 @@ def _parse_config(path, seed_override):
         raise ValueError(f"unknown key: {sorted(unknown)[0]}")
     config = ExperimentConfig.from_json(doc)
     if seed_override is not None:
-        config = config.with_seed(seed_override)
+        config = replace(config, seed=seed_override)
     extras = {key: doc[key] for key in _EXTENSION_KEYS if key in doc}
     return config, extras
 
@@ -122,7 +123,7 @@ def _cmd_certify(config, extras):
 
 def _cmd_verify_coupling(config, extras):
     alphas = _alpha_grid(extras)
-    default_method = "exact" if isinstance(config.noise, DISCRETE_FAMILIES) else "ks"
+    default_method = "exact" if config.noise.discrete else "ks"
     method = extras.get("method", default_method)
     sample_size = _positive_int(extras, "sample_size", 1_000_000)
     rows = []
@@ -148,17 +149,7 @@ def _cmd_verify_bernstein(config, extras):
         report = check_noise_mgf(
             config.noise, alpha, points=points, sample_size=sample_size, rng=rng
         )
-        rows.append(
-            [
-                report.family,
-                report.alpha,
-                report.method,
-                report.max_ratio,
-                1.0,
-                report.passed,
-                config.seed,
-            ]
-        )
+        rows.append(report.csv_row() + [config.seed])
         ok = ok and report.passed
     return _CHECK_HEADER, rows, ok
 

@@ -27,6 +27,16 @@ zeta = 0 with probability 1/(1+alpha)^2 and an independent
 Laplace((1+alpha)*mu) draw otherwise.
 
 alpha = 0 is the degenerate no-op: every branch collapses to zeta = 0.
+
+This module knows no noise family. It holds the branch formulas, the
+samplers and the checks; each family in `noise` binds them. A discrete
+family enumerates one coordinate's conditioning records, (record
+probability, xi value, (stay value, stay prob, jump value, jump prob)),
+and `exact_coupled_sum_law`, `max_conditional_mean_error` and
+`conditional_zeta_laws` are all derived from that one enumeration (through
+the family's `coupled_sum_law`, `conditional_means` and `conditional_laws`,
+whose defaults use the helpers below). A continuous family draws its
+companion independently of xi, and the statistical checks sample it.
 """
 
 import math
@@ -35,24 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .noise import (
-    CONTINUOUS_FAMILIES,
-    DISCRETE_FAMILIES,
-    BoundedBinaryMixture,
-    CenteredBernoulli,
-    CenteredBinomial,
-    DiscreteLaw,
-    Gaussian,
-    Laplace,
-    laplace_inverse_cdf,
-    max_atom_probability_error,
-)
+from .laws import DiscreteLaw, laplace_inverse_cdf, max_atom_probability_error
 
 SUPPORT_ATOL = 1e-9
 EXACT_TOL = 1e-12
 KS_SIGNIFICANCE = 1e-3
 CF_POINTS = 64
 MEAN_SE_MULTIPLIER = 5.0
+# the columns of a check report's CSV row, all of them keys of its JSON
+CHECK_CSV_HEADER = ("family", "alpha", "method", "statistic", "threshold", "verdict")
 
 
 def _check_alpha(alpha):
@@ -203,170 +204,59 @@ def sample_coupling(model, alpha, rng):
     """One (xi, zeta) pair for the whole noise vector, with the record zeta
     is centered against."""
     alpha = _check_alpha(alpha)
-    if isinstance(model, CenteredBernoulli):
-        xi = model.sample(rng)
-        zeta = couple_bernoulli(xi, model.rho, alpha, rng)
-        record = {"xi": xi}
-    elif isinstance(model, Gaussian):
-        xi = model.sample(rng)
-        zeta = couple_gaussian(model.sigma, alpha, rng)
-        record = {"xi": xi}
-    elif isinstance(model, BoundedBinaryMixture):
-        xi, record = model.sample_with_latents(rng)
-        zeta = couple_binary(record["a"], record["b"], xi, alpha, rng)
-    elif isinstance(model, CenteredBinomial):
-        xi, record = model.sample_with_latents(rng)
-        zeta = couple_binomial(record["eta"], model.a, alpha, rng)
-    elif isinstance(model, Laplace):
-        xi = model.sample(rng)
-        zeta = couple_laplace(model.mu, alpha, rng)
-        record = {"xi": xi}
-    else:
-        raise ValueError(f"unsupported noise model: {type(model).__name__}")
+    xi, record = model.sample_with_latents(rng)
+    zeta = model.companion(record, alpha, rng)
     return CouplingDraw(xi=xi, zeta=zeta, alpha=alpha, conditioning_record=record)
 
 
-def _bernoulli_sum_atoms(xi, p_xi, alpha):
-    sv, sp, jv, jp = bernoulli_coupling_branches(xi, alpha)
-    return [(xi + sv, p_xi * sp), (xi + jv, p_xi * jp)]
+def branch_mean(branches):
+    """E[zeta | record] of one record's (stay value, stay prob, jump value,
+    jump prob)."""
+    sv, sp, jv, jp = branches
+    return float(sv * sp + jv * jp)
 
 
-def _binary_sum_atoms(a, b, alpha, weight=1.0):
-    atoms = []
-    for eta, p_eta in ((a, b / (a + b)), (-b, a / (a + b))):
-        if p_eta == 0.0:
-            continue
-        sv, sp, jv, jp = binary_coupling_branches(a, b, eta, alpha)
-        atoms.append((eta + float(sv), weight * p_eta * float(sp)))
-        atoms.append((eta + float(jv), weight * p_eta * float(jp)))
-    return atoms
+def branch_law(branches):
+    """The two-atom law of zeta given one record."""
+    sv, sp, jv, jp = (float(x) for x in branches)
+    return DiscreteLaw.from_atoms([sv, jv], [sp, jp])
 
 
-def _binomial_term_law(rho, alpha):
-    atoms = _bernoulli_sum_atoms(1.0 - rho, rho, alpha) + _bernoulli_sum_atoms(
-        -rho, 1.0 - rho, alpha
-    )
-    values, probs = zip(*atoms)
-    return DiscreteLaw.from_atoms(values, probs)
+def records_sum_law(records, merge_atol):
+    """Law of xi + zeta over one coordinate's conditioning records."""
+    values, probs = [], []
+    for p, xi, (sv, sp, jv, jp) in records:
+        values += [xi + sv, xi + jv]
+        probs += [p * sp, p * jp]
+    return DiscreteLaw.from_atoms(values, probs, merge_atol=merge_atol)
+
+
+def _require_discrete(model):
+    if not model.discrete:
+        raise ValueError("exact enumeration needs a discrete noise family")
 
 
 def exact_coupled_sum_law(model, i, alpha, merge_atol=1e-9):
     """Enumerated law of xi_i + zeta_i for a discrete-family coordinate."""
     alpha = _check_alpha(alpha)
-    if isinstance(model, CenteredBernoulli):
-        rho = float(model.rho[i])
-        atoms = _bernoulli_sum_atoms(1.0 - rho, rho, alpha) + _bernoulli_sum_atoms(
-            -rho, 1.0 - rho, alpha
-        )
-    elif isinstance(model, BoundedBinaryMixture):
-        atoms = []
-        for (a, b), q in model.mixing[i]:
-            atoms.extend(_binary_sum_atoms(a, b, alpha, weight=q))
-    elif isinstance(model, CenteredBinomial):
-        term = _binomial_term_law(float(model.rho[i]), alpha)
-        law = term
-        for _ in range(model.k - 1):
-            law = law.convolve(term, merge_atol=merge_atol)
-        return law.scale(model.a)
-    else:
-        raise ValueError("exact enumeration needs a discrete noise family")
-    values, probs = zip(*atoms)
-    return DiscreteLaw.from_atoms(values, probs, merge_atol=merge_atol)
+    _require_discrete(model)
+    return model.coupled_sum_law(i, alpha, merge_atol)
 
 
 def max_conditional_mean_error(model, alpha):
     """Largest |E[zeta | record]| over all conditioning records, computed
-    exactly (discrete families only)."""
+    exactly from the branch means (discrete families only)."""
     alpha = _check_alpha(alpha)
-
-    def branch_mean(branches):
-        sv, sp, jv, jp = branches
-        return float(sv * sp + jv * jp)
-
-    worst = 0.0
-    if isinstance(model, CenteredBernoulli):
-        for i in range(model.dim):
-            rho = float(model.rho[i])
-            for xi in (1.0 - rho, -rho):
-                worst = max(worst, abs(branch_mean(bernoulli_coupling_branches(xi, alpha))))
-    elif isinstance(model, BoundedBinaryMixture):
-        for i in range(model.dim):
-            for (a, b), _q in model.mixing[i]:
-                for eta, p_eta in ((a, b / (a + b)), (-b, a / (a + b))):
-                    if p_eta == 0.0:
-                        continue
-                    worst = max(
-                        worst, abs(branch_mean(binary_coupling_branches(a, b, eta, alpha)))
-                    )
-    elif isinstance(model, CenteredBinomial):
-        for i in range(model.dim):
-            rho = float(model.rho[i])
-            m_hi = branch_mean(bernoulli_coupling_branches(1.0 - rho, alpha))
-            m_lo = branch_mean(bernoulli_coupling_branches(-rho, alpha))
-            for count in range(model.k + 1):
-                worst = max(worst, abs(model.a * (count * m_hi + (model.k - count) * m_lo)))
-    else:
-        raise ValueError("exact conditional means need a discrete noise family")
-    return worst
+    _require_discrete(model)
+    return max(abs(m) for i in range(model.dim) for m in model.conditional_means(i, alpha))
 
 
 def conditional_zeta_laws(model, alpha):
     """Exact conditional laws of zeta, one per distinct conditioning record
     (discrete families only). Used by the moment-generating checks."""
     alpha = _check_alpha(alpha)
-    laws = []
-
-    def two_branch(branches):
-        sv, sp, jv, jp = (float(x) for x in branches)
-        return DiscreteLaw.from_atoms([sv, jv], [sp, jp])
-
-    if isinstance(model, CenteredBernoulli):
-        for i in range(model.dim):
-            rho = float(model.rho[i])
-            for xi in (1.0 - rho, -rho):
-                laws.append(two_branch(bernoulli_coupling_branches(xi, alpha)))
-    elif isinstance(model, BoundedBinaryMixture):
-        for i in range(model.dim):
-            for (a, b), _q in model.mixing[i]:
-                for eta, p_eta in ((a, b / (a + b)), (-b, a / (a + b))):
-                    if p_eta == 0.0:
-                        continue
-                    laws.append(two_branch(binary_coupling_branches(a, b, eta, alpha)))
-    elif isinstance(model, CenteredBinomial):
-        for i in range(model.dim):
-            rho = float(model.rho[i])
-            hi = two_branch(bernoulli_coupling_branches(1.0 - rho, alpha))
-            lo = two_branch(bernoulli_coupling_branches(-rho, alpha))
-            for count in range(model.k + 1):
-                law = DiscreteLaw([0.0], [1.0])
-                for _ in range(count):
-                    law = law.convolve(hi)
-                for _ in range(model.k - count):
-                    law = law.convolve(lo)
-                laws.append(law.scale(model.a))
-    else:
-        raise ValueError("exact conditional laws need a discrete noise family")
-    return laws
-
-
-def _draw_scalar_pair(model, i, alpha, n_draws, rng):
-    """(xi, zeta, independent (1+alpha)*xi') draws for one continuous
-    coordinate."""
-    if isinstance(model, Gaussian):
-        sigma = float(model.sigma[i])
-        xi = rng.normal(0.0, sigma, n_draws)
-        zeta = couple_gaussian(np.full(n_draws, sigma), alpha, rng)
-        ref = (1.0 + alpha) * rng.normal(0.0, sigma, n_draws)
-        scale = sigma
-    elif isinstance(model, Laplace):
-        mu = float(model.mu[i])
-        xi = laplace_inverse_cdf(rng.random(n_draws), mu)
-        zeta = couple_laplace(np.full(n_draws, mu), alpha, rng)
-        ref = (1.0 + alpha) * laplace_inverse_cdf(rng.random(n_draws), mu)
-        scale = mu
-    else:
-        raise ValueError("statistical methods need a continuous noise family")
-    return xi, zeta, ref, scale
+    _require_discrete(model)
+    return [law for i in range(model.dim) for law in model.conditional_laws(i, alpha)]
 
 
 def ks_two_sample_threshold(n1, n2, significance=KS_SIGNIFICANCE):
@@ -414,14 +304,8 @@ class CouplingReport:
         }
 
     def csv_row(self):
-        return [
-            self.family,
-            self.alpha,
-            self.method,
-            self.statistic,
-            self.threshold,
-            "pass" if self.verdict else "fail",
-        ]
+        doc = self.to_json()
+        return [doc[key] for key in CHECK_CSV_HEADER]
 
 
 def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=None, value_atol=1e-9):
@@ -434,9 +318,8 @@ def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=Non
     apply to the continuous families.
     """
     alpha = _check_alpha(alpha)
-    discrete = isinstance(model, DISCRETE_FAMILIES)
     if method == "exact":
-        if not discrete:
+        if not model.discrete:
             raise ValueError("method 'exact' requires a discrete noise family")
         stat = 0.0
         for i in range(model.dim):
@@ -459,7 +342,7 @@ def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=Non
         )
     if method not in ("ks", "cf_grid"):
         raise ValueError("method must be one of: exact, ks, cf_grid")
-    if not isinstance(model, CONTINUOUS_FAMILIES):
+    if model.discrete:
         raise ValueError(f"method '{method}' requires a continuous noise family")
     n = int(sample_size)
     if n < 2:
@@ -475,10 +358,13 @@ def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=Non
     else:
         threshold = 5.0 / math.sqrt(n)
     for i in range(model.dim):
-        xi, zeta, ref, scale = _draw_scalar_pair(model, i, alpha, n, rng)
+        xi = model.coordinate_draws(i, n, rng)
+        zeta = model.companion_draws(i, alpha, n, rng)
+        ref = (1.0 + alpha) * model.coordinate_draws(i, n, rng)
         if method == "ks":
             stat_i = float(stats.ks_2samp(xi + zeta, ref, method="asymp").statistic)
         else:
+            scale = float(model.scale[i])
             t_grid = np.linspace(-5.0 / scale, 5.0 / scale, CF_POINTS)
             stat_i = _empirical_cf_gap(xi + zeta, ref, t_grid)
         mean_i = abs(float(zeta.mean()))

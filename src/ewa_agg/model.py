@@ -231,30 +231,6 @@ class ExperimentConfig:
         if len(self.prior) != self.dictionary.m:
             raise ValueError("prior length must match the number of atoms")
 
-    def with_beta(self, beta):
-        return ExperimentConfig(
-            truth=self.truth,
-            dictionary=self.dictionary,
-            prior=self.prior,
-            noise=self.noise,
-            beta=beta,
-            replicates=self.replicates,
-            seed=self.seed,
-            prior_samples=self.prior_samples,
-        )
-
-    def with_seed(self, seed):
-        return ExperimentConfig(
-            truth=self.truth,
-            dictionary=self.dictionary,
-            prior=self.prior,
-            noise=self.noise,
-            beta=self.beta,
-            replicates=self.replicates,
-            seed=seed,
-            prior_samples=self.prior_samples,
-        )
-
     def to_json(self):
         return {
             "truth": self.truth.tolist(),

@@ -18,124 +18,43 @@ Every coordinate has mean zero exactly. Discrete families expose their
 exact finite law; continuous ones return the ``CONTINUOUS`` marker.
 Sampling consumes only the caller's generator, so draws are reproducible
 from a seed.
+
+Everything that depends on the family lives on its class: sampling and
+latents, the exact law, the coupling (a discrete family's conditioning
+records, a continuous family's independent companion), the Bernstein
+profile row, the JSON parameters and the natural scenario. ``FAMILIES``
+maps each family tag to its class and is the one list of families. The
+modules below this one know no family: `laws` holds the finite-law
+primitives (re-exported here), `coupling` the branch formulas and the
+coupling checks, `bernstein` the profile type and the MGF checks.
 """
 
 import math
 
 import numpy as np
 
+from .bernstein import BernsteinProfile
+from .coupling import (
+    binary_coupling_branches,
+    bernoulli_coupling_branches,
+    branch_law,
+    branch_mean,
+    couple_bernoulli,
+    couple_binary,
+    couple_binomial,
+    couple_gaussian,
+    couple_laplace,
+    records_sum_law,
+)
+from .laws import (
+    LAW_ATOL,
+    MERGE_ATOL,
+    DiscreteLaw,
+    laplace_inverse_cdf,
+    max_atom_probability_error,
+)
+
 CONTINUOUS = "continuous"
-
-LAW_ATOL = 1e-12
-MERGE_ATOL = 1e-9
-
-
-class DiscreteLaw:
-    """A finite law on the reals, stored as sorted distinct atoms."""
-
-    def __init__(self, values, probs):
-        values = np.asarray(values, dtype=np.float64)
-        probs = np.asarray(probs, dtype=np.float64)
-        if values.ndim != 1 or values.shape != probs.shape or values.size == 0:
-            raise ValueError("a discrete law needs matching non-empty value and probability arrays")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(probs))):
-            raise ValueError("law atoms must be finite")
-        if np.any(probs < 0.0):
-            raise ValueError("atom probabilities must be nonnegative")
-        keep = probs > 0.0
-        values, probs = values[keep], probs[keep]
-        if values.size == 0:
-            raise ValueError("a discrete law needs at least one atom of positive mass")
-        order = np.argsort(values)
-        values, probs = values[order], probs[order]
-        if np.any(np.diff(values) <= 0.0):
-            raise ValueError("atom values must be distinct")
-        if abs(float(probs.sum()) - 1.0) > LAW_ATOL:
-            raise ValueError("atom probabilities must sum to 1")
-        self.values = values
-        self.probs = probs
-        self.values.setflags(write=False)
-        self.probs.setflags(write=False)
-
-    @classmethod
-    def from_atoms(cls, values, probs, merge_atol=MERGE_ATOL):
-        """Build a law from possibly repeated atoms, merging values closer
-        than ``merge_atol`` (mass-weighted mean) and dropping zero mass."""
-        values = np.asarray(values, dtype=np.float64).ravel()
-        probs = np.asarray(probs, dtype=np.float64).ravel()
-        keep = probs > 0.0
-        values, probs = values[keep], probs[keep]
-        order = np.argsort(values)
-        values, probs = values[order], probs[order]
-        # new cluster wherever the gap to the previous atom exceeds the tolerance
-        cluster = np.zeros(values.size, dtype=np.int64)
-        if values.size > 1:
-            cluster[1:] = np.cumsum(np.diff(values) > merge_atol)
-        k = int(cluster[-1]) + 1 if values.size else 0
-        mass = np.bincount(cluster, weights=probs, minlength=k)
-        merged = np.bincount(cluster, weights=probs * values, minlength=k) / mass
-        return cls(merged, mass)
-
-    def __len__(self):
-        return int(self.values.size)
-
-    def atoms(self):
-        return list(zip(self.values.tolist(), self.probs.tolist()))
-
-    def mean(self):
-        return float(self.probs @ self.values)
-
-    def variance(self):
-        mu = self.probs @ self.values
-        return float(self.probs @ (self.values - mu) ** 2)
-
-    def moment(self, order):
-        return float(self.probs @ self.values**order)
-
-    def mgf(self, t):
-        """E[exp(t X)] for scalar or array t."""
-        t = np.asarray(t, dtype=np.float64)
-        out = np.exp(np.multiply.outer(t, self.values)) @ self.probs
-        return float(out) if out.ndim == 0 else out
-
-    def scale(self, c):
-        """Law of c * X."""
-        c = float(c)
-        if c == 0.0:
-            return DiscreteLaw([0.0], [1.0])
-        return DiscreteLaw.from_atoms(c * self.values, self.probs, merge_atol=0.0)
-
-    def convolve(self, other, merge_atol=MERGE_ATOL):
-        """Law of X + Y for independent X ~ self, Y ~ other."""
-        v = np.add.outer(self.values, other.values).ravel()
-        p = np.multiply.outer(self.probs, other.probs).ravel()
-        return DiscreteLaw.from_atoms(v, p, merge_atol=merge_atol)
-
-
-def max_atom_probability_error(law_a, law_b, value_atol=MERGE_ATOL):
-    """Largest mass discrepancy between two discrete laws after aligning
-    atoms whose values agree within ``value_atol``."""
-    values = np.concatenate([law_a.values, law_b.values])
-    mass_a = np.concatenate([law_a.probs, np.zeros(len(law_b))])
-    mass_b = np.concatenate([np.zeros(len(law_a)), law_b.probs])
-    order = np.argsort(values)
-    values, mass_a, mass_b = values[order], mass_a[order], mass_b[order]
-    cluster = np.zeros(values.size, dtype=np.int64)
-    if values.size > 1:
-        cluster[1:] = np.cumsum(np.diff(values) > value_atol)
-    k = int(cluster[-1]) + 1
-    pa = np.bincount(cluster, weights=mass_a, minlength=k)
-    pb = np.bincount(cluster, weights=mass_b, minlength=k)
-    return float(np.max(np.abs(pa - pb)))
-
-
-def laplace_inverse_cdf(u, scale):
-    """Quantile transform of the centered Laplace law with the given scale."""
-    u = np.asarray(u, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
-    lo = np.maximum(2.0 * u, 1e-300)  # u = 0.0 has probability 0 but would log to -inf
-    hi = np.maximum(2.0 * (1.0 - u), 1e-300)
-    return np.where(u < 0.5, scale * np.log(lo), -scale * np.log(hi))
 
 
 def _coordinate_array(values, name, low=None, high=None, open_low=True, open_high=True):
@@ -152,10 +71,18 @@ def _coordinate_array(values, name, low=None, high=None, open_low=True, open_hig
     return arr
 
 
+def _clipped_atoms(truth, m, rng):
+    """m atoms within 0.25 of truth per coordinate, clipped to [0, 1]."""
+    return np.clip(truth + rng.uniform(-0.25, 0.25, (m, truth.size)), 0.0, 1.0)
+
+
 class NoiseModel:
-    """Base class: a family name, a dimension, sampling, and exact laws."""
+    """Base class: a family name, a dimension, sampling, and exact laws,
+    plus the family's coupling, moment profile, JSON form and scenario."""
 
     family = ""
+    discrete = False  # True: finite exact laws, so the coupling is checked by enumeration
+    json_keys = ()  # the constructor's arguments, in order, as JSON parameter names
 
     @property
     def dim(self):
@@ -170,17 +97,88 @@ class NoiseModel:
         xi = self.sample(rng)
         return xi, {"xi": xi}
 
+    def companion(self, record, alpha, rng):
+        """The coupling companion zeta of the vector drawn with `record`."""
+        raise NotImplementedError
+
     def exact_law(self, i):
+        """Exact law of coordinate i, or the CONTINUOUS marker."""
+        return CONTINUOUS
+
+    def profile(self):
+        """The family's `bernstein.BernsteinProfile`."""
         raise NotImplementedError
 
     def params_json(self):
+        return {key: np.asarray(getattr(self, key)).tolist() for key in self.json_keys}
+
+    @classmethod
+    def scenario(cls, n, m, rng, params):
+        """(truth, noise, atoms) of the family's natural scenario, drawn
+        from rng; pops the family's parameters from `params`."""
         raise NotImplementedError
 
 
-class CenteredBernoulli(NoiseModel):
+class _DiscreteNoise(NoiseModel):
+    """A family with a finite law per coordinate. `coupling_records(i, alpha)`
+    enumerates coordinate i's conditioning records as (record probability,
+    xi value, (stay value, stay prob, jump value, jump prob)); the exact
+    coupling checks are derived from them."""
+
+    discrete = True
+
+    def coupling_records(self, i, alpha):
+        raise NotImplementedError
+
+    def coupled_sum_law(self, i, alpha, merge_atol):
+        return records_sum_law(self.coupling_records(i, alpha), merge_atol)
+
+    def conditional_means(self, i, alpha):
+        return [branch_mean(branches) for _p, _xi, branches in self.coupling_records(i, alpha)]
+
+    def conditional_laws(self, i, alpha):
+        return [branch_law(branches) for _p, _xi, branches in self.coupling_records(i, alpha)]
+
+
+class _ContinuousNoise(NoiseModel):
+    """A family with one continuous scale parameter per coordinate. Its
+    companion is drawn independently of xi by `couple(scale, alpha, rng)`,
+    so the coupling is checked from `coordinate_draws` samples."""
+
+    @classmethod
+    def homogeneous(cls, n, scale):
+        return cls(np.full(n, float(scale)))
+
+    @property
+    def dim(self):
+        return int(self.scale.size)
+
+    def companion(self, record, alpha, rng):
+        return self.couple(self.scale, alpha, rng)
+
+    def companion_draws(self, i, alpha, n, rng):
+        """n independent companions of coordinate i."""
+        return self.couple(np.full(n, float(self.scale[i])), alpha, rng)
+
+    @classmethod
+    def scenario(cls, n, m, rng, params):
+        scale = float(params.pop(cls.json_keys[0], 1.0))  # sigma or mu, as named in JSON
+        truth = rng.uniform(0.0, 1.0, n)
+        return truth, cls.homogeneous(n, scale), truth + rng.uniform(-0.5, 0.5, (m, n))
+
+
+def _bernoulli_records(rho, alpha):
+    return [
+        (p_xi, xi, bernoulli_coupling_branches(xi, alpha))
+        for xi, p_xi in ((1.0 - rho, rho), (-rho, 1.0 - rho))
+    ]
+
+
+class CenteredBernoulli(_DiscreteNoise):
     """Coordinate i equals 1 - rho_i w.p. rho_i, else -rho_i."""
 
     family = "centered_bernoulli"
+    json_keys = ("rho",)
 
     def __init__(self, rho):
         self.rho = _coordinate_array(rho, "rho", low=0.0, high=1.0)
@@ -201,37 +199,67 @@ class CenteredBernoulli(NoiseModel):
         rho = float(self.rho[i])
         return DiscreteLaw([1.0 - rho, -rho], [rho, 1.0 - rho])
 
-    def params_json(self):
-        return {"rho": self.rho.tolist()}
+    def coupling_records(self, i, alpha):
+        return _bernoulli_records(float(self.rho[i]), alpha)
+
+    def companion(self, record, alpha, rng):
+        return couple_bernoulli(record["xi"], self.rho, alpha, rng)
+
+    def profile(self):
+        return BernsteinProfile(
+            family=self.family,
+            v=lambda alpha: alpha * (1.0 + alpha),
+            b=lambda alpha: (1.0 + alpha) / 3.0,
+            v_prime_0=1.0,
+            b_0=1.0 / 3.0,
+            mgf_normalization=2.0,
+        )
+
+    @classmethod
+    def scenario(cls, n, m, rng, params):
+        # success rates equal the truth, so observations are honest counts
+        truth = rng.uniform(0.2, 0.8, n)
+        return truth, cls(truth.copy()), _clipped_atoms(truth, m, rng)
 
 
-class Gaussian(NoiseModel):
+class Gaussian(_ContinuousNoise):
     """Coordinate i is N(0, sigma_i^2)."""
 
     family = "gaussian"
+    json_keys = ("sigma",)
 
     def __init__(self, sigma):
         self.sigma = _coordinate_array(sigma, "sigma", low=0.0)
 
-    @classmethod
-    def homogeneous(cls, n, sigma):
-        return cls(np.full(n, float(sigma)))
-
     @property
-    def dim(self):
-        return int(self.sigma.size)
+    def scale(self):
+        return self.sigma
 
     def sample(self, rng):
         return rng.normal(0.0, self.sigma)
 
-    def exact_law(self, i):
-        return CONTINUOUS
+    def coordinate_draws(self, i, n, rng):
+        return rng.normal(0.0, float(self.sigma[i]), n)
 
-    def params_json(self):
-        return {"sigma": self.sigma.tolist()}
+    def couple(self, scale, alpha, rng):
+        return couple_gaussian(scale, alpha, rng)
+
+    def profile(self):
+        s2 = float(np.max(self.sigma) ** 2)
+        return BernsteinProfile(
+            family=self.family,
+            v=lambda alpha: (2.0 * alpha + alpha * alpha) * s2,
+            b=lambda alpha: 0.0,
+            v_prime_0=2.0 * s2,
+            b_0=0.0,
+            mgf_normalization=2.0,
+        )
 
 
-class BoundedBinaryMixture(NoiseModel):
+_DEFAULT_MIXING = [((0.6, 0.6), 0.4), ((0.35, 0.2), 0.35), ((0.1, 0.45), 0.25)]
+
+
+class BoundedBinaryMixture(_DiscreteNoise):
     """Mixture of binary laws: coordinate i draws (a, b) from a finite
     mixing law, then takes a w.p. b/(a+b) and -b w.p. a/(a+b).
 
@@ -240,6 +268,7 @@ class BoundedBinaryMixture(NoiseModel):
     """
 
     family = "bounded_binary_mixture"
+    json_keys = ("a_max", "b_max", "mixing")
 
     def __init__(self, a_max, b_max, mixing):
         self.a_max = float(a_max)
@@ -306,11 +335,31 @@ class BoundedBinaryMixture(NoiseModel):
         return xi, {"a": a, "b": b, "eta": xi}
 
     def exact_law(self, i):
-        values, probs = [], []
-        for (a, b), p in self.mixing[i]:
-            values.extend([a, -b])
-            probs.extend([p * b / (a + b), p * a / (a + b)])
-        return DiscreteLaw.from_atoms(values, probs)
+        a, b, p = self._a[i], self._b[i], self._p[i]
+        values = np.concatenate([a, -b])
+        return DiscreteLaw.from_atoms(values, np.concatenate([p * b / (a + b), p * a / (a + b)]))
+
+    def coupling_records(self, i, alpha):
+        records = []
+        for (a, b), q in self.mixing[i]:
+            for eta, p_eta in ((a, b / (a + b)), (-b, a / (a + b))):
+                if p_eta != 0.0:
+                    records.append((q * p_eta, eta, binary_coupling_branches(a, b, eta, alpha)))
+        return records
+
+    def companion(self, record, alpha, rng):
+        return couple_binary(record["a"], record["b"], record["eta"], alpha, rng)
+
+    def profile(self):
+        span = self.a_max + self.b_max
+        return BernsteinProfile(
+            family=self.family,
+            v=lambda alpha: span * span * alpha * (1.0 + alpha),
+            b=lambda alpha: span * (1.0 + alpha) / 3.0,
+            v_prime_0=span * span,
+            b_0=span / 3.0,
+            mgf_normalization=2.0,
+        )
 
     def params_json(self):
         return {
@@ -319,12 +368,21 @@ class BoundedBinaryMixture(NoiseModel):
             "mixing": [[[[a, b], p] for (a, b), p in entries] for entries in self.mixing],
         }
 
+    @classmethod
+    def scenario(cls, n, m, rng, params):
+        mixing = params.pop("mixing", _DEFAULT_MIXING)
+        a_max = float(params.pop("a_max", max(a for (a, _b), _p in mixing)))
+        b_max = float(params.pop("b_max", max(b for (_a, b), _p in mixing)))
+        truth = rng.uniform(0.0, 1.0, n)
+        return truth, cls.homogeneous(n, a_max, b_max, mixing), _clipped_atoms(truth, m, rng)
 
-class CenteredBinomial(NoiseModel):
+
+class CenteredBinomial(_DiscreteNoise):
     """Coordinate i is a * (Binomial(k, rho_i) - k * rho_i), realized as a
     sum of k centered Bernoulli terms scaled by a."""
 
     family = "centered_binomial"
+    json_keys = ("a", "k", "rho")
 
     def __init__(self, a, k, rho):
         self.a = float(a)
@@ -361,45 +419,87 @@ class CenteredBinomial(NoiseModel):
         )
         return DiscreteLaw(values, probs / probs.sum())
 
-    def params_json(self):
-        return {"a": self.a, "k": self.k, "rho": self.rho.tolist()}
+    def coupling_records(self, i, alpha):
+        """The records of one Bernoulli(rho_i) term: each of the k terms is
+        coupled on its own, and the coordinate is a times their sum."""
+        return _bernoulli_records(float(self.rho[i]), alpha)
+
+    def coupled_sum_law(self, i, alpha, merge_atol):
+        term = super().coupled_sum_law(i, alpha, merge_atol)
+        law = term
+        for _ in range(self.k - 1):
+            law = law.convolve(term, merge_atol=merge_atol)
+        return law.scale(self.a)
+
+    def conditional_means(self, i, alpha):
+        # the record is the count c of terms at 1 - rho
+        m_hi, m_lo = super().conditional_means(i, alpha)
+        return [self.a * (c * m_hi + (self.k - c) * m_lo) for c in range(self.k + 1)]
+
+    def conditional_laws(self, i, alpha):
+        hi, lo = (law.convolution_powers(self.k) for law in super().conditional_laws(i, alpha))
+        return [hi[c].convolve(lo[self.k - c]).scale(self.a) for c in range(self.k + 1)]
+
+    def companion(self, record, alpha, rng):
+        return couple_binomial(record["eta"], self.a, alpha, rng)
+
+    def profile(self):
+        a, k = self.a, self.k
+        return BernsteinProfile(
+            family=self.family,
+            v=lambda alpha: a * a * k * alpha * (1.0 + alpha),
+            b=lambda alpha: a * (1.0 + alpha) / 3.0,
+            v_prime_0=a * a * k,
+            b_0=a / 3.0,
+            mgf_normalization=2.0,
+        )
+
+    @classmethod
+    def scenario(cls, n, m, rng, params):
+        k = int(params.pop("k", 5))
+        a = float(params.pop("a", 1.0 / k))
+        truth = rng.uniform(0.2, 0.8, n)
+        return truth, cls(a, k, truth.copy()), _clipped_atoms(truth, m, rng)
 
 
-class Laplace(NoiseModel):
+class Laplace(_ContinuousNoise):
     """Coordinate i is centered Laplace with scale mu_i."""
 
     family = "laplace"
+    json_keys = ("mu",)
 
     def __init__(self, mu):
         self.mu = _coordinate_array(mu, "mu", low=0.0)
 
-    @classmethod
-    def homogeneous(cls, n, mu):
-        return cls(np.full(n, float(mu)))
-
     @property
-    def dim(self):
-        return int(self.mu.size)
+    def scale(self):
+        return self.mu
 
     def sample(self, rng):
-        return laplace_inverse_cdf(rng.random(self.dim), self.mu)
+        return laplace_inverse_cdf(rng.random(self.mu.size), self.mu)
 
-    def exact_law(self, i):
-        return CONTINUOUS
+    def coordinate_draws(self, i, n, rng):
+        return laplace_inverse_cdf(rng.random(n), float(self.mu[i]))
 
-    def params_json(self):
-        return {"mu": self.mu.tolist()}
+    def couple(self, scale, alpha, rng):
+        return couple_laplace(scale, alpha, rng)
+
+    def profile(self):
+        mu = float(np.max(self.mu))
+        return BernsteinProfile(
+            family=self.family,
+            v=lambda alpha: alpha * (2.0 + alpha) * mu * mu,
+            b=lambda alpha: (1.0 + alpha) * mu,
+            v_prime_0=2.0 * mu * mu,
+            b_0=mu,
+            mgf_normalization=1.0,
+        )
 
 
-DISCRETE_FAMILIES = (CenteredBernoulli, BoundedBinaryMixture, CenteredBinomial)
-CONTINUOUS_FAMILIES = (Gaussian, Laplace)
-
-_FAMILY_TAGS = {
-    "centered_bernoulli": CenteredBernoulli,
-    "gaussian": Gaussian,
-    "bounded_binary_mixture": BoundedBinaryMixture,
-    "centered_binomial": CenteredBinomial,
-    "laplace": Laplace,
+# family tag -> class: the one list of noise families
+FAMILIES = {
+    cls.family: cls
+    for cls in (CenteredBernoulli, Gaussian, BoundedBinaryMixture, CenteredBinomial, Laplace)
 }
 
 
@@ -411,10 +511,6 @@ def sample_noise(model, rng):
 def exact_law(model, i):
     """Exact law of coordinate i, or the CONTINUOUS marker."""
     return model.exact_law(i)
-
-
-def law_mean_and_variance(law):
-    return law.mean(), law.variance()
 
 
 def noise_to_json(model):
@@ -431,29 +527,15 @@ def noise_from_json(doc):
     if not isinstance(doc, dict) or "family" not in doc or "params" not in doc:
         raise ValueError('noise must be an object with keys "family" and "params"')
     family = doc["family"]
-    if family not in _FAMILY_TAGS:
-        known = ", ".join(sorted(_FAMILY_TAGS))
+    if family not in FAMILIES:
+        known = ", ".join(sorted(FAMILIES))
         raise ValueError(f"noise.family must be one of: {known}")
     params = doc["params"]
     if not isinstance(params, dict):
         raise ValueError("noise.params must be an object")
+    cls = FAMILIES[family]
+    args = [_require(params, key, family) for key in cls.json_keys]
     try:
-        if family == "centered_bernoulli":
-            return CenteredBernoulli(_require(params, "rho", family))
-        if family == "gaussian":
-            return Gaussian(_require(params, "sigma", family))
-        if family == "bounded_binary_mixture":
-            mixing_doc = _require(params, "mixing", family)
-            mixing = [[((a, b), p) for (a, b), p in entries] for entries in mixing_doc]
-            return BoundedBinaryMixture(
-                _require(params, "a_max", family), _require(params, "b_max", family), mixing
-            )
-        if family == "centered_binomial":
-            return CenteredBinomial(
-                _require(params, "a", family),
-                _require(params, "k", family),
-                _require(params, "rho", family),
-            )
-        return Laplace(_require(params, "mu", family))
+        return cls(*args)
     except (TypeError, IndexError) as exc:
         raise ValueError(f"noise.params is malformed for family {family}: {exc}") from None

@@ -18,7 +18,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
@@ -33,13 +33,7 @@ from .model import (
     sup_diameter,
     squared_distance,
 )
-from .noise import (
-    BoundedBinaryMixture,
-    CenteredBernoulli,
-    CenteredBinomial,
-    Gaussian,
-    Laplace,
-)
+from .noise import FAMILIES
 
 CONFIDENCE_MULTIPLIER = 3.0
 THREADS_ENV_VAR = "EWA_AGG_THREADS"
@@ -147,22 +141,8 @@ class RiskReport:
         }
 
     def csv_row(self):
-        return [
-            self.family,
-            self.n,
-            self.m,
-            self.beta,
-            self.threshold,
-            self.mode,
-            self.risk_estimate,
-            self.risk_stderr,
-            self.oracle_bound,
-            self.penalty_term,
-            self.slack,
-            "pass" if self.verdict else "fail",
-            self.replicates,
-            self.seed,
-        ]
+        doc = self.to_json()
+        return [doc[key] for key in RISK_CSV_HEADER]
 
 
 def worker_count():
@@ -285,15 +265,7 @@ def mc_risk(config, mode="clean"):
 
 _SCENARIO_KEY = 9001
 
-KNOWN_FAMILIES = (
-    "centered_bernoulli",
-    "gaussian",
-    "bounded_binary_mixture",
-    "centered_binomial",
-    "laplace",
-)
-
-_DEFAULT_MIXING = [((0.6, 0.6), 0.4), ((0.35, 0.2), 0.35), ((0.1, 0.45), 0.25)]
+KNOWN_FAMILIES = tuple(FAMILIES)
 
 
 def make_scenario(family, n=50, m=10, replicates=10_000, seed=20250822, **params):
@@ -303,38 +275,13 @@ def make_scenario(family, n=50, m=10, replicates=10_000, seed=20250822, **params
     noise success rates equal to the truth (so observations are honest
     counts), and clip the atoms to [0, 1]^n, keeping the sup diameter at
     most 1. beta is set to the family threshold for the actual dictionary.
+    Each family's class draws its own scenario (`NoiseModel.scenario`).
     """
-    rng = derived_stream(seed, _SCENARIO_KEY, 0)
-    if family == "centered_bernoulli":
-        truth = rng.uniform(0.2, 0.8, n)
-        noise = CenteredBernoulli(truth.copy())
-        atoms = np.clip(truth + rng.uniform(-0.25, 0.25, (m, n)), 0.0, 1.0)
-    elif family == "gaussian":
-        sigma = float(params.pop("sigma", 1.0))
-        truth = rng.uniform(0.0, 1.0, n)
-        noise = Gaussian.homogeneous(n, sigma)
-        atoms = truth + rng.uniform(-0.5, 0.5, (m, n))
-    elif family == "bounded_binary_mixture":
-        mixing = params.pop("mixing", _DEFAULT_MIXING)
-        a_max = float(params.pop("a_max", max(a for (a, _b), _p in mixing)))
-        b_max = float(params.pop("b_max", max(b for (_a, b), _p in mixing)))
-        truth = rng.uniform(0.0, 1.0, n)
-        noise = BoundedBinaryMixture.homogeneous(n, a_max, b_max, mixing)
-        atoms = np.clip(truth + rng.uniform(-0.25, 0.25, (m, n)), 0.0, 1.0)
-    elif family == "centered_binomial":
-        k = int(params.pop("k", 5))
-        a = float(params.pop("a", 1.0 / k))
-        truth = rng.uniform(0.2, 0.8, n)
-        noise = CenteredBinomial(a, k, truth.copy())
-        atoms = np.clip(truth + rng.uniform(-0.25, 0.25, (m, n)), 0.0, 1.0)
-    elif family == "laplace":
-        mu = float(params.pop("mu", 1.0))
-        truth = rng.uniform(0.0, 1.0, n)
-        noise = Laplace.homogeneous(n, mu)
-        atoms = truth + rng.uniform(-0.5, 0.5, (m, n))
-    else:
+    if family not in FAMILIES:
         known = ", ".join(KNOWN_FAMILIES)
         raise ValueError(f"family must be one of: {known}")
+    rng = derived_stream(seed, _SCENARIO_KEY, 0)
+    truth, noise, atoms = FAMILIES[family].scenario(n, m, rng, params)
     if params:
         raise ValueError(f"unknown scenario parameters: {sorted(params)}")
     dictionary = Dictionary(atoms)
@@ -355,8 +302,8 @@ def certify_config(config):
     bound at the family threshold and the variance-penalty bound at half
     the threshold. Returns both reports."""
     threshold = beta_threshold(profile_for(config.noise), sup_diameter(config.dictionary))
-    clean = mc_risk(config.with_beta(threshold), mode="clean")
-    penalized = mc_risk(config.with_beta(threshold / 2.0), mode="variance_penalty")
+    clean = mc_risk(replace(config, beta=threshold), mode="clean")
+    penalized = mc_risk(replace(config, beta=threshold / 2.0), mode="variance_penalty")
     return [clean, penalized]
 
 

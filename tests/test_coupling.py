@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewa_agg.coupling import (
     CouplingDraw,
+    branch_law,
     bernoulli_coupling_branches,
     binary_coupling_branches,
     conditional_zeta_laws,
@@ -24,13 +27,16 @@ from ewa_agg.coupling import (
     _empirical_cf_gap,
 )
 from ewa_agg.noise import (
+    FAMILIES,
     BoundedBinaryMixture,
     CenteredBernoulli,
     CenteredBinomial,
+    DiscreteLaw,
     Gaussian,
     Laplace,
     max_atom_probability_error,
 )
+from ewa_agg.oracle import make_scenario
 
 MIXING = [((0.6, 0.6), 0.4), ((0.35, 0.2), 0.35), ((0.1, 0.45), 0.25)]
 ALPHAS = (0.1, 0.25, 0.5, 1.0)
@@ -195,23 +201,18 @@ class TestSamplers:
                 couple_gaussian(1.0, bad, rng)
 
 
-ALL_MODELS = DISCRETE_MODELS + [Gaussian([1.0, 2.0]), Laplace([0.5, 1.0])]
-
-
-@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.family)
-def test_sample_coupling_dispatch(model):
-    rng = np.random.default_rng(31)
-    draw = sample_coupling(model, 0.5, rng)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sample_coupling_dispatch(family):
+    model = make_scenario(family, n=4, m=2, replicates=1).noise
+    draw = sample_coupling(model, 0.5, np.random.default_rng(31))
     assert isinstance(draw, CouplingDraw)
     assert draw.alpha == 0.5
     assert np.shape(draw.xi) == (model.dim,)
     assert np.shape(draw.zeta) == (model.dim,)
-    if model.family == "bounded_binary_mixture":
-        assert set(draw.conditioning_record) == {"a", "b", "eta"}
-    elif model.family == "centered_binomial":
-        assert set(draw.conditioning_record) == {"eta"}
-    else:
-        assert set(draw.conditioning_record) == {"xi"}
+    # xi and its record come first from the generator, then zeta
+    xi, record = model.sample_with_latents(np.random.default_rng(31))
+    assert np.array_equal(draw.xi, xi)
+    assert set(draw.conditioning_record) == set(record)
 
 
 def test_sample_coupling_conditional_mean_by_record():
@@ -285,3 +286,55 @@ class TestVerifyCouplingStatistical:
         assert row[0] == "centered_bernoulli"
         assert row[-1] == "pass"
         assert len(row) == 6
+
+
+# ---- properties of the one record enumeration the exact checks share
+
+_rhos = st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3)
+_alphas = st.floats(0.0, 1.0, exclude_min=True)
+# (a, b) on a 0.05 grid, so values either coincide exactly or stay apart
+_pairs = st.tuples(st.integers(0, 20), st.integers(0, 20)).filter(lambda ab: sum(ab) > 0)
+_tables = st.lists(
+    st.tuples(_pairs, st.floats(0.05, 1.0)), min_size=1, max_size=4
+).map(lambda rows: [((a / 20, b / 20), w / sum(r[1] for r in rows)) for (a, b), w in rows])
+_binomials = st.builds(CenteredBinomial, st.floats(0.05, 1.0), st.integers(1, 6), _rhos)
+_discrete_models = st.one_of(
+    st.builds(CenteredBernoulli, _rhos),
+    st.builds(BoundedBinaryMixture, st.just(1.0), st.just(1.0), st.lists(_tables, min_size=1, max_size=2)),
+    _binomials,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_discrete_models, _alphas)
+def test_records_give_the_exact_identity(model, alpha):
+    for i in range(model.dim):
+        lhs = exact_coupled_sum_law(model, i, alpha)
+        rhs = model.exact_law(i).scale(1.0 + alpha)
+        assert max_atom_probability_error(lhs, rhs) <= 1e-12
+    assert verify_coupling(model, alpha).statistic <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(_discrete_models, _alphas)
+def test_mean_error_agrees_with_conditional_laws(model, alpha):
+    laws = conditional_zeta_laws(model, alpha)
+    assert abs(
+        max_conditional_mean_error(model, alpha) - max(abs(law.mean()) for law in laws)
+    ) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(_binomials, _alphas)
+def test_binomial_laws_match_direct_convolution(model, alpha):
+    laws = iter(conditional_zeta_laws(model, alpha))
+    for i in range(model.dim):
+        rho = float(model.rho[i])
+        hi = branch_law(bernoulli_coupling_branches(1.0 - rho, alpha))
+        lo = branch_law(bernoulli_coupling_branches(-rho, alpha))
+        for count in range(model.k + 1):
+            direct = DiscreteLaw([0.0], [1.0])
+            for term in [hi] * count + [lo] * (model.k - count):
+                direct = direct.convolve(term)
+            assert max_atom_probability_error(next(laws), direct.scale(model.a)) <= 1e-12
+    assert next(laws, None) is None

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,10 +176,15 @@ class TestExperimentConfig:
 
     def test_with_beta_and_with_seed(self):
         cfg = _small_config()
-        assert cfg.with_beta(2.0).beta == 2.0
-        assert cfg.with_seed(99).seed == 99
+        assert replace(cfg, beta=2.0).beta == 2.0
+        assert replace(cfg, seed=99).seed == 99
         # original untouched
         assert cfg.beta == 4.0 and cfg.seed == 123
+        # replace revalidates through __post_init__
+        with pytest.raises(ValueError, match="beta must be positive"):
+            replace(cfg, beta=-1.0)
+        with pytest.raises(ValueError, match="seed"):
+            replace(cfg, seed=-1)
 
     def test_json_round_trip(self):
         cfg = _small_config(prior_samples=None)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from ewa_agg.bernstein import beta_threshold, profile_for
 from ewa_agg.ewa import gibbs_objective, posterior_weights
 from ewa_agg.model import Dictionary, ExperimentConfig, WeightVector, sup_diameter
-from ewa_agg.noise import Gaussian
+from ewa_agg.noise import FAMILIES, Gaussian
 from ewa_agg.oracle import (
     KNOWN_FAMILIES,
     RISK_CSV_HEADER,
@@ -195,7 +196,7 @@ class TestMcRisk:
 
     def test_variance_penalty_mode(self):
         cfg = _toy_config()
-        half = cfg.with_beta(cfg.beta / 2.0)
+        half = replace(cfg, beta=cfg.beta / 2.0)
         report = mc_risk(half, mode="variance_penalty")
         assert report.mode == "variance_penalty"
         assert report.penalty_coefficient > 0.0
@@ -208,7 +209,7 @@ class TestMcRisk:
     def test_clean_mode_warns_below_threshold(self):
         cfg = _toy_config()
         with pytest.warns(UserWarning, match="below the certified threshold"):
-            mc_risk(cfg.with_beta(cfg.beta / 2.0), mode="clean")
+            mc_risk(replace(cfg, beta=cfg.beta / 2.0), mode="clean")
 
     def test_variance_penalty_rejects_infinite_beta(self):
         cfg = _toy_config(beta=math.inf)
@@ -228,8 +229,9 @@ class TestMcRisk:
 
 
 class TestScenarios:
-    @pytest.mark.parametrize("family", KNOWN_FAMILIES)
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_beta_is_the_threshold(self, family):
+        assert family in KNOWN_FAMILIES
         cfg = make_scenario(family, n=12, m=4, replicates=10)
         expected = beta_threshold(profile_for(cfg.noise), sup_diameter(cfg.dictionary))
         assert cfg.beta == expected
@@ -237,6 +239,7 @@ class TestScenarios:
         assert cfg.dictionary.n == 12
         assert cfg.truth.size == 12
         assert cfg.noise.dim == 12
+        assert cfg.noise.family == family
 
     def test_count_families_tie_noise_to_truth(self):
         cfg = make_scenario("centered_bernoulli", n=9, m=3, replicates=10)
@@ -263,7 +266,7 @@ def test_certify_config_runs_both_modes():
     cfg = _toy_config(replicates=150)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the half-threshold run must not warn
-        clean, penalized = certify_config(cfg.with_beta(99.0))  # beta is overridden
+        clean, penalized = certify_config(replace(cfg, beta=99.0))  # beta is overridden
     th = beta_threshold(profile_for(cfg.noise), sup_diameter(cfg.dictionary))
     assert clean.mode == "clean"
     assert clean.beta == pytest.approx(th)
