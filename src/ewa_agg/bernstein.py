@@ -161,12 +161,19 @@ def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
         mgf = np.empty_like(bound)
         margin = np.empty_like(bound)
         root_n = math.sqrt(samples.size)
-        for idx, t in enumerate(t_grid):
-            values = np.exp(t * samples)
-            mgf[idx] = values.mean()
-            margin[idx] = MGF_SE_MULTIPLIER * values.std(ddof=1) / root_n
+        # an overflow is caught below, where its point fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx, t in enumerate(t_grid):
+                values = np.exp(t * samples)
+                mgf[idx] = values.mean()
+                margin[idx] = MGF_SE_MULTIPLIER * values.std(ddof=1) / root_n
         method = "sampled"
-    ratio = (mgf - margin) / bound
+    with np.errstate(invalid="ignore"):
+        ratio = (mgf - margin) / bound
+    # a mean or margin that is not finite certifies nothing: its point fails,
+    # unless the bound there is infinite and so met by anything
+    blind = ~(np.isfinite(mgf) & np.isfinite(margin))
+    ratio[blind] = np.where(np.isinf(bound[blind]), 0.0, np.inf)
     worst = int(np.argmax(ratio))
     max_ratio = float(ratio[worst])
     return MgfCheckReport(

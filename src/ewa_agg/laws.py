@@ -55,6 +55,9 @@ class DiscreteLaw:
         mass = np.bincount(cluster, weights=probs, minlength=k)
         weighted = probs * values
         merged = np.bincount(cluster, weights=weighted, minlength=k) / mass
+        # (p * v) / p can miss v by an ulp, so a lone atom keeps its own value
+        lone = np.bincount(cluster, minlength=k) == 1
+        merged[lone] = values[lone[cluster]]
         # p * v underflows for subnormal p or v, and the mean could then land on
         # another cluster's value; such a cluster keeps its lowest value instead
         lost = (np.abs(weighted) < np.finfo(np.float64).tiny) & (values != 0.0)

@@ -240,6 +240,18 @@ class TestMgfChecks:
         report = mgf_bound_check(zeta, 0.25, 0.0, 2.0, grid)  # claims var 1/4
         assert not report.passed
 
+    def test_sampled_overflow_fails_closed(self):
+        # exp(t x) stays finite at t = 4, x = 100 but its square does not, so
+        # the margin overflows; the point must fail, not pass with ratio -inf
+        zeta = np.random.default_rng(0).normal(size=1000)
+        zeta[0] = 100.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = mgf_bound_check(zeta, 1.0, 0.0, 2.0, np.linspace(4.0, 7.0, 8))
+        assert not report.passed
+        assert report.max_ratio == math.inf
+        assert report.worst_t == 4.0
+
     def test_sampled_input_validation(self):
         with pytest.raises(ValueError, match="1-D"):
             mgf_bound_check(np.zeros((3, 3)), 1.0, 0.0, 2.0, np.array([0.1]))

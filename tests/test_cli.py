@@ -247,6 +247,17 @@ def test_python_dash_m_entry(tmp_path):
     assert proc.stdout.startswith("n,m,beta")
 
 
+def test_import_does_not_load_scipy_stats():
+    # the runtime needs only scipy.special; scipy.stats alone costs about a
+    # second of import time
+    proc = subprocess.run(
+        [sys.executable, "-c", "import ewa_agg.cli, sys; assert 'scipy.stats' not in sys.modules"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_certify_is_deterministic_across_thread_counts(tmp_path):
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)

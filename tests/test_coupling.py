@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from ewa_agg.coupling import (
+    CF_BLOCK,
+    CF_POINTS,
     CouplingDraw,
     branch_law,
     bernoulli_coupling_branches,
@@ -25,6 +28,7 @@ from ewa_agg.coupling import (
     sample_coupling,
     verify_coupling,
     _empirical_cf_gap,
+    _ks_statistic,
 )
 from ewa_agg.noise import (
     FAMILIES,
@@ -245,9 +249,62 @@ def test_cf_gap_detects_shift():
     rng = np.random.default_rng(33)
     x = rng.normal(0.0, 1.0, 50_000)
     y = rng.normal(0.7, 1.0, 50_000)
-    grid = np.linspace(-5.0, 5.0, 64)
-    assert _empirical_cf_gap(x, y, grid) > 10.0 * (5.0 / math.sqrt(50_000))
-    assert _empirical_cf_gap(x, x, grid) == 0.0
+    assert _empirical_cf_gap(x, y, 5.0) > 10.0 * (5.0 / math.sqrt(50_000))
+    assert _empirical_cf_gap(x, x, 5.0) == 0.0
+
+
+def _direct_cf_gap(x, y, t_max, points=CF_POINTS):
+    """The gap node by node over the full grid, from cos and sin of t * x."""
+    return max(
+        math.hypot(np.cos(t * x).mean() - np.cos(t * y).mean(), np.sin(t * x).mean() - np.sin(t * y).mean())
+        for t in np.linspace(-t_max, t_max, points)
+    )
+
+
+@pytest.mark.parametrize(
+    "n_x, n_y, points",
+    [(2 * CF_BLOCK + 123, 5_000, CF_POINTS), (40_000, 3 * CF_BLOCK, CF_POINTS), (777, 2_000, 9)],
+)
+def test_cf_gap_matches_direct_evaluation(n_x, n_y, points):
+    rng = np.random.default_rng(n_x)
+    for scale in (0.5, 0.9, 2.0):
+        x = rng.laplace(0.0, scale, n_x)
+        y = 1.05 * rng.laplace(0.0, scale, n_y)
+        t_max = 5.0 / scale
+        assert abs(_empirical_cf_gap(x, y, t_max, points) - _direct_cf_gap(x, y, t_max, points)) <= 1e-15
+
+
+def test_cf_gap_peaks_at_the_smallest_node():
+    # the nodes t >= 0 are the odd multiples of t_1 = t_max / 63; against a
+    # point mass at 0, y = +-c has gap 1 - cos(t c), which peaks on the grid
+    # at t_1 when t_1 c = pi - 0.05 (63 * 0.05 < 2 pi - 0.05)
+    t_max = 5.0
+    c = (math.pi - 0.05) / (t_max / (CF_POINTS - 1))
+    x, y = np.zeros(3), np.array([c, -c])
+    assert _empirical_cf_gap(x, y, t_max) == pytest.approx(1.0 + math.cos(0.05), abs=1e-12)
+
+
+def _ks_pairs():
+    rng = np.random.default_rng(36)
+    same = rng.normal(size=3_000)
+    return {
+        "equal_sizes": (rng.normal(size=4_000), rng.normal(0.05, 1.0, 4_000)),
+        "unequal_sizes": (rng.laplace(size=2_500), rng.normal(size=7_001)),
+        "heavy_ties": (rng.integers(0, 6, 3_000).astype(float), rng.integers(0, 7, 2_000).astype(float)),
+        "identical": (same, same.copy()),
+        "disjoint": (rng.uniform(0.0, 1.0, 500), rng.uniform(2.0, 3.0, 900)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_ks_pairs()))
+def test_ks_statistic_equals_scipy(case):
+    a, b = _ks_pairs()[case]
+    got = _ks_statistic(a, b)
+    assert got == stats.ks_2samp(a, b, method="asymp").statistic
+    if case == "identical":
+        assert got == 0.0
+    if case == "disjoint":
+        assert got == 1.0
 
 
 class TestVerifyCouplingStatistical:

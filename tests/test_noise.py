@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from ewa_agg.laws import MERGE_ATOL
 from ewa_agg.noise import (
     CONTINUOUS,
     FAMILIES,
@@ -69,6 +72,25 @@ class TestDiscreteLaw:
         two = coin.convolve(coin)
         assert two.values.tolist() == [0.0, 1.0, 2.0]
         assert np.allclose(two.probs, [0.25, 0.5, 0.25])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(1e-9, 1.0)),
+        min_size=1, max_size=30, unique_by=lambda atom: atom[0],
+    )
+)
+def test_from_atoms_keeps_separated_atoms_exact(atoms):
+    values = np.array([v for v, _ in atoms])
+    probs = np.array([p for _, p in atoms])
+    probs /= probs.sum()
+    order = np.argsort(values)
+    assume(np.all(np.diff(values[order]) > MERGE_ATOL))
+    law = DiscreteLaw.from_atoms(values, probs)
+    assert law.values.tobytes() == values[order].tobytes()
+    assert law.probs.tobytes() == probs[order].tobytes()
+    assert law.scale(1.0).values.tobytes() == law.values.tobytes()
 
 
 def test_max_atom_probability_error():
