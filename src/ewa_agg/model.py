@@ -1,12 +1,11 @@
 """Core data types: signal vectors, dictionaries of candidate signals,
-probability weights over atoms, and the experiment configuration that the
-Monte Carlo harness and the CLI consume."""
+probability weights over atoms (normalized by the one logsumexp and softmax),
+and the experiment configuration that the Monte Carlo harness and the CLI consume."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .noise import NoiseModel, noise_from_json, noise_to_json
 
@@ -77,6 +76,44 @@ def sup_diameter(dictionary):
     return float(np.max(atoms.max(axis=0) - atoms.min(axis=0)))
 
 
+def logsumexp(a):
+    """log(sum(exp(a))) of a 1-D float array: the entries at the max leave the
+    max-shifted sum and come back through log1p(s / count) + log(count) + max;
+    a non-finite result is recomputed directly (all -inf gives -inf)."""
+    top = np.max(a)
+    at_top = a == top
+    count = np.float64(np.count_nonzero(at_top))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+        out = np.log1p(s / count if s else s) + np.log(count) + top
+        return out if np.isfinite(out) else np.log(np.exp(a).sum())
+
+
+def softmax(log_weights):
+    """(weights, log-weights) proportional to exp(log_weights): normalized by
+    logsumexp, then renormalized linearly to kill residual rounding."""
+    lw = np.asarray(log_weights, dtype=np.float64)
+    if lw.ndim != 1 or lw.size == 0:
+        raise ValueError("log_weights must form a non-empty 1-D array")
+    if np.any(np.isnan(lw)) or np.any(lw == np.inf):
+        raise ValueError("log_weights must be < +inf and not NaN")
+    total = logsumexp(lw)
+    if total == -np.inf:
+        raise ValueError("log_weights must carry some mass")
+    norm = lw - total
+    w = np.exp(norm)
+    s = float(w.sum())
+    # exp underflow leaves w == 0 with a finite log; pin those to -inf
+    return w / s, np.where(w > 0.0, norm - math.log(s), -np.inf)
+
+
+def _check_beta(beta):
+    beta = float(beta)
+    if math.isnan(beta) or beta <= 0.0:
+        raise ValueError("beta must be positive")
+    return beta
+
+
 class WeightVector:
     """A probability vector over dictionary atoms.
 
@@ -123,21 +160,8 @@ class WeightVector:
 
     @classmethod
     def from_log_weights(cls, log_weights):
-        """Normalize unnormalized log-weights with the usual max-shifted
-        log-sum-exp, then renormalize linearly to kill residual rounding."""
-        lw = np.asarray(log_weights, dtype=np.float64)
-        if lw.ndim != 1 or lw.size == 0:
-            raise ValueError("log_weights must form a non-empty 1-D array")
-        if np.any(np.isnan(lw)) or np.any(lw == np.inf):
-            raise ValueError("log_weights must be < +inf and not NaN")
-        total = logsumexp(lw)
-        if total == -np.inf:
-            raise ValueError("log_weights must carry some mass")
-        norm = lw - total
-        w = np.exp(norm)
-        s = float(w.sum())
-        # exp underflow leaves w == 0 with a finite log; pin those to -inf
-        return cls(w / s, np.where(w > 0.0, norm - math.log(s), -np.inf))
+        """The probability vector proportional to exp(log_weights); see `softmax`."""
+        return cls(*softmax(log_weights))
 
     def __len__(self):
         return int(self.weights.size)
@@ -181,10 +205,7 @@ def _as_beta(value):
             raise ValueError("beta must be positive") from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError("beta must be positive")
-    beta = float(value)
-    if math.isnan(beta) or beta <= 0.0:
-        raise ValueError("beta must be positive")
-    return beta
+    return _check_beta(value)
 
 
 def _as_count(value, name, minimum=1):
@@ -211,10 +232,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "truth", as_signal(self.truth))
-        beta = _as_beta(self.beta) if not (isinstance(self.beta, float) and math.isinf(self.beta)) else self.beta
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
-        object.__setattr__(self, "beta", float(beta))
+        object.__setattr__(self, "beta", _as_beta(self.beta))
         object.__setattr__(self, "replicates", _as_count(self.replicates, "replicates"))
         seed = _as_count(self.seed, "seed", minimum=0)
         if seed >= 2**64:

@@ -9,9 +9,9 @@ the Gibbs bound, either directly ("clean", valid from the family's
 temperature threshold up) or with the posterior-variance penalty added
 ("variance_penalty", valid whenever beta > 2 b(0) d0).
 
-Replicate r draws its noise from a generator seeded by (seed, r), so
-results are bit-identical no matter how many workers run; EWA_AGG_THREADS
-caps the worker count (default 1).
+Replicate r draws its noise from a generator seeded by (seed, r) and runs
+the distance, softmax and moments behind `posterior_weights`; results are
+bit-identical however many workers run (EWA_AGG_THREADS, default 1).
 """
 
 import math
@@ -21,15 +21,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bernstein import beta_threshold, profile_for, variance_penalty_coefficient
-from .ewa import aggregate, posterior_variance, posterior_weights
+from .ewa import _atom_sq_distances, _log_posterior, _posterior_moments
 from .model import (
     Dictionary,
     ExperimentConfig,
     WeightVector,
+    _check_beta,
     as_signal,
+    logsumexp,
+    softmax,
     sup_diameter,
     squared_distance,
 )
@@ -61,22 +63,17 @@ def derived_stream(seed, *key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _prior_log_and_distances(dictionary, truth, prior):
+def _bound_inputs(dictionary, truth, prior, beta):
     truth = as_signal(truth, dictionary.n)
-    if not isinstance(prior, WeightVector):
-        prior = WeightVector(prior)
+    prior = prior if isinstance(prior, WeightVector) else WeightVector(prior)
     if len(prior) != dictionary.m:
         raise ValueError("prior length must match the number of atoms")
-    diff = dictionary.atoms - truth
-    return prior, np.einsum("ij,ij->i", diff, diff)
+    return prior, _atom_sq_distances(truth, dictionary.atoms), _check_beta(beta)
 
 
 def oracle_bound_finite(dictionary, truth, prior, beta):
     """min over supported atoms of squared distance plus beta log(1/prior)."""
-    prior, d = _prior_log_and_distances(dictionary, truth, prior)
-    beta = float(beta)
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
+    prior, d, beta = _bound_inputs(dictionary, truth, prior, beta)
     mask = prior.weights > 0.0
     if math.isinf(beta):
         terms = np.where(prior.weights[mask] == 1.0, d[mask], np.inf)
@@ -86,15 +83,15 @@ def oracle_bound_finite(dictionary, truth, prior, beta):
 
 
 def oracle_bound_gibbs(dictionary, truth, prior, beta):
-    """-beta log sum_j pi0(j) exp(-d_j / beta), the infimum of the Gibbs
-    objective; with beta = +inf, the prior-mean distance."""
-    prior, d = _prior_log_and_distances(dictionary, truth, prior)
-    beta = float(beta)
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
+    """-beta log sum_j pi0(j) exp(-d_j / beta), the infimum of the Gibbs objective. Its limits:
+    the prior-mean distance at beta = +inf; the finite bound where every d_j / beta overflows."""
+    prior, d, beta = _bound_inputs(dictionary, truth, prior, beta)
     if math.isinf(beta):
         return float(prior.weights @ d)
-    return float(-beta * logsumexp(prior.log_weights - d / beta))
+    total = logsumexp(_log_posterior(prior.log_weights, d, beta))
+    if total == -np.inf:
+        return oracle_bound_finite(dictionary, truth, prior, beta)
+    return float(-beta * total)
 
 
 @dataclass(frozen=True)
@@ -158,41 +155,37 @@ def worker_count():
     return count
 
 
-def _replicate_stats(config, r):
-    rng = derived_stream(config.seed, r)
-    y = config.truth + config.noise.sample(rng)
-    if config.prior_samples is None:
-        post = posterior_weights(y, config.dictionary, config.prior, config.beta)
-        estimate = aggregate(config.dictionary, post)
-        pvar = posterior_variance(config.dictionary, post)
-    else:
-        idx = rng.choice(config.dictionary.m, size=config.prior_samples, p=config.prior.weights)
-        sampled = Dictionary(config.dictionary.atoms[idx])
-        uniform = WeightVector.uniform(config.prior_samples)
-        post = posterior_weights(y, sampled, uniform, config.beta)
-        estimate = aggregate(sampled, post)
-        pvar = posterior_variance(sampled, post)
-    return squared_distance(estimate, config.truth), pvar
-
-
 def _run_replicates(config):
-    total = config.replicates
-    risks = np.empty(total)
-    pvars = np.empty(total)
+    """Each replicate's risk and posterior variance; what no replicate changes is made once."""
+    total, beta, sampled = config.replicates, config.beta, config.prior_samples
+    atoms = config.dictionary.atoms
+    norms = _atom_sq_distances(0.0, atoms)
+    prior = config.prior if sampled is None else WeightVector.uniform(sampled)
+    risks, pvars = np.empty(total), np.empty(total)
 
     def fill(lo, hi):
         for r in range(lo, hi):
-            risks[r], pvars[r] = _replicate_stats(config, r)
+            rng = derived_stream(config.seed, r)
+            y = config.truth + config.noise.sample(rng)
+            if not np.all(np.isfinite(y)):
+                raise ValueError("signal entries must be finite")
+            theta, sq = atoms, norms
+            if sampled is not None:
+                idx = rng.choice(len(atoms), size=sampled, p=config.prior.weights)
+                theta, sq = atoms[idx], norms[idx]
+            w = prior.weights
+            if not math.isinf(beta):
+                d = _atom_sq_distances(y, theta)
+                w = softmax(_log_posterior(prior.log_weights, d, beta))[0]
+            estimate, pvars[r] = _posterior_moments(w, theta, sq)
+            risks[r] = squared_distance(estimate, config.truth)
 
     workers = worker_count()
-    if workers == 1 or total < 2:
-        fill(0, total)
-    else:
-        step = -(-total // workers)
-        spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(fill, lo, hi) for lo, hi in spans]:
-                future.result()
+    step = -(-total // workers)
+    spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(fill, lo, hi) for lo, hi in spans]:
+            future.result()
     return risks, pvars
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ewa_agg.ewa import (
+    _atom_sq_distances,
     aggregate,
     dv_minimality_test,
     ewa_estimate,
@@ -106,6 +107,21 @@ def test_posterior_variance_hand_value():
     assert posterior_variance(d, WeightVector.dirac(3, 2)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "m, n, order",
+    [(300, 256, "C"), (20000, 7, "C"), (20, 8192, "C"), (5, 40000, "C"), (257, 256, "F")],
+)
+def test_atom_distances_equal_whole_differences_bit_for_bit(m, n, order):
+    # the first three go a block of rows at a time; a row past einsum's buffer
+    # and Fortran-ordered atoms are differenced whole
+    rng = np.random.default_rng(RNG_SEED)
+    atoms = np.array(rng.normal(scale=30.0, size=(m, n)), order=order)
+    y = rng.normal(size=n)
+    diff = atoms - y
+    whole = np.einsum("ij,ij->i", diff, diff)
+    assert np.array_equal(_atom_sq_distances(y, atoms), whole)
+
+
 def test_posterior_variance_never_negative():
     rng = np.random.default_rng(RNG_SEED + 1)
     for _ in range(20):
@@ -203,6 +219,14 @@ class TestSampledPriorEwa:
         assert abs(float(small[0] - big[0])) < 0.05
         # beta = 2 against an N(0,1) prior conjugates to posterior mean y/2
         assert float(big[0]) == pytest.approx(0.6, abs=0.02)
+
+    def test_tiny_beta_raises_instead_of_nan(self):
+        # every log-weight underflows; the shared softmax says so
+        draws = np.array([[1.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="carry some mass"):
+            sampled_prior_ewa(
+                np.zeros(2), lambda rng, s: draws, 1e-320, 2, np.random.default_rng(0)
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive integer"):

@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from ewa_agg.model import (
     Dictionary,
@@ -13,6 +16,7 @@ from ewa_agg.model import (
     WeightVector,
     _as_weight_array,
     as_signal,
+    logsumexp,
     squared_distance,
     sup_diameter,
 )
@@ -127,6 +131,26 @@ class TestWeightVector:
             WeightVector.from_log_weights([-np.inf, -np.inf])
 
 
+_log_weights = st.one_of(
+    st.floats(1e-3, 1e4), st.floats(-1e4, -1e-3), st.just(0.0), st.just(-math.inf)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_log_weights, min_size=1, max_size=12), st.integers(0, 3))
+def test_logsumexp_equals_scipy(values, ties):
+    # `ties` extra copies of the max: those entries leave the shifted sum
+    a = np.array(values + [max(values)] * ties)
+    assert logsumexp(a) == scipy_logsumexp(a)
+
+
+def test_logsumexp_edges():
+    assert logsumexp(np.array([2.5])) == 2.5
+    assert logsumexp(np.array([1e4, 1e4])) == scipy_logsumexp(np.array([1e4, 1e4]))
+    assert logsumexp(np.full(3, -np.inf)) == -np.inf
+    assert logsumexp(np.array([-np.inf, 0.0, -np.inf])) == 0.0
+
+
 def test_as_weight_array_accepts_wrappers():
     w = WeightVector.uniform(3)
     assert _as_weight_array(w).tolist() == w.weights.tolist()
@@ -169,6 +193,11 @@ class TestExperimentConfig:
             _small_config(prior=WeightVector.uniform(3))
         with pytest.raises(ValueError, match="noise dimension"):
             _small_config(noise=Gaussian.homogeneous(3, 1.0))
+
+    def test_beta_checks_share_one_message(self):
+        for beta in (math.nan, -1.0, True, "fast"):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                _small_config(beta=beta)
 
     def test_infinite_beta_allowed(self):
         cfg = _small_config(beta=np.inf)

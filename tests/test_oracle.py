@@ -6,14 +6,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ewa_agg import ewa
 from ewa_agg.bernstein import beta_threshold, profile_for
-from ewa_agg.ewa import gibbs_objective, posterior_weights
-from ewa_agg.model import Dictionary, ExperimentConfig, WeightVector, sup_diameter
+from ewa_agg.ewa import aggregate, gibbs_objective, posterior_variance, posterior_weights
+from ewa_agg.model import (
+    Dictionary,
+    ExperimentConfig,
+    WeightVector,
+    squared_distance,
+    sup_diameter,
+)
 from ewa_agg.noise import FAMILIES, Gaussian
 from ewa_agg.oracle import (
     KNOWN_FAMILIES,
     RISK_CSV_HEADER,
+    _run_replicates,
     certify_config,
     certify_corollary,
     derived_stream,
@@ -121,11 +131,68 @@ class TestOracleBounds:
         dirac = WeightVector.dirac(2, 1)
         assert oracle_bound_finite(d, truth, dirac, math.inf) == pytest.approx(1.0)
 
+    def test_gibbs_at_subnormal_beta_is_the_finite_limit(self):
+        # every d_j / beta overflows; the bound is its beta -> 0 limit, not +inf
+        cfg = make_scenario("gaussian", seed=1)
+        gibbs = oracle_bound_gibbs(cfg.dictionary, cfg.truth, cfg.prior, 1e-310)
+        finite = oracle_bound_finite(cfg.dictionary, cfg.truth, cfg.prior, 1e-310)
+        assert gibbs == finite == 3.299050434380092
+        nearest = min(squared_distance(atom, cfg.truth) for atom in cfg.dictionary.atoms)
+        assert gibbs == pytest.approx(nearest, rel=1e-15)
+
+    def test_beta_is_checked(self):
+        d = Dictionary([[0.0], [1.0]])
+        for bound in (oracle_bound_finite, oracle_bound_gibbs):
+            for beta in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="beta must be positive"):
+                    bound(d, np.array([0.0]), WeightVector.uniform(2), beta)
+
     def test_accepts_plain_arrays(self):
         d = Dictionary([[0.0], [1.0]])
         a = oracle_bound_gibbs(d, np.array([0.0]), np.array([0.5, 0.5]), 1.0)
         b = oracle_bound_gibbs(d, np.array([0.0]), WeightVector.uniform(2), 1.0)
         assert a == b
+
+
+_coords = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def _bound_instances(draw):
+    """A dictionary, a truth and a prior, some of whose atoms may carry no mass."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    row = st.lists(_coords, min_size=n, max_size=n)
+    atoms = draw(st.lists(row, min_size=m, max_size=m))
+    truth = np.array(draw(row))
+    mass = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    raw = np.array(draw(st.lists(mass, min_size=m, max_size=m).filter(any)))
+    return Dictionary(atoms), truth, WeightVector(raw / raw.sum())
+
+
+# subnormal and normal betas alike, up to 1e3
+_all_betas = st.one_of(st.floats(5e-324, 1e3), st.floats(-744.0, math.log(1e3)).map(math.exp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bound_instances(), _all_betas)
+def test_gibbs_never_exceeds_finite_at_any_beta(instance, beta):
+    d, truth, prior = instance
+    gibbs = oracle_bound_gibbs(d, truth, prior, beta)
+    finite = oracle_bound_finite(d, truth, prior, beta)
+    assert math.isfinite(gibbs)
+    # the two are rounded through different operations: allow a few ulps of the bound
+    # and of d_j / beta, whose ulp is beta * 5e-324 when the quotient is subnormal
+    assert gibbs <= finite + 8.0 * (np.spacing(finite) + beta * np.spacing(0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bound_instances(), st.floats(math.log(1e-3), math.log(1e3)).map(math.exp))
+def test_gibbs_bound_is_the_objective_at_the_posterior(instance, beta):
+    d, truth, prior = instance
+    bound = oracle_bound_gibbs(d, truth, prior, beta)
+    value = gibbs_objective(posterior_weights(truth, d, prior, beta), truth, d, prior, beta)
+    # beta * KL carries an absolute rounding error of order beta * eps * |log prior|
+    assert abs(value - bound) <= 1e-12 * abs(bound) + 1e-14 * beta
 
 
 def test_worker_count(monkeypatch):
@@ -226,6 +293,61 @@ class TestMcRisk:
         assert sampled.verdict
         # self-normalized sampling should sit near the exact-prior risk
         assert sampled.risk_estimate == pytest.approx(exact.risk_estimate, rel=0.25)
+
+
+def _public_replicate(config, r):
+    """Replicate r through posterior_weights, aggregate and posterior_variance."""
+    rng = derived_stream(config.seed, r)
+    y = config.truth + config.noise.sample(rng)
+    dictionary, prior = config.dictionary, config.prior
+    if config.prior_samples is not None:
+        idx = rng.choice(dictionary.m, size=config.prior_samples, p=prior.weights)
+        dictionary = Dictionary(dictionary.atoms[idx])
+        prior = WeightVector.uniform(config.prior_samples)
+    post = posterior_weights(y, dictionary, prior, config.beta)
+    risk = squared_distance(aggregate(dictionary, post), config.truth)
+    return risk, posterior_variance(dictionary, post)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_replicates_equal_the_public_path(family):
+    base = make_scenario(family, n=8, m=6, replicates=12, seed=3)
+    skewed = WeightVector([0.0, 0.1, 0.2, 0.3, 0.15, 0.25])
+    configs = [
+        base,  # clean mode runs at the threshold
+        replace(base, beta=base.beta / 2.0),  # variance_penalty mode at half of it
+        replace(base, prior_samples=9),
+        replace(base, beta=math.inf),
+        replace(base, prior=skewed),
+        replace(base, prior=skewed, prior_samples=5, beta=math.inf),
+    ]
+    for config in configs:
+        risks, pvars = _run_replicates(config)
+        for r in range(config.replicates):
+            assert (risks[r], pvars[r]) == _public_replicate(config, r)
+
+
+def test_distance_blocks_and_threads_do_not_change_replicates(monkeypatch):
+    # a 12-double block differences the toy's 6-dimensional atoms two rows at a time
+    monkeypatch.delenv("EWA_AGG_THREADS", raising=False)
+    configs = [_toy_config(replicates=40), _toy_config(replicates=40, prior_samples=7)]
+    whole = [_run_replicates(config) for config in configs]
+    monkeypatch.setattr(ewa, "BLOCK_DOUBLES", 12)
+    for threads in ("1", "3"):
+        monkeypatch.setenv("EWA_AGG_THREADS", threads)
+        for config, (risks, pvars) in zip(configs, whole):
+            got_risks, got_pvars = _run_replicates(config)
+            assert np.array_equal(got_risks, risks)
+            assert np.array_equal(got_pvars, pvars)
+
+
+def test_overflowing_observation_is_rejected():
+    # sigma = 1e308 overflows the profile's sigma^2 and the draws by design
+    config = replace(_toy_config(replicates=5), noise=Gaussian.homogeneous(6, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="signal entries must be finite"):
+            mc_risk(config)
 
 
 class TestScenarios:
