@@ -55,12 +55,17 @@ def profile_for(model):
     return model.profile()
 
 
-def beta_threshold(profile, d0):
-    """Smallest temperature at which the clean oracle inequality is
-    certified: 2 v'(0) + 2 b(0) d0."""
+def _check_diameter(d0):
     d0 = float(d0)
     if d0 < 0.0 or not math.isfinite(d0):
         raise ValueError("d0 must be a finite nonnegative diameter")
+    return d0
+
+
+def beta_threshold(profile, d0):
+    """Smallest temperature at which the clean oracle inequality is
+    certified: 2 v'(0) + 2 b(0) d0."""
+    d0 = _check_diameter(d0)
     return 2.0 * profile.v_prime_0 + 2.0 * profile.b_0 * d0
 
 
@@ -69,9 +74,7 @@ def variance_penalty_coefficient(beta, profile, d0):
 
     Requires beta > 2 b(0) d0, strictly.
     """
-    d0 = float(d0)
-    if d0 < 0.0 or not math.isfinite(d0):
-        raise ValueError("d0 must be a finite nonnegative diameter")
+    d0 = _check_diameter(d0)
     beta = float(beta)
     if not beta > 2.0 * profile.b_0 * d0:
         raise ValueError("beta must exceed 2 * b(0) * d0 for the penalty form")

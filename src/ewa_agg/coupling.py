@@ -35,7 +35,8 @@ probability, xi value, (stay value, stay prob, jump value, jump prob)),
 and `exact_coupled_sum_law`, `max_conditional_mean_error` and
 `conditional_zeta_laws` are all derived from that one enumeration (through
 the family's `coupled_sum_law`, `conditional_means` and `conditional_laws`,
-whose defaults use the helpers below). A continuous family draws its
+whose defaults use the helpers below). Atoms merge and align under
+`laws.MERGE_ATOL`, the one atom tolerance. A continuous family draws its
 companion independently of xi, and the statistical checks sample it.
 
 The two sampled statistics are plain numpy. The Kolmogorov-Smirnov
@@ -107,7 +108,9 @@ def binary_coupling_branches(a, b, eta_value, alpha):
     return stay_value, stay_prob, jump_value, 1.0 - stay_prob
 
 
-def _two_branch_draw(stay_value, stay_prob, jump_value, rng, scalar):
+def _two_branch_draw(branches, rng, scalar):
+    """One companion per entry: the stay value w.p. the stay prob, else the jump value."""
+    stay_value, stay_prob, jump_value, _ = branches
     u = rng.random(np.shape(stay_prob))
     out = np.where(u < stay_prob, stay_value, jump_value)
     return float(out) if scalar else out
@@ -125,15 +128,14 @@ def couple_bernoulli(xi_value, rho, alpha, rng):
     )
     if not np.all(on_support):
         raise ValueError("xi_value must lie on the support {1 - rho, -rho}")
-    branches = bernoulli_coupling_branches(xi, alpha)
-    return _two_branch_draw(branches[0], branches[1], branches[2], rng, np.isscalar(xi_value))
+    return _two_branch_draw(bernoulli_coupling_branches(xi, alpha), rng, np.isscalar(xi_value))
 
 
 def couple_binary(a, b, eta_value, alpha, rng):
     """Companion draw for binary values on {a, -b}."""
     alpha = _check_alpha(alpha)
     branches = binary_coupling_branches(a, b, eta_value, alpha)
-    return _two_branch_draw(branches[0], branches[1], branches[2], rng, np.isscalar(eta_value))
+    return _two_branch_draw(branches, rng, np.isscalar(eta_value))
 
 
 def couple_binomial(eta_values, a, alpha, rng):
@@ -166,10 +168,7 @@ def couple_binomial(eta_values, a, alpha, rng):
         or np.any(np.abs((hi - lo)[both] - 1.0) > SUPPORT_ATOL)
     ):
         raise ValueError("eta_values must share a single {1 - rho, -rho} support per draw")
-    stay_value, stay_prob, jump_value, _ = bernoulli_coupling_branches(eta, alpha)
-    u = rng.random(eta.shape)
-    zbar = np.where(u < stay_prob, stay_value, jump_value)
-    out = a * zbar.sum(axis=0)
+    out = a * _two_branch_draw(bernoulli_coupling_branches(eta, alpha), rng, False).sum(axis=0)
     return float(out) if eta.ndim == 1 else out
 
 
@@ -228,40 +227,39 @@ def branch_law(branches):
     return DiscreteLaw.from_atoms([sv, jv], [sp, jp])
 
 
-def records_sum_law(records, merge_atol):
+def records_sum_law(records):
     """Law of xi + zeta over one coordinate's conditioning records."""
     values, probs = [], []
     for p, xi, (sv, sp, jv, jp) in records:
         values += [xi + sv, xi + jv]
         probs += [p * sp, p * jp]
-    return DiscreteLaw.from_atoms(values, probs, merge_atol=merge_atol)
+    return DiscreteLaw.from_atoms(values, probs)
 
 
-def _require_discrete(model):
+def _discrete_alpha(model, alpha):
+    alpha = _check_alpha(alpha)
     if not model.discrete:
         raise ValueError("exact enumeration needs a discrete noise family")
+    return alpha
 
 
-def exact_coupled_sum_law(model, i, alpha, merge_atol=1e-9):
+def exact_coupled_sum_law(model, i, alpha):
     """Enumerated law of xi_i + zeta_i for a discrete-family coordinate."""
-    alpha = _check_alpha(alpha)
-    _require_discrete(model)
-    return model.coupled_sum_law(i, alpha, merge_atol)
+    alpha = _discrete_alpha(model, alpha)
+    return model.coupled_sum_law(i, alpha)
 
 
 def max_conditional_mean_error(model, alpha):
     """Largest |E[zeta | record]| over all conditioning records, computed
     exactly from the branch means (discrete families only)."""
-    alpha = _check_alpha(alpha)
-    _require_discrete(model)
+    alpha = _discrete_alpha(model, alpha)
     return max(abs(m) for i in range(model.dim) for m in model.conditional_means(i, alpha))
 
 
 def conditional_zeta_laws(model, alpha):
     """Exact conditional laws of zeta, one per distinct conditioning record
     (discrete families only). Used by the moment-generating checks."""
-    alpha = _check_alpha(alpha)
-    _require_discrete(model)
+    alpha = _discrete_alpha(model, alpha)
     return [law for i in range(model.dim) for law in model.conditional_laws(i, alpha)]
 
 
@@ -355,7 +353,7 @@ class CouplingReport:
         return [doc[key] for key in CHECK_CSV_HEADER]
 
 
-def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=None, value_atol=1e-9):
+def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=None):
     """Check the amplification identity and the centering of zeta.
 
     method "exact" enumerates the branch tree (discrete families);
@@ -372,56 +370,47 @@ def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=Non
     if method == "exact":
         if not model.discrete:
             raise ValueError("method 'exact' requires a discrete noise family")
+        n = None
+        threshold = mean_threshold = EXACT_TOL
         stat = 0.0
         for i in range(model.dim):
-            lhs = exact_coupled_sum_law(model, i, alpha, merge_atol=value_atol)
+            lhs = exact_coupled_sum_law(model, i, alpha)
             rhs = model.exact_law(i).scale(1.0 + alpha)
-            stat = max(stat, max_atom_probability_error(lhs, rhs, value_atol=value_atol))
-        mean_err = max_conditional_mean_error(model, alpha)
-        verdict = stat <= EXACT_TOL and mean_err <= EXACT_TOL
-        return CouplingReport(
-            family=model.family,
-            alpha=alpha,
-            method=method,
-            statistic=stat,
-            threshold=EXACT_TOL,
-            mean_zero=mean_err,
-            mean_zero_threshold=EXACT_TOL,
-            verdict=verdict,
-            sample_size=None,
-            exact=True,
-        )
-    if method not in ("ks", "cf_grid"):
-        raise ValueError("method must be one of: exact, ks, cf_grid")
-    if model.discrete:
-        raise ValueError(f"method '{method}' requires a continuous noise family")
-    n = int(sample_size)
-    if n < 2:
-        raise ValueError("sample_size must be at least 2")
-    if rng is None:
-        rng = np.random.default_rng()
-    stat = 0.0
-    mean_stat = 0.0
-    mean_threshold = math.inf
-    ok = True
-    if method == "ks":
-        threshold = ks_two_sample_threshold(n, n)
+            stat = max(stat, max_atom_probability_error(lhs, rhs))
+        mean_stat = max_conditional_mean_error(model, alpha)
+        ok = stat <= EXACT_TOL and mean_stat <= EXACT_TOL
     else:
-        threshold = 5.0 / math.sqrt(n)
-    for i in range(model.dim):
-        xi = model.coordinate_draws(i, n, rng)
-        zeta = model.companion_draws(i, alpha, n, rng)
-        ref = (1.0 + alpha) * model.coordinate_draws(i, n, rng)
+        if method not in ("ks", "cf_grid"):
+            raise ValueError("method must be one of: exact, ks, cf_grid")
+        if model.discrete:
+            raise ValueError(f"method '{method}' requires a continuous noise family")
+        n = int(sample_size)
+        if n < 2:
+            raise ValueError("sample_size must be at least 2")
+        if rng is None:
+            rng = np.random.default_rng()
+        stat = 0.0
+        mean_stat = 0.0
+        mean_threshold = math.inf
+        ok = True
         if method == "ks":
-            stat_i = _ks_statistic(xi + zeta, ref)
+            threshold = ks_two_sample_threshold(n, n)
         else:
-            stat_i = _empirical_cf_gap(xi + zeta, ref, 5.0 / float(model.scale[i]))
-        mean_i = abs(float(zeta.mean()))
-        se_i = float(zeta.std(ddof=1)) / math.sqrt(n)
-        ok = ok and stat_i <= threshold and mean_i <= MEAN_SE_MULTIPLIER * se_i
-        if mean_i > mean_stat:
-            mean_stat, mean_threshold = mean_i, MEAN_SE_MULTIPLIER * se_i
-        stat = max(stat, stat_i)
+            threshold = 5.0 / math.sqrt(n)
+        for i in range(model.dim):
+            xi = model.coordinate_draws(i, n, rng)
+            zeta = model.companion_draws(i, alpha, n, rng)
+            ref = (1.0 + alpha) * model.coordinate_draws(i, n, rng)
+            if method == "ks":
+                stat_i = _ks_statistic(xi + zeta, ref)
+            else:
+                stat_i = _empirical_cf_gap(xi + zeta, ref, 5.0 / float(model.scale[i]))
+            mean_i = abs(float(zeta.mean()))
+            se_i = float(zeta.std(ddof=1)) / math.sqrt(n)
+            ok = ok and stat_i <= threshold and mean_i <= MEAN_SE_MULTIPLIER * se_i
+            if mean_i > mean_stat:
+                mean_stat, mean_threshold = mean_i, MEAN_SE_MULTIPLIER * se_i
+            stat = max(stat, stat_i)
     return CouplingReport(
         family=model.family,
         alpha=alpha,
@@ -432,5 +421,5 @@ def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=Non
         mean_zero_threshold=mean_threshold,
         verdict=ok,
         sample_size=n,
-        exact=False,
+        exact=method == "exact",
     )

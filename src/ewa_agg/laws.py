@@ -2,12 +2,37 @@
 
 These primitives know no noise family; `coupling`, `bernstein` and `noise`
 all build on them, and `noise` re-exports them.
+
+Only `_cluster` decides when two values are the same atom, under MERGE_ATOL,
+the one atom tolerance: `DiscreteLaw.from_atoms` merges by it (`scale` at 0)
+and `max_atom_probability_error` aligns two laws by it.
 """
 
 import numpy as np
 
 LAW_ATOL = 1e-12
 MERGE_ATOL = 1e-9
+
+
+def _cluster(values, atol):
+    """Sort values and group them into atoms: a new cluster wherever the gap
+    to the previous atom exceeds atol. Returns the sorting order, the sorted
+    values and each sorted value's cluster index."""
+    order = np.argsort(values)
+    values = values[order]
+    cluster = np.zeros(values.size, dtype=np.int64)
+    cluster[1:] = np.cumsum(np.diff(values) > atol)
+    return order, values, cluster
+
+
+def _positive_atoms(values, probs):
+    """The atoms of positive mass, once all atoms are finite and one has mass."""
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(probs))):
+        raise ValueError("law atoms must be finite")
+    keep = probs > 0.0
+    if not keep.any():
+        raise ValueError("a discrete law needs at least one atom of positive mass")
+    return values[keep], probs[keep]
 
 
 class DiscreteLaw:
@@ -18,40 +43,34 @@ class DiscreteLaw:
         probs = np.asarray(probs, dtype=np.float64)
         if values.ndim != 1 or values.shape != probs.shape or values.size == 0:
             raise ValueError("a discrete law needs matching non-empty value and probability arrays")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(probs))):
-            raise ValueError("law atoms must be finite")
         if np.any(probs < 0.0):
             raise ValueError("atom probabilities must be nonnegative")
-        keep = probs > 0.0
-        values, probs = values[keep], probs[keep]
-        if values.size == 0:
-            raise ValueError("a discrete law needs at least one atom of positive mass")
+        values, probs = _positive_atoms(values, probs)
         order = np.argsort(values)
-        values, probs = values[order], probs[order]
+        self._freeze(values[order], probs[order])
+
+    def _freeze(self, values, probs):
+        """Store sorted atoms of positive mass, once they are distinct and sum to 1."""
         if np.any(np.diff(values) <= 0.0):
             raise ValueError("atom values must be distinct")
         if abs(float(probs.sum()) - 1.0) > LAW_ATOL:
             raise ValueError("atom probabilities must sum to 1")
-        self.values = values
-        self.probs = probs
-        self.values.setflags(write=False)
-        self.probs.setflags(write=False)
+        values.setflags(write=False)
+        probs.setflags(write=False)
+        self.values, self.probs = values, probs
 
     @classmethod
     def from_atoms(cls, values, probs, merge_atol=MERGE_ATOL):
         """Build a law from possibly repeated atoms, merging values closer
-        than ``merge_atol`` (mass-weighted mean) and dropping zero mass."""
+        than ``merge_atol`` (mass-weighted mean) and dropping zero mass. The merge
+        sorts, so `__init__` is skipped; a merged mean can still round onto its
+        neighbour at ``merge_atol`` = 0, so distinctness is checked."""
         values = np.asarray(values, dtype=np.float64).ravel()
         probs = np.asarray(probs, dtype=np.float64).ravel()
-        keep = probs > 0.0
-        values, probs = values[keep], probs[keep]
-        order = np.argsort(values)
-        values, probs = values[order], probs[order]
-        # new cluster wherever the gap to the previous atom exceeds the tolerance
-        cluster = np.zeros(values.size, dtype=np.int64)
-        if values.size > 1:
-            cluster[1:] = np.cumsum(np.diff(values) > merge_atol)
-        k = int(cluster[-1]) + 1 if values.size else 0
+        values, probs = _positive_atoms(values, probs)
+        order, values, cluster = _cluster(values, merge_atol)
+        probs = probs[order]
+        k = int(cluster[-1]) + 1
         mass = np.bincount(cluster, weights=probs, minlength=k)
         weighted = probs * values
         merged = np.bincount(cluster, weights=weighted, minlength=k) / mass
@@ -64,7 +83,9 @@ class DiscreteLaw:
         if lost.any():
             lowest = values[np.searchsorted(cluster, np.arange(k))]
             merged[cluster[lost]] = lowest[cluster[lost]]
-        return cls(merged, mass)
+        law = object.__new__(cls)
+        law._freeze(merged, mass)
+        return law
 
     def __len__(self):
         return int(self.values.size)
@@ -95,11 +116,11 @@ class DiscreteLaw:
             return DiscreteLaw([0.0], [1.0])
         return DiscreteLaw.from_atoms(c * self.values, self.probs, merge_atol=0.0)
 
-    def convolve(self, other, merge_atol=MERGE_ATOL):
+    def convolve(self, other):
         """Law of X + Y for independent X ~ self, Y ~ other."""
         v = np.add.outer(self.values, other.values).ravel()
         p = np.multiply.outer(self.probs, other.probs).ravel()
-        return DiscreteLaw.from_atoms(v, p, merge_atol=merge_atol)
+        return DiscreteLaw.from_atoms(v, p)
 
     def convolution_powers(self, k):
         """Laws of the sums of 0, 1, ..., k independent copies of X."""
@@ -109,20 +130,16 @@ class DiscreteLaw:
         return powers
 
 
-def max_atom_probability_error(law_a, law_b, value_atol=MERGE_ATOL):
+def max_atom_probability_error(law_a, law_b):
     """Largest mass discrepancy between two discrete laws after aligning
-    atoms whose values agree within ``value_atol``."""
+    atoms whose values agree within MERGE_ATOL."""
     values = np.concatenate([law_a.values, law_b.values])
     mass_a = np.concatenate([law_a.probs, np.zeros(len(law_b))])
     mass_b = np.concatenate([np.zeros(len(law_a)), law_b.probs])
-    order = np.argsort(values)
-    values, mass_a, mass_b = values[order], mass_a[order], mass_b[order]
-    cluster = np.zeros(values.size, dtype=np.int64)
-    if values.size > 1:
-        cluster[1:] = np.cumsum(np.diff(values) > value_atol)
+    order, _, cluster = _cluster(values, MERGE_ATOL)
     k = int(cluster[-1]) + 1
-    pa = np.bincount(cluster, weights=mass_a, minlength=k)
-    pb = np.bincount(cluster, weights=mass_b, minlength=k)
+    pa = np.bincount(cluster, weights=mass_a[order], minlength=k)
+    pb = np.bincount(cluster, weights=mass_b[order], minlength=k)
     return float(np.max(np.abs(pa - pb)))
 
 

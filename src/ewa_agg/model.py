@@ -286,7 +286,7 @@ class ExperimentConfig:
             dictionary=dictionary,
             prior=prior,
             noise=noise,
-            beta=_as_beta(doc["beta"]),
+            beta=doc["beta"],
             replicates=doc["replicates"],
             seed=doc["seed"],
             prior_samples=doc.get("prior_samples"),

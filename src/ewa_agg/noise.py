@@ -57,16 +57,17 @@ from .laws import (
 CONTINUOUS = "continuous"
 
 
-def _coordinate_array(values, name, low=None, high=None, open_low=True, open_high=True):
+def _coordinate_array(values, name, low=None, high=None):
+    """A validated read-only parameter vector, strictly between low and high where given."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D array")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
-    if low is not None and np.any(arr < low if not open_low else arr <= low):
-        raise ValueError(f"{name} must be {'>' if open_low else '>='} {low}")
-    if high is not None and np.any(arr > high if not open_high else arr >= high):
-        raise ValueError(f"{name} must be {'<' if open_high else '<='} {high}")
+    if low is not None and np.any(arr <= low):
+        raise ValueError(f"{name} must be > {low}")
+    if high is not None and np.any(arr >= high):
+        raise ValueError(f"{name} must be < {high}")
     arr.setflags(write=False)
     return arr
 
@@ -87,6 +88,11 @@ class NoiseModel:
     @property
     def dim(self):
         raise NotImplementedError
+
+    @classmethod
+    def homogeneous(cls, n, value):
+        """A one-parameter family with the same parameter on all n coordinates."""
+        return cls(np.full(n, float(value)))
 
     def sample(self, rng):
         raise NotImplementedError
@@ -127,11 +133,14 @@ class _DiscreteNoise(NoiseModel):
 
     discrete = True
 
+    def sample(self, rng):
+        return self.sample_with_latents(rng)[0]
+
     def coupling_records(self, i, alpha):
         raise NotImplementedError
 
-    def coupled_sum_law(self, i, alpha, merge_atol):
-        return records_sum_law(self.coupling_records(i, alpha), merge_atol)
+    def coupled_sum_law(self, i, alpha):
+        return records_sum_law(self.coupling_records(i, alpha))
 
     def conditional_means(self, i, alpha):
         return [branch_mean(branches) for _p, _xi, branches in self.coupling_records(i, alpha)]
@@ -144,10 +153,6 @@ class _ContinuousNoise(NoiseModel):
     """A family with one continuous scale parameter per coordinate. Its
     companion is drawn independently of xi by `couple(scale, alpha, rng)`,
     so the coupling is checked from `coordinate_draws` samples."""
-
-    @classmethod
-    def homogeneous(cls, n, scale):
-        return cls(np.full(n, float(scale)))
 
     @property
     def dim(self):
@@ -182,10 +187,6 @@ class CenteredBernoulli(_DiscreteNoise):
 
     def __init__(self, rho):
         self.rho = _coordinate_array(rho, "rho", low=0.0, high=1.0)
-
-    @classmethod
-    def homogeneous(cls, n, rho):
-        return cls(np.full(n, float(rho)))
 
     @property
     def dim(self):
@@ -227,6 +228,7 @@ class Gaussian(_ContinuousNoise):
 
     family = "gaussian"
     json_keys = ("sigma",)
+    couple = staticmethod(couple_gaussian)
 
     def __init__(self, sigma):
         self.sigma = _coordinate_array(sigma, "sigma", low=0.0)
@@ -240,9 +242,6 @@ class Gaussian(_ContinuousNoise):
 
     def coordinate_draws(self, i, n, rng):
         return rng.normal(0.0, float(self.sigma[i]), n)
-
-    def couple(self, scale, alpha, rng):
-        return couple_gaussian(scale, alpha, rng)
 
     def profile(self):
         s2 = float(np.max(self.sigma) ** 2)
@@ -324,10 +323,6 @@ class BoundedBinaryMixture(_DiscreteNoise):
         rows = np.arange(self.dim)
         return self._a[rows, idx], self._b[rows, idx]
 
-    def sample(self, rng):
-        xi, _ = self.sample_with_latents(rng)
-        return xi
-
     def sample_with_latents(self, rng):
         a, b = self._draw_pairs(rng)
         u = rng.random(self.dim)
@@ -401,10 +396,6 @@ class CenteredBinomial(_DiscreteNoise):
     def dim(self):
         return int(self.rho.size)
 
-    def sample(self, rng):
-        xi, _ = self.sample_with_latents(rng)
-        return xi
-
     def sample_with_latents(self, rng):
         u = rng.random((self.k, self.dim))
         eta = np.where(u < self.rho, 1.0 - self.rho, -self.rho)
@@ -424,12 +415,8 @@ class CenteredBinomial(_DiscreteNoise):
         coupled on its own, and the coordinate is a times their sum."""
         return _bernoulli_records(float(self.rho[i]), alpha)
 
-    def coupled_sum_law(self, i, alpha, merge_atol):
-        term = super().coupled_sum_law(i, alpha, merge_atol)
-        law = term
-        for _ in range(self.k - 1):
-            law = law.convolve(term, merge_atol=merge_atol)
-        return law.scale(self.a)
+    def coupled_sum_law(self, i, alpha):
+        return super().coupled_sum_law(i, alpha).convolution_powers(self.k)[-1].scale(self.a)
 
     def conditional_means(self, i, alpha):
         # the record is the count c of terms at 1 - rho
@@ -467,6 +454,7 @@ class Laplace(_ContinuousNoise):
 
     family = "laplace"
     json_keys = ("mu",)
+    couple = staticmethod(couple_laplace)
 
     def __init__(self, mu):
         self.mu = _coordinate_array(mu, "mu", low=0.0)
@@ -480,9 +468,6 @@ class Laplace(_ContinuousNoise):
 
     def coordinate_draws(self, i, n, rng):
         return laplace_inverse_cdf(rng.random(n), float(self.mu[i]))
-
-    def couple(self, scale, alpha, rng):
-        return couple_laplace(scale, alpha, rng)
 
     def profile(self):
         mu = float(np.max(self.mu))

@@ -71,27 +71,36 @@ def _bound_inputs(dictionary, truth, prior, beta):
     return prior, _atom_sq_distances(truth, dictionary.atoms), _check_beta(beta)
 
 
-def oracle_bound_finite(dictionary, truth, prior, beta):
-    """min over supported atoms of squared distance plus beta log(1/prior)."""
-    prior, d, beta = _bound_inputs(dictionary, truth, prior, beta)
+def _penalized_distances(prior, d, beta):
+    """d_j + beta log(1/pi0(j)) over the atoms of positive prior mass, +inf where it
+    overflows; at beta = +inf, d_j for an atom of full mass and +inf for the others."""
     mask = prior.weights > 0.0
     if math.isinf(beta):
-        terms = np.where(prior.weights[mask] == 1.0, d[mask], np.inf)
-    else:
-        terms = d[mask] - beta * prior.log_weights[mask]
-    return float(terms.min())
+        return np.where(prior.weights[mask] == 1.0, d[mask], np.inf)
+    with np.errstate(over="ignore"):
+        return d[mask] - beta * prior.log_weights[mask]
+
+
+def oracle_bound_finite(dictionary, truth, prior, beta):
+    """min over supported atoms of squared distance plus beta log(1/prior)."""
+    return float(_penalized_distances(*_bound_inputs(dictionary, truth, prior, beta)).min())
 
 
 def oracle_bound_gibbs(dictionary, truth, prior, beta):
-    """-beta log sum_j pi0(j) exp(-d_j / beta), the infimum of the Gibbs objective. Its limits:
-    the prior-mean distance at beta = +inf; the finite bound where every d_j / beta overflows."""
+    """-beta log sum_j pi0(j) exp(-d_j / beta), the infimum of the Gibbs objective; the
+    prior-mean distance at beta = +inf. It is computed as f - beta log sum_j exp((f - t_j) /
+    beta) from the finite bound's terms t_j and their minimum f: one exponent is exactly 0,
+    so the log-sum-exp is >= 0 and the bound never rounds above f (it is f where every
+    (t_j - f) / beta overflows, as at subnormal beta, and +inf where every t_j does)."""
     prior, d, beta = _bound_inputs(dictionary, truth, prior, beta)
     if math.isinf(beta):
         return float(prior.weights @ d)
-    total = logsumexp(_log_posterior(prior.log_weights, d, beta))
-    if total == -np.inf:
-        return oracle_bound_finite(dictionary, truth, prior, beta)
-    return float(-beta * total)
+    t = _penalized_distances(prior, d, beta)
+    f = t.min()
+    if f == np.inf:  # every t_j overflows: Gibbs <= finite = +inf
+        return math.inf
+    with np.errstate(over="ignore"):
+        return float(f - beta * logsumexp((f - t) / beta))
 
 
 @dataclass(frozen=True)

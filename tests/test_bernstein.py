@@ -279,6 +279,13 @@ def test_check_noise_mgf_all_families(model, alpha):
     assert doc["verdict"] == "pass"
 
 
+def test_binomial_exact_mgf_check_is_pinned():
+    # the exact conditional laws of the k = 20 binomial scenario, under ==
+    report = check_noise_mgf(make_scenario("centered_binomial", k=20, seed=1).noise, 0.5)
+    assert (report.max_ratio, report.worst_t) == (0.9971035063997523, -0.6031746031746081)
+    assert report.passed
+
+
 def test_infinite_bound_is_met_without_overflow_warning():
     # at alpha = 1 and k = 20 the bound overflows to +inf near the domain
     # edge; the ratio there is 0 and no RuntimeWarning may escape

@@ -160,8 +160,28 @@ def test_oracle_bound(tmp_path, capsys):
     assert rows[0] == ["n", "m", "beta", "bound_finite", "bound_gibbs", "verdict", "seed"]
     finite = float(rows[1][3])
     gibbs = float(rows[1][4])
-    assert gibbs <= finite + 1e-12
+    assert gibbs <= finite
     assert rows[1][5] == "pass"
+
+
+def test_oracle_bound_passes_where_the_bounds_meet(tmp_path, capsys):
+    # one atom: the two bounds are equal in exact arithmetic, and a Gibbs bound
+    # summed apart from the finite one rounded 4e-12 above it here
+    cfg = tmp_path / "cfg.json"
+    config = ExperimentConfig(
+        truth=np.array([-0.12152750716346146]),
+        dictionary=Dictionary([[176.81126951071911]]),
+        prior=WeightVector([1.0]),
+        noise=Gaussian([1.0]),
+        beta=10.555690580716389,
+        replicates=10,
+        seed=1,
+    )
+    cfg.write_text(json.dumps(config.to_json()))
+    assert _run(["oracle-bound", cfg]) == 0
+    row = list(csv.reader(capsys.readouterr().out.splitlines()))[1]
+    assert float(row[4]) <= float(row[3]) == 31305.214660571233
+    assert row[5] == "pass"
 
 
 class TestInputErrors:

@@ -395,3 +395,18 @@ def test_binomial_laws_match_direct_convolution(model, alpha):
                 direct = direct.convolve(term)
             assert max_atom_probability_error(next(laws), direct.scale(model.a)) <= 1e-12
     assert next(laws, None) is None
+
+
+def test_binomial_exact_checks_are_pinned():
+    # the exact checks of the k = 20 binomial scenario, under ==: a power loop
+    # that sums in another order moves these in the last bits. They also rest
+    # on the order np.argsort gives tied atom values, which numpy leaves open
+    model = make_scenario("centered_binomial", k=20, seed=1).noise
+    pins = {
+        0.5: (4.718447854656915e-16, 5.551115123125783e-17),
+        1.0: (5.273559366969494e-16, 0.0),
+    }
+    for alpha, pin in pins.items():
+        report = verify_coupling(model, alpha)
+        assert (report.statistic, report.mean_zero) == pin
+        assert report.verdict

@@ -103,6 +103,51 @@ def test_max_atom_probability_error():
     assert max_atom_probability_error(a, c) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "values, probs",
+    [
+        ([math.nan, 1.0], [0.5, 0.5]),
+        ([0.0, 1.0], [math.inf, 0.5]),
+        ([0.0, 1.0], [0.6, 0.6]),
+        ([0.0, 1.0], [0.0, 0.0]),
+    ],
+    ids=["nan-value", "infinite-mass", "mass-1.2", "no-mass"],
+)
+def test_from_atoms_rejects_what_the_constructor_rejects(values, probs):
+    # from_atoms checks its merged law itself instead of going through __init__
+    with pytest.raises(ValueError) as direct:
+        DiscreteLaw(values, probs)
+    with pytest.raises(ValueError) as merged:
+        DiscreteLaw.from_atoms(values, probs)
+    assert str(merged.value) == str(direct.value)
+
+
+def _law(atoms):
+    values = np.array([v for v, _ in atoms])
+    probs = np.array([p for _, p in atoms])
+    return DiscreteLaw.from_atoms(values, probs / probs.sum())
+
+
+_laws = st.lists(
+    st.tuples(st.floats(-100.0, 100.0), st.floats(0.01, 1.0)), min_size=1, max_size=12
+).map(_law)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laws, _laws)
+def test_convolve_adds_means_and_variances(x, y):
+    total = x.convolve(y)
+    assert total.mean() == pytest.approx(x.mean() + y.mean(), rel=1e-9, abs=1e-9)
+    assert total.variance() == pytest.approx(x.variance() + y.variance(), rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laws, _laws)
+def test_max_atom_probability_error_is_symmetric_and_zero_on_a_law(x, y):
+    assert max_atom_probability_error(x, y) == max_atom_probability_error(y, x)
+    assert max_atom_probability_error(x, x) == 0.0
+
+
 def test_laplace_inverse_cdf_matches_scipy():
     u = np.linspace(0.001, 0.999, 201)
     ours = laplace_inverse_cdf(u, 1.7)
