@@ -15,7 +15,6 @@ from ewa_agg import (
     Laplace,
     beta_threshold,
     check_noise_mgf,
-    profile_for,
     variance_penalty_coefficient,
 )
 
@@ -34,7 +33,7 @@ def main():
 
     print(f"{'family':<24} {'alpha':>5} {'v(alpha)':>10} {'b(alpha)':>10} {'worst mgf ratio':>16}")
     for model in models:
-        p = profile_for(model)
+        p = model.profile()
         for alpha in (0.1, 0.5, 1.0):
             r = check_noise_mgf(model, alpha, sample_size=200_000, rng=rng)
             print(f"{model.family:<24} {alpha:>5.2f} {p.v(alpha):>10.4f} "
@@ -44,7 +43,7 @@ def main():
     d0 = 1.0  # sup-norm diameter of the dictionary
     print(f"certified temperatures at D0 = {d0}:")
     for model in models:
-        p = profile_for(model)
+        p = model.profile()
         beta = beta_threshold(p, d0)
         at = variance_penalty_coefficient(beta, p, d0)
         below = variance_penalty_coefficient(0.75 * beta, p, d0)

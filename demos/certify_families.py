@@ -7,13 +7,14 @@ over with a positive penalty coefficient. Replicates are kept modest
 here; the acceptance suite runs the full R = 10^4.
 """
 
-from ewa_agg import KNOWN_FAMILIES, certify_corollary
+from ewa_agg import certify_corollary
+from ewa_agg.noise import FAMILIES
 
 
 def main():
     print(f"{'family':<24} {'mode':<17} {'beta':>8} {'risk':>9} {'bound':>9} "
           f"{'penalty':>9} {'slack':>9}  verdict")
-    for family in KNOWN_FAMILIES:
+    for family in FAMILIES:
         for report in certify_corollary(family, replicates=2_000):
             print(
                 f"{report.family:<24} {report.mode:<17} {report.beta:>8.4f} "

@@ -16,8 +16,6 @@ from ewa_agg import (
     ewa_estimate,
     oracle_bound_finite,
     oracle_bound_gibbs,
-    profile_for,
-    sample_noise,
     squared_distance,
 )
 
@@ -44,8 +42,8 @@ def main():
     prior = WeightVector.uniform(len(dictionary))
 
     noise = Gaussian.homogeneous(n, 0.6)
-    beta = beta_threshold(profile_for(noise), 0.0)
-    y = truth + sample_noise(noise, rng)
+    beta = beta_threshold(noise.profile(), 0.0)
+    y = truth + noise.sample(rng)
 
     estimate, posterior = ewa_estimate(y, dictionary, prior, beta)
 
@@ -56,7 +54,7 @@ def main():
     print(f"best single atom:           {best:8.3f}")
     print()
     print("posterior mass by atom:")
-    for j, w in enumerate(posterior.weights.weights):
+    for j, w in enumerate(posterior.weights):
         tag = "truth" if j == 0 else ("zeros" if j == len(dictionary) - 1 else f"jitter {j}")
         print(f"  atom {j} ({tag:>8s}): {w:.4f}")
     print()

@@ -44,7 +44,7 @@ def main():
         if val < grid_best:
             grid_best, grid_arg = val, w
 
-    print(f"posterior weights:    {np.array2string(post.weights.weights, precision=4)}")
+    print(f"posterior weights:    {np.array2string(post.weights, precision=4)}")
     print(f"best grid point:      {np.array2string(grid_arg, precision=4)}")
     print(f"objective at posterior: {base:.6f}")
     print(f"objective at grid best: {grid_best:.6f}  (>= posterior, gap {grid_best - base:.2e})")
@@ -62,7 +62,7 @@ def main():
         yy = rng.normal(0.0, 1.0, n)
         report = dv_minimality_test(yy, d, p, float(rng.uniform(0.5, 4.0)), 80, rng)
         worst = max(worst, report.worst_violation)
-        assert report.passed
+        assert report.verdict
     print(f"25 random instances x 80 perturbations: worst violation {worst:.2e}")
 
 

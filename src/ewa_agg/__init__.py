@@ -6,6 +6,8 @@ by a factor 1 + alpha, bounds the jitter MGFs with Bernstein profiles,
 and runs Monte Carlo certifications of the resulting risk bounds.
 """
 
+from types import ModuleType as _ModuleType
+
 from .model import (
     Dictionary,
     ExperimentConfig,
@@ -17,7 +19,6 @@ from .model import (
 from .ewa import (
     DV_TOLERANCE,
     DvMinimalityReport,
-    PosteriorWeights,
     aggregate,
     dv_minimality_test,
     ewa_estimate,
@@ -34,11 +35,9 @@ from .noise import (
     DiscreteLaw,
     Gaussian,
     Laplace,
-    exact_law,
     max_atom_probability_error,
     noise_from_json,
     noise_to_json,
-    sample_noise,
 )
 from .coupling import (
     CouplingDraw,
@@ -65,11 +64,9 @@ from .bernstein import (
     default_t_grid,
     mgf_bound,
     mgf_bound_check,
-    profile_for,
     variance_penalty_coefficient,
 )
 from .oracle import (
-    KNOWN_FAMILIES,
     RiskReport,
     certify_config,
     certify_corollary,
@@ -82,66 +79,5 @@ from .oracle import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dictionary",
-    "ExperimentConfig",
-    "WeightVector",
-    "as_signal",
-    "squared_distance",
-    "sup_diameter",
-    "DV_TOLERANCE",
-    "DvMinimalityReport",
-    "PosteriorWeights",
-    "aggregate",
-    "dv_minimality_test",
-    "ewa_estimate",
-    "gibbs_objective",
-    "kl_divergence",
-    "posterior_variance",
-    "posterior_weights",
-    "sampled_prior_ewa",
-    "BoundedBinaryMixture",
-    "CenteredBernoulli",
-    "CenteredBinomial",
-    "DiscreteLaw",
-    "Gaussian",
-    "Laplace",
-    "exact_law",
-    "max_atom_probability_error",
-    "noise_from_json",
-    "noise_to_json",
-    "sample_noise",
-    "CouplingDraw",
-    "CouplingReport",
-    "bernoulli_coupling_branches",
-    "binary_coupling_branches",
-    "conditional_zeta_laws",
-    "couple_bernoulli",
-    "couple_binary",
-    "couple_binomial",
-    "couple_gaussian",
-    "couple_laplace",
-    "exact_coupled_sum_law",
-    "ks_two_sample_threshold",
-    "max_conditional_mean_error",
-    "sample_coupling",
-    "verify_coupling",
-    "BernsteinProfile",
-    "MgfCheckReport",
-    "beta_threshold",
-    "check_noise_mgf",
-    "default_t_grid",
-    "mgf_bound",
-    "mgf_bound_check",
-    "profile_for",
-    "variance_penalty_coefficient",
-    "KNOWN_FAMILIES",
-    "RiskReport",
-    "certify_config",
-    "certify_corollary",
-    "derived_stream",
-    "make_scenario",
-    "mc_risk",
-    "oracle_bound_finite",
-    "oracle_bound_gibbs",
-]
+# every public name bound above, less the submodules the relative imports bind
+__all__ = [k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType)]

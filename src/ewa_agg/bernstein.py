@@ -50,11 +50,6 @@ class BernsteinProfile:
     mgf_normalization: float  # the c in the denominator
 
 
-def profile_for(model):
-    """The moment profile of a noise model's coupling companions."""
-    return model.profile()
-
-
 def _check_diameter(d0):
     d0 = float(d0)
     if d0 < 0.0 or not math.isfinite(d0):
@@ -120,7 +115,7 @@ class MgfCheckReport:
     method: str
     max_ratio: float
     worst_t: float
-    passed: bool
+    verdict: bool
     points: int
 
     def to_json(self):
@@ -130,7 +125,7 @@ class MgfCheckReport:
             "method": self.method,
             "max_ratio": self.max_ratio,
             "worst_t": self.worst_t,
-            "verdict": "pass" if self.passed else "fail",
+            "verdict": "pass" if self.verdict else "fail",
             "points": self.points,
         }
 
@@ -143,18 +138,13 @@ class MgfCheckReport:
 def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
     """Compare E[exp(t zeta)] against the profile bound over a t-grid.
 
-    ``law`` may be a DiscreteLaw (exact moments), a 1-D sample array
-    (empirical mean, credited a 5-standard-error margin), or a callable
-    returning the exact MGF at t.
+    ``law`` is a DiscreteLaw (exact moments) or a 1-D sample array
+    (empirical mean, credited a 5-standard-error margin).
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     bound = mgf_bound(t_grid, v, b, c)  # also validates the domain
     if isinstance(law, DiscreteLaw):
         mgf = law.mgf(t_grid)
-        margin = np.zeros_like(bound)
-        method = "exact"
-    elif callable(law):
-        mgf = np.asarray([float(law(t)) for t in t_grid])
         margin = np.zeros_like(bound)
         method = "exact"
     else:
@@ -185,7 +175,7 @@ def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
         method=method,
         max_ratio=max_ratio,
         worst_t=float(t_grid[worst]),
-        passed=max_ratio <= 1.0 + MGF_RATIO_TOL,
+        verdict=max_ratio <= 1.0 + MGF_RATIO_TOL,
         points=int(t_grid.size),
     )
 
@@ -202,7 +192,7 @@ def check_noise_mgf(
     noise model: exactly for the discrete families, from samples for the
     continuous ones. Returns the worst-case report."""
     alpha = _check_alpha(alpha)
-    profile = profile_for(model)
+    profile = model.profile()
     v = profile.v(alpha)
     b = profile.b(alpha)
     c = profile.mgf_normalization
@@ -223,20 +213,3 @@ def check_noise_mgf(
             worst = report
     return worst
 
-
-def laplace_coupling_mgf(mu, alpha):
-    """Exact MGF of the Laplace companion: a point mass at zero mixed with
-    a Laplace((1+alpha) mu), i.e.
-    1/(1+alpha)^2 + (1 - 1/(1+alpha)^2) / (1 - (1+alpha)^2 mu^2 t^2)."""
-    alpha = _check_alpha(alpha)
-    mu = float(mu)
-    stay = 1.0 / (1.0 + alpha) ** 2
-    scale = (1.0 + alpha) * mu
-
-    def mgf(t):
-        t = float(t)
-        if abs(t) * scale >= 1.0:
-            raise ValueError("t outside the admissible domain")
-        return stay + (1.0 - stay) / (1.0 - scale * scale * t * t)
-
-    return mgf

@@ -20,7 +20,6 @@ from .bernstein import check_noise_mgf
 from .coupling import CHECK_CSV_HEADER, verify_coupling
 from .ewa import DV_TOLERANCE, dv_minimality_test
 from .model import ExperimentConfig, _CONFIG_KEYS
-from .noise import sample_noise
 from .oracle import (
     RISK_CSV_HEADER,
     certify_config,
@@ -118,12 +117,11 @@ def _cmd_certify(config, extras):
     return RISK_CSV_HEADER, [r.csv_row() for r in reports], all(r.verdict for r in reports)
 
 
-def _check_rows(config, alphas, stream, check, passed):
-    """The check table over the alpha grid; check(alpha, rng) makes one report and
-    passed(report) reads its verdict."""
+def _check_rows(config, alphas, stream, check):
+    """The check table over the alpha grid; check(alpha, rng) makes one report."""
     reports = [check(a, derived_stream(config.seed, stream, idx)) for idx, a in enumerate(alphas)]
     rows = [report.csv_row() + [config.seed] for report in reports]
-    return _CHECK_HEADER, rows, all(passed(report) for report in reports)
+    return _CHECK_HEADER, rows, all(report.verdict for report in reports)
 
 
 def _cmd_verify_coupling(config, extras):
@@ -134,7 +132,7 @@ def _cmd_verify_coupling(config, extras):
     def check(alpha, rng):
         return verify_coupling(config.noise, alpha, method=method, sample_size=n, rng=rng)
 
-    return _check_rows(config, alphas, _COUPLING_STREAM, check, lambda r: r.verdict)
+    return _check_rows(config, alphas, _COUPLING_STREAM, check)
 
 
 def _cmd_verify_bernstein(config, extras):
@@ -145,12 +143,12 @@ def _cmd_verify_bernstein(config, extras):
     def check(alpha, rng):
         return check_noise_mgf(config.noise, alpha, points=points, sample_size=n, rng=rng)
 
-    return _check_rows(config, alphas, _BERNSTEIN_STREAM, check, lambda r: r.passed)
+    return _check_rows(config, alphas, _BERNSTEIN_STREAM, check)
 
 
 def _cmd_dv_check(config, extras):
     trials = _positive_int(extras, "trials", 100)
-    y = config.truth + sample_noise(config.noise, derived_stream(config.seed, _DV_STREAM, 0))
+    y = config.truth + config.noise.sample(derived_stream(config.seed, _DV_STREAM, 0))
     report = dv_minimality_test(
         y,
         config.dictionary,
@@ -167,10 +165,10 @@ def _cmd_dv_check(config, extras):
         report.trials,
         report.worst_violation,
         DV_TOLERANCE,
-        report.passed,
+        report.verdict,
         config.seed,
     ]
-    return header, [row], report.passed
+    return header, [row], report.verdict
 
 
 def _cmd_oracle_bound(config, extras):

@@ -28,14 +28,8 @@ EINSUM_BUFFER = 8192  # numpy's iterator buffer; einsum sums a longer row in pie
 
 
 @dataclass(frozen=True)
-class PosteriorWeights:
-    weights: WeightVector
-    beta: float
-
-
-@dataclass(frozen=True)
 class DvMinimalityReport:
-    passed: bool
+    verdict: bool
     worst_violation: float
     trials: int
 
@@ -67,25 +61,32 @@ def _posterior_moments(w, atoms, sq_norms):
     return mean, max(float(w @ sq_norms) - float(mean @ mean), 0.0)
 
 
+def _ewa_inputs(y, dictionary, prior, beta):
+    """The one input check of the posterior and the oracle bounds: the prior as a
+    WeightVector of the dictionary's length, the signal's squared distances to the
+    atoms, and beta."""
+    y = as_signal(y, dictionary.n)
+    prior = prior if isinstance(prior, WeightVector) else WeightVector(prior)
+    if len(prior) != dictionary.m:
+        raise ValueError("prior length must match the number of atoms")
+    return prior, _atom_sq_distances(y, dictionary.atoms), _check_beta(beta)
+
+
 def posterior_weights(y, dictionary, prior, beta):
-    """Exponential-weight posterior over the dictionary atoms.
+    """Exponential-weight posterior over the dictionary atoms, a WeightVector.
 
     Atoms with zero prior mass keep exactly zero posterior mass. With
     beta = +inf the prior is returned unchanged.
     """
-    beta = _check_beta(beta)
-    y = as_signal(y, dictionary.n)
-    if len(prior) != dictionary.m:
-        raise ValueError("prior length must match the number of atoms")
+    prior, d, beta = _ewa_inputs(y, dictionary, prior, beta)
     if math.isinf(beta):
-        return PosteriorWeights(prior, beta)
-    log_w = _log_posterior(prior.log_weights, _atom_sq_distances(y, dictionary.atoms), beta)
-    return PosteriorWeights(WeightVector.from_log_weights(log_w), beta)
+        return prior
+    return WeightVector.from_log_weights(_log_posterior(prior.log_weights, d, beta))
 
 
 def aggregate(dictionary, w):
-    """Weighted mean of the atoms; accepts PosteriorWeights, WeightVector,
-    or a plain probability vector."""
+    """Weighted mean of the atoms; accepts a WeightVector or a plain
+    probability vector."""
     return _as_weight_array(w, dictionary.m) @ dictionary.atoms
 
 
@@ -125,7 +126,7 @@ def gibbs_objective(w, y, dictionary, prior, beta):
 
 
 def ewa_estimate(y, dictionary, prior, beta):
-    """Posterior weights and the aggregate estimate in one call."""
+    """The aggregate estimate and the posterior WeightVector in one call."""
     w = posterior_weights(y, dictionary, prior, beta)
     return aggregate(dictionary, w), w
 
@@ -164,10 +165,10 @@ def dv_minimality_test(y, dictionary, prior, beta, trials, rng):
     if trials < 1:
         raise ValueError("trials must be a positive integer")
     post = posterior_weights(y, dictionary, prior, beta)
-    base = gibbs_objective(post.weights, y, dictionary, prior, beta)
+    base = gibbs_objective(post, y, dictionary, prior, beta)
     support = prior.support
     k = int(support.sum())
-    w_star = post.weights.weights[support]
+    w_star = post.weights[support]
     worst = -math.inf
     for t in range(trials):
         if t % 2 == 0:
@@ -179,4 +180,4 @@ def dv_minimality_test(y, dictionary, prior, beta, trials, rng):
         violation = base - gibbs_objective(cand, y, dictionary, prior, beta)
         if violation > worst:
             worst = violation
-    return DvMinimalityReport(passed=worst <= DV_TOLERANCE, worst_violation=worst, trials=trials)
+    return DvMinimalityReport(verdict=worst <= DV_TOLERANCE, worst_violation=worst, trials=trials)

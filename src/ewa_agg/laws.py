@@ -18,7 +18,7 @@ def _cluster(values, atol):
     """Sort values and group them into atoms: a new cluster wherever the gap
     to the previous atom exceeds atol. Returns the sorting order, the sorted
     values and each sorted value's cluster index."""
-    order = np.argsort(values)
+    order = np.argsort(values, kind="stable")
     values = values[order]
     cluster = np.zeros(values.size, dtype=np.int64)
     cluster[1:] = np.cumsum(np.diff(values) > atol)
@@ -123,11 +123,12 @@ class DiscreteLaw:
         return DiscreteLaw.from_atoms(v, p)
 
     def convolution_powers(self, k):
-        """Laws of the sums of 0, 1, ..., k independent copies of X."""
-        powers = [DiscreteLaw([0.0], [1.0])]
-        for _ in range(k):
+        """Laws of the sums of 0, 1, ..., k independent copies of X; the sum of one
+        copy is X itself."""
+        powers = [DiscreteLaw([0.0], [1.0]), self]
+        for _ in range(k - 1):
             powers.append(powers[-1].convolve(self))
-        return powers
+        return powers[: k + 1]
 
 
 def max_atom_probability_error(law_a, law_b):

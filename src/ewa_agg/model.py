@@ -174,7 +174,6 @@ class WeightVector:
 def _as_weight_array(w, m=None):
     """Accept a WeightVector (or anything with .weights) or a raw array."""
     arr = getattr(w, "weights", w)
-    arr = getattr(arr, "weights", arr)  # PosteriorWeights wraps a WeightVector
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("weights must form a 1-D array")

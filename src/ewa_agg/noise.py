@@ -488,16 +488,6 @@ FAMILIES = {
 }
 
 
-def sample_noise(model, rng):
-    """One noise vector from the model, using only the given generator."""
-    return model.sample(rng)
-
-
-def exact_law(model, i):
-    """Exact law of coordinate i, or the CONTINUOUS marker."""
-    return model.exact_law(i)
-
-
 def noise_to_json(model):
     return {"family": model.family, "params": model.params_json()}
 

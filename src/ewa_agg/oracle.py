@@ -22,14 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bernstein import beta_threshold, profile_for, variance_penalty_coefficient
-from .ewa import _atom_sq_distances, _log_posterior, _posterior_moments
+from .bernstein import beta_threshold, variance_penalty_coefficient
+from .ewa import _atom_sq_distances, _ewa_inputs, _log_posterior, _posterior_moments
 from .model import (
     Dictionary,
     ExperimentConfig,
     WeightVector,
-    _check_beta,
-    as_signal,
     logsumexp,
     softmax,
     sup_diameter,
@@ -63,14 +61,6 @@ def derived_stream(seed, *key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _bound_inputs(dictionary, truth, prior, beta):
-    truth = as_signal(truth, dictionary.n)
-    prior = prior if isinstance(prior, WeightVector) else WeightVector(prior)
-    if len(prior) != dictionary.m:
-        raise ValueError("prior length must match the number of atoms")
-    return prior, _atom_sq_distances(truth, dictionary.atoms), _check_beta(beta)
-
-
 def _penalized_distances(prior, d, beta):
     """d_j + beta log(1/pi0(j)) over the atoms of positive prior mass, +inf where it
     overflows; at beta = +inf, d_j for an atom of full mass and +inf for the others."""
@@ -83,7 +73,7 @@ def _penalized_distances(prior, d, beta):
 
 def oracle_bound_finite(dictionary, truth, prior, beta):
     """min over supported atoms of squared distance plus beta log(1/prior)."""
-    return float(_penalized_distances(*_bound_inputs(dictionary, truth, prior, beta)).min())
+    return float(_penalized_distances(*_ewa_inputs(truth, dictionary, prior, beta)).min())
 
 
 def oracle_bound_gibbs(dictionary, truth, prior, beta):
@@ -92,7 +82,7 @@ def oracle_bound_gibbs(dictionary, truth, prior, beta):
     beta) from the finite bound's terms t_j and their minimum f: one exponent is exactly 0,
     so the log-sum-exp is >= 0 and the bound never rounds above f (it is f where every
     (t_j - f) / beta overflows, as at subnormal beta, and +inf where every t_j does)."""
-    prior, d, beta = _bound_inputs(dictionary, truth, prior, beta)
+    prior, d, beta = _ewa_inputs(truth, dictionary, prior, beta)
     if math.isinf(beta):
         return float(prior.weights @ d)
     t = _penalized_distances(prior, d, beta)
@@ -216,7 +206,7 @@ def mc_risk(config, mode="clean"):
     """
     if mode not in ("clean", "variance_penalty"):
         raise ValueError("mode must be 'clean' or 'variance_penalty'")
-    profile = profile_for(config.noise)
+    profile = config.noise.profile()
     d0 = sup_diameter(config.dictionary)
     threshold = beta_threshold(profile, d0)
     beta = config.beta
@@ -267,8 +257,6 @@ def mc_risk(config, mode="clean"):
 
 _SCENARIO_KEY = 9001
 
-KNOWN_FAMILIES = tuple(FAMILIES)
-
 
 def make_scenario(family, n=50, m=10, replicates=10_000, seed=20250822, **params):
     """A ready-to-run configuration on each family's natural domain.
@@ -280,14 +268,14 @@ def make_scenario(family, n=50, m=10, replicates=10_000, seed=20250822, **params
     Each family's class draws its own scenario (`NoiseModel.scenario`).
     """
     if family not in FAMILIES:
-        known = ", ".join(KNOWN_FAMILIES)
+        known = ", ".join(FAMILIES)
         raise ValueError(f"family must be one of: {known}")
     rng = derived_stream(seed, _SCENARIO_KEY, 0)
     truth, noise, atoms = FAMILIES[family].scenario(n, m, rng, params)
     if params:
         raise ValueError(f"unknown scenario parameters: {sorted(params)}")
     dictionary = Dictionary(atoms)
-    beta = beta_threshold(profile_for(noise), sup_diameter(dictionary))
+    beta = beta_threshold(noise.profile(), sup_diameter(dictionary))
     return ExperimentConfig(
         truth=truth,
         dictionary=dictionary,
@@ -303,7 +291,7 @@ def certify_config(config):
     """Run the two certification checks on a configuration: the clean
     bound at the family threshold and the variance-penalty bound at half
     the threshold. Returns both reports."""
-    threshold = beta_threshold(profile_for(config.noise), sup_diameter(config.dictionary))
+    threshold = beta_threshold(config.noise.profile(), sup_diameter(config.dictionary))
     clean = mc_risk(replace(config, beta=threshold), mode="clean")
     penalized = mc_risk(replace(config, beta=threshold / 2.0), mode="variance_penalty")
     return [clean, penalized]

@@ -18,7 +18,6 @@ import numpy as np
 from ewa_agg.bernstein import (
     beta_threshold,
     check_noise_mgf,
-    profile_for,
     variance_penalty_coefficient,
 )
 from ewa_agg.coupling import verify_coupling
@@ -112,7 +111,7 @@ def test_mgf_domination():
             for alpha in ALPHA_STAT:
                 rng = derived_stream(27182, 3, round(alpha * 100))
                 report = check_noise_mgf(model, alpha, sample_size=500_000, rng=rng)
-                assert report.passed, (model.family, alpha, report.max_ratio)
+                assert report.verdict, (model.family, alpha, report.max_ratio)
                 assert report.points == 64
 
 
@@ -122,7 +121,7 @@ def test_threshold_constants_and_penalty_forms():
         beta_steps = (1.25, 2.0, 4.0)
 
         for sigma in (0.5, 1.0, 2.0):
-            p = profile_for(Gaussian([sigma]))
+            p = Gaussian([sigma]).profile()
             for d0 in d0_grid:
                 assert abs(beta_threshold(p, d0) - 4.0 * sigma**2) <= TOL
                 assert abs(variance_penalty_coefficient(4.0 * sigma**2, p, d0)) <= TOL
@@ -131,7 +130,7 @@ def test_threshold_constants_and_penalty_forms():
                     got = variance_penalty_coefficient(beta, p, d0) + 1.0
                     assert abs(got - 4.0 * sigma**2 / beta) <= TOL * got
 
-        p = profile_for(CenteredBernoulli([0.5]))
+        p = CenteredBernoulli([0.5]).profile()
         assert abs(beta_threshold(p, 1.0) - 8.0 / 3.0) <= TOL
         assert abs(variance_penalty_coefficient(8.0 / 3.0, p, 1.0)) <= TOL
         for d0 in d0_grid:
@@ -144,7 +143,7 @@ def test_threshold_constants_and_penalty_forms():
         for a_max, b_max in ((0.6, 0.6), (0.3, 0.9)):
             span = a_max + b_max
             mixing = [((a_max, b_max), 0.5), ((0.5 * a_max, 0.5 * b_max), 0.5)]
-            p = profile_for(BoundedBinaryMixture.homogeneous(2, a_max, b_max, mixing))
+            p = BoundedBinaryMixture.homogeneous(2, a_max, b_max, mixing).profile()
             for d0 in d0_grid:
                 want = 2.0 * span**2 + (2.0 / 3.0) * span * d0
                 base = beta_threshold(p, d0)
@@ -158,7 +157,7 @@ def test_threshold_constants_and_penalty_forms():
 
         for k in (1, 2, 3, 5):
             a = 1.0 / k
-            p = profile_for(CenteredBinomial(a, k, [0.5]))
+            p = CenteredBinomial(a, k, [0.5]).profile()
             assert abs(beta_threshold(p, 1.0) - 8.0 / (3.0 * k)) <= TOL
             for d0 in d0_grid:
                 want = 2.0 * a**2 * k + (2.0 / 3.0) * a * d0
@@ -172,7 +171,7 @@ def test_threshold_constants_and_penalty_forms():
                     assert abs(got - want) <= TOL * got
 
         for mu in (0.5, 1.0, 1.5):
-            p = profile_for(Laplace([mu]))
+            p = Laplace([mu]).profile()
             for d0 in d0_grid:
                 want = 4.0 * mu**2 + 2.0 * mu * d0
                 base = beta_threshold(p, d0)
@@ -212,7 +211,7 @@ def test_posterior_minimizes_gibbs_objective():
             y, dictionary, prior, beta = _random_instance(rng)
             report = dv_minimality_test(y, dictionary, prior, beta, 100, rng)
             assert report.worst_violation <= 1e-9, report.worst_violation
-            assert report.passed
+            assert report.verdict
 
 
 def test_kl_identity_and_bound_ordering():

@@ -10,10 +10,8 @@ from ewa_agg.bernstein import (
     beta_threshold,
     check_noise_mgf,
     default_t_grid,
-    laplace_coupling_mgf,
     mgf_bound,
     mgf_bound_check,
-    profile_for,
     variance_penalty_coefficient,
 )
 from ewa_agg.coupling import conditional_zeta_laws
@@ -32,20 +30,20 @@ MIXING = [((0.6, 0.6), 0.4), ((0.35, 0.2), 0.35), ((0.1, 0.45), 0.25)]
 
 class TestProfiles:
     def test_bernoulli(self):
-        p = profile_for(CenteredBernoulli([0.3]))
+        p = CenteredBernoulli([0.3]).profile()
         assert p.v(0.5) == pytest.approx(0.75)
         assert p.b(0.5) == pytest.approx(0.5)
         assert (p.v_prime_0, p.b_0, p.mgf_normalization) == (1.0, 1.0 / 3.0, 2.0)
 
     def test_gaussian_takes_largest_sigma(self):
-        p = profile_for(Gaussian([1.0, 1.5]))
+        p = Gaussian([1.0, 1.5]).profile()
         assert p.v(1.0) == pytest.approx(3.0 * 2.25)
         assert p.b(1.0) == 0.0
         assert p.v_prime_0 == pytest.approx(4.5)
         assert p.b_0 == 0.0
 
     def test_mixture_uses_support_span(self):
-        p = profile_for(BoundedBinaryMixture(0.6, 0.6, [MIXING]))
+        p = BoundedBinaryMixture(0.6, 0.6, [MIXING]).profile()
         span = 1.2
         assert p.v(1.0) == pytest.approx(span * span * 2.0)
         assert p.b(1.0) == pytest.approx(span * 2.0 / 3.0)
@@ -53,14 +51,14 @@ class TestProfiles:
         assert p.b_0 == pytest.approx(span / 3.0)
 
     def test_binomial(self):
-        p = profile_for(CenteredBinomial(0.2, 5, [0.4]))
+        p = CenteredBinomial(0.2, 5, [0.4]).profile()
         assert p.v(0.5) == pytest.approx(0.04 * 5 * 0.75)
         assert p.b(0.5) == pytest.approx(0.2 * 1.5 / 3.0)
         assert p.v_prime_0 == pytest.approx(0.2)
         assert p.b_0 == pytest.approx(0.2 / 3.0)
 
     def test_laplace_takes_largest_mu(self):
-        p = profile_for(Laplace([0.5, 2.0]))
+        p = Laplace([0.5, 2.0]).profile()
         assert p.v(1.0) == pytest.approx(3.0 * 4.0)
         assert p.b(1.0) == pytest.approx(4.0)
         assert (p.v_prime_0, p.b_0, p.mgf_normalization) == (8.0, 2.0, 1.0)
@@ -69,7 +67,7 @@ class TestProfiles:
         eps = 1e-7
         for family in FAMILIES:
             model = make_scenario(family, n=3, m=2, replicates=1).noise
-            p = profile_for(model)
+            p = model.profile()
             assert p.family == family
             assert p.v(eps) / eps == pytest.approx(p.v_prime_0, rel=1e-6)
             assert p.b(0.0) == pytest.approx(p.b_0, abs=1e-15)
@@ -79,21 +77,21 @@ class TestThresholds:
     def test_printed_constants(self):
         # gaussian: 4 sigma^2, no diameter dependence
         for sigma in (0.5, 1.0, 3.0):
-            p = profile_for(Gaussian([sigma]))
+            p = Gaussian([sigma]).profile()
             assert beta_threshold(p, 0.0) == 4.0 * sigma * sigma
             assert beta_threshold(p, 7.0) == 4.0 * sigma * sigma
         # bernoulli at unit diameter: 8/3
-        p = profile_for(CenteredBernoulli([0.5]))
+        p = CenteredBernoulli([0.5]).profile()
         assert beta_threshold(p, 1.0) == pytest.approx(8.0 / 3.0, abs=1e-15)
         # binomial with a = 1/k at unit diameter: 8/(3k)
         for k in (1, 2, 3, 5):
-            p = profile_for(CenteredBinomial(1.0 / k, k, [0.5]))
+            p = CenteredBinomial(1.0 / k, k, [0.5]).profile()
             assert beta_threshold(p, 1.0) == pytest.approx(8.0 / (3.0 * k), rel=1e-15)
         # laplace: 4 mu^2 + 2 mu d0
-        p = profile_for(Laplace([1.5]))
+        p = Laplace([1.5]).profile()
         assert beta_threshold(p, 2.0) == pytest.approx(4.0 * 2.25 + 2.0 * 1.5 * 2.0)
         # mixture with span L: 2 L^2 + (2/3) L d0
-        p = profile_for(BoundedBinaryMixture(0.6, 0.6, [MIXING]))
+        p = BoundedBinaryMixture(0.6, 0.6, [MIXING]).profile()
         L = 1.2
         assert beta_threshold(p, 0.8) == pytest.approx(2.0 * L * L + (2.0 / 3.0) * L * 0.8)
 
@@ -106,7 +104,7 @@ class TestThresholds:
             Laplace([0.8]),
         ]
         for model in models:
-            p = profile_for(model)
+            p = model.profile()
             for d0 in (0.0, 0.5, 1.0, 2.5):
                 th = beta_threshold(p, d0)
                 assert abs(variance_penalty_coefficient(th, p, d0)) <= 1e-12
@@ -128,28 +126,28 @@ class TestThresholds:
                 lhs = variance_penalty_coefficient(beta, profile, d0) + 1.0
                 assert lhs == pytest.approx(form(beta, d0), rel=1e-12)
 
-        p = profile_for(CenteredBernoulli([0.5]))
+        p = CenteredBernoulli([0.5]).profile()
         for d0 in grid_d0:
             compare(p, d0, lambda beta, d0: 6.0 / (3.0 * beta - 2.0 * d0))
         sigma = 1.3
-        p = profile_for(Gaussian([sigma]))
+        p = Gaussian([sigma]).profile()
         for d0 in grid_d0:
             compare(p, d0, lambda beta, d0: 4.0 * sigma * sigma / beta)
-        p = profile_for(BoundedBinaryMixture(0.6, 0.6, [MIXING]))
+        p = BoundedBinaryMixture(0.6, 0.6, [MIXING]).profile()
         L = 1.2
         for d0 in grid_d0:
             compare(p, d0, lambda beta, d0: 6.0 * L * L / (3.0 * beta - 2.0 * L * d0))
         a, k = 0.25, 4
-        p = profile_for(CenteredBinomial(a, k, [0.4]))
+        p = CenteredBinomial(a, k, [0.4]).profile()
         for d0 in grid_d0:
             compare(p, d0, lambda beta, d0: 6.0 * a * a * k / (3.0 * beta - 2.0 * a * d0))
         mu = 0.9
-        p = profile_for(Laplace([mu]))
+        p = Laplace([mu]).profile()
         for d0 in grid_d0:
             compare(p, d0, lambda beta, d0: 4.0 * mu * mu / (beta - 2.0 * mu * d0))
 
     def test_penalty_domain_is_strict(self):
-        p = profile_for(Laplace([1.0]))
+        p = Laplace([1.0]).profile()
         edge = 2.0 * p.b_0 * 1.0
         with pytest.raises(ValueError, match="beta must exceed"):
             variance_penalty_coefficient(edge, p, 1.0)
@@ -157,7 +155,7 @@ class TestThresholds:
             variance_penalty_coefficient(edge - 0.1, p, 1.0)
 
     def test_threshold_rejects_bad_diameter(self):
-        p = profile_for(Gaussian([1.0]))
+        p = Gaussian([1.0]).profile()
         with pytest.raises(ValueError):
             beta_threshold(p, -1.0)
         with pytest.raises(ValueError):
@@ -196,7 +194,7 @@ class TestMgfChecks:
         grid = default_t_grid(0.75, 0.5)
         for law in laws:
             report = mgf_bound_check(law, 0.75, 0.5, 2.0, grid, family="centered_bernoulli")
-            assert report.passed
+            assert report.verdict
             assert report.method == "exact"
             assert report.max_ratio <= 1.0 + 1e-12
 
@@ -206,19 +204,18 @@ class TestMgfChecks:
         # the claimed variance proxy is far too small for this law
         grid = default_t_grid(0.02, 0.1)
         report = mgf_bound_check(law, 0.02, 0.1, 2.0, grid)
-        assert not report.passed
+        assert not report.verdict
         assert report.max_ratio > 1.0
 
     def test_callable_laplace_mgf(self):
-        # alpha = 1, mu = 1: M(t) = 1/4 + (3/4) / (1 - 4 t^2) on |t| < 1/2
-        mgf = laplace_coupling_mgf(1.0, 1.0)
-        assert mgf(0.0) == 1.0
-        assert mgf(0.3) == pytest.approx(0.25 + 0.75 / (1.0 - 0.36), rel=1e-15)
-        with pytest.raises(ValueError):
-            mgf(0.5)
-        grid = default_t_grid(3.0, 2.0)  # v = alpha(2+alpha)mu^2, b = (1+alpha)mu
-        report = mgf_bound_check(mgf, 3.0, 2.0, 1.0, grid, family="laplace", alpha=1.0)
-        assert report.passed
+        # the Laplace companion is 0 w.p. 1/(1+alpha)^2, else Laplace((1+alpha) mu); at
+        # alpha = 1, mu = 1 its MGF is 1/4 + (3/4) / (1 - 4 t^2) on |t| < 1/2
+        row = Laplace([1.0]).profile()
+        v, b, c = row.v(1.0), row.b(1.0), row.mgf_normalization
+        assert (v, b, c) == (3.0, 2.0, 1.0)
+        grid = default_t_grid(v, b)
+        closed = 0.25 + 0.75 / (1.0 - 4.0 * grid * grid)
+        assert np.all(closed <= mgf_bound(grid, v, b, c))
 
     def test_sampled_gaussian_is_sharp(self):
         # the gaussian companion MGF equals its bound exactly, so the
@@ -229,7 +226,7 @@ class TestMgfChecks:
         zeta = rng.normal(0.0, math.sqrt(v), 200_000)
         grid = default_t_grid(v, 0.0)
         report = mgf_bound_check(zeta, v, 0.0, 2.0, grid)
-        assert report.passed
+        assert report.verdict
         assert report.method == "sampled"
         assert report.max_ratio == pytest.approx(1.0, abs=0.05)
 
@@ -238,7 +235,7 @@ class TestMgfChecks:
         zeta = rng.normal(0.0, 1.0, 100_000)
         grid = default_t_grid(0.25, 0.0)
         report = mgf_bound_check(zeta, 0.25, 0.0, 2.0, grid)  # claims var 1/4
-        assert not report.passed
+        assert not report.verdict
 
     def test_sampled_overflow_fails_closed(self):
         # exp(t x) stays finite at t = 4, x = 100 but its square does not, so
@@ -248,7 +245,7 @@ class TestMgfChecks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = mgf_bound_check(zeta, 1.0, 0.0, 2.0, np.linspace(4.0, 7.0, 8))
-        assert not report.passed
+        assert not report.verdict
         assert report.max_ratio == math.inf
         assert report.worst_t == 4.0
 
@@ -272,7 +269,7 @@ def test_check_noise_mgf_all_families(model, alpha):
     report = check_noise_mgf(
         model, alpha, sample_size=100_000, rng=np.random.default_rng(43)
     )
-    assert report.passed, f"{model.family} ratio {report.max_ratio} at t={report.worst_t}"
+    assert report.verdict, f"{model.family} ratio {report.max_ratio} at t={report.worst_t}"
     assert report.alpha == alpha
     assert report.points == 64
     doc = report.to_json()
@@ -283,7 +280,7 @@ def test_binomial_exact_mgf_check_is_pinned():
     # the exact conditional laws of the k = 20 binomial scenario, under ==
     report = check_noise_mgf(make_scenario("centered_binomial", k=20, seed=1).noise, 0.5)
     assert (report.max_ratio, report.worst_t) == (0.9971035063997523, -0.6031746031746081)
-    assert report.passed
+    assert report.verdict
 
 
 def test_infinite_bound_is_met_without_overflow_warning():
@@ -294,4 +291,4 @@ def test_infinite_bound_is_met_without_overflow_warning():
         warnings.simplefilter("error")
         report = check_noise_mgf(model, 1.0)
     assert report.max_ratio == 0.9945488883979142
-    assert report.passed
+    assert report.verdict

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
+import ewa_agg
 from ewa_agg import cli
 from ewa_agg.model import Dictionary, ExperimentConfig, WeightVector
 from ewa_agg.noise import CenteredBernoulli, Gaussian, Laplace
@@ -184,6 +186,22 @@ def test_oracle_bound_passes_where_the_bounds_meet(tmp_path, capsys):
     assert row[5] == "pass"
 
 
+def test_json_writes_an_infinite_beta_and_bound_as_infinity(tmp_path, capsys):
+    # the JSON output contract at beta = +inf: Python's json token Infinity, which
+    # json.loads reads back; with a uniform prior no atom has full mass, so the
+    # finite bound is +inf too
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg, beta=float("inf"))
+    assert _run(["oracle-bound", cfg, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '    "beta": Infinity,\n    "bound_finite": Infinity,\n' in out
+    assert json.loads(out)[0]["bound_finite"] == float("inf")
+    assert _run(["simulate", cfg, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '    "m": 3,\n    "beta": Infinity,\n    "threshold": 4.0,\n' in out
+    assert json.loads(out)[0]["beta"] == float("inf")
+
+
 class TestInputErrors:
     def _expect_error(self, capsys, args, message):
         assert cli.main([str(a) for a in args]) == 2
@@ -273,6 +291,13 @@ def test_import_does_not_load_scipy_stats():
     code = "import ewa_agg.cli, sys; assert not [k for k in sys.modules if k.startswith('scipy')]"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_each_public_name_once():
+    assert len(ewa_agg.__all__) == len(set(ewa_agg.__all__))
+    for name in ewa_agg.__all__:
+        assert not isinstance(getattr(ewa_agg, name), types.ModuleType), name
+    assert {"posterior_weights", "mc_risk", "Gaussian", "MgfCheckReport"} <= set(ewa_agg.__all__)
 
 
 def test_certify_is_deterministic_across_thread_counts(tmp_path):

@@ -399,8 +399,8 @@ def test_binomial_laws_match_direct_convolution(model, alpha):
 
 def test_binomial_exact_checks_are_pinned():
     # the exact checks of the k = 20 binomial scenario, under ==: a power loop
-    # that sums in another order moves these in the last bits. They also rest
-    # on the order np.argsort gives tied atom values, which numpy leaves open
+    # that sums in another order moves these in the last bits. Tied atom values
+    # merge in input order (a stable sort), so the pins hold on any CPU
     model = make_scenario("centered_binomial", k=20, seed=1).noise
     pins = {
         0.5: (4.718447854656915e-16, 5.551115123125783e-17),

@@ -122,6 +122,30 @@ def test_from_atoms_rejects_what_the_constructor_rejects(values, probs):
     assert str(merged.value) == str(direct.value)
 
 
+def test_from_atoms_sums_tied_masses_in_input_order():
+    # atoms at exactly equal values are summed in the order they came in, so the
+    # merged masses do not depend on how a sort breaks ties on this CPU or build
+    rng = np.random.default_rng(5)
+    values = rng.integers(0, 3, 300).astype(np.float64)
+    probs = rng.random(300)
+    probs /= probs.sum()
+    law = DiscreteLaw.from_atoms(values, probs)
+    expected = {}
+    for value, prob in zip(values.tolist(), probs.tolist()):
+        expected[value] = expected.get(value, 0.0) + prob
+    assert law.atoms() == sorted(expected.items())
+
+
+def test_convolution_powers_start_from_the_term():
+    law = DiscreteLaw([-0.3, 0.7], [0.7, 0.3])
+    assert law.convolution_powers(0)[0].atoms() == [(0.0, 1.0)]
+    powers = law.convolution_powers(4)
+    assert len(powers) == 5
+    assert powers[0].atoms() == [(0.0, 1.0)]
+    assert powers[1] is law
+    assert powers[4].atoms() == law.convolve(law).convolve(law).convolve(law).atoms()
+
+
 def _law(atoms):
     values = np.array([v for v, _ in atoms])
     probs = np.array([p for _, p in atoms])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewa_agg import ewa
-from ewa_agg.bernstein import beta_threshold, profile_for
+from ewa_agg.bernstein import beta_threshold
 from ewa_agg.ewa import aggregate, gibbs_objective, posterior_variance, posterior_weights
 from ewa_agg.model import (
     Dictionary,
@@ -21,7 +21,6 @@ from ewa_agg.model import (
 )
 from ewa_agg.noise import FAMILIES, Gaussian
 from ewa_agg.oracle import (
-    KNOWN_FAMILIES,
     RISK_CSV_HEADER,
     _run_replicates,
     certify_config,
@@ -221,7 +220,7 @@ def _toy_config(replicates=200, beta=None, prior_samples=None):
     d = Dictionary(atoms)
     noise = Gaussian.homogeneous(6, 1.0)
     if beta is None:
-        beta = beta_threshold(profile_for(noise), sup_diameter(d))
+        beta = beta_threshold(noise.profile(), sup_diameter(d))
     return ExperimentConfig(
         truth=truth,
         dictionary=d,
@@ -359,9 +358,8 @@ def test_overflowing_observation_is_rejected():
 class TestScenarios:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_beta_is_the_threshold(self, family):
-        assert family in KNOWN_FAMILIES
         cfg = make_scenario(family, n=12, m=4, replicates=10)
-        expected = beta_threshold(profile_for(cfg.noise), sup_diameter(cfg.dictionary))
+        expected = beta_threshold(cfg.noise.profile(), sup_diameter(cfg.dictionary))
         assert cfg.beta == expected
         assert cfg.dictionary.m == 4
         assert cfg.dictionary.n == 12
@@ -395,7 +393,7 @@ def test_certify_config_runs_both_modes():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the half-threshold run must not warn
         clean, penalized = certify_config(replace(cfg, beta=99.0))  # beta is overridden
-    th = beta_threshold(profile_for(cfg.noise), sup_diameter(cfg.dictionary))
+    th = beta_threshold(cfg.noise.profile(), sup_diameter(cfg.dictionary))
     assert clean.mode == "clean"
     assert clean.beta == pytest.approx(th)
     assert penalized.mode == "variance_penalty"
