@@ -18,8 +18,8 @@ def main():
         for report in certify_corollary(family, replicates=2_000):
             print(
                 f"{report.family:<24} {report.mode:<17} {report.beta:>8.4f} "
-                f"{report.risk_estimate:>9.4f} {report.oracle_bound:>9.4f} "
-                f"{report.penalty_term:>9.4f} {report.slack:>9.4f}  "
+                f"{report.risk:>9.4f} {report.bound:>9.4f} "
+                f"{report.penalty:>9.4f} {report.slack:>9.4f}  "
                 f"{'pass' if report.verdict else 'FAIL'}"
             )
 

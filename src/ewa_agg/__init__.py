@@ -67,6 +67,7 @@ from .bernstein import (
     variance_penalty_coefficient,
 )
 from .oracle import (
+    OracleBoundReport,
     RiskReport,
     certify_config,
     certify_corollary,

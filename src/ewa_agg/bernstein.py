@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coupling import conditional_zeta_laws, _check_alpha
+from .coupling import CHECK_CSV_HEADER, Report, conditional_zeta_laws, _check_alpha
 from .laws import DiscreteLaw
 
 MGF_RATIO_TOL = 1e-12
@@ -76,21 +76,19 @@ def variance_penalty_coefficient(beta, profile, d0):
     return 2.0 * profile.v_prime_0 / (beta - 2.0 * profile.b_0 * d0) - 1.0
 
 
-def default_t_grid(v, b, points=DEFAULT_T_POINTS, coverage=DOMAIN_COVERAGE):
+def default_t_grid(v, b, points=DEFAULT_T_POINTS):
     """Symmetric t-grid inside the profile's admissible domain.
 
-    With b > 0 the domain is (-1/b, 1/b) and the grid covers the stated
-    fraction of it; with b = 0 the domain is the whole line and the grid
-    spans |t| <= 2 / sqrt(v), where the bound is exp(2) at the edge.
+    With b > 0 the domain is (-1/b, 1/b) and the grid covers the fraction
+    DOMAIN_COVERAGE of it; with b = 0 the domain is the whole line and the
+    grid spans |t| <= 2 / sqrt(v), where the bound is exp(2) at the edge.
     """
     v = float(v)
     b = float(b)
     if points < 2:
         raise ValueError("points must be at least 2")
-    if not 0.0 < coverage < 1.0:
-        raise ValueError("coverage must lie in (0, 1)")
     if b > 0.0:
-        t_max = coverage / b
+        t_max = DOMAIN_COVERAGE / b
     else:
         if v <= 0.0:
             raise ValueError("v must be positive when b = 0")
@@ -109,7 +107,9 @@ def mgf_bound(t, v, b, c):
 
 
 @dataclass(frozen=True)
-class MgfCheckReport:
+class MgfCheckReport(Report):
+    CSV_HEADER = CHECK_CSV_HEADER
+
     family: str
     alpha: float
     method: str
@@ -118,21 +118,10 @@ class MgfCheckReport:
     verdict: bool
     points: int
 
-    def to_json(self):
-        return {
-            "family": self.family,
-            "alpha": self.alpha,
-            "method": self.method,
-            "max_ratio": self.max_ratio,
-            "worst_t": self.worst_t,
-            "verdict": "pass" if self.verdict else "fail",
-            "points": self.points,
-        }
-
     def csv_row(self):
         """The check-table row: max_ratio is the statistic and 1 its threshold."""
-        doc = self.to_json()
-        return [doc["family"], doc["alpha"], doc["method"], doc["max_ratio"], 1.0, doc["verdict"]]
+        doc = self.to_json() | {"statistic": self.max_ratio, "threshold": 1.0}
+        return [doc[key] for key in self.CSV_HEADER]
 
 
 def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
@@ -180,14 +169,7 @@ def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
     )
 
 
-def check_noise_mgf(
-    model,
-    alpha,
-    points=DEFAULT_T_POINTS,
-    coverage=DOMAIN_COVERAGE,
-    sample_size=1_000_000,
-    rng=None,
-):
+def check_noise_mgf(model, alpha, points=DEFAULT_T_POINTS, sample_size=1_000_000, rng=None):
     """Run the profile bound over every conditional companion law of a
     noise model: exactly for the discrete families, from samples for the
     continuous ones. Returns the worst-case report."""
@@ -196,7 +178,7 @@ def check_noise_mgf(
     v = profile.v(alpha)
     b = profile.b(alpha)
     c = profile.mgf_normalization
-    t_grid = default_t_grid(v, b, points=points, coverage=coverage)
+    t_grid = default_t_grid(v, b, points=points)
     if model.discrete:
         laws = conditional_zeta_laws(model, alpha)
     else:

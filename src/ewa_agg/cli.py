@@ -1,10 +1,13 @@
 """Command-line front end: JSON experiment configs in, CSV or JSON out.
 
 Subcommands: simulate, certify, verify-coupling, verify-bernstein,
-dv-check, oracle-bound. Exit status is 0 when every verdict passes, 1 when
-any fails, 2 on input errors (with a one-line diagnostic naming the
-offending key). CSV output is RFC-4180 style with a header row and floats
-rendered to 17 significant digits.
+dv-check, oracle-bound. Each returns a list of reports, and `main` prints
+them as one table: the columns are the reports' CSV_HEADER plus a seed
+column when a report does not carry one, and a JSON row holds the same
+columns, each named by its report field (`coupling.Report`). Exit status
+is 0 when every verdict passes, 1 when any fails, 2 on input errors (with
+a one-line diagnostic naming the offending key). CSV output is RFC-4180
+style with a header row and floats rendered to 17 significant digits.
 """
 
 import argparse
@@ -14,14 +17,12 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .bernstein import check_noise_mgf
-from .coupling import CHECK_CSV_HEADER, verify_coupling
-from .ewa import DV_TOLERANCE, dv_minimality_test
+from .coupling import verify_coupling
+from .ewa import dv_minimality_test
 from .model import ExperimentConfig, _CONFIG_KEYS
 from .oracle import (
-    RISK_CSV_HEADER,
+    OracleBoundReport,
     certify_config,
     derived_stream,
     mc_risk,
@@ -30,7 +31,6 @@ from .oracle import (
 )
 
 _EXTENSION_KEYS = ("alpha_grid", "method", "trials", "t_grid_points", "sample_size", "mode")
-_CHECK_HEADER = [*CHECK_CSV_HEADER, "seed"]
 _DEFAULT_ALPHA_GRID = (0.1, 0.5, 1.0)
 
 _COUPLING_STREAM = 101
@@ -39,13 +39,7 @@ _DV_STREAM = 103
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "pass" if value else "fail"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _write_rows(header, rows, fmt, out):
@@ -55,14 +49,7 @@ def _write_rows(header, rows, fmt, out):
         for row in rows:
             writer.writerow([_fmt(cell) for cell in row])
     else:
-        doc = [dict(zip(header, row)) for row in rows]
-        for entry in doc:
-            for key, value in entry.items():
-                if isinstance(value, np.generic):
-                    entry[key] = value.item()
-                elif isinstance(value, bool):
-                    entry[key] = "pass" if value else "fail"
-        json.dump(doc, out, indent=2)
+        json.dump([dict(zip(header, row)) for row in rows], out, indent=2)
         out.write("\n")
 
 
@@ -90,14 +77,17 @@ def _parse_config(path, seed_override):
     return config, extras
 
 
-def _alpha_grid(extras):
+def _alpha_grid(config, extras, stream):
+    """(alpha, generator) per alpha of the grid; the idx-th generator derives from
+    (seed, stream, idx)."""
     grid = extras.get("alpha_grid", list(_DEFAULT_ALPHA_GRID))
     if not isinstance(grid, list) or not grid:
         raise ValueError("alpha_grid must be a non-empty array of reals")
     try:
-        return [float(a) for a in grid]
+        alphas = [float(a) for a in grid]
     except (TypeError, ValueError):
         raise ValueError("alpha_grid must be a non-empty array of reals") from None
+    return [(a, derived_stream(config.seed, stream, idx)) for idx, a in enumerate(alphas)]
 
 
 def _positive_int(extras, key, default):
@@ -108,84 +98,45 @@ def _positive_int(extras, key, default):
 
 
 def _cmd_simulate(config, extras):
-    report = mc_risk(config, mode=extras.get("mode", "clean"))
-    return RISK_CSV_HEADER, [report.csv_row()], report.verdict
+    return [mc_risk(config, mode=extras.get("mode", "clean"))]
 
 
 def _cmd_certify(config, extras):
-    reports = certify_config(config)
-    return RISK_CSV_HEADER, [r.csv_row() for r in reports], all(r.verdict for r in reports)
-
-
-def _check_rows(config, alphas, stream, check):
-    """The check table over the alpha grid; check(alpha, rng) makes one report."""
-    reports = [check(a, derived_stream(config.seed, stream, idx)) for idx, a in enumerate(alphas)]
-    rows = [report.csv_row() + [config.seed] for report in reports]
-    return _CHECK_HEADER, rows, all(report.verdict for report in reports)
+    return certify_config(config)
 
 
 def _cmd_verify_coupling(config, extras):
-    alphas = _alpha_grid(extras)
+    grid = _alpha_grid(config, extras, _COUPLING_STREAM)
     method = extras.get("method", "exact" if config.noise.discrete else "ks")
     n = _positive_int(extras, "sample_size", 1_000_000)
-
-    def check(alpha, rng):
-        return verify_coupling(config.noise, alpha, method=method, sample_size=n, rng=rng)
-
-    return _check_rows(config, alphas, _COUPLING_STREAM, check)
+    return [
+        verify_coupling(config.noise, alpha, method=method, sample_size=n, rng=rng)
+        for alpha, rng in grid
+    ]
 
 
 def _cmd_verify_bernstein(config, extras):
-    alphas = _alpha_grid(extras)
+    grid = _alpha_grid(config, extras, _BERNSTEIN_STREAM)
     points = _positive_int(extras, "t_grid_points", 64)
     n = _positive_int(extras, "sample_size", 1_000_000)
-
-    def check(alpha, rng):
-        return check_noise_mgf(config.noise, alpha, points=points, sample_size=n, rng=rng)
-
-    return _check_rows(config, alphas, _BERNSTEIN_STREAM, check)
+    return [
+        check_noise_mgf(config.noise, alpha, points=points, sample_size=n, rng=rng)
+        for alpha, rng in grid
+    ]
 
 
 def _cmd_dv_check(config, extras):
     trials = _positive_int(extras, "trials", 100)
     y = config.truth + config.noise.sample(derived_stream(config.seed, _DV_STREAM, 0))
-    report = dv_minimality_test(
-        y,
-        config.dictionary,
-        config.prior,
-        config.beta,
-        trials,
-        derived_stream(config.seed, _DV_STREAM, 1),
-    )
-    header = ["n", "m", "beta", "trials", "worst_violation", "threshold", "verdict", "seed"]
-    row = [
-        config.dictionary.n,
-        config.dictionary.m,
-        config.beta,
-        report.trials,
-        report.worst_violation,
-        DV_TOLERANCE,
-        report.verdict,
-        config.seed,
-    ]
-    return header, [row], report.verdict
+    rng = derived_stream(config.seed, _DV_STREAM, 1)
+    return [dv_minimality_test(y, config.dictionary, config.prior, config.beta, trials, rng)]
 
 
 def _cmd_oracle_bound(config, extras):
-    finite = oracle_bound_finite(config.dictionary, config.truth, config.prior, config.beta)
-    gibbs = oracle_bound_gibbs(config.dictionary, config.truth, config.prior, config.beta)
-    verdict = gibbs <= finite
-    header = ["n", "m", "beta", "bound_finite", "bound_gibbs", "verdict", "seed"]
-    row = [
-        config.dictionary.n,
-        config.dictionary.m,
-        config.beta,
-        finite,
-        gibbs,
-        verdict,
-        config.seed,
-    ]
-    return header, [row], verdict
+    args = (config.dictionary, config.truth, config.prior, config.beta)
+    finite, gibbs = oracle_bound_finite(*args), oracle_bound_gibbs(*args)
+    n, m = config.dictionary.n, config.dictionary.m
+    return [OracleBoundReport(n, m, config.beta, finite, gibbs, verdict=gibbs <= finite)]
 
 
 _COMMANDS = {
@@ -217,10 +168,15 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         config, extras = _parse_config(args.config, args.seed)
-        header, rows, ok = _COMMANDS[args.command](config, extras)
+        reports = _COMMANDS[args.command](config, extras)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    header = list(reports[0].CSV_HEADER)
+    rows = [report.csv_row() for report in reports]
+    if "seed" not in header:
+        header.append("seed")
+        rows = [row + [config.seed] for row in rows]
     if args.output is None:
         buffer = io.StringIO()
         _write_rows(header, rows, args.format, buffer)
@@ -228,7 +184,7 @@ def main(argv=None):
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             _write_rows(header, rows, args.format, handle)
-    return 0 if ok else 1
+    return 0 if all(report.verdict for report in reports) else 1
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ product with exp(i dt x) instead of a cos/sin pair per node.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,6 +61,20 @@ CF_BLOCK = 1 << 15  # draws per block of the CF sums: two complex blocks take 1 
 MEAN_SE_MULTIPLIER = 5.0
 # the columns of a check report's CSV row, all of them keys of its JSON
 CHECK_CSV_HEADER = ("family", "alpha", "method", "statistic", "threshold", "verdict")
+
+
+class Report:
+    """The one output protocol of a dataclass report: its fields are its JSON keys, the
+    verdict reads "pass" or "fail", and its CSV row is that JSON on the class's CSV_HEADER.
+    It lives here because `coupling` is the lowest module that defines a report."""
+
+    def to_json(self):
+        doc = {field.name: getattr(self, field.name) for field in fields(self)}
+        return doc | {"verdict": "pass" if self.verdict else "fail"}
+
+    def csv_row(self):
+        doc = self.to_json()
+        return [doc[key] for key in self.CSV_HEADER]
 
 
 def _check_alpha(alpha):
@@ -263,9 +277,9 @@ def conditional_zeta_laws(model, alpha):
     return [law for i in range(model.dim) for law in model.conditional_laws(i, alpha)]
 
 
-def ks_two_sample_threshold(n1, n2, significance=KS_SIGNIFICANCE):
-    """Asymptotic two-sample Kolmogorov-Smirnov acceptance threshold."""
-    c = math.sqrt(-0.5 * math.log(significance / 2.0))
+def ks_two_sample_threshold(n1, n2):
+    """Asymptotic two-sample Kolmogorov-Smirnov acceptance threshold at KS_SIGNIFICANCE."""
+    c = math.sqrt(-0.5 * math.log(KS_SIGNIFICANCE / 2.0))
     return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
@@ -322,7 +336,9 @@ def _empirical_cf_gap(x, y, t_max, points=CF_POINTS):
 
 
 @dataclass(frozen=True)
-class CouplingReport:
+class CouplingReport(Report):
+    CSV_HEADER = CHECK_CSV_HEADER
+
     family: str
     alpha: float
     method: str
@@ -333,24 +349,6 @@ class CouplingReport:
     verdict: bool
     sample_size: int | None
     exact: bool
-
-    def to_json(self):
-        return {
-            "family": self.family,
-            "alpha": self.alpha,
-            "method": self.method,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "mean_zero": self.mean_zero,
-            "mean_zero_threshold": self.mean_zero_threshold,
-            "verdict": "pass" if self.verdict else "fail",
-            "sample_size": self.sample_size,
-            "exact": self.exact,
-        }
-
-    def csv_row(self):
-        doc = self.to_json()
-        return [doc[key] for key in CHECK_CSV_HEADER]
 
 
 def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=None):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coupling import Report
 from .model import WeightVector, _as_weight_array, _check_beta, as_signal, softmax
 
 DV_TOLERANCE = 1e-9
@@ -28,10 +29,16 @@ EINSUM_BUFFER = 8192  # numpy's iterator buffer; einsum sums a longer row in pie
 
 
 @dataclass(frozen=True)
-class DvMinimalityReport:
-    verdict: bool
-    worst_violation: float
+class DvMinimalityReport(Report):
+    CSV_HEADER = ("n", "m", "beta", "trials", "worst_violation", "threshold", "verdict")
+
+    n: int
+    m: int
+    beta: float
     trials: int
+    worst_violation: float
+    threshold: float
+    verdict: bool
 
 
 def _atom_sq_distances(y, atoms):
@@ -164,6 +171,7 @@ def dv_minimality_test(y, dictionary, prior, beta, trials, rng):
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be a positive integer")
+    prior, _, beta = _ewa_inputs(y, dictionary, prior, beta)
     post = posterior_weights(y, dictionary, prior, beta)
     base = gibbs_objective(post, y, dictionary, prior, beta)
     support = prior.support
@@ -180,4 +188,12 @@ def dv_minimality_test(y, dictionary, prior, beta, trials, rng):
         violation = base - gibbs_objective(cand, y, dictionary, prior, beta)
         if violation > worst:
             worst = violation
-    return DvMinimalityReport(verdict=worst <= DV_TOLERANCE, worst_violation=worst, trials=trials)
+    return DvMinimalityReport(
+        n=dictionary.n,
+        m=dictionary.m,
+        beta=beta,
+        trials=trials,
+        worst_violation=worst,
+        threshold=DV_TOLERANCE,
+        verdict=worst <= DV_TOLERANCE,
+    )

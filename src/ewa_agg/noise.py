@@ -292,6 +292,8 @@ class BoundedBinaryMixture(_DiscreteNoise):
                     raise ValueError("mixing atoms must satisfy 0 <= a <= a_max and 0 <= b <= b_max")
                 if a + b <= 0.0:
                     raise ValueError("mixing atoms must satisfy a + b > 0")
+                if not math.isfinite(p):
+                    raise ValueError("mixing probabilities must be finite")
                 if p < 0.0:
                     raise ValueError("mixing probabilities must be nonnegative")
                 self._a[i, j], self._b[i, j], self._p[i, j] = a, b, p

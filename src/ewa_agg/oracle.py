@@ -9,6 +9,10 @@ the Gibbs bound, either directly ("clean", valid from the family's
 temperature threshold up) or with the posterior-variance penalty added
 ("variance_penalty", valid whenever beta > 2 b(0) d0).
 
+`mc_risk` returns a `RiskReport`, and `OracleBoundReport` holds both bounds
+for `ewa-agg oracle-bound`; each report's fields are its JSON keys
+(`coupling.Report`), and its CSV_HEADER picks the CSV columns.
+
 Replicate r draws its noise from a generator seeded by (seed, r) and runs
 the distance, softmax and moments behind `posterior_weights`; results are
 bit-identical however many workers run (EWA_AGG_THREADS, default 1).
@@ -23,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bernstein import beta_threshold, variance_penalty_coefficient
+from .coupling import Report
 from .ewa import _atom_sq_distances, _ewa_inputs, _log_posterior, _posterior_moments
 from .model import (
     Dictionary,
@@ -37,23 +42,6 @@ from .noise import FAMILIES
 
 CONFIDENCE_MULTIPLIER = 3.0
 THREADS_ENV_VAR = "EWA_AGG_THREADS"
-
-RISK_CSV_HEADER = [
-    "family",
-    "n",
-    "m",
-    "beta",
-    "threshold",
-    "mode",
-    "risk",
-    "stderr",
-    "bound",
-    "penalty",
-    "slack",
-    "verdict",
-    "R",
-    "seed",
-]
 
 
 def derived_stream(seed, *key):
@@ -94,51 +82,44 @@ def oracle_bound_gibbs(dictionary, truth, prior, beta):
 
 
 @dataclass(frozen=True)
-class RiskReport:
+class OracleBoundReport(Report):
+    """The two bounds for one configuration; the verdict is Gibbs <= finite."""
+
+    CSV_HEADER = ("n", "m", "beta", "bound_finite", "bound_gibbs", "verdict")
+
+    n: int
+    m: int
+    beta: float
+    bound_finite: float
+    bound_gibbs: float
+    verdict: bool
+
+
+@dataclass(frozen=True)
+class RiskReport(Report):
+    CSV_HEADER = (
+        "family", "n", "m", "beta", "threshold", "mode", "risk", "stderr", "bound", "penalty",
+        "slack", "verdict", "R", "seed",
+    )
+
     family: str
     n: int
     m: int
     beta: float
     threshold: float
     mode: str
-    risk_estimate: float
-    risk_stderr: float
+    risk: float
+    stderr: float
     mean_posterior_variance: float
     posterior_variance_stderr: float
-    oracle_bound: float
+    bound: float
     penalty_coefficient: float
-    penalty_term: float
+    penalty: float
     combined_stderr: float
     slack: float
     verdict: bool
-    replicates: int
+    R: int
     seed: int
-
-    def to_json(self):
-        return {
-            "family": self.family,
-            "n": self.n,
-            "m": self.m,
-            "beta": self.beta,
-            "threshold": self.threshold,
-            "mode": self.mode,
-            "risk": self.risk_estimate,
-            "stderr": self.risk_stderr,
-            "mean_posterior_variance": self.mean_posterior_variance,
-            "posterior_variance_stderr": self.posterior_variance_stderr,
-            "bound": self.oracle_bound,
-            "penalty_coefficient": self.penalty_coefficient,
-            "penalty": self.penalty_term,
-            "combined_stderr": self.combined_stderr,
-            "slack": self.slack,
-            "verdict": "pass" if self.verdict else "fail",
-            "R": self.replicates,
-            "seed": self.seed,
-        }
-
-    def csv_row(self):
-        doc = self.to_json()
-        return [doc[key] for key in RISK_CSV_HEADER]
 
 
 def worker_count():
@@ -230,8 +211,8 @@ def mc_risk(config, mode="clean"):
         combined, combined_se = _mean_and_stderr(risks - coeff * pvars)
     else:
         combined, combined_se = risk, risk_se
-    penalty_term = coeff * pvar
-    slack = bound + penalty_term - risk
+    penalty = coeff * pvar
+    slack = bound + penalty - risk
     verdict = combined <= bound + CONFIDENCE_MULTIPLIER * combined_se
     return RiskReport(
         family=config.noise.family,
@@ -240,17 +221,17 @@ def mc_risk(config, mode="clean"):
         beta=beta,
         threshold=threshold,
         mode=mode,
-        risk_estimate=risk,
-        risk_stderr=risk_se,
+        risk=risk,
+        stderr=risk_se,
         mean_posterior_variance=pvar,
         posterior_variance_stderr=pvar_se,
-        oracle_bound=bound,
+        bound=bound,
         penalty_coefficient=coeff,
-        penalty_term=penalty_term,
+        penalty=penalty,
         combined_stderr=combined_se,
         slack=slack,
         verdict=bool(verdict),
-        replicates=config.replicates,
+        R=config.replicates,
         seed=config.seed,
     )
 

@@ -188,20 +188,20 @@ def test_oracle_inequality_certification():
                 "centered_binomial", "laplace"]
     with _criterion(5, "oracle inequality certification", budget=120.0):
         for family in families:
-            clean, penalty = certify_corollary(family)
+            clean, penalized = certify_corollary(family)
             assert clean.mode == "clean"
             assert clean.beta == clean.threshold
-            assert clean.risk_estimate <= clean.oracle_bound + 3.0 * clean.risk_stderr, (
-                family, clean.risk_estimate, clean.oracle_bound, clean.risk_stderr)
+            assert clean.risk <= clean.bound + 3.0 * clean.stderr, (
+                family, clean.risk, clean.bound, clean.stderr)
             assert clean.verdict
 
-            assert penalty.mode == "variance_penalty"
-            assert penalty.beta == 0.5 * penalty.threshold
-            assert penalty.penalty_coefficient > 0.0
-            lhs = penalty.risk_estimate - penalty.penalty_term
-            assert lhs <= penalty.oracle_bound + 3.0 * penalty.combined_stderr, (
-                family, lhs, penalty.oracle_bound, penalty.combined_stderr)
-            assert penalty.verdict
+            assert penalized.mode == "variance_penalty"
+            assert penalized.beta == 0.5 * penalized.threshold
+            assert penalized.penalty_coefficient > 0.0
+            lhs = penalized.risk - penalized.penalty
+            assert lhs <= penalized.bound + 3.0 * penalized.combined_stderr, (
+                family, lhs, penalized.bound, penalized.combined_stderr)
+            assert penalized.verdict
 
 
 def test_posterior_minimizes_gibbs_objective():

@@ -273,7 +273,12 @@ def test_check_noise_mgf_all_families(model, alpha):
     assert report.alpha == alpha
     assert report.points == 64
     doc = report.to_json()
+    # the JSON keys are the output contract
+    assert tuple(doc) == ("family", "alpha", "method", "max_ratio", "worst_t", "verdict", "points")
     assert doc["verdict"] == "pass"
+    # the check-table row: max_ratio is the statistic and 1 its threshold
+    row = [model.family, alpha, doc["method"], report.max_ratio, 1.0, "pass"]
+    assert report.csv_row() == row
 
 
 def test_binomial_exact_mgf_check_is_pinned():

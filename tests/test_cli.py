@@ -14,7 +14,9 @@ import ewa_agg
 from ewa_agg import cli
 from ewa_agg.model import Dictionary, ExperimentConfig, WeightVector
 from ewa_agg.noise import CenteredBernoulli, Gaussian, Laplace
-from ewa_agg.oracle import RISK_CSV_HEADER
+from ewa_agg.oracle import OracleBoundReport, RiskReport
+
+RISK_CSV_HEADER = list(RiskReport.CSV_HEADER)
 
 
 def _write_config(path, noise=None, **overrides):
@@ -152,6 +154,12 @@ def test_dv_check(tmp_path, capsys):
     assert rows[0] == ["n", "m", "beta", "trials", "worst_violation", "threshold", "verdict", "seed"]
     assert rows[1][3] == "30"
     assert rows[1][6] == "pass"
+    (report,) = cli._cmd_dv_check(*cli._parse_config(cfg, None))
+    doc = report.to_json()
+    # the JSON keys are the output contract
+    assert tuple(doc) == ("n", "m", "beta", "trials", "worst_violation", "threshold", "verdict")
+    assert report.csv_row() == [doc[key] for key in report.CSV_HEADER]
+    assert rows[1] == [cli._fmt(cell) for cell in report.csv_row()] + ["99"]
 
 
 def test_oracle_bound(tmp_path, capsys):
@@ -164,6 +172,12 @@ def test_oracle_bound(tmp_path, capsys):
     gibbs = float(rows[1][4])
     assert gibbs <= finite
     assert rows[1][5] == "pass"
+    (report,) = cli._cmd_oracle_bound(*cli._parse_config(cfg, None))
+    doc = report.to_json()
+    # the JSON keys are the output contract
+    assert tuple(doc) == ("n", "m", "beta", "bound_finite", "bound_gibbs", "verdict")
+    assert report.csv_row() == [doc[key] for key in report.CSV_HEADER]
+    assert rows[1] == [cli._fmt(cell) for cell in report.csv_row()] + ["99"]
 
 
 def test_oracle_bound_passes_where_the_bounds_meet(tmp_path, capsys):
@@ -263,13 +277,22 @@ class TestInputErrors:
         cfg.write_text(json.dumps(doc))
         self._expect_error(capsys, ["simulate", cfg], "noise.family must be one of")
 
+    def test_nan_mixing_probability(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        doc = _write_config(cfg)
+        mixing = [[[[0.5, 0.5], float("nan")], [[0.2, 0.3], 1.0]]] + [[[[0.5, 0.5], 1.0]]] * 5
+        params = {"a_max": 0.5, "b_max": 0.5, "mixing": mixing}
+        doc["noise"] = {"family": "bounded_binary_mixture", "params": params}
+        cfg.write_text(json.dumps(doc))  # json writes and reads the token NaN
+        for command in ("simulate", "verify-bernstein", "verify-coupling"):
+            self._expect_error(capsys, [command, cfg], "mixing probabilities must be finite")
+
 
 def test_failed_verdict_exits_one(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     _write_config(cfg)
-    monkeypatch.setitem(
-        cli._COMMANDS, "simulate", lambda config, extras: (["x"], [[0.0]], False)
-    )
+    failing = OracleBoundReport(n=1, m=1, beta=1.0, bound_finite=0.0, bound_gibbs=1.0, verdict=False)
+    monkeypatch.setitem(cli._COMMANDS, "simulate", lambda config, extras: [failing])
     assert _run(["simulate", cfg]) == 1
 
 

@@ -13,6 +13,7 @@ from ewa_agg.coupling import (
     CF_BLOCK,
     CF_POINTS,
     CouplingDraw,
+    CouplingReport,
     branch_law,
     bernoulli_coupling_branches,
     binary_coupling_branches,
@@ -337,9 +338,15 @@ class TestVerifyCouplingStatistical:
     def test_report_serialization(self):
         report = verify_coupling(CenteredBernoulli([0.3]), 0.5)
         doc = report.to_json()
+        # the JSON keys are the output contract
+        assert tuple(doc) == (
+            "family", "alpha", "method", "statistic", "threshold", "mean_zero",
+            "mean_zero_threshold", "verdict", "sample_size", "exact",
+        )
         assert doc["verdict"] == "pass"
         assert doc["family"] == "centered_bernoulli"
         row = report.csv_row()
+        assert row == [doc[key] for key in CouplingReport.CSV_HEADER]
         assert row[0] == "centered_bernoulli"
         assert row[-1] == "pass"
         assert len(row) == 6

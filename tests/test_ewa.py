@@ -254,9 +254,13 @@ def test_dv_minimality_on_random_instances():
 def test_dv_minimality_respects_prior_support():
     # zero-prior atoms must stay out of the perturbations, else the
     # objective would be infinite and the test vacuous
-    rng = np.random.default_rng(RNG_SEED + 6)
     d = Dictionary([[0.0], [1.0], [5.0]])
-    prior = WeightVector([0.5, 0.5, 0.0])
-    report = dv_minimality_test(np.array([0.2]), d, prior, 1.0, 40, rng)
+    prior = [0.5, 0.5, 0.0]
+    report = dv_minimality_test(
+        np.array([0.2]), d, WeightVector(prior), 1.0, 40, np.random.default_rng(RNG_SEED + 6)
+    )
     assert report.verdict
     assert math.isfinite(report.worst_violation)
+    # a plain-array prior is coerced once, as posterior_weights coerces it
+    plain = dv_minimality_test(np.array([0.2]), d, prior, 1.0, 40, np.random.default_rng(RNG_SEED + 6))
+    assert plain == report

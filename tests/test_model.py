@@ -159,6 +159,8 @@ def test_as_weight_array_accepts_wrappers():
         _as_weight_array([0.2, 0.2])
     with pytest.raises(ValueError):
         _as_weight_array(w, m=5)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        _as_weight_array([math.nan, 1.0])
 
 
 def _small_config(**overrides):

@@ -268,6 +268,8 @@ class TestBoundedBinaryMixture:
             BoundedBinaryMixture(0.5, 0.5, [[((0.0, 0.0), 1.0)]])  # a + b = 0
         with pytest.raises(ValueError):
             BoundedBinaryMixture(0.5, 0.5, [[((0.1, 0.1), 0.5)]])  # mass 0.5
+        with pytest.raises(ValueError, match="finite"):  # NaN passes both p < 0 and the sum check
+            BoundedBinaryMixture(0.5, 0.5, [[((0.5, 0.5), math.nan), ((0.2, 0.3), 1.0)]])
 
 
 class TestCenteredBinomial:

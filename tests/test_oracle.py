@@ -21,7 +21,7 @@ from ewa_agg.model import (
 )
 from ewa_agg.noise import FAMILIES, Gaussian
 from ewa_agg.oracle import (
-    RISK_CSV_HEADER,
+    RiskReport,
     _run_replicates,
     certify_config,
     certify_corollary,
@@ -238,23 +238,26 @@ class TestMcRisk:
         report = mc_risk(_toy_config())
         assert report.mode == "clean"
         assert report.penalty_coefficient == 0.0
-        assert report.penalty_term == 0.0
+        assert report.penalty == 0.0
         assert report.verdict
-        assert report.risk_estimate <= report.oracle_bound + 3.0 * report.risk_stderr
-        assert report.slack == pytest.approx(
-            report.oracle_bound - report.risk_estimate, rel=1e-15
-        )
-        row = report.csv_row()
-        assert len(row) == len(RISK_CSV_HEADER)
-        assert row[RISK_CSV_HEADER.index("verdict")] == "pass"
+        assert report.risk <= report.bound + 3.0 * report.stderr
+        assert report.slack == pytest.approx(report.bound - report.risk, rel=1e-15)
         doc = report.to_json()
+        # the JSON keys are the output contract
+        assert tuple(doc) == (
+            "family", "n", "m", "beta", "threshold", "mode", "risk", "stderr",
+            "mean_posterior_variance", "posterior_variance_stderr", "bound",
+            "penalty_coefficient", "penalty", "combined_stderr", "slack", "verdict", "R", "seed",
+        )
+        assert report.csv_row() == [doc[key] for key in RiskReport.CSV_HEADER]
         assert doc["mode"] == "clean"
+        assert doc["verdict"] == "pass"
         assert doc["R"] == 200
 
     def test_runs_are_reproducible(self):
         a = mc_risk(_toy_config())
         b = mc_risk(_toy_config())
-        assert a.risk_estimate == b.risk_estimate
+        assert a.risk == b.risk
         assert a.mean_posterior_variance == b.mean_posterior_variance
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
@@ -262,8 +265,8 @@ class TestMcRisk:
         serial = mc_risk(_toy_config())
         monkeypatch.setenv("EWA_AGG_THREADS", "3")
         threaded = mc_risk(_toy_config())
-        assert serial.risk_estimate == threaded.risk_estimate
-        assert serial.risk_stderr == threaded.risk_stderr
+        assert serial.risk == threaded.risk
+        assert serial.stderr == threaded.stderr
         assert serial.mean_posterior_variance == threaded.mean_posterior_variance
 
     def test_variance_penalty_mode(self):
@@ -272,7 +275,7 @@ class TestMcRisk:
         report = mc_risk(half, mode="variance_penalty")
         assert report.mode == "variance_penalty"
         assert report.penalty_coefficient > 0.0
-        assert report.penalty_term == pytest.approx(
+        assert report.penalty == pytest.approx(
             report.penalty_coefficient * report.mean_posterior_variance
         )
         assert report.combined_stderr > 0.0
@@ -297,7 +300,7 @@ class TestMcRisk:
         sampled = mc_risk(_toy_config(replicates=300, prior_samples=4096))
         assert sampled.verdict
         # self-normalized sampling should sit near the exact-prior risk
-        assert sampled.risk_estimate == pytest.approx(exact.risk_estimate, rel=0.25)
+        assert sampled.risk == pytest.approx(exact.risk, rel=0.25)
 
 
 def _public_replicate(config, r):
