@@ -45,9 +45,6 @@ from .coupling import (
     bernoulli_coupling_branches,
     binary_coupling_branches,
     conditional_zeta_laws,
-    couple_bernoulli,
-    couple_binary,
-    couple_binomial,
     couple_gaussian,
     couple_laplace,
     exact_coupled_sum_law,

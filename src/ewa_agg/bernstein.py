@@ -21,8 +21,9 @@ quantities drive the oracle-inequality harness: the temperature threshold
 2 v'(0) / (beta - 2 b(0) d0) - 1.
 
 Each row of the table lives on its family's class in `noise` (its
-`profile` method). This module holds the profile type, the thresholds and
-the MGF checks, and knows no family.
+`profile` method), as a `BernsteinProfile` of v, b, v'(0) and c, each
+stated once: b(0) is b evaluated at 0. This module holds the profile
+type, the thresholds and the MGF checks, and knows no family.
 """
 
 import math
@@ -42,11 +43,9 @@ DOMAIN_COVERAGE = 0.95
 
 @dataclass(frozen=True)
 class BernsteinProfile:
-    family: str
     v: Callable[[float], float]
     b: Callable[[float], float]
     v_prime_0: float
-    b_0: float
     mgf_normalization: float  # the c in the denominator
 
 
@@ -61,7 +60,7 @@ def beta_threshold(profile, d0):
     """Smallest temperature at which the clean oracle inequality is
     certified: 2 v'(0) + 2 b(0) d0."""
     d0 = _check_diameter(d0)
-    return 2.0 * profile.v_prime_0 + 2.0 * profile.b_0 * d0
+    return 2.0 * profile.v_prime_0 + 2.0 * profile.b(0.0) * d0
 
 
 def variance_penalty_coefficient(beta, profile, d0):
@@ -71,13 +70,14 @@ def variance_penalty_coefficient(beta, profile, d0):
     """
     d0 = _check_diameter(d0)
     beta = float(beta)
-    if not beta > 2.0 * profile.b_0 * d0:
+    edge = 2.0 * profile.b(0.0) * d0
+    if not beta > edge:
         raise ValueError("beta must exceed 2 * b(0) * d0 for the penalty form")
-    return 2.0 * profile.v_prime_0 / (beta - 2.0 * profile.b_0 * d0) - 1.0
+    return 2.0 * profile.v_prime_0 / (beta - edge) - 1.0
 
 
-def default_t_grid(v, b, points=DEFAULT_T_POINTS):
-    """Symmetric t-grid inside the profile's admissible domain.
+def default_t_grid(v, b):
+    """Symmetric DEFAULT_T_POINTS-point t-grid inside the profile's admissible domain.
 
     With b > 0 the domain is (-1/b, 1/b) and the grid covers the fraction
     DOMAIN_COVERAGE of it; with b = 0 the domain is the whole line and the
@@ -85,15 +85,13 @@ def default_t_grid(v, b, points=DEFAULT_T_POINTS):
     """
     v = float(v)
     b = float(b)
-    if points < 2:
-        raise ValueError("points must be at least 2")
     if b > 0.0:
         t_max = DOMAIN_COVERAGE / b
     else:
         if v <= 0.0:
             raise ValueError("v must be positive when b = 0")
         t_max = 2.0 / math.sqrt(v)
-    return np.linspace(-t_max, t_max, points)
+    return np.linspace(-t_max, t_max, DEFAULT_T_POINTS)
 
 
 def mgf_bound(t, v, b, c):
@@ -169,21 +167,22 @@ def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
     )
 
 
-def check_noise_mgf(model, alpha, points=DEFAULT_T_POINTS, sample_size=1_000_000, rng=None):
+def check_noise_mgf(model, alpha, sample_size=1_000_000, rng=None):
     """Run the profile bound over every conditional companion law of a
-    noise model: exactly for the discrete families, from samples for the
-    continuous ones. Returns the worst-case report."""
+    noise model: exactly for the discrete families, from samples drawn
+    from `rng` for the continuous ones, which require it so that a verdict
+    reproduces from its seed. Returns the worst-case report."""
     alpha = _check_alpha(alpha)
     profile = model.profile()
     v = profile.v(alpha)
     b = profile.b(alpha)
     c = profile.mgf_normalization
-    t_grid = default_t_grid(v, b, points=points)
+    t_grid = default_t_grid(v, b)
     if model.discrete:
         laws = conditional_zeta_laws(model, alpha)
     else:
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError("sampled MGF checks need a generator: pass rng")
         n = int(sample_size)
         if n < 2:
             raise ValueError("sample_size must be at least 2")

@@ -30,7 +30,7 @@ from .oracle import (
     oracle_bound_gibbs,
 )
 
-_EXTENSION_KEYS = ("alpha_grid", "method", "trials", "t_grid_points", "sample_size", "mode")
+_EXTENSION_KEYS = ("alpha_grid", "method", "trials", "sample_size", "mode")
 _DEFAULT_ALPHA_GRID = (0.1, 0.5, 1.0)
 
 _COUPLING_STREAM = 101
@@ -117,10 +117,9 @@ def _cmd_verify_coupling(config, extras):
 
 def _cmd_verify_bernstein(config, extras):
     grid = _alpha_grid(config, extras, _BERNSTEIN_STREAM)
-    points = _positive_int(extras, "t_grid_points", 64)
     n = _positive_int(extras, "sample_size", 1_000_000)
     return [
-        check_noise_mgf(config.noise, alpha, points=points, sample_size=n, rng=rng)
+        check_noise_mgf(config.noise, alpha, sample_size=n, rng=rng)
         for alpha, rng in grid
     ]
 

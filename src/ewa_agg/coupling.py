@@ -28,14 +28,15 @@ Laplace((1+alpha)*mu) draw otherwise.
 
 alpha = 0 is the degenerate no-op: every branch collapses to zeta = 0.
 
-This module knows no noise family. It holds the branch formulas, the
-samplers and the checks; each family in `noise` binds them. A discrete
-family enumerates one coordinate's conditioning records, (record
+This module knows no noise family. It holds the branch formulas, the two
+continuous companions and the checks; each family in `noise` binds them. A
+discrete family enumerates one coordinate's conditioning records, (record
 probability, xi value, (stay value, stay prob, jump value, jump prob)),
 and `exact_coupled_sum_law`, `max_conditional_mean_error` and
 `conditional_zeta_laws` are all derived from that one enumeration (through
 the family's `coupled_sum_law`, `conditional_means` and `conditional_laws`,
-whose defaults use the helpers below). Atoms merge and align under
+whose defaults use the helpers below), and `two_branch_draw` draws its
+companion from the same branch formulas. Atoms merge and align under
 `laws.MERGE_ATOL`, the one atom tolerance. A continuous family draws its
 companion independently of xi, and the statistical checks sample it.
 
@@ -96,15 +97,6 @@ def bernoulli_coupling_branches(xi_value, alpha):
     return stay_value, stay_prob, jump_value, jump_prob
 
 
-def _match_binary_side(a, b, eta):
-    """True where eta realizes the positive support point a."""
-    is_a = np.abs(eta - a) <= SUPPORT_ATOL
-    is_b = np.abs(eta + b) <= SUPPORT_ATOL
-    if not np.all(is_a | is_b):
-        raise ValueError("eta_value must lie on the binary support {a, -b}")
-    return is_a
-
-
 def binary_coupling_branches(a, b, eta_value, alpha):
     """Branches for a binary coordinate on {a, -b}; same layout as
     `bernoulli_coupling_branches`."""
@@ -114,7 +106,9 @@ def binary_coupling_branches(a, b, eta_value, alpha):
     if np.any(a < 0.0) or np.any(b < 0.0) or np.any(a + b <= 0.0):
         raise ValueError("binary supports need a >= 0, b >= 0, a + b > 0")
     a, b, eta = np.broadcast_arrays(a, b, eta)
-    is_a = _match_binary_side(a, b, eta)
+    is_a = np.abs(eta - a) <= SUPPORT_ATOL
+    if not np.all(is_a | (np.abs(eta + b) <= SUPPORT_ATOL)):
+        raise ValueError("eta_value must lie on the binary support {a, -b}")
     denom = (1.0 + alpha) * (a + b)
     stay_value = np.where(is_a, alpha * a, -alpha * b)
     stay_prob = np.where(is_a, (1.0 + alpha) * b + a, (1.0 + alpha) * a + b) / denom
@@ -122,68 +116,10 @@ def binary_coupling_branches(a, b, eta_value, alpha):
     return stay_value, stay_prob, jump_value, 1.0 - stay_prob
 
 
-def _two_branch_draw(branches, rng, scalar):
+def two_branch_draw(branches, rng):
     """One companion per entry: the stay value w.p. the stay prob, else the jump value."""
     stay_value, stay_prob, jump_value, _ = branches
-    u = rng.random(np.shape(stay_prob))
-    out = np.where(u < stay_prob, stay_value, jump_value)
-    return float(out) if scalar else out
-
-
-def couple_bernoulli(xi_value, rho, alpha, rng):
-    """Companion draw for centered Bernoulli values in {1 - rho, -rho}."""
-    alpha = _check_alpha(alpha)
-    xi = np.asarray(xi_value, dtype=np.float64)
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    if np.any(rho_arr <= 0.0) or np.any(rho_arr >= 1.0):
-        raise ValueError("rho must lie strictly inside (0, 1)")
-    on_support = (np.abs(xi - (1.0 - rho_arr)) <= SUPPORT_ATOL) | (
-        np.abs(xi + rho_arr) <= SUPPORT_ATOL
-    )
-    if not np.all(on_support):
-        raise ValueError("xi_value must lie on the support {1 - rho, -rho}")
-    return _two_branch_draw(bernoulli_coupling_branches(xi, alpha), rng, np.isscalar(xi_value))
-
-
-def couple_binary(a, b, eta_value, alpha, rng):
-    """Companion draw for binary values on {a, -b}."""
-    alpha = _check_alpha(alpha)
-    branches = binary_coupling_branches(a, b, eta_value, alpha)
-    return _two_branch_draw(branches, rng, np.isscalar(eta_value))
-
-
-def couple_binomial(eta_values, a, alpha, rng):
-    """Companion draw for a scaled binomial coordinate.
-
-    ``eta_values`` holds the k centered Bernoulli terms along the first
-    axis (shape (k,) or (k, draws)); the result drops that axis.
-    """
-    alpha = _check_alpha(alpha)
-    a = float(a)
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError("a must be positive")
-    eta = np.asarray(eta_values, dtype=np.float64)
-    if eta.ndim not in (1, 2) or eta.shape[0] < 1:
-        raise ValueError("eta_values must have shape (k,) or (k, draws)")
-    if np.any(np.abs(eta) >= 1.0) or np.any(eta == 0.0):
-        raise ValueError("eta_values must lie on {1 - rho, -rho} for some rho in (0, 1)")
-    flat = eta.reshape(eta.shape[0], -1)
-    pos_flat = flat > 0.0
-    # per column the positive values share one level, the negatives another,
-    # and the two levels are one unit apart
-    hi = np.where(pos_flat, flat, -np.inf).max(axis=0)
-    lo = np.where(~pos_flat, flat, np.inf).min(axis=0)
-    hi_spread = hi - np.where(pos_flat, flat, np.inf).min(axis=0)
-    lo_spread = np.where(~pos_flat, flat, -np.inf).max(axis=0) - lo
-    both = np.isfinite(hi) & np.isfinite(lo)
-    if (
-        np.any(hi_spread[np.isfinite(hi_spread)] > SUPPORT_ATOL)
-        or np.any(lo_spread[np.isfinite(lo_spread)] > SUPPORT_ATOL)
-        or np.any(np.abs((hi - lo)[both] - 1.0) > SUPPORT_ATOL)
-    ):
-        raise ValueError("eta_values must share a single {1 - rho, -rho} support per draw")
-    out = a * _two_branch_draw(bernoulli_coupling_branches(eta, alpha), rng, False).sum(axis=0)
-    return float(out) if eta.ndim == 1 else out
+    return np.where(rng.random(np.shape(stay_prob)) < stay_prob, stay_value, jump_value)
 
 
 def couple_gaussian(sigma, alpha, rng):
@@ -277,9 +213,10 @@ def conditional_zeta_laws(model, alpha):
     return [law for i in range(model.dim) for law in model.conditional_laws(i, alpha)]
 
 
-def ks_two_sample_threshold(n1, n2):
-    """Asymptotic two-sample Kolmogorov-Smirnov acceptance threshold at KS_SIGNIFICANCE."""
-    c = math.sqrt(-0.5 * math.log(KS_SIGNIFICANCE / 2.0))
+def ks_two_sample_threshold(n1, n2, tests=1):
+    """Asymptotic two-sample Kolmogorov-Smirnov threshold for the largest of `tests`
+    statistics: each is tested at KS_SIGNIFICANCE / tests (Bonferroni)."""
+    c = math.sqrt(-0.5 * math.log(KS_SIGNIFICANCE / tests / 2.0))
     return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
@@ -356,13 +293,15 @@ def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=Non
 
     method "exact" enumerates the branch tree (discrete families);
     "ks" compares xi + zeta with (1+alpha)*xi by a two-sample
-    Kolmogorov-Smirnov statistic, computed locally and tested at the
-    asymptotic threshold of `ks_two_sample_threshold`; "cf_grid" compares
+    Kolmogorov-Smirnov statistic per coordinate, computed locally, and
+    tests the largest at the asymptotic threshold of
+    `ks_two_sample_threshold` over model.dim tests; "cf_grid" compares
     empirical characteristic functions on the CF_POINTS-point grid over
     |t| <= 5 / scale, against 5 / sqrt(n). The gap is even in t, so the
     half grid t >= 0 is evaluated, node to node by the phase recurrence
     exp(i (t + dt) x) = exp(i t x) exp(i dt x). The statistical methods
-    apply to the continuous families.
+    apply to the continuous families and draw from `rng`, which they
+    require, so that a verdict reproduces from its seed.
     """
     alpha = _check_alpha(alpha)
     if method == "exact":
@@ -386,13 +325,13 @@ def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=Non
         if n < 2:
             raise ValueError("sample_size must be at least 2")
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError(f"method '{method}' needs a generator: pass rng")
         stat = 0.0
         mean_stat = 0.0
         mean_threshold = math.inf
         ok = True
         if method == "ks":
-            threshold = ks_two_sample_threshold(n, n)
+            threshold = ks_two_sample_threshold(n, n, tests=model.dim)
         else:
             threshold = 5.0 / math.sqrt(n)
         for i in range(model.dim):

@@ -12,7 +12,8 @@ minimizer of the Gibbs objective
     sum_j w_j ||y - theta_j||^2 + beta * KL(w || pi0)
 
 over probability vectors w, which `dv_minimality_test` probes empirically.
-beta = +inf is the degenerate no-data limit: the posterior is the prior.
+beta = +inf is the degenerate no-data limit: the posterior is the prior; where
+every supported d_j / beta overflows, it is the beta -> 0 limit (`_posterior`).
 """
 
 import math
@@ -56,10 +57,20 @@ def _atom_sq_distances(y, atoms):
     return out
 
 
-def _log_posterior(log_prior, sq_distances, beta):
-    """log pi0(j) - d_j / beta; a quotient that overflows (tiny beta) gives -inf."""
+def _posterior(log_prior, sq_distances, beta):
+    """(weights, log-weights): the softmax of log pi0(j) - d_j / beta, an overflowing quotient
+    giving -inf. If that leaves no mass (subnormal beta), the distances shift by their minimum
+    over the supported atoms: the beta -> 0 limit, the prior restricted to the nearest ones."""
     with np.errstate(over="ignore"):
-        return log_prior - sq_distances / beta
+        log_weights = log_prior - sq_distances / beta
+    try:
+        return softmax(log_weights)
+    except ValueError:  # log_weights is never NaN or +inf, so: no mass
+        nearest = np.min(sq_distances, where=np.asarray(log_prior) > -np.inf, initial=np.inf)
+        if nearest == np.inf:  # every supported distance overflowed: no limit either
+            raise
+        with np.errstate(over="ignore"):
+            return softmax(log_prior - np.maximum(sq_distances - nearest, 0.0) / beta)
 
 
 def _posterior_moments(w, atoms, sq_norms):
@@ -88,7 +99,7 @@ def posterior_weights(y, dictionary, prior, beta):
     prior, d, beta = _ewa_inputs(y, dictionary, prior, beta)
     if math.isinf(beta):
         return prior
-    return WeightVector.from_log_weights(_log_posterior(prior.log_weights, d, beta))
+    return WeightVector(*_posterior(prior.log_weights, d, beta))
 
 
 def aggregate(dictionary, w):
@@ -157,7 +168,7 @@ def sampled_prior_ewa(y, prior_sampler, beta, s, rng):
     y = as_signal(y, draws.shape[1])
     if math.isinf(beta):
         return draws.mean(axis=0)
-    return softmax(_log_posterior(0.0, _atom_sq_distances(y, draws), beta))[0] @ draws
+    return _posterior(0.0, _atom_sq_distances(y, draws), beta)[0] @ draws
 
 
 def dv_minimality_test(y, dictionary, prior, beta, trials, rng):

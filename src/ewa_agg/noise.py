@@ -19,10 +19,12 @@ exact finite law; continuous ones return the ``CONTINUOUS`` marker.
 Sampling consumes only the caller's generator, so draws are reproducible
 from a seed.
 
-Everything that depends on the family lives on its class: sampling and
-latents, the exact law, the coupling (a discrete family's conditioning
-records, a continuous family's independent companion), the Bernstein
-profile row, the JSON parameters and the natural scenario. ``FAMILIES``
+Everything that depends on the family lives on its class, each formula
+once: sampling and latents, the exact law, the coupling (a discrete
+family's conditioning records, whose branch formulas also draw its
+companion; a continuous family's static `draw` and `couple`, from which
+its sampling and its coupling draws derive), the Bernstein profile row,
+the JSON parameters and the natural scenario. ``FAMILIES``
 maps each family tag to its class and is the one list of families. The
 modules below this one know no family: `laws` holds the finite-law
 primitives (re-exported here), `coupling` the branch formulas and the
@@ -39,12 +41,10 @@ from .coupling import (
     bernoulli_coupling_branches,
     branch_law,
     branch_mean,
-    couple_bernoulli,
-    couple_binary,
-    couple_binomial,
     couple_gaussian,
     couple_laplace,
     records_sum_law,
+    two_branch_draw,
 )
 from .laws import (
     LAW_ATOL,
@@ -129,7 +129,8 @@ class _DiscreteNoise(NoiseModel):
     """A family with a finite law per coordinate. `coupling_records(i, alpha)`
     enumerates coordinate i's conditioning records as (record probability,
     xi value, (stay value, stay prob, jump value, jump prob)); the exact
-    coupling checks are derived from them."""
+    coupling checks are derived from them, and `companion` draws from the
+    same branch formula (`coupling.two_branch_draw`)."""
 
     discrete = True
 
@@ -150,13 +151,20 @@ class _DiscreteNoise(NoiseModel):
 
 
 class _ContinuousNoise(NoiseModel):
-    """A family with one continuous scale parameter per coordinate. Its
-    companion is drawn independently of xi by `couple(scale, alpha, rng)`,
-    so the coupling is checked from `coordinate_draws` samples."""
+    """A family with one continuous scale parameter per coordinate, defined by two
+    static formulas: `draw(scale, rng)`, one value per entry of a scale array, and
+    `couple(scale, alpha, rng)`, its companion, independent of xi."""
 
     @property
     def dim(self):
         return int(self.scale.size)
+
+    def sample(self, rng):
+        return self.draw(self.scale, rng)
+
+    def coordinate_draws(self, i, n, rng):
+        """n independent draws of coordinate i."""
+        return self.draw(np.full(n, float(self.scale[i])), rng)
 
     def companion(self, record, alpha, rng):
         return self.couple(self.scale, alpha, rng)
@@ -204,15 +212,13 @@ class CenteredBernoulli(_DiscreteNoise):
         return _bernoulli_records(float(self.rho[i]), alpha)
 
     def companion(self, record, alpha, rng):
-        return couple_bernoulli(record["xi"], self.rho, alpha, rng)
+        return two_branch_draw(bernoulli_coupling_branches(record["xi"], alpha), rng)
 
     def profile(self):
         return BernsteinProfile(
-            family=self.family,
             v=lambda alpha: alpha * (1.0 + alpha),
             b=lambda alpha: (1.0 + alpha) / 3.0,
             v_prime_0=1.0,
-            b_0=1.0 / 3.0,
             mgf_normalization=2.0,
         )
 
@@ -230,6 +236,10 @@ class Gaussian(_ContinuousNoise):
     json_keys = ("sigma",)
     couple = staticmethod(couple_gaussian)
 
+    @staticmethod
+    def draw(sigma, rng):
+        return rng.normal(0.0, sigma)
+
     def __init__(self, sigma):
         self.sigma = _coordinate_array(sigma, "sigma", low=0.0)
 
@@ -237,20 +247,12 @@ class Gaussian(_ContinuousNoise):
     def scale(self):
         return self.sigma
 
-    def sample(self, rng):
-        return rng.normal(0.0, self.sigma)
-
-    def coordinate_draws(self, i, n, rng):
-        return rng.normal(0.0, float(self.sigma[i]), n)
-
     def profile(self):
         s2 = float(np.max(self.sigma) ** 2)
         return BernsteinProfile(
-            family=self.family,
             v=lambda alpha: (2.0 * alpha + alpha * alpha) * s2,
             b=lambda alpha: 0.0,
             v_prime_0=2.0 * s2,
-            b_0=0.0,
             mgf_normalization=2.0,
         )
 
@@ -345,16 +347,15 @@ class BoundedBinaryMixture(_DiscreteNoise):
         return records
 
     def companion(self, record, alpha, rng):
-        return couple_binary(record["a"], record["b"], record["eta"], alpha, rng)
+        branches = binary_coupling_branches(record["a"], record["b"], record["eta"], alpha)
+        return two_branch_draw(branches, rng)
 
     def profile(self):
         span = self.a_max + self.b_max
         return BernsteinProfile(
-            family=self.family,
             v=lambda alpha: span * span * alpha * (1.0 + alpha),
             b=lambda alpha: span * (1.0 + alpha) / 3.0,
             v_prime_0=span * span,
-            b_0=span / 3.0,
             mgf_normalization=2.0,
         )
 
@@ -430,16 +431,15 @@ class CenteredBinomial(_DiscreteNoise):
         return [hi[c].convolve(lo[self.k - c]).scale(self.a) for c in range(self.k + 1)]
 
     def companion(self, record, alpha, rng):
-        return couple_binomial(record["eta"], self.a, alpha, rng)
+        branches = bernoulli_coupling_branches(record["eta"], alpha)
+        return self.a * two_branch_draw(branches, rng).sum(axis=0)
 
     def profile(self):
         a, k = self.a, self.k
         return BernsteinProfile(
-            family=self.family,
             v=lambda alpha: a * a * k * alpha * (1.0 + alpha),
             b=lambda alpha: a * (1.0 + alpha) / 3.0,
             v_prime_0=a * a * k,
-            b_0=a / 3.0,
             mgf_normalization=2.0,
         )
 
@@ -458,6 +458,10 @@ class Laplace(_ContinuousNoise):
     json_keys = ("mu",)
     couple = staticmethod(couple_laplace)
 
+    @staticmethod
+    def draw(mu, rng):
+        return laplace_inverse_cdf(rng.random(mu.shape), mu)
+
     def __init__(self, mu):
         self.mu = _coordinate_array(mu, "mu", low=0.0)
 
@@ -465,20 +469,12 @@ class Laplace(_ContinuousNoise):
     def scale(self):
         return self.mu
 
-    def sample(self, rng):
-        return laplace_inverse_cdf(rng.random(self.mu.size), self.mu)
-
-    def coordinate_draws(self, i, n, rng):
-        return laplace_inverse_cdf(rng.random(n), float(self.mu[i]))
-
     def profile(self):
         mu = float(np.max(self.mu))
         return BernsteinProfile(
-            family=self.family,
             v=lambda alpha: alpha * (2.0 + alpha) * mu * mu,
             b=lambda alpha: (1.0 + alpha) * mu,
             v_prime_0=2.0 * mu * mu,
-            b_0=mu,
             mgf_normalization=1.0,
         )
 

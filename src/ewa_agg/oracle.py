@@ -28,13 +28,12 @@ import numpy as np
 
 from .bernstein import beta_threshold, variance_penalty_coefficient
 from .coupling import Report
-from .ewa import _atom_sq_distances, _ewa_inputs, _log_posterior, _posterior_moments
+from .ewa import _atom_sq_distances, _ewa_inputs, _posterior, _posterior_moments
 from .model import (
     Dictionary,
     ExperimentConfig,
     WeightVector,
     logsumexp,
-    softmax,
     sup_diameter,
     squared_distance,
 )
@@ -156,7 +155,7 @@ def _run_replicates(config):
             w = prior.weights
             if not math.isinf(beta):
                 d = _atom_sq_distances(y, theta)
-                w = softmax(_log_posterior(prior.log_weights, d, beta))[0]
+                w = _posterior(prior.log_weights, d, beta)[0]
             estimate, pvars[r] = _posterior_moments(w, theta, sq)
             risks[r] = squared_distance(estimate, config.truth)
 

@@ -33,14 +33,14 @@ class TestProfiles:
         p = CenteredBernoulli([0.3]).profile()
         assert p.v(0.5) == pytest.approx(0.75)
         assert p.b(0.5) == pytest.approx(0.5)
-        assert (p.v_prime_0, p.b_0, p.mgf_normalization) == (1.0, 1.0 / 3.0, 2.0)
+        assert (p.v_prime_0, p.b(0.0), p.mgf_normalization) == (1.0, 1.0 / 3.0, 2.0)
 
     def test_gaussian_takes_largest_sigma(self):
         p = Gaussian([1.0, 1.5]).profile()
         assert p.v(1.0) == pytest.approx(3.0 * 2.25)
         assert p.b(1.0) == 0.0
         assert p.v_prime_0 == pytest.approx(4.5)
-        assert p.b_0 == 0.0
+        assert p.b(0.0) == 0.0
 
     def test_mixture_uses_support_span(self):
         p = BoundedBinaryMixture(0.6, 0.6, [MIXING]).profile()
@@ -48,29 +48,27 @@ class TestProfiles:
         assert p.v(1.0) == pytest.approx(span * span * 2.0)
         assert p.b(1.0) == pytest.approx(span * 2.0 / 3.0)
         assert p.v_prime_0 == pytest.approx(span * span)
-        assert p.b_0 == pytest.approx(span / 3.0)
+        assert p.b(0.0) == pytest.approx(span / 3.0)
 
     def test_binomial(self):
         p = CenteredBinomial(0.2, 5, [0.4]).profile()
         assert p.v(0.5) == pytest.approx(0.04 * 5 * 0.75)
         assert p.b(0.5) == pytest.approx(0.2 * 1.5 / 3.0)
         assert p.v_prime_0 == pytest.approx(0.2)
-        assert p.b_0 == pytest.approx(0.2 / 3.0)
+        assert p.b(0.0) == pytest.approx(0.2 / 3.0)
 
     def test_laplace_takes_largest_mu(self):
         p = Laplace([0.5, 2.0]).profile()
         assert p.v(1.0) == pytest.approx(3.0 * 4.0)
         assert p.b(1.0) == pytest.approx(4.0)
-        assert (p.v_prime_0, p.b_0, p.mgf_normalization) == (8.0, 2.0, 1.0)
+        assert (p.v_prime_0, p.b(0.0), p.mgf_normalization) == (8.0, 2.0, 1.0)
 
     def test_v_prime_matches_finite_difference(self):
         eps = 1e-7
         for family in FAMILIES:
             model = make_scenario(family, n=3, m=2, replicates=1).noise
             p = model.profile()
-            assert p.family == family
             assert p.v(eps) / eps == pytest.approx(p.v_prime_0, rel=1e-6)
-            assert p.b(0.0) == pytest.approx(p.b_0, abs=1e-15)
 
 
 class TestThresholds:
@@ -110,7 +108,7 @@ class TestThresholds:
                 assert abs(variance_penalty_coefficient(th, p, d0)) <= 1e-12
                 # below the threshold (but inside the domain) the
                 # coefficient is positive, above the threshold negative
-                below = 2.0 * p.b_0 * d0 + 0.8 * p.v_prime_0
+                below = 2.0 * p.b(0.0) * d0 + 0.8 * p.v_prime_0
                 assert variance_penalty_coefficient(below, p, d0) > 0.0
                 assert variance_penalty_coefficient(2.0 * th, p, d0) < 0.0
 
@@ -122,7 +120,7 @@ class TestThresholds:
 
         def compare(profile, d0, form):
             for s in grid_scale:
-                beta = 2.0 * profile.b_0 * d0 + s  # safely inside the domain
+                beta = 2.0 * profile.b(0.0) * d0 + s  # safely inside the domain
                 lhs = variance_penalty_coefficient(beta, profile, d0) + 1.0
                 assert lhs == pytest.approx(form(beta, d0), rel=1e-12)
 
@@ -148,7 +146,7 @@ class TestThresholds:
 
     def test_penalty_domain_is_strict(self):
         p = Laplace([1.0]).profile()
-        edge = 2.0 * p.b_0 * 1.0
+        edge = 2.0 * p.b(0.0) * 1.0
         with pytest.raises(ValueError, match="beta must exceed"):
             variance_penalty_coefficient(edge, p, 1.0)
         with pytest.raises(ValueError, match="beta must exceed"):
@@ -279,6 +277,13 @@ def test_check_noise_mgf_all_families(model, alpha):
     # the check-table row: max_ratio is the statistic and 1 its threshold
     row = [model.family, alpha, doc["method"], report.max_ratio, 1.0, "pass"]
     assert report.csv_row() == row
+
+
+def test_sampled_mgf_check_needs_a_generator():
+    # an unseeded verdict would not reproduce; the exact checks draw nothing
+    with pytest.raises(ValueError, match="generator"):
+        check_noise_mgf(Gaussian([1.0]), 0.5, sample_size=100)
+    assert check_noise_mgf(CenteredBernoulli([0.3]), 0.5).verdict
 
 
 def test_binomial_exact_mgf_check_is_pinned():

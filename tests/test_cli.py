@@ -14,7 +14,7 @@ import ewa_agg
 from ewa_agg import cli
 from ewa_agg.model import Dictionary, ExperimentConfig, WeightVector
 from ewa_agg.noise import CenteredBernoulli, Gaussian, Laplace
-from ewa_agg.oracle import OracleBoundReport, RiskReport
+from ewa_agg.oracle import OracleBoundReport, RiskReport, make_scenario
 
 RISK_CSV_HEADER = list(RiskReport.CSV_HEADER)
 
@@ -134,6 +134,30 @@ def test_verify_coupling_method_extension(tmp_path, capsys):
     assert _run(["verify-coupling", cfg]) == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert rows[1][2] == "cf_grid"
+
+
+def test_verify_coupling_ks_tests_every_coordinate_at_its_share(tmp_path, capsys):
+    # a correct d = 50 coupling: its largest KS statistic at alpha = 1, 0.02065,
+    # exceeds the single-test threshold 0.019495 but not the per-coordinate 0.02399
+    cfg = tmp_path / "cfg.json"
+    doc = make_scenario("laplace", replicates=200, seed=3).to_json()
+    cfg.write_text(json.dumps({**doc, "sample_size": 20_000}))
+    assert _run(["verify-coupling", cfg, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["method"] for row in rows] == ["ks"] * 3
+    assert all(row["threshold"] == pytest.approx(0.02399, abs=1e-5) for row in rows)
+
+
+def test_simulate_at_subnormal_beta(tmp_path, capsys):
+    # every d_j / beta overflows: each replicate's posterior is its nearest atom
+    cfg = tmp_path / "cfg.json"
+    doc = make_scenario("gaussian", replicates=20, seed=1).to_json()
+    cfg.write_text(json.dumps({**doc, "beta": 1e-310}))
+    with pytest.warns(UserWarning, match="below the certified threshold"):
+        assert _run(["simulate", cfg, "--format", "json"]) == 1
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["bound"] == 3.299050434380092
+    assert np.isfinite(row["risk"])
 
 
 def test_verify_bernstein(tmp_path, capsys):
@@ -264,6 +288,11 @@ class TestInputErrors:
         cfg = tmp_path / "cfg.json"
         _write_config(cfg, alpha_grid=[])
         self._expect_error(capsys, ["verify-coupling", cfg], "alpha_grid")
+
+    def test_t_grid_points_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        _write_config(cfg, t_grid_points=8)
+        self._expect_error(capsys, ["verify-bernstein", cfg], "unknown key: t_grid_points")
 
     def test_bad_trials(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

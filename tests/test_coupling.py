@@ -18,9 +18,6 @@ from ewa_agg.coupling import (
     bernoulli_coupling_branches,
     binary_coupling_branches,
     conditional_zeta_laws,
-    couple_bernoulli,
-    couple_binary,
-    couple_binomial,
     couple_gaussian,
     couple_laplace,
     exact_coupled_sum_law,
@@ -101,7 +98,9 @@ class TestBranchLaws:
         sv, sp, jv, jp = bernoulli_coupling_branches(0.7, 0.0)
         assert (sv, sp, jp) == (0.0, 1.0, 0.0)
         rng = np.random.default_rng(13)
-        assert couple_bernoulli(0.7, 0.3, 0.0, rng) == 0.0
+        for family in FAMILIES:
+            model = make_scenario(family, n=6, m=2, replicates=1).noise
+            assert np.all(sample_coupling(model, 0.0, rng).zeta == 0.0), family
         assert couple_laplace(1.0, 0.0, rng) == 0.0
 
 
@@ -141,45 +140,24 @@ def test_verify_coupling_exact(model):
 
 
 class TestSamplers:
-    def test_couple_bernoulli_scalar_and_vector(self):
-        rng = np.random.default_rng(21)
-        z = couple_bernoulli(0.7, 0.3, 0.5, rng)
-        assert isinstance(z, float)
-        zs = couple_bernoulli(np.array([0.7, -0.3]), np.array([0.3, 0.3]), 0.5, rng)
-        assert zs.shape == (2,)
-
-    def test_couple_bernoulli_rejects_off_support(self):
-        rng = np.random.default_rng(22)
-        with pytest.raises(ValueError, match="support"):
-            couple_bernoulli(0.5, 0.3, 0.5, rng)
-        with pytest.raises(ValueError, match="rho"):
-            couple_bernoulli(1.0, 1.0, 0.5, rng)
-
     def test_couple_bernoulli_branch_frequencies(self):
-        # conditioned on xi = 0.5 (rho = 0.5, alpha = 1) the companion stays
-        # at 0.5 w.p. 3/4 and jumps to -1.5 w.p. 1/4
-        rng = np.random.default_rng(23)
+        # conditioned on xi = +-0.5 (rho = 0.5, alpha = 1) the companion stays
+        # at alpha * xi w.p. 3/4 and jumps to -3 xi w.p. 1/4
         n = 40_000
-        zs = couple_bernoulli(np.full(n, 0.5), np.full(n, 0.5), 1.0, rng)
-        stay = float(np.mean(zs == 0.5))
-        jump = float(np.mean(zs == -1.5))
-        assert stay + jump == 1.0
-        assert stay == pytest.approx(0.75, abs=5.0 * math.sqrt(0.75 * 0.25 / n))
+        draw = sample_coupling(CenteredBernoulli(np.full(n, 0.5)), 1.0, np.random.default_rng(23))
+        for xi in (0.5, -0.5):
+            zs = draw.zeta[draw.xi == xi]
+            stay = float(np.mean(zs == xi))
+            jump = float(np.mean(zs == -3.0 * xi))
+            assert stay + jump == 1.0
+            assert stay == pytest.approx(0.75, abs=5.0 * math.sqrt(0.75 * 0.25 / zs.size))
 
     def test_couple_binomial_shapes(self):
-        rng = np.random.default_rng(24)
-        z = couple_binomial(np.array([0.6, -0.4, 0.6]), 0.5, 0.5, rng)
-        assert isinstance(z, float)
-        eta = np.where(np.random.default_rng(1).random((3, 50)) < 0.4, 0.6, -0.4)
-        zs = couple_binomial(eta, 0.5, 0.5, rng)
-        assert zs.shape == (50,)
-
-    def test_couple_binomial_rejects_mixed_supports(self):
-        rng = np.random.default_rng(25)
-        with pytest.raises(ValueError, match="support"):
-            couple_binomial(np.array([0.6, 0.7]), 0.5, 0.5, rng)  # two distinct rhos
-        with pytest.raises(ValueError, match="shape"):
-            couple_binomial(np.zeros((2, 2, 2)), 0.5, 0.5, rng)
+        # one coordinate of k = 3 terms: the record holds the terms, zeta a times
+        # the sum of their companions
+        draw = sample_coupling(CenteredBinomial(0.5, 3, [0.4]), 0.5, np.random.default_rng(24))
+        assert draw.conditioning_record["eta"].shape == (3, 1)
+        assert draw.zeta.shape == (1,)
 
     def test_couple_gaussian_variance(self):
         rng = np.random.default_rng(26)
@@ -244,6 +222,15 @@ def test_ks_threshold_frozen_value():
         c * math.sqrt(2.0 / 10**6), rel=1e-12
     )
     assert c == pytest.approx(1.9494746035, abs=1e-9)
+
+
+def test_ks_threshold_is_bonferroni_over_the_tests():
+    # the largest of d statistics is compared, so each is tested at 1e-3 / d
+    n = 20_000
+    assert ks_two_sample_threshold(n, n, tests=1) == ks_two_sample_threshold(n, n)
+    c = math.sqrt(-0.5 * math.log(1e-3 / 50 / 2.0))
+    assert ks_two_sample_threshold(n, n, tests=50) == pytest.approx(c * 0.01, rel=1e-12)
+    assert ks_two_sample_threshold(n, n, tests=50) == pytest.approx(0.02399, abs=1e-5)
 
 
 def test_cf_gap_detects_shift():
@@ -326,6 +313,20 @@ class TestVerifyCouplingStatistical:
         )
         assert report.verdict
         assert report.threshold == pytest.approx(5.0 / math.sqrt(100_000))
+
+    def test_ks_threshold_counts_the_coordinates(self):
+        report = verify_coupling(
+            Gaussian([1.0, 2.0, 0.5]), 0.5, method="ks", sample_size=10_000,
+            rng=np.random.default_rng(37),
+        )
+        assert report.threshold == ks_two_sample_threshold(10_000, 10_000, tests=3)
+
+    def test_sampled_methods_need_a_generator(self):
+        # an unseeded verdict would not reproduce; the exact method draws nothing
+        for method in ("ks", "cf_grid"):
+            with pytest.raises(ValueError, match="generator"):
+                verify_coupling(Laplace([1.0]), 0.5, method=method, sample_size=100)
+        assert verify_coupling(CenteredBernoulli([0.3]), 0.5).verdict
 
     def test_method_family_mismatch(self):
         with pytest.raises(ValueError, match="discrete"):

@@ -74,6 +74,25 @@ def test_huge_distances_do_not_overflow():
     assert w[0] == pytest.approx(1.0, abs=1e-9)  # nearer atom takes all mass
 
 
+def test_subnormal_beta_gives_the_nearest_supported_atoms():
+    # every d_j / beta overflows; the posterior is the beta -> 0 limit, the
+    # prior restricted to the nearest atoms of positive prior mass
+    d = Dictionary([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
+    y = np.array([0.2, 0.1])
+    post = posterior_weights(y, d, WeightVector.uniform(3), 1e-310)
+    assert post.weights.tolist() == [1.0, 0.0, 0.0]
+    assert post.log_weights.tolist() == [0.0, -np.inf, -np.inf]
+    post = posterior_weights(y, d, WeightVector([0.0, 0.25, 0.75]), 1e-310)
+    assert post.weights.tolist() == [0.0, 1.0, 0.0]
+    # two atoms at the same distance share the mass as the prior does
+    tied = Dictionary([[1.0, 0.0], [0.0, 1.0], [3.0, 0.0]])
+    post = posterior_weights(np.zeros(2), tied, WeightVector([0.2, 0.6, 0.2]), 1e-310)
+    assert post.weights == pytest.approx([0.25, 0.75, 0.0], abs=1e-15)
+    # every distance overflows to +inf: there is no nearest atom
+    with pytest.raises(ValueError, match="carry some mass"):
+        posterior_weights([0.0], Dictionary([[1e200], [2e200]]), WeightVector.uniform(2), 1.0)
+
+
 def test_infinite_beta_returns_prior():
     d = Dictionary([[0.0], [1.0]])
     prior = WeightVector([0.3, 0.7])
@@ -220,12 +239,13 @@ class TestSampledPriorEwa:
         assert float(big[0]) == pytest.approx(0.6, abs=0.02)
 
     def test_tiny_beta_raises_instead_of_nan(self):
-        # every log-weight underflows; the shared softmax says so
+        # every log-weight underflows; neither NaN nor an error comes out, but the
+        # beta -> 0 limit: the nearest draw
         draws = np.array([[1.0, 0.0], [0.0, 2.0]])
-        with pytest.raises(ValueError, match="carry some mass"):
-            sampled_prior_ewa(
-                np.zeros(2), lambda rng, s: draws, 1e-320, 2, np.random.default_rng(0)
-            )
+        est = sampled_prior_ewa(
+            np.zeros(2), lambda rng, s: draws, 1e-320, 2, np.random.default_rng(0)
+        )
+        assert est.tolist() == [1.0, 0.0]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive integer"):

@@ -328,6 +328,7 @@ def test_replicates_equal_the_public_path(family):
         replace(base, beta=math.inf),
         replace(base, prior=skewed),
         replace(base, prior=skewed, prior_samples=5, beta=math.inf),
+        replace(base, prior=skewed, beta=1e-310),  # every d_j / beta overflows
     ]
     for config in configs:
         risks, pvars = _run_replicates(config)

@@ -1,0 +1,105 @@
+"""Count the size of one checkout's public surface, to compare two checkouts.
+
+Usage: python3 tools/surface.py SRC
+
+SRC is a checkout of this repository. The script imports the package from
+SRC/src and prints one JSON object:
+
+- "lines": source lines (newlines, as `wc -l` counts them) per module of
+  SRC/src/ewa_agg, and their "total";
+- "exports": len(ewa_agg.__all__);
+- "extension_keys": the CLI's config keys beyond the experiment's own;
+- "environment": the environment variables the package reads, found in its
+  source as os.environ.get / os.getenv / os.environ[...] arguments (a name
+  bound to a string constant at module level is resolved);
+- "keyword_defaults": the parameters with a default value, summed over the
+  exported callables and the public methods of the exported classes (a
+  function reached through several classes counts once).
+"""
+
+import ast
+import inspect
+import json
+import sys
+from pathlib import Path
+
+
+def _env_reads(path):
+    tree = ast.parse(path.read_text())
+    consts = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name) and isinstance(node.value.value, str)
+    }
+    keys = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            name = ast.unparse(node.func)
+            if name in ("os.environ.get", "os.getenv"):
+                keys.append(node.args[0])
+        elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "os.environ":
+            keys.append(node.slice)
+    out = []
+    for key in keys:
+        if isinstance(key, ast.Constant):
+            out.append(key.value)
+        elif isinstance(key, ast.Name):
+            out.append(consts.get(key.id, key.id))
+    return out
+
+
+def _defaults(fn):
+    params = inspect.signature(fn).parameters.values()
+    return sum(p.default is not inspect.Parameter.empty for p in params)
+
+
+def _keyword_defaults(package):
+    seen, total = set(), 0
+    for name in package.__all__:
+        obj = getattr(package, name)
+        if not callable(obj):
+            continue
+        members = [obj]
+        if inspect.isclass(obj):
+            for klass in obj.__mro__[:-1]:  # not object
+                for attr, raw in vars(klass).items():
+                    if attr.startswith("_"):
+                        continue
+                    fn = raw.__func__ if isinstance(raw, (classmethod, staticmethod)) else raw
+                    if inspect.isfunction(fn):
+                        members.append(fn)
+        for fn in members:
+            if fn not in seen:
+                seen.add(fn)
+                total += _defaults(fn)
+    return total
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    src = Path(argv[1]).resolve() / "src"
+    sys.path.insert(0, str(src))
+    import ewa_agg
+    from ewa_agg import cli
+
+    modules = sorted((src / "ewa_agg").glob("*.py"))
+    lines = {path.stem: path.read_bytes().count(b"\n") for path in modules}
+    lines["total"] = sum(lines.values())
+    environment = sorted({key for path in modules for key in _env_reads(path)})
+    doc = {
+        "lines": lines,
+        "exports": len(ewa_agg.__all__),
+        "extension_keys": list(cli._EXTENSION_KEYS),
+        "environment": environment,
+        "keyword_defaults": _keyword_defaults(ewa_agg),
+    }
+    print(json.dumps(doc, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
