@@ -42,11 +42,7 @@ from .noise import (
 from .coupling import (
     CouplingDraw,
     CouplingReport,
-    bernoulli_coupling_branches,
-    binary_coupling_branches,
     conditional_zeta_laws,
-    couple_gaussian,
-    couple_laplace,
     exact_coupled_sum_law,
     ks_two_sample_threshold,
     max_conditional_mean_error,

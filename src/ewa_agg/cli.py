@@ -20,7 +20,7 @@ from dataclasses import replace
 from .bernstein import check_noise_mgf
 from .coupling import verify_coupling
 from .ewa import dv_minimality_test
-from .model import ExperimentConfig, _CONFIG_KEYS
+from .model import ExperimentConfig, _CONFIG_KEYS, _as_count
 from .oracle import (
     OracleBoundReport,
     certify_config,
@@ -90,13 +90,6 @@ def _alpha_grid(config, extras, stream):
     return [(a, derived_stream(config.seed, stream, idx)) for idx, a in enumerate(alphas)]
 
 
-def _positive_int(extras, key, default):
-    value = extras.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{key} must be a positive integer")
-    return value
-
-
 def _cmd_simulate(config, extras):
     return [mc_risk(config, mode=extras.get("mode", "clean"))]
 
@@ -108,7 +101,7 @@ def _cmd_certify(config, extras):
 def _cmd_verify_coupling(config, extras):
     grid = _alpha_grid(config, extras, _COUPLING_STREAM)
     method = extras.get("method", "exact" if config.noise.discrete else "ks")
-    n = _positive_int(extras, "sample_size", 1_000_000)
+    n = _as_count(extras.get("sample_size", 1_000_000), "sample_size")
     return [
         verify_coupling(config.noise, alpha, method=method, sample_size=n, rng=rng)
         for alpha, rng in grid
@@ -117,7 +110,7 @@ def _cmd_verify_coupling(config, extras):
 
 def _cmd_verify_bernstein(config, extras):
     grid = _alpha_grid(config, extras, _BERNSTEIN_STREAM)
-    n = _positive_int(extras, "sample_size", 1_000_000)
+    n = _as_count(extras.get("sample_size", 1_000_000), "sample_size")
     return [
         check_noise_mgf(config.noise, alpha, sample_size=n, rng=rng)
         for alpha, rng in grid
@@ -125,9 +118,9 @@ def _cmd_verify_bernstein(config, extras):
 
 
 def _cmd_dv_check(config, extras):
-    trials = _positive_int(extras, "trials", 100)
     y = config.truth + config.noise.sample(derived_stream(config.seed, _DV_STREAM, 0))
     rng = derived_stream(config.seed, _DV_STREAM, 1)
+    trials = extras.get("trials", 100)
     return [dv_minimality_test(y, config.dictionary, config.prior, config.beta, trials, rng)]
 
 

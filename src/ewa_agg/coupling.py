@@ -1,4 +1,4 @@
-"""Noise amplification couplings.
+"""Noise amplification couplings: the family-free draw and checks.
 
 For each noise family and each alpha in (0, 1], the coupling attaches to a
 noise draw xi a companion zeta with two properties, conditional on the
@@ -6,39 +6,22 @@ stated record:
 
     E[zeta | record] = 0        and        xi + zeta  =d  (1 + alpha) xi.
 
-Two-branch laws for the discrete families (per coordinate):
-
-* centered Bernoulli value xi (support {1 - rho, -rho}): zeta = alpha*xi
-  with probability (1 + alpha - alpha*|xi|) / (1 + alpha), else
-  zeta = -sgn(xi) * (1 + alpha - alpha*|xi|).
-* binary value eta (support {a, -b}, a + b > 0): from eta = a,
-  zeta = alpha*a with probability ((1+alpha)*b + a) / ((1+alpha)*(a+b)),
-  else zeta = -(1+alpha)*b - a; from eta = -b, zeta = -alpha*b with
-  probability ((1+alpha)*a + b) / ((1+alpha)*(a+b)), else
-  zeta = (1+alpha)*a + b. Zero conditional mean plus the target marginal
-  pin these stay probabilities down uniquely; `verify_coupling` re-checks
-  both properties by exact enumeration.
-* scaled binomial coordinate a * (eta_1 + ... + eta_k): zeta is a times
-  the sum of independent per-term Bernoulli couplings.
-
-Continuous families use independent companions: Gaussian coordinates take
-zeta ~ N(0, (2*alpha + alpha^2) * sigma^2); Laplace coordinates take
-zeta = 0 with probability 1/(1+alpha)^2 and an independent
-Laplace((1+alpha)*mu) draw otherwise.
-
 alpha = 0 is the degenerate no-op: every branch collapses to zeta = 0.
 
-This module knows no noise family. It holds the branch formulas, the two
-continuous companions and the checks; each family in `noise` binds them. A
-discrete family enumerates one coordinate's conditioning records, (record
-probability, xi value, (stay value, stay prob, jump value, jump prob)),
-and `exact_coupled_sum_law`, `max_conditional_mean_error` and
-`conditional_zeta_laws` are all derived from that one enumeration (through
-the family's `coupled_sum_law`, `conditional_means` and `conditional_laws`,
-whose defaults use the helpers below), and `two_branch_draw` draws its
-companion from the same branch formulas. Atoms merge and align under
-`laws.MERGE_ATOL`, the one atom tolerance. A continuous family draws its
-companion independently of xi, and the statistical checks sample it.
+This module knows no noise family: each family's coupling formula lives on
+its class in `noise`. A discrete family states its per-coordinate branches,
+(stay value, stay prob, jump value, jump prob), as a static `branches`, and
+enumerates one coordinate's conditioning records as (record probability,
+xi value, branches); `exact_coupled_sum_law`, `max_conditional_mean_error`
+and `conditional_zeta_laws` are all derived from that one enumeration
+(through the family's `coupled_sum_law`, `conditional_means` and
+`conditional_laws`, whose defaults use the record helpers below), and
+`two_branch_draw` draws its companion from the same branches. Atoms merge
+and align under `laws.MERGE_ATOL`, the one atom tolerance. A continuous
+family draws its companion independently of xi (its static `couple`), and
+the statistical checks sample it. alpha is checked once, at each public
+entry (`sample_coupling`, `verify_coupling` and the exact wrappers here,
+`bernstein.check_noise_mgf`).
 
 The two sampled statistics are plain numpy. The Kolmogorov-Smirnov
 statistic differences the two empirical CDFs at every pooled draw. The
@@ -52,9 +35,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .laws import DiscreteLaw, laplace_inverse_cdf, max_atom_probability_error
+from .laws import DiscreteLaw, max_atom_probability_error
 
-SUPPORT_ATOL = 1e-9
 EXACT_TOL = 1e-12
 KS_SIGNIFICANCE = 1e-3
 CF_POINTS = 64
@@ -85,66 +67,10 @@ def _check_alpha(alpha):
     return alpha
 
 
-def bernoulli_coupling_branches(xi_value, alpha):
-    """Stay/jump branch values and probabilities for a centered Bernoulli
-    coordinate. Returns (stay_value, stay_prob, jump_value, jump_prob)."""
-    xi = np.asarray(xi_value, dtype=np.float64)
-    s = np.abs(xi)
-    stay_prob = (1.0 + alpha - alpha * s) / (1.0 + alpha)
-    stay_value = alpha * xi
-    jump_value = -np.sign(xi) * (1.0 + alpha - alpha * s)
-    jump_prob = alpha * s / (1.0 + alpha)
-    return stay_value, stay_prob, jump_value, jump_prob
-
-
-def binary_coupling_branches(a, b, eta_value, alpha):
-    """Branches for a binary coordinate on {a, -b}; same layout as
-    `bernoulli_coupling_branches`."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    eta = np.asarray(eta_value, dtype=np.float64)
-    if np.any(a < 0.0) or np.any(b < 0.0) or np.any(a + b <= 0.0):
-        raise ValueError("binary supports need a >= 0, b >= 0, a + b > 0")
-    a, b, eta = np.broadcast_arrays(a, b, eta)
-    is_a = np.abs(eta - a) <= SUPPORT_ATOL
-    if not np.all(is_a | (np.abs(eta + b) <= SUPPORT_ATOL)):
-        raise ValueError("eta_value must lie on the binary support {a, -b}")
-    denom = (1.0 + alpha) * (a + b)
-    stay_value = np.where(is_a, alpha * a, -alpha * b)
-    stay_prob = np.where(is_a, (1.0 + alpha) * b + a, (1.0 + alpha) * a + b) / denom
-    jump_value = np.where(is_a, -(1.0 + alpha) * b - a, (1.0 + alpha) * a + b)
-    return stay_value, stay_prob, jump_value, 1.0 - stay_prob
-
-
 def two_branch_draw(branches, rng):
     """One companion per entry: the stay value w.p. the stay prob, else the jump value."""
     stay_value, stay_prob, jump_value, _ = branches
     return np.where(rng.random(np.shape(stay_prob)) < stay_prob, stay_value, jump_value)
-
-
-def couple_gaussian(sigma, alpha, rng):
-    """Independent N(0, (2*alpha + alpha^2) * sigma^2) companions."""
-    alpha = _check_alpha(alpha)
-    sigma_arr = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma_arr <= 0.0):
-        raise ValueError("sigma must be positive")
-    out = rng.normal(0.0, math.sqrt(2.0 * alpha + alpha * alpha) * sigma_arr)
-    return float(out) if np.isscalar(sigma) else out
-
-
-def couple_laplace(mu, alpha, rng):
-    """Zero w.p. 1/(1+alpha)^2, else an independent Laplace((1+alpha)*mu)
-    draw."""
-    alpha = _check_alpha(alpha)
-    mu_arr = np.asarray(mu, dtype=np.float64)
-    if np.any(mu_arr <= 0.0):
-        raise ValueError("mu must be positive")
-    shape = mu_arr.shape
-    stay = 1.0 / (1.0 + alpha) ** 2
-    pick = rng.random(shape)
-    lap = laplace_inverse_cdf(rng.random(shape), (1.0 + alpha) * mu_arr)
-    out = np.where(pick < stay, 0.0, lap)
-    return float(out) if np.isscalar(mu) else out
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Report
-from .model import WeightVector, _as_weight_array, _check_beta, as_signal, softmax
+from .model import WeightVector, _as_count, _as_weight_array, _check_beta, as_signal, softmax
 
 DV_TOLERANCE = 1e-9
 BLOCK_DOUBLES = 1 << 16  # 512 KiB of differences: a block stays in a core's L2 cache
@@ -157,9 +157,7 @@ def sampled_prior_ewa(y, prior_sampler, beta, s, rng):
     of the draws; beta = +inf degenerates to the plain sample mean.
     """
     beta = _check_beta(beta)
-    s = int(s)
-    if s < 1:
-        raise ValueError("s must be a positive integer")
+    s = _as_count(s, "s")
     draws = np.asarray(prior_sampler(rng, s), dtype=np.float64)
     if draws.ndim != 2 or draws.shape[0] != s:
         raise ValueError("prior_sampler must return an (s, n) array")
@@ -179,9 +177,7 @@ def dv_minimality_test(y, dictionary, prior, beta, trials, rng):
     uniform draws from the simplex over the prior's support (mass outside
     the support makes the objective infinite, so nothing is lost).
     """
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError("trials must be a positive integer")
+    trials = _as_count(trials, "trials")
     prior, _, beta = _ewa_inputs(y, dictionary, prior, beta)
     post = posterior_weights(y, dictionary, prior, beta)
     base = gibbs_objective(post, y, dictionary, prior, beta)

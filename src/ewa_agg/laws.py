@@ -1,4 +1,4 @@
-"""Finite laws on the reals and the Laplace quantile transform.
+"""Finite laws on the reals.
 
 These primitives know no noise family; `coupling`, `bernstein` and `noise`
 all build on them, and `noise` re-exports them.
@@ -143,11 +143,3 @@ def max_atom_probability_error(law_a, law_b):
     pb = np.bincount(cluster, weights=mass_b[order], minlength=k)
     return float(np.max(np.abs(pa - pb)))
 
-
-def laplace_inverse_cdf(u, scale):
-    """Quantile transform of the centered Laplace law with the given scale."""
-    u = np.asarray(u, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
-    lo = np.maximum(2.0 * u, 1e-300)  # u = 0.0 has probability 0 but would log to -inf
-    hi = np.maximum(2.0 * (1.0 - u), 1e-300)
-    return np.where(u < 0.5, scale * np.log(lo), -scale * np.log(hi))

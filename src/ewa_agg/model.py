@@ -209,13 +209,11 @@ def _as_beta(value):
     return _check_beta(value)
 
 
-def _as_count(value, name, minimum=1):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer >= {minimum}")
-    value = int(value)
-    if value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}")
-    return value
+def _as_count(value, name):
+    """The one count check: an int >= 1, never a bool and never a truncated float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -235,10 +233,11 @@ class ExperimentConfig:
         object.__setattr__(self, "truth", as_signal(self.truth))
         object.__setattr__(self, "beta", _as_beta(self.beta))
         object.__setattr__(self, "replicates", _as_count(self.replicates, "replicates"))
-        seed = _as_count(self.seed, "seed", minimum=0)
-        if seed >= 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        object.__setattr__(self, "seed", seed)
+        seed = self.seed
+        integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+        if not (integral and 0 <= seed < 2**64):
+            raise ValueError("seed must be an integer in [0, 2**64)")
+        object.__setattr__(self, "seed", int(seed))
         if self.prior_samples is not None:
             object.__setattr__(
                 self, "prior_samples", _as_count(self.prior_samples, "prior_samples")

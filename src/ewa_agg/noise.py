@@ -21,14 +21,15 @@ from a seed.
 
 Everything that depends on the family lives on its class, each formula
 once: sampling and latents, the exact law, the coupling (a discrete
-family's conditioning records, whose branch formulas also draw its
-companion; a continuous family's static `draw` and `couple`, from which
-its sampling and its coupling draws derive), the Bernstein profile row,
-the JSON parameters and the natural scenario. ``FAMILIES``
-maps each family tag to its class and is the one list of families. The
-modules below this one know no family: `laws` holds the finite-law
-primitives (re-exported here), `coupling` the branch formulas and the
-coupling checks, `bernstein` the profile type and the MGF checks.
+family's static `branches` formula, which both its conditioning records
+and its companion draw use; a continuous family's static `draw` and
+`couple`, from which its sampling and its coupling draws derive), the
+Bernstein profile row, the JSON parameters and the natural scenario.
+``FAMILIES`` maps each family tag to its class and is the one list of
+families. The modules below this one know no family: `laws` holds the
+finite-law primitives (re-exported here), `coupling` the two-branch draw,
+the record helpers and the coupling checks, `bernstein` the profile type
+and the MGF checks.
 """
 
 import math
@@ -36,23 +37,8 @@ import math
 import numpy as np
 
 from .bernstein import BernsteinProfile
-from .coupling import (
-    binary_coupling_branches,
-    bernoulli_coupling_branches,
-    branch_law,
-    branch_mean,
-    couple_gaussian,
-    couple_laplace,
-    records_sum_law,
-    two_branch_draw,
-)
-from .laws import (
-    LAW_ATOL,
-    MERGE_ATOL,
-    DiscreteLaw,
-    laplace_inverse_cdf,
-    max_atom_probability_error,
-)
+from .coupling import branch_law, branch_mean, records_sum_law, two_branch_draw
+from .laws import LAW_ATOL, MERGE_ATOL, DiscreteLaw, max_atom_probability_error
 
 CONTINUOUS = "continuous"
 
@@ -126,11 +112,12 @@ class NoiseModel:
 
 
 class _DiscreteNoise(NoiseModel):
-    """A family with a finite law per coordinate. `coupling_records(i, alpha)`
-    enumerates coordinate i's conditioning records as (record probability,
-    xi value, (stay value, stay prob, jump value, jump prob)); the exact
-    coupling checks are derived from them, and `companion` draws from the
-    same branch formula (`coupling.two_branch_draw`)."""
+    """A family with a finite law per coordinate. Its static `branches` formula
+    gives (stay value, stay prob, jump value, jump prob) per entry;
+    `coupling_records(i, alpha)` enumerates coordinate i's conditioning records
+    as (record probability, xi value, branches), from which the exact coupling
+    checks are derived, and `companion` draws from the same formula
+    (`coupling.two_branch_draw`)."""
 
     discrete = True
 
@@ -180,18 +167,25 @@ class _ContinuousNoise(NoiseModel):
         return truth, cls.homogeneous(n, scale), truth + rng.uniform(-0.5, 0.5, (m, n))
 
 
-def _bernoulli_records(rho, alpha):
-    return [
-        (p_xi, xi, bernoulli_coupling_branches(xi, alpha))
-        for xi, p_xi in ((1.0 - rho, rho), (-rho, 1.0 - rho))
-    ]
-
-
 class CenteredBernoulli(_DiscreteNoise):
-    """Coordinate i equals 1 - rho_i w.p. rho_i, else -rho_i."""
+    """Coordinate i equals 1 - rho_i w.p. rho_i, else -rho_i.
+
+    Coupling: given xi, zeta = alpha * xi w.p. (1 + alpha - alpha |xi|) / (1 + alpha),
+    else zeta = -sgn(xi) (1 + alpha - alpha |xi|).
+    """
 
     family = "centered_bernoulli"
     json_keys = ("rho",)
+
+    @staticmethod
+    def branches(xi, alpha):
+        xi = np.asarray(xi, dtype=np.float64)
+        s = np.abs(xi)
+        stay_prob = (1.0 + alpha - alpha * s) / (1.0 + alpha)
+        stay_value = alpha * xi
+        jump_value = -np.sign(xi) * (1.0 + alpha - alpha * s)
+        jump_prob = alpha * s / (1.0 + alpha)
+        return stay_value, stay_prob, jump_value, jump_prob
 
     def __init__(self, rho):
         self.rho = _coordinate_array(rho, "rho", low=0.0, high=1.0)
@@ -212,7 +206,7 @@ class CenteredBernoulli(_DiscreteNoise):
         return _bernoulli_records(float(self.rho[i]), alpha)
 
     def companion(self, record, alpha, rng):
-        return two_branch_draw(bernoulli_coupling_branches(record["xi"], alpha), rng)
+        return two_branch_draw(self.branches(record["xi"], alpha), rng)
 
     def profile(self):
         return BernsteinProfile(
@@ -229,16 +223,27 @@ class CenteredBernoulli(_DiscreteNoise):
         return truth, cls(truth.copy()), _clipped_atoms(truth, m, rng)
 
 
+def _bernoulli_records(rho, alpha):
+    return [
+        (p_xi, xi, CenteredBernoulli.branches(xi, alpha))
+        for xi, p_xi in ((1.0 - rho, rho), (-rho, 1.0 - rho))
+    ]
+
+
 class Gaussian(_ContinuousNoise):
-    """Coordinate i is N(0, sigma_i^2)."""
+    """Coordinate i is N(0, sigma_i^2). Coupling: an independent
+    zeta ~ N(0, (2 alpha + alpha^2) sigma_i^2)."""
 
     family = "gaussian"
     json_keys = ("sigma",)
-    couple = staticmethod(couple_gaussian)
 
     @staticmethod
     def draw(sigma, rng):
         return rng.normal(0.0, sigma)
+
+    @staticmethod
+    def couple(sigma, alpha, rng):
+        return rng.normal(0.0, math.sqrt(2.0 * alpha + alpha * alpha) * sigma)
 
     def __init__(self, sigma):
         self.sigma = _coordinate_array(sigma, "sigma", low=0.0)
@@ -266,10 +271,26 @@ class BoundedBinaryMixture(_DiscreteNoise):
 
     ``mixing`` is a per-coordinate list of ((a, b), prob) entries with
     0 <= a <= a_max, 0 <= b <= b_max, a + b > 0.
+
+    Coupling: given (a, b) and eta = a, zeta = alpha a w.p.
+    ((1 + alpha) b + a) / ((1 + alpha)(a + b)), else -(1 + alpha) b - a; given
+    eta = -b, zeta = -alpha b w.p. ((1 + alpha) a + b) / ((1 + alpha)(a + b)),
+    else (1 + alpha) a + b. Zero conditional mean and the target marginal pin
+    these stay probabilities down uniquely.
     """
 
     family = "bounded_binary_mixture"
     json_keys = ("a_max", "b_max", "mixing")
+
+    @staticmethod
+    def branches(a, b, eta, alpha):
+        """The side is eta == a: the records and the sampler hold the exact support values."""
+        is_a = eta == a
+        denom = (1.0 + alpha) * (a + b)
+        stay_value = np.where(is_a, alpha * a, -alpha * b)
+        stay_prob = np.where(is_a, (1.0 + alpha) * b + a, (1.0 + alpha) * a + b) / denom
+        jump_value = np.where(is_a, -(1.0 + alpha) * b - a, (1.0 + alpha) * a + b)
+        return stay_value, stay_prob, jump_value, 1.0 - stay_prob
 
     def __init__(self, a_max, b_max, mixing):
         self.a_max = float(a_max)
@@ -343,11 +364,11 @@ class BoundedBinaryMixture(_DiscreteNoise):
         for (a, b), q in self.mixing[i]:
             for eta, p_eta in ((a, b / (a + b)), (-b, a / (a + b))):
                 if p_eta != 0.0:
-                    records.append((q * p_eta, eta, binary_coupling_branches(a, b, eta, alpha)))
+                    records.append((q * p_eta, eta, self.branches(a, b, eta, alpha)))
         return records
 
     def companion(self, record, alpha, rng):
-        branches = binary_coupling_branches(record["a"], record["b"], record["eta"], alpha)
+        branches = self.branches(record["a"], record["b"], record["eta"], alpha)
         return two_branch_draw(branches, rng)
 
     def profile(self):
@@ -377,7 +398,8 @@ class BoundedBinaryMixture(_DiscreteNoise):
 
 class CenteredBinomial(_DiscreteNoise):
     """Coordinate i is a * (Binomial(k, rho_i) - k * rho_i), realized as a
-    sum of k centered Bernoulli terms scaled by a."""
+    sum of k centered Bernoulli terms scaled by a. Coupling: zeta is a times
+    the sum of the k terms' independent `CenteredBernoulli` couplings."""
 
     family = "centered_binomial"
     json_keys = ("a", "k", "rho")
@@ -431,7 +453,7 @@ class CenteredBinomial(_DiscreteNoise):
         return [hi[c].convolve(lo[self.k - c]).scale(self.a) for c in range(self.k + 1)]
 
     def companion(self, record, alpha, rng):
-        branches = bernoulli_coupling_branches(record["eta"], alpha)
+        branches = CenteredBernoulli.branches(record["eta"], alpha)
         return self.a * two_branch_draw(branches, rng).sum(axis=0)
 
     def profile(self):
@@ -451,16 +473,30 @@ class CenteredBinomial(_DiscreteNoise):
         return truth, cls(a, k, truth.copy()), _clipped_atoms(truth, m, rng)
 
 
+def laplace_inverse_cdf(u, scale):
+    """Quantile transform of the centered Laplace law with the given scale."""
+    u = np.asarray(u, dtype=np.float64)
+    scale = np.asarray(scale, dtype=np.float64)
+    lo = np.maximum(2.0 * u, 1e-300)  # u = 0.0 has probability 0 but would log to -inf
+    hi = np.maximum(2.0 * (1.0 - u), 1e-300)
+    return np.where(u < 0.5, scale * np.log(lo), -scale * np.log(hi))
+
+
 class Laplace(_ContinuousNoise):
-    """Coordinate i is centered Laplace with scale mu_i."""
+    """Coordinate i is centered Laplace with scale mu_i. Coupling: zeta = 0 w.p.
+    1/(1 + alpha)^2, else an independent Laplace((1 + alpha) mu_i) draw."""
 
     family = "laplace"
     json_keys = ("mu",)
-    couple = staticmethod(couple_laplace)
 
     @staticmethod
     def draw(mu, rng):
         return laplace_inverse_cdf(rng.random(mu.shape), mu)
+
+    @staticmethod
+    def couple(mu, alpha, rng):
+        stay = rng.random(mu.shape) < 1.0 / (1.0 + alpha) ** 2
+        return np.where(stay, 0.0, Laplace.draw((1.0 + alpha) * mu, rng))
 
     def __init__(self, mu):
         self.mu = _coordinate_array(mu, "mu", low=0.0)

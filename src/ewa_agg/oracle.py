@@ -33,6 +33,7 @@ from .model import (
     Dictionary,
     ExperimentConfig,
     WeightVector,
+    _as_count,
     logsumexp,
     sup_diameter,
     squared_distance,
@@ -64,16 +65,26 @@ def oracle_bound_finite(dictionary, truth, prior, beta):
 
 
 def oracle_bound_gibbs(dictionary, truth, prior, beta):
-    """-beta log sum_j pi0(j) exp(-d_j / beta), the infimum of the Gibbs objective; the
-    prior-mean distance at beta = +inf. It is computed as f - beta log sum_j exp((f - t_j) /
-    beta) from the finite bound's terms t_j and their minimum f: one exponent is exactly 0,
-    so the log-sum-exp is >= 0 and the bound never rounds above f (it is f where every
-    (t_j - f) / beta overflows, as at subnormal beta, and +inf where every t_j does)."""
+    """-beta log sum_j pi0(j) exp(-d_j / beta), the infimum of the Gibbs objective, never
+    above the finite bound f; the prior-mean distance at beta = +inf. Where
+    s = sum_j pi0(j) expm1(-d_j / beta) >= -1/16 (large beta) it is log1p(s) / s times
+    -beta s = sum_j pi0(j) beta (1 - exp(-d_j / beta)), a term being d_j where d_j / beta is
+    subnormal, so no digit cancels. Elsewhere it is f - beta log sum_j exp((f - t_j) / beta)
+    over the finite bound's terms t_j: one exponent is exactly 0, so the log-sum-exp is >= 0
+    (f where every (t_j - f) / beta overflows, as at subnormal beta)."""
     prior, d, beta = _ewa_inputs(truth, dictionary, prior, beta)
     if math.isinf(beta):
         return float(prior.weights @ d)
     t = _penalized_distances(prior, d, beta)
     f = t.min()
+    pi, d = prior.weights[prior.support], d[prior.support]
+    with np.errstate(over="ignore"):
+        x = d / beta
+    e = np.expm1(-x)
+    s = pi @ e
+    if s >= -1.0 / 16.0:
+        terms = np.where(x < np.finfo(np.float64).tiny, d, -beta * e)
+        return float(min((np.log1p(s) / s if s else 1.0) * (pi @ terms), f))
     if f == np.inf:  # every t_j overflows: Gibbs <= finite = +inf
         return math.inf
     with np.errstate(over="ignore"):
@@ -122,16 +133,12 @@ class RiskReport(Report):
 
 
 def worker_count():
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
+    raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:
-        count = int(raw)
+        raw = int(raw)
     except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer")
-    return count
+        pass  # the string itself fails the count check
+    return _as_count(raw, THREADS_ENV_VAR)
 
 
 def _run_replicates(config):

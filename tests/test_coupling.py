@@ -15,11 +15,7 @@ from ewa_agg.coupling import (
     CouplingDraw,
     CouplingReport,
     branch_law,
-    bernoulli_coupling_branches,
-    binary_coupling_branches,
     conditional_zeta_laws,
-    couple_gaussian,
-    couple_laplace,
     exact_coupled_sum_law,
     ks_two_sample_threshold,
     max_conditional_mean_error,
@@ -48,18 +44,18 @@ class TestBranchLaws:
     def test_bernoulli_hand_values(self):
         # rho = 1/2, xi = 1/2, alpha = 1:
         # stay at zeta = 1/2 w.p. (2 - 1/2)/2 = 3/4, jump to -3/2 w.p. 1/4
-        sv, sp, jv, jp = bernoulli_coupling_branches(0.5, 1.0)
+        sv, sp, jv, jp = CenteredBernoulli.branches(0.5, 1.0)
         assert (sv, sp, jv, jp) == (0.5, 0.75, -1.5, 0.25)
 
     def test_binary_hand_values(self):
         # support {2, -1}, alpha = 1/2, conditioning on eta = 2:
         # stay at alpha*a = 1 w.p. (1.5*1 + 2)/(1.5*3) = 7/9
-        sv, sp, jv, jp = binary_coupling_branches(2.0, 1.0, 2.0, 0.5)
+        sv, sp, jv, jp = BoundedBinaryMixture.branches(2.0, 1.0, 2.0, 0.5)
         assert float(sv) == 1.0
         assert float(sp) == pytest.approx(7.0 / 9.0, rel=1e-15)
         assert float(jv) == -3.5
         # symmetric support {1, -1}, alpha = 1, from eta = 1
-        sv, sp, jv, jp = binary_coupling_branches(1.0, 1.0, 1.0, 1.0)
+        sv, sp, jv, jp = BoundedBinaryMixture.branches(1.0, 1.0, 1.0, 1.0)
         assert (float(sv), float(sp), float(jv)) == (1.0, 0.75, -3.0)
 
     def test_binary_reduces_to_bernoulli(self):
@@ -67,10 +63,22 @@ class TestBranchLaws:
         for rho in (0.1, 0.45, 0.8):
             for alpha in ALPHAS:
                 for xi in (1.0 - rho, -rho):
-                    bern = bernoulli_coupling_branches(xi, alpha)
-                    binr = binary_coupling_branches(1.0 - rho, rho, xi, alpha)
+                    bern = CenteredBernoulli.branches(xi, alpha)
+                    binr = BoundedBinaryMixture.branches(1.0 - rho, rho, xi, alpha)
                     for x, y in zip(bern, binr):
                         assert float(x) == pytest.approx(float(y), abs=1e-15)
+
+    def test_small_binary_support_takes_its_own_side(self):
+        # a + b = 2e-10: the two support values lie within 1e-9 of each other, but
+        # eta = -b must still get the -b branches
+        a = b = 1e-10
+        alpha = 0.5
+        model = BoundedBinaryMixture.homogeneous(20_000, a, b, [((a, b), 1.0)])
+        draw = sample_coupling(model, alpha, np.random.default_rng(0))
+        at_a, at_b = draw.zeta[draw.xi == a], draw.zeta[draw.xi == -b]
+        assert at_a.size and at_b.size
+        assert set(at_a.tolist()) == {alpha * a, -(1.0 + alpha) * b - a}
+        assert set(at_b.tolist()) == {-alpha * b, (1.0 + alpha) * a + b}
 
     def test_probabilities_are_probabilities(self):
         rng = np.random.default_rng(11)
@@ -78,7 +86,7 @@ class TestBranchLaws:
             rho = float(rng.uniform(0.01, 0.99))
             alpha = float(rng.uniform(0.0, 1.0))
             for xi in (1.0 - rho, -rho):
-                _, sp, _, jp = bernoulli_coupling_branches(xi, alpha)
+                _, sp, _, jp = CenteredBernoulli.branches(xi, alpha)
                 assert 0.0 <= sp <= 1.0
                 assert sp + jp == pytest.approx(1.0, abs=1e-15)
 
@@ -91,17 +99,17 @@ class TestBranchLaws:
             if a + b < 1e-6:
                 continue
             for eta in (a, -b):
-                sv, sp, jv, jp = binary_coupling_branches(a, b, eta, alpha)
+                sv, sp, jv, jp = BoundedBinaryMixture.branches(a, b, eta, alpha)
                 assert float(sv * sp + jv * jp) == pytest.approx(0.0, abs=1e-12)
 
     def test_alpha_zero_is_a_no_op(self):
-        sv, sp, jv, jp = bernoulli_coupling_branches(0.7, 0.0)
+        sv, sp, jv, jp = CenteredBernoulli.branches(0.7, 0.0)
         assert (sv, sp, jp) == (0.0, 1.0, 0.0)
         rng = np.random.default_rng(13)
         for family in FAMILIES:
             model = make_scenario(family, n=6, m=2, replicates=1).noise
             assert np.all(sample_coupling(model, 0.0, rng).zeta == 0.0), family
-        assert couple_laplace(1.0, 0.0, rng) == 0.0
+        assert np.all(Laplace.couple(np.ones(3), 0.0, rng) == 0.0)
 
 
 DISCRETE_MODELS = [
@@ -163,7 +171,7 @@ class TestSamplers:
         rng = np.random.default_rng(26)
         n = 100_000
         alpha, sigma = 0.5, 1.5
-        zs = couple_gaussian(np.full(n, sigma), alpha, rng)
+        zs = Gaussian.couple(np.full(n, sigma), alpha, rng)
         target = (2.0 * alpha + alpha * alpha) * sigma * sigma
         assert zs.mean() == pytest.approx(0.0, abs=5.0 * math.sqrt(target / n))
         assert zs.var() == pytest.approx(target, rel=0.05)
@@ -172,7 +180,7 @@ class TestSamplers:
         rng = np.random.default_rng(27)
         n = 100_000
         alpha = 1.0
-        zs = couple_laplace(np.full(n, 1.0), alpha, rng)
+        zs = Laplace.couple(np.full(n, 1.0), alpha, rng)
         stay = float(np.mean(zs == 0.0))
         p0 = 1.0 / (1.0 + alpha) ** 2
         assert stay == pytest.approx(p0, abs=5.0 * math.sqrt(p0 * (1 - p0) / n))
@@ -181,7 +189,7 @@ class TestSamplers:
         rng = np.random.default_rng(28)
         for bad in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
-                couple_gaussian(1.0, bad, rng)
+                sample_coupling(Gaussian([1.0]), bad, rng)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -395,8 +403,8 @@ def test_binomial_laws_match_direct_convolution(model, alpha):
     laws = iter(conditional_zeta_laws(model, alpha))
     for i in range(model.dim):
         rho = float(model.rho[i])
-        hi = branch_law(bernoulli_coupling_branches(1.0 - rho, alpha))
-        lo = branch_law(bernoulli_coupling_branches(-rho, alpha))
+        hi = branch_law(CenteredBernoulli.branches(1.0 - rho, alpha))
+        lo = branch_law(CenteredBernoulli.branches(-rho, alpha))
         for count in range(model.k + 1):
             direct = DiscreteLaw([0.0], [1.0])
             for term in [hi] * count + [lo] * (model.k - count):

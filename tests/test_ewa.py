@@ -284,3 +284,16 @@ def test_dv_minimality_respects_prior_support():
     # a plain-array prior is coerced once, as posterior_weights coerces it
     plain = dv_minimality_test(np.array([0.2]), d, prior, 1.0, 40, np.random.default_rng(RNG_SEED + 6))
     assert plain == report
+
+
+def test_counts_are_checked_not_truncated():
+    # 2.9 trials used to run 2, True ran 1, and s = 3.7 drew 3 atoms
+    d = Dictionary([[0.0], [1.0]])
+    y, prior = np.array([0.2]), WeightVector.uniform(2)
+    for trials in (2.9, True, 0):
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            dv_minimality_test(y, d, prior, 1.0, trials, np.random.default_rng(0))
+    assert dv_minimality_test(y, d, prior, 1.0, np.int64(3), np.random.default_rng(0)).trials == 3
+    for s in (3.7, False):
+        with pytest.raises(ValueError, match="s must be a positive integer"):
+            sampled_prior_ewa(y, lambda rng, k: np.zeros((3, 1)), 1.0, s, np.random.default_rng(0))

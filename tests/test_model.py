@@ -196,6 +196,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="noise dimension"):
             _small_config(noise=Gaussian.homogeneous(3, 1.0))
 
+    def test_counts_share_one_message(self):
+        for key in ("replicates", "prior_samples"):
+            for bad in (0, 2.5, True):
+                with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
+                    _small_config(**{key: bad})
+        for seed in (-1, 2**64, 1.0, True):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                _small_config(seed=seed)
+
     def test_beta_checks_share_one_message(self):
         for beta in (math.nan, -1.0, True, "fast"):
             with pytest.raises(ValueError, match="beta must be positive"):

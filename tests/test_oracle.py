@@ -4,6 +4,7 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,8 +175,8 @@ def _bound_instances(draw):
     return Dictionary(atoms), truth, WeightVector(raw / raw.sum())
 
 
-# subnormal and normal betas alike, up to 1e3
-_all_betas = st.one_of(st.floats(5e-324, 1e3), st.floats(-744.0, math.log(1e3)).map(math.exp))
+# subnormal and normal betas alike, up to 1e308
+_all_betas = st.one_of(st.floats(5e-324, 1e308), st.floats(-744.0, math.log(1e308)).map(math.exp))
 
 
 @settings(max_examples=300, deadline=None)
@@ -188,6 +189,46 @@ def test_gibbs_never_exceeds_finite_at_any_beta(instance, beta):
     # the Gibbs bound is the finite one minus beta times a log-sum-exp >= 0, so
     # rounding cannot lift it above
     assert gibbs <= finite
+
+
+def _log_uniform(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.floats(math.log(lo), math.log(hi)).map(math.exp))
+
+
+def _mp_gibbs_bound(d, prior, beta):
+    """-beta log sum_j pi_j exp(-d_j / beta) at 50 digits, over the prior normalized at 50
+    digits, through log1p of the expm1 sum where that sum is above -1/2."""
+    with mpmath.workdps(50):
+        weights = [mpmath.mpf(w) for w in prior]
+        pi = [w / mpmath.fsum(weights) for w in weights]
+        x = [mpmath.mpf(dj) / mpmath.mpf(beta) for dj in d]
+        s = mpmath.fsum(p * mpmath.expm1(-xj) for p, xj in zip(pi, x))
+        if s > -0.5:
+            return -beta * mpmath.log1p(s)
+        return -beta * mpmath.log(mpmath.fsum(p * mpmath.exp(-xj) for p, xj in zip(pi, x)))
+
+
+@st.composite
+def _distance_instances(draw):
+    """One-coordinate atoms at squared distances 0 or 1e-300 to 1e150 from a zero truth (a
+    subnormal bound has no 12 significant digits to keep), and a prior with zero atoms."""
+    m = draw(st.integers(1, 6))
+    distance = st.one_of(st.just(0.0), _log_uniform(1e-300, 1e150))
+    radii = np.sqrt(draw(st.lists(distance, min_size=m, max_size=m)))
+    mass = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    raw = np.array(draw(st.lists(mass, min_size=m, max_size=m).filter(any)))
+    return Dictionary(radii[:, None]), WeightVector(raw / raw.sum())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_distance_instances(), _log_uniform(1e-3, 1e308))
+def test_gibbs_bound_matches_high_precision(instance, beta):
+    d, prior = instance
+    truth = np.zeros(1)
+    gibbs = oracle_bound_gibbs(d, truth, prior, beta)
+    reference = _mp_gibbs_bound(d.atoms[:, 0] ** 2, prior.weights, beta)
+    if gibbs < oracle_bound_finite(d, truth, prior, beta):
+        assert abs(gibbs - reference) <= 1e-12 * abs(reference)
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,12 +2,13 @@
 
 Usage: python3 tools/snapshot_outputs.py SRC OUT
 
-SRC is a checkout of this repository and OUT a directory to create. For each of
-the five `make_scenario` families (seed 3, R = 200, sample_size 20 000) the six
-subcommands run through `python -m ewa_agg.cli` in CSV and in JSON, and their
-stdout goes to OUT/cli/<family>.<subcommand>.<format>; each script in SRC/demos
-has its stdout written to OUT/demos/<name>.txt. OUT/exit_codes.txt lists every
-exit code. Snapshots of two checkouts compare with `diff -r OUT_A OUT_B`.
+SRC is a checkout of this repository and OUT a directory to create; the script
+exits 2 if SRC/src holds no package. For each of the five `make_scenario`
+families (seed 3, R = 200, sample_size 20 000) the six subcommands run through
+`python -m ewa_agg.cli` in CSV and in JSON, and their stdout goes to
+OUT/cli/<family>.<subcommand>.<format>; each script in SRC/demos has its stdout
+written to OUT/demos/<name>.txt. OUT/exit_codes.txt lists every exit code.
+Snapshots of two checkouts compare with `diff -r OUT_A OUT_B`.
 """
 
 import json
@@ -34,6 +35,10 @@ def main(argv):
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 2
     src, out = Path(argv[1]).resolve(), Path(argv[2])
+    init = src / "src" / "ewa_agg" / "__init__.py"
+    if not init.is_file():
+        print(f"{init} is missing: {argv[1]} is not a checkout", file=sys.stderr)
+        return 2
     sys.path.insert(0, str(src / "src"))
     from ewa_agg.noise import FAMILIES
     from ewa_agg.oracle import make_scenario

@@ -3,7 +3,8 @@
 Usage: python3 tools/surface.py SRC
 
 SRC is a checkout of this repository. The script imports the package from
-SRC/src and prints one JSON object:
+SRC/src, exits 2 if SRC holds none or the import finds another, and prints
+one JSON object:
 
 - "lines": source lines (newlines, as `wc -l` counts them) per module of
   SRC/src/ewa_agg, and their "total";
@@ -82,9 +83,17 @@ def main(argv):
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 2
     src = Path(argv[1]).resolve() / "src"
+    init = src / "ewa_agg" / "__init__.py"
+    if not init.is_file():
+        print(f"{init} is missing: {argv[1]} is not a checkout", file=sys.stderr)
+        return 2
     sys.path.insert(0, str(src))
     import ewa_agg
     from ewa_agg import cli
+
+    if Path(ewa_agg.__file__).resolve().parent != src / "ewa_agg":
+        print(f"ewa_agg was imported from {ewa_agg.__file__}, not from {src}", file=sys.stderr)
+        return 2
 
     modules = sorted((src / "ewa_agg").glob("*.py"))
     lines = {path.stem: path.read_bytes().count(b"\n") for path in modules}
