@@ -42,10 +42,25 @@ class DvMinimalityReport(Report):
     verdict: bool
 
 
+def _signal_rows(m, n):
+    """How many signals go through `_atom_sq_distances` in one block against m atoms of
+    length n: as many as keep the block's differences within BLOCK_DOUBLES, and one where a
+    row outgrows einsum's buffer (a longer row sums in other pieces in a block)."""
+    return 1 if n > EINSUM_BUFFER else max(1, BLOCK_DOUBLES // (m * n))
+
+
 def _atom_sq_distances(y, atoms):
     """||theta_j - y||^2 per row theta_j of atoms, from explicit differences (||y||^2 - 2 y.theta
-    cancels); at y = 0, the squared norms. Many C-ordered atoms go in blocks of rows whose
-    differences stay in cache; einsum sums a row alike in any block, if the row fits its buffer."""
+    cancels); at y = 0, the squared norms. An (R, n) block of signals gives (R, m), against one
+    (m, n) set of atoms or each signal's own in (R, m, n). Many C-ordered atoms go in blocks of
+    rows whose differences stay in cache; einsum sums a row alike in any block, 2-D or 3-D, if
+    the row fits its buffer, so a row of a block equals its 1-D call there."""
+    y = np.asarray(y)
+    if y.ndim == 2:
+        if len(y) == 1:
+            return _atom_sq_distances(y[0], atoms[0] if atoms.ndim == 3 else atoms)[None]
+        diff = (atoms if atoms.ndim == 3 else atoms[None]) - y[:, None]
+        return np.einsum("rij,rij->ri", diff, diff)
     m, n = atoms.shape
     if m * n <= BLOCK_DOUBLES or n > EINSUM_BUFFER or not atoms.flags.c_contiguous:
         diff = atoms - y
@@ -59,18 +74,21 @@ def _atom_sq_distances(y, atoms):
 
 def _posterior(log_prior, sq_distances, beta):
     """(weights, log-weights): the softmax of log pi0(j) - d_j / beta, an overflowing quotient
-    giving -inf. If that leaves no mass (subnormal beta), the distances shift by their minimum
-    over the supported atoms: the beta -> 0 limit, the prior restricted to the nearest ones."""
+    giving -inf, per row of an (R, m) block of distances. A row left with no mass (subnormal
+    beta) takes its distances shifted by their minimum over the supported atoms: the
+    beta -> 0 limit, the prior restricted to the nearest ones."""
     with np.errstate(over="ignore"):
         log_weights = log_prior - sq_distances / beta
     try:
         return softmax(log_weights)
-    except ValueError:  # log_weights is never NaN or +inf, so: no mass
-        nearest = np.min(sq_distances, where=np.asarray(log_prior) > -np.inf, initial=np.inf)
-        if nearest == np.inf:  # every supported distance overflowed: no limit either
-            raise
-        with np.errstate(over="ignore"):
-            return softmax(log_prior - np.maximum(sq_distances - nearest, 0.0) / beta)
+    except ValueError:  # log_weights is never NaN or +inf, so: some row has no mass
+        lost = np.all(log_weights == -np.inf, axis=-1, keepdims=True)
+        supported = np.asarray(log_prior) > -np.inf
+        nearest = np.min(sq_distances, axis=-1, keepdims=True, where=supported, initial=np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            limit = log_prior - np.maximum(sq_distances - nearest, 0.0) / beta
+        # where every supported distance overflowed there is no limit either: softmax raises
+        return softmax(np.where(lost & (nearest < np.inf), limit, log_weights))
 
 
 def _posterior_moments(w, atoms, sq_norms):

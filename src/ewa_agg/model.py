@@ -77,34 +77,42 @@ def sup_diameter(dictionary):
 
 
 def logsumexp(a):
-    """log(sum(exp(a))) of a 1-D float array: the entries at the max leave the
-    max-shifted sum and come back through log1p(s / count) + log(count) + max;
-    a non-finite result is recomputed directly (all -inf gives -inf)."""
-    top = np.max(a)
+    """log(sum(exp(a))) along the last axis of a float array, one value per row: the
+    entries at a row's max leave the max-shifted sum and come back through
+    log1p(s / count) + log(count) + max; a non-finite row is recomputed directly (all -inf
+    gives -inf). A row of a 2-D array gives the bits its 1-D call gives."""
+    a = np.asarray(a)
+    top = a.max(axis=-1, keepdims=True)
     at_top = a == top
-    count = np.float64(np.count_nonzero(at_top))
+    count = at_top.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
-        out = np.log1p(s / count if s else s) + np.log(count) + top
-        return out if np.isfinite(out) else np.log(np.exp(a).sum())
+        s = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=-1)
+        out = np.log1p(s / count) + np.log(count) + top[..., 0]
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=-1)))
+    return out[()]
 
 
 def softmax(log_weights):
-    """(weights, log-weights) proportional to exp(log_weights): normalized by
-    logsumexp, then renormalized linearly to kill residual rounding."""
+    """(weights, log-weights) proportional to exp(log_weights), normalized by logsumexp and
+    then renormalized linearly to kill residual rounding; each row of a 2-D array is
+    normalized and checked on its own, to the bits of its 1-D call."""
     lw = np.asarray(log_weights, dtype=np.float64)
-    if lw.ndim != 1 or lw.size == 0:
-        raise ValueError("log_weights must form a non-empty 1-D array")
-    if np.any(np.isnan(lw)) or np.any(lw == np.inf):
+    if lw.ndim not in (1, 2) or lw.size == 0:
+        raise ValueError("log_weights must form a non-empty 1-D array, or a 2-D array of rows")
+    if not (lw < np.inf).all():
         raise ValueError("log_weights must be < +inf and not NaN")
-    total = logsumexp(lw)
-    if total == -np.inf:
+    total = np.asarray(logsumexp(lw))[..., None]
+    if (total == -np.inf).any():
         raise ValueError("log_weights must carry some mass")
     norm = lw - total
     w = np.exp(norm)
-    s = float(w.sum())
+    s = w.sum(axis=-1, keepdims=True)
+    # libm's log per row: numpy's vector log differs from it in some last bits
+    log_s = np.array([math.log(v) for v in s.flat]).reshape(s.shape)
     # exp underflow leaves w == 0 with a finite log; pin those to -inf
-    return w / s, np.where(w > 0.0, norm - math.log(s), -np.inf)
+    return w / s, np.where(w > 0.0, norm - log_s, -np.inf)
 
 
 def _check_beta(beta):

@@ -14,8 +14,13 @@ for `ewa-agg oracle-bound`; each report's fields are its JSON keys
 (`coupling.Report`), and its CSV_HEADER picks the CSV columns.
 
 Replicate r draws its noise from a generator seeded by (seed, r) and runs
-the distance, softmax and moments behind `posterior_weights`; results are
-bit-identical however many workers run (EWA_AGG_THREADS, default 1).
+the distance, softmax and moments behind `posterior_weights`. Replicates go
+through in chunks of R_c = BLOCK_DOUBLES // (m n) rows, m being
+prior_samples when set (one row where n outgrows einsum's buffer;
+`ewa._signal_rows`), by a rule that does not look at the worker count:
+one distance block and one row-wise softmax per chunk, each row giving the
+bits of its one-replicate call. So results are bit-identical however many
+workers run (EWA_AGG_THREADS, default 1) and however replicates are chunked.
 """
 
 import math
@@ -28,7 +33,13 @@ import numpy as np
 
 from .bernstein import beta_threshold, variance_penalty_coefficient
 from .coupling import Report
-from .ewa import _atom_sq_distances, _ewa_inputs, _posterior, _posterior_moments
+from .ewa import (
+    _atom_sq_distances,
+    _ewa_inputs,
+    _posterior,
+    _posterior_moments,
+    _signal_rows,
+)
 from .model import (
     Dictionary,
     ExperimentConfig,
@@ -142,35 +153,48 @@ def worker_count():
 
 
 def _run_replicates(config):
-    """Each replicate's risk and posterior variance; what no replicate changes is made once."""
+    """Each replicate's risk and posterior variance; what no replicate changes is made once.
+    A worker's span goes in chunks of `_signal_rows` replicates, whatever the worker count:
+    one distance block and one row-wise softmax per chunk, then each row's moments."""
     total, beta, sampled = config.replicates, config.beta, config.prior_samples
     atoms = config.dictionary.atoms
     norms = _atom_sq_distances(0.0, atoms)
     prior = config.prior if sampled is None else WeightVector.uniform(sampled)
+    rows = _signal_rows(sampled or len(atoms), config.truth.size)
     risks, pvars = np.empty(total), np.empty(total)
 
-    def fill(lo, hi):
-        for r in range(lo, hi):
+    def fill(chunk):
+        draws, picks = [], []
+        for r in chunk:
             rng = derived_stream(config.seed, r)
-            y = config.truth + config.noise.sample(rng)
-            if not np.all(np.isfinite(y)):
-                raise ValueError("signal entries must be finite")
-            theta, sq = atoms, norms
+            draws.append(config.noise.sample(rng))
             if sampled is not None:
-                idx = rng.choice(len(atoms), size=sampled, p=config.prior.weights)
-                theta, sq = atoms[idx], norms[idx]
-            w = prior.weights
-            if not math.isinf(beta):
-                d = _atom_sq_distances(y, theta)
-                w = _posterior(prior.log_weights, d, beta)[0]
-            estimate, pvars[r] = _posterior_moments(w, theta, sq)
+                picks.append(rng.choice(len(atoms), size=sampled, p=config.prior.weights))
+        y = config.truth + np.array(draws)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("signal entries must be finite")
+        theta, sq = atoms, norms
+        if sampled is not None:
+            idx = np.array(picks)
+            theta, sq = atoms[idx], norms[idx]  # each replicate's own (s, n) atoms
+        if math.isinf(beta):
+            w = np.broadcast_to(prior.weights, (len(chunk), len(prior)))
+        else:
+            w = _posterior(prior.log_weights, _atom_sq_distances(y, theta), beta)[0]
+        for k, r in enumerate(chunk):  # per row: a gemm would sum in another order
+            theta_r, sq_r = (theta[k], sq[k]) if sampled else (theta, sq)
+            estimate, pvars[r] = _posterior_moments(w[k], theta_r, sq_r)
             risks[r] = squared_distance(estimate, config.truth)
+
+    def fill_span(lo, hi):  # a chunk's arrays go before the next one's are made
+        for start in range(lo, hi, rows):
+            fill(range(start, min(start + rows, hi)))
 
     workers = worker_count()
     step = -(-total // workers)
     spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(fill, lo, hi) for lo, hi in spans]:
+        for future in [pool.submit(fill_span, lo, hi) for lo, hi in spans]:
             future.result()
     return risks, pvars
 

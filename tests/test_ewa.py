@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewa_agg.ewa import (
     _atom_sq_distances,
@@ -54,6 +56,41 @@ def test_matches_naive_formula_on_random_instances():
         post = posterior_weights(y, Dictionary(atoms), WeightVector(prior), beta)
         naive = _naive_weights(y, atoms, prior, beta)
         assert np.allclose(post.weights, naive, rtol=1e-11, atol=1e-15)
+
+
+@st.composite
+def _posterior_instances(draw):
+    """A signal, atoms and a prior (some atoms without mass), and a beta from 0.5 to 50."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    row = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+    atoms = np.array(draw(st.lists(row, min_size=m, max_size=m)))
+    mass = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    raw = np.array(draw(st.lists(mass, min_size=m, max_size=m).filter(any)))
+    beta = draw(st.floats(math.log(0.5), math.log(50.0)).map(math.exp))
+    return np.array(draw(row)), atoms, raw / raw.sum(), beta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_posterior_instances(), st.data())
+def test_posterior_is_translation_invariant(instance, data):
+    y, atoms, prior, beta = instance
+    shift = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=y.size, max_size=y.size)))
+    w = posterior_weights(y, Dictionary(atoms), WeightVector(prior), beta).weights
+    moved = posterior_weights(y + shift, Dictionary(atoms + shift), WeightVector(prior), beta)
+    # the shift rounds each coordinate by an ulp of 13 at most
+    assert np.max(np.abs(moved.weights - w)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(_posterior_instances(), st.randoms(use_true_random=False))
+def test_posterior_is_permutation_equivariant(instance, random):
+    y, atoms, prior, beta = instance
+    order = list(range(len(prior)))
+    random.shuffle(order)
+    w = posterior_weights(y, Dictionary(atoms), WeightVector(prior), beta).weights
+    permuted = posterior_weights(y, Dictionary(atoms[order]), WeightVector(prior[order]), beta)
+    # each distance and log-weight keeps its bits; only the sums change their order
+    assert np.max(np.abs(permuted.weights - w[order])) <= 4 * np.finfo(np.float64).eps
 
 
 def test_zero_prior_atoms_stay_exactly_zero():
@@ -138,6 +175,20 @@ def test_atom_distances_equal_whole_differences_bit_for_bit(m, n, order):
     diff = atoms - y
     whole = np.einsum("ij,ij->i", diff, diff)
     assert np.array_equal(_atom_sq_distances(y, atoms), whole)
+
+
+@pytest.mark.parametrize("m, n", [(1, 8192), (2, 4096), (10, 50), (5000, 1), (1, 1)])
+def test_signal_blocks_equal_one_signal_at_a_time(m, n):
+    # rows that fit einsum's buffer: `_signal_rows` sends a longer one alone
+    rng = np.random.default_rng(RNG_SEED)
+    atoms = rng.normal(scale=30.0, size=(m, n))
+    ys = rng.normal(size=(3, n))
+    own = rng.normal(size=(3, m, n))
+    block = _atom_sq_distances(ys, atoms)
+    assert np.array_equal(block, [_atom_sq_distances(y, atoms) for y in ys])
+    rows = [_atom_sq_distances(y, a) for y, a in zip(ys, own)]
+    assert np.array_equal(_atom_sq_distances(ys, own), rows)
+    assert np.array_equal(_atom_sq_distances(ys[:1], atoms), block[:1])
 
 
 def test_posterior_variance_never_negative():

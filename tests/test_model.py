@@ -17,6 +17,7 @@ from ewa_agg.model import (
     _as_weight_array,
     as_signal,
     logsumexp,
+    softmax,
     squared_distance,
     sup_diameter,
 )
@@ -149,6 +150,51 @@ def test_logsumexp_edges():
     assert logsumexp(np.array([1e4, 1e4])) == scipy_logsumexp(np.array([1e4, 1e4]))
     assert logsumexp(np.full(3, -np.inf)) == -np.inf
     assert logsumexp(np.array([-np.inf, 0.0, -np.inf])) == 0.0
+
+
+@st.composite
+def _log_weight_rows(draw):
+    """1 to 6 rows of 1 to 12 log-weights, with copies of a row's max and all -inf rows."""
+    m = draw(st.integers(1, 12))
+    row = st.lists(_log_weights, min_size=m, max_size=m)
+    a = np.array(draw(st.lists(row, min_size=1, max_size=6)))
+    for values in a:
+        if draw(st.booleans()):
+            values[:] = -math.inf
+        for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+            values[j] = values.max()
+    return a
+
+
+@settings(max_examples=500, deadline=None)
+@given(_log_weight_rows())
+def test_normalizers_work_row_by_row(a):
+    total = logsumexp(a)
+    assert total.shape == (len(a),)
+    assert [total[k] for k in range(len(a))] == [logsumexp(row) for row in a]
+    if np.any(total == -np.inf):
+        with pytest.raises(ValueError, match="must carry some mass"):
+            softmax(a)
+        return
+    w, lw = softmax(a)
+    for k, row in enumerate(a):
+        w_k, lw_k = softmax(row)
+        assert np.array_equal(w[k], w_k)
+        assert np.array_equal(lw[k], lw_k)
+
+
+def test_softmax_rejects_each_bad_row():
+    rows = np.zeros((3, 2))
+    for bad in (np.nan, np.inf):
+        rows[1, 0] = bad
+        with pytest.raises(ValueError, match="< \\+inf and not NaN"):
+            softmax(rows)
+    rows[1] = -np.inf
+    with pytest.raises(ValueError, match="must carry some mass"):
+        softmax(rows)
+    for shape in ((0,), (2, 0), (1, 1, 1)):
+        with pytest.raises(ValueError, match="non-empty 1-D array"):
+            softmax(np.zeros(shape))
 
 
 def test_as_weight_array_accepts_wrappers():

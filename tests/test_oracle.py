@@ -358,11 +358,10 @@ def _public_replicate(config, r):
     return risk, posterior_variance(dictionary, post)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_replicates_equal_the_public_path(family):
-    base = make_scenario(family, n=8, m=6, replicates=12, seed=3)
+def _public_path_configs(family, replicates):
+    base = make_scenario(family, n=8, m=6, replicates=replicates, seed=3)
     skewed = WeightVector([0.0, 0.1, 0.2, 0.3, 0.15, 0.25])
-    configs = [
+    return [
         base,  # clean mode runs at the threshold
         replace(base, beta=base.beta / 2.0),  # variance_penalty mode at half of it
         replace(base, prior_samples=9),
@@ -371,10 +370,64 @@ def test_replicates_equal_the_public_path(family):
         replace(base, prior=skewed, prior_samples=5, beta=math.inf),
         replace(base, prior=skewed, beta=1e-310),  # every d_j / beta overflows
     ]
-    for config in configs:
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_replicates_equal_the_public_path(family):
+    for config in _public_path_configs(family, replicates=12):
         risks, pvars = _run_replicates(config)
         for r in range(config.replicates):
             assert (risks[r], pvars[r]) == _public_replicate(config, r)
+
+
+def _assert_chunks_equal_the_public_path(monkeypatch, config, chunk_rows):
+    """Every replicate of `config` equals its public path when `_run_replicates` takes each
+    row count in `chunk_rows` (set through ewa.BLOCK_DOUBLES) at 1 and at 3 workers."""
+    n = config.truth.size
+    m_eff = config.prior_samples or config.dictionary.m
+    public = [_public_replicate(config, r) for r in range(config.replicates)]
+    for rows in chunk_rows:
+        monkeypatch.setattr(ewa, "BLOCK_DOUBLES", rows * m_eff * n)
+        assert ewa._signal_rows(m_eff, n) == rows
+        for threads in ("1", "3"):
+            monkeypatch.setenv("EWA_AGG_THREADS", threads)
+            risks, pvars = _run_replicates(config)
+            assert list(zip(risks, pvars)) == public
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_replicate_chunks_equal_the_public_path(family, monkeypatch):
+    # R = 37 is no multiple of 5 or 7 and splits 13 + 13 + 11 over 3 workers; 64 rows exceed R
+    for config in _public_path_configs(family, replicates=37):
+        _assert_chunks_equal_the_public_path(monkeypatch, config, (1, 5, 7, 64))
+
+
+def test_long_signals_take_one_row_at_a_time():
+    # a row past einsum's buffer sums in other pieces in a 3-D block, so it goes alone
+    config = make_scenario("gaussian", n=9000, m=2, replicates=3, seed=3)
+    assert ewa._signal_rows(2, 9000) == 1
+    risks, pvars = _run_replicates(config)
+    assert list(zip(risks, pvars)) == [_public_replicate(config, r) for r in range(3)]
+
+
+def test_chunk_mixing_rows_with_and_without_mass(monkeypatch):
+    # at beta = 1e-310, d / beta overflows past d ~ 0.018: a row keeps mass on the atom at
+    # truth only where xi^2 < 0.018, and the others take the beta -> 0 limit within a chunk
+    truth = np.array([0.4])
+    config = ExperimentConfig(
+        truth=truth,
+        dictionary=Dictionary([truth, truth + 1.0]),
+        prior=WeightVector([0.25, 0.75]),
+        noise=Gaussian.homogeneous(1, 0.13),
+        beta=1e-310,
+        replicates=37,
+        seed=RNG_SEED,
+    )
+    xi = np.array([config.noise.sample(derived_stream(RNG_SEED, r))[0] for r in range(37)])
+    with np.errstate(over="ignore"):
+        kept = xi**2 / config.beta < np.inf
+    assert 5 <= kept.sum() <= 32
+    _assert_chunks_equal_the_public_path(monkeypatch, config, (5, 7, 64))
 
 
 def test_distance_blocks_and_threads_do_not_change_replicates(monkeypatch):
