@@ -13,17 +13,24 @@ temperature threshold up) or with the posterior-variance penalty added
 for `ewa-agg oracle-bound`; each report's fields are its JSON keys
 (`coupling.Report`), and its CSV_HEADER picks the CSV columns.
 
-Replicate r draws its noise from a generator seeded by (seed, r) and runs
-the distance, softmax and moments behind `posterior_weights`. Replicates go
-through in chunks of R_c = BLOCK_DOUBLES // (m n) rows, m being
-prior_samples when set (one row where n outgrows einsum's buffer;
-`ewa._signal_rows`), by a rule that does not look at the worker count:
-one distance block and one row-wise softmax per chunk, each row giving the
-bits of its one-replicate call. So results are bit-identical however many
-workers run (EWA_AGG_THREADS, default 1) and however replicates are chunked.
+Replicate r draws its noise from the stream numpy derives for (seed, r),
+Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))), and runs the distance,
+softmax and moments behind `posterior_weights`. A worker's span of replicates
+hashes all their PCG64 states in one numpy pass (`derived_states`, numpy's
+hash redone, equal to it word for word) and seats each state in turn on one
+generator of its own. Replicates go through in chunks of
+R_c = BLOCK_DOUBLES // (m n) rows, m being prior_samples when set (one row
+where n outgrows einsum's buffer; `ewa._signal_rows`), by a rule that does not
+look at the worker count: one distance block and one row-wise softmax per
+chunk, each row giving the bits of its one-replicate call. So results are
+bit-identical however many workers run and however replicates are chunked.
+EWA_AGG_THREADS (default 1) workers share a config whose chunks hold one row;
+a config with more rows per chunk runs on one, as its small numpy calls hold
+the GIL.
 """
 
 import math
+import operator
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -55,9 +62,111 @@ CONFIDENCE_MULTIPLIER = 3.0
 THREADS_ENV_VAR = "EWA_AGG_THREADS"
 
 
+# numpy's SeedSequence hash (4-word pool) and PCG64 seeding; NEP 19 pins both
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the pool out into state words
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_STATE_KEYS = 1 << 14  # keys a span derives at once: its transient lists stay a few MB
+
+
+def _steps(const, mult, count):
+    """The xor and multiply constants of `count` hashmix steps from hash constant `const`: it
+    advances with each step, whatever the value hashed."""
+    xors, muls = [], []
+    for _ in range(count):
+        xors.append(const)
+        const = const * mult & _MASK32
+        muls.append(const)
+    return xors, muls
+
+
+def _hash(value, xor, mul):
+    """hashmix on uint32s: Python ints, or numpy arrays that broadcast."""
+    value = ((value ^ xor) & _MASK32) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    x = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return x ^ x >> 16
+
+
+def _column(values):
+    return np.array(values, np.uint32)[:, None]
+
+
+def _words(value):
+    """The little-endian 32-bit words of a non-negative integer, as SeedSequence reads it."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def derived_states(seed, keys):
+    """The PCG64 seed words of Generator(PCG64(SeedSequence(seed, spawn_key=key))) per key, as
+    a (len(keys), 4) uint64 array: initstate high and low words, then initseq's. The seed's
+    words fill and mix the pool once, in Python ints. Each key word then mixes into the 4 pool
+    words of every key at once, one array pass per word position (a key with fewer words keeps
+    its pool), and the pools hash out 8 words as generate_state(4, uint64) does."""
+    entropy = _words(seed)
+    entropy += [0] * (_POOL_WORDS - len(entropy))
+    key_words = [[w for part in key for w in _words(part)] for key in keys]
+    lengths = np.fromiter(map(len, key_words), np.intp, len(key_words))
+    table = np.zeros((len(key_words), lengths.max(initial=0)), np.uint32)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = [w for ws in key_words for w in ws]
+    # 4 steps fill the pool and 12 cross-mix it; each later seed or key word takes 4 more
+    xors, muls = _steps(_INIT_A, _MULT_A, _POOL_WORDS * (len(entropy) + table.shape[1]))
+    pool = [_hash(*first) for first in zip(entropy[:_POOL_WORDS], xors, muls)]
+    step = _POOL_WORDS
+    for src in range(_POOL_WORDS):  # late words reach the early ones
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], xors[step], muls[step]))
+                step += 1
+    for extra in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], _hash(extra, xors[step], muls[step]))
+            step += 1
+    pools = np.repeat(_column(pool), len(key_words), axis=1)
+    for col in range(table.shape[1]):
+        run = slice(step, step + _POOL_WORDS)
+        hashed = _hash(table[:, col], _column(xors[run]), _column(muls[run]))
+        pools = np.where(lengths > col, _mix(pools, hashed), pools)
+        step += _POOL_WORDS
+    xors, muls = _steps(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
+    out = _hash(pools[np.arange(2 * _POOL_WORDS) % _POOL_WORDS], _column(xors), _column(muls))
+    out = out.astype(np.uint64)
+    return (out[0::2] | out[1::2] << 32).T
+
+
+def _seat(bit_generator, words):
+    """Set a PCG64 to the state pcg64_set_seed makes of one key's 4 words (Python ints), with
+    no buffered 32-bit half."""
+    state_hi, state_lo, seq_hi, seq_lo = words
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+    state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def derived_stream(seed, *key):
-    """A generator deterministically derived from (seed, key)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    """The generator Generator(PCG64(SeedSequence(seed, spawn_key=key))), derived through
+    `derived_states`. seed and the key parts are non-negative integers, as a config's seed
+    is; None or an entropy sequence, which SeedSequence also takes, raises TypeError."""
+    rng = np.random.Generator(np.random.PCG64(0))  # its state is set below
+    _seat(rng.bit_generator, derived_states(seed, [key])[0].tolist())
+    return rng
 
 
 def _penalized_distances(prior, d, beta):
@@ -154,8 +263,11 @@ def worker_count():
 
 def _run_replicates(config):
     """Each replicate's risk and posterior variance; what no replicate changes is made once.
-    A worker's span goes in chunks of `_signal_rows` replicates, whatever the worker count:
-    one distance block and one row-wise softmax per chunk, then each row's moments."""
+    A worker's span derives its replicates' stream states (`derived_states`) and seats each
+    in turn on one generator of its own; it goes in chunks of `_signal_rows` replicates,
+    whatever the worker count: one distance block and one row-wise softmax per chunk, then
+    each row's moments. A config whose chunks hold more than one row runs on one worker, as
+    its chunks' small numpy calls hold the GIL."""
     total, beta, sampled = config.replicates, config.beta, config.prior_samples
     atoms = config.dictionary.atoms
     norms = _atom_sq_distances(0.0, atoms)
@@ -163,10 +275,10 @@ def _run_replicates(config):
     rows = _signal_rows(sampled or len(atoms), config.truth.size)
     risks, pvars = np.empty(total), np.empty(total)
 
-    def fill(chunk):
-        draws, picks = [], []
-        for r in chunk:
-            rng = derived_stream(config.seed, r)
+    def fill(rng, chunk, states):
+        draws, picks, bits = [], [], rng.bit_generator
+        for words in states:
+            _seat(bits, words)
             draws.append(config.noise.sample(rng))
             if sampled is not None:
                 picks.append(rng.choice(len(atoms), size=sampled, p=config.prior.weights))
@@ -187,10 +299,18 @@ def _run_replicates(config):
             risks[r] = squared_distance(estimate, config.truth)
 
     def fill_span(lo, hi):  # a chunk's arrays go before the next one's are made
-        for start in range(lo, hi, rows):
-            fill(range(start, min(start + rows, hi)))
+        rng = np.random.Generator(np.random.PCG64(0))  # `fill` sets each replicate's state
+        keys_at_once = rows * max(1, _STATE_KEYS // rows)  # whole chunks
+        for first in range(lo, hi, keys_at_once):
+            last = min(first + keys_at_once, hi)
+            states = derived_states(config.seed, [(r,) for r in range(first, last)]).tolist()
+            for start in range(first, last, rows):
+                stop = min(start + rows, last)
+                fill(rng, range(start, stop), states[start - first : stop - first])
 
-    workers = worker_count()
+    workers = worker_count()  # checked even where one worker is taken
+    if rows > 1:
+        workers = 1
     step = -(-total // workers)
     spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -21,7 +21,7 @@ from ewa_agg.bernstein import (
     variance_penalty_coefficient,
 )
 from ewa_agg.coupling import verify_coupling
-from ewa_agg.ewa import dv_minimality_test, kl_divergence
+from ewa_agg.ewa import _signal_rows, dv_minimality_test, kl_divergence
 from ewa_agg.model import Dictionary, WeightVector
 from ewa_agg.noise import (
     BoundedBinaryMixture,
@@ -229,7 +229,10 @@ def test_kl_identity_and_bound_ordering():
 
 
 def test_certification_is_thread_deterministic(tmp_path):
-    config = make_scenario("gaussian", n=20, m=8, replicates=2_000, seed=424242)
+    # m n > BLOCK_DOUBLES: chunks of one row, so 4 workers really share the replicates
+    n, m = 64, 1100
+    assert _signal_rows(m, n) == 1
+    config = make_scenario("gaussian", n=n, m=m, replicates=2_000, seed=424242)
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(json.dumps(config.to_json()))
     with _criterion(8, "byte-identical reports across worker counts", budget=60.0):

@@ -353,8 +353,10 @@ def test_package_exports_each_public_name_once():
 
 
 def test_certify_is_deterministic_across_thread_counts(tmp_path):
+    # chunks of one row (m n > BLOCK_DOUBLES), so 4 workers really share the replicates
     cfg = tmp_path / "cfg.json"
-    _write_config(cfg)
+    config = make_scenario("gaussian", n=64, m=1100, replicates=50, seed=99)
+    cfg.write_text(json.dumps(config.to_json()))
     outputs = []
     for threads in ("1", "4"):
         out = tmp_path / f"report_{threads}.csv"

@@ -2,15 +2,16 @@
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ewa_agg import ewa
+from ewa_agg import ewa, oracle
 from ewa_agg.bernstein import beta_threshold
 from ewa_agg.ewa import aggregate, gibbs_objective, posterior_variance, posterior_weights
 from ewa_agg.model import (
@@ -26,6 +27,7 @@ from ewa_agg.oracle import (
     _run_replicates,
     certify_config,
     certify_corollary,
+    derived_states,
     derived_stream,
     make_scenario,
     mc_risk,
@@ -48,6 +50,65 @@ def test_derived_stream_is_keyed_and_reproducible():
     # multi-part keys live in their own namespace
     e = derived_stream(7, 3, 0).random(5)
     assert not np.array_equal(a, e)
+
+
+def _numpy_stream(seed, *key):
+    """numpy's own derivation, the oracle that `derived_states` must equal (NEP 19 fixes it)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+_KEY_PART = st.integers(0, 2**40 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    keys=st.lists(st.lists(_KEY_PART, max_size=3).map(tuple), min_size=1, max_size=6),
+)
+@example(seed=2**130 + 12_345, keys=[(0,), (2**32 - 1,), (2**32,), (101, 2), ()])  # > pool
+@example(seed=2**64 - 1, keys=[(2**40 - 1, 0, 2**32 - 1), (7,)])
+def test_derived_states_equal_numpy(seed, keys):
+    # one batch mixes word counts: a key of fewer words must keep its pool
+    words = derived_states(seed, keys)
+    for key, row in zip(keys, words, strict=True):
+        numpy_seq = np.random.SeedSequence(seed, spawn_key=key)
+        assert np.array_equal(row, numpy_seq.generate_state(4, np.uint64))
+        ours, theirs = derived_stream(seed, *key), _numpy_stream(seed, *key)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random(8).tolist() == theirs.random(8).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, RNG_SEED, 2**63 + 5, 2**64 - 1])
+def test_span_states_equal_numpy(seed):
+    keys = [(r,) for r in range(1500)] + [(2**32 - 1,), (2**32,), (2**40 + 3,)]
+    expected = [np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+                for key in keys]
+    assert np.array_equal(derived_states(seed, keys), np.array(expected))
+
+
+def _raised(make):
+    try:
+        make()
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+    return None
+
+
+_ANY_NUMBER = st.integers(-(2**40), 2**40) | st.floats()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_ANY_NUMBER | st.integers(0, 2**40), key=st.lists(_ANY_NUMBER, max_size=3))
+def test_bad_seeds_and_keys_raise_as_numpy_does(seed, key):
+    expected = _raised(lambda: np.random.SeedSequence(seed, spawn_key=key))
+    assert _raised(lambda: derived_states(seed, [key])) is expected
+    assert _raised(lambda: derived_stream(seed, *key)) is expected
+
+
+@pytest.mark.parametrize("seed", [None, [1, 2], (3,)])
+def test_derived_stream_takes_integer_seeds_only(seed):
+    with pytest.raises(TypeError):
+        derived_stream(seed, 0)
 
 
 class TestOracleBounds:
@@ -302,6 +363,8 @@ class TestMcRisk:
         assert a.mean_posterior_variance == b.mean_posterior_variance
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(ewa, "BLOCK_DOUBLES", 30)  # chunks of one row: 3 workers run
+        assert ewa._signal_rows(5, 6) == 1
         monkeypatch.delenv("EWA_AGG_THREADS", raising=False)
         serial = mc_risk(_toy_config())
         monkeypatch.setenv("EWA_AGG_THREADS", "3")
@@ -345,8 +408,9 @@ class TestMcRisk:
 
 
 def _public_replicate(config, r):
-    """Replicate r through posterior_weights, aggregate and posterior_variance."""
-    rng = derived_stream(config.seed, r)
+    """Replicate r through posterior_weights, aggregate and posterior_variance, drawing from
+    numpy's own (seed, r) stream."""
+    rng = _numpy_stream(config.seed, r)
     y = config.truth + config.noise.sample(rng)
     dictionary, prior = config.dictionary, config.prior
     if config.prior_samples is not None:
@@ -382,7 +446,9 @@ def test_replicates_equal_the_public_path(family):
 
 def _assert_chunks_equal_the_public_path(monkeypatch, config, chunk_rows):
     """Every replicate of `config` equals its public path when `_run_replicates` takes each
-    row count in `chunk_rows` (set through ewa.BLOCK_DOUBLES) at 1 and at 3 workers."""
+    row count in `chunk_rows` (set through ewa.BLOCK_DOUBLES) at 1 and at 3 workers. A span
+    derives its states 10 keys at a time (whole chunks), so spans cross several key blocks."""
+    monkeypatch.setattr(oracle, "_STATE_KEYS", 10)
     n = config.truth.size
     m_eff = config.prior_samples or config.dictionary.m
     public = [_public_replicate(config, r) for r in range(config.replicates)]
@@ -400,6 +466,38 @@ def test_replicate_chunks_equal_the_public_path(family, monkeypatch):
     # R = 37 is no multiple of 5 or 7 and splits 13 + 13 + 11 over 3 workers; 64 rows exceed R
     for config in _public_path_configs(family, replicates=37):
         _assert_chunks_equal_the_public_path(monkeypatch, config, (1, 5, 7, 64))
+
+
+class _OddDraws(Gaussian):
+    """Gaussian noise behind 3 int32 draws, which leave half of a 64-bit output buffered."""
+
+    def sample(self, rng):
+        rng.integers(0, 2**31, size=3, dtype=np.int32)
+        return super().sample(rng)
+
+
+def test_reused_generator_leaks_no_buffered_half(monkeypatch):
+    # the worker's generator serves every replicate of its span: each seat drops the buffer
+    config = replace(_toy_config(replicates=37), noise=_OddDraws.homogeneous(6, 1.0))
+    _assert_chunks_equal_the_public_path(monkeypatch, config, (1, 5, 64))
+
+
+def test_chunked_configs_take_one_worker(monkeypatch):
+    pools = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setenv("EWA_AGG_THREADS", "3")
+    config = _toy_config(replicates=20)  # 5 atoms of length 6
+    assert ewa._signal_rows(5, 6) > 1
+    _run_replicates(config)
+    monkeypatch.setattr(ewa, "BLOCK_DOUBLES", 30)  # one row per chunk
+    _run_replicates(config)
+    assert pools == [1, 3]
 
 
 def test_long_signals_take_one_row_at_a_time():

@@ -7,7 +7,11 @@ exits 2 if SRC/src holds no package. For each of the five `make_scenario`
 families (seed 3, R = 200, sample_size 20 000) the six subcommands run through
 `python -m ewa_agg.cli` in CSV and in JSON, and their stdout goes to
 OUT/cli/<family>.<subcommand>.<format>; each script in SRC/demos has its stdout
-written to OUT/demos/<name>.txt. OUT/exit_codes.txt lists every exit code.
+written to OUT/demos/<name>.txt. These runs take EWA_AGG_THREADS=1, whatever the
+caller's environment holds. A wide scenario per family (n = 64, m = 1100, so
+m n > BLOCK_DOUBLES and each chunk holds one replicate) runs simulate and certify
+at EWA_AGG_THREADS=2 into OUT/cli-threads2/: two workers share those runs, so a
+diff also covers the worker count. OUT/exit_codes.txt lists every exit code.
 Snapshots of two checkouts compare with `diff -r OUT_A OUT_B`.
 """
 
@@ -18,10 +22,12 @@ import sys
 from pathlib import Path
 
 SEED = 3
+THREADS = "EWA_AGG_THREADS"
 REPLICATES = 200
 SAMPLE_SIZE = 20_000
 COMMANDS = ("simulate", "certify", "verify-coupling", "verify-bernstein", "dv-check", "oracle-bound")
 FORMATS = ("csv", "json")
+WIDE = {"n": 64, "m": 1100}
 
 
 def _run(args, env, path, codes):
@@ -43,18 +49,21 @@ def main(argv):
     from ewa_agg.noise import FAMILIES
     from ewa_agg.oracle import make_scenario
 
-    env = dict(os.environ, PYTHONPATH=str(src / "src"))
-    for folder in ("configs", "cli", "demos"):
+    env = dict(os.environ, PYTHONPATH=str(src / "src"), **{THREADS: "1"})
+    for folder in ("configs", "cli", "cli-threads2", "demos"):
         (out / folder).mkdir(parents=True, exist_ok=True)
     codes = []
+    runs = (("", {}, "cli", COMMANDS, "1"), (".wide", WIDE, "cli-threads2", COMMANDS[:2], "2"))
     for family in FAMILIES:
-        doc = make_scenario(family, replicates=REPLICATES, seed=SEED).to_json()
-        config = out / "configs" / f"{family}.json"
-        config.write_text(json.dumps({**doc, "sample_size": SAMPLE_SIZE}))
-        for command in COMMANDS:
-            for fmt in FORMATS:
-                args = [sys.executable, "-m", "ewa_agg.cli", command, str(config), "--format", fmt]
-                _run(args, env, out / "cli" / f"{family}.{command}.{fmt}", codes)
+        for suffix, shape, folder, commands, threads in runs:
+            doc = make_scenario(family, replicates=REPLICATES, seed=SEED, **shape).to_json()
+            config = out / "configs" / f"{family}{suffix}.json"
+            config.write_text(json.dumps({**doc, "sample_size": SAMPLE_SIZE}))
+            for command in commands:
+                for fmt in FORMATS:
+                    args = [sys.executable, "-m", "ewa_agg.cli", command, str(config)]
+                    path = out / folder / f"{family}.{command}.{fmt}"
+                    _run([*args, "--format", fmt], {**env, THREADS: threads}, path, codes)
     for demo in sorted((src / "demos").glob("*.py")):
         _run([sys.executable, str(demo)], env, out / "demos" / f"{demo.stem}.txt", codes)
     (out / "exit_codes.txt").write_text("".join(codes))
