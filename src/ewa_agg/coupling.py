@@ -24,7 +24,9 @@ entry (`sample_coupling`, `verify_coupling` and the exact wrappers here,
 `bernstein.check_noise_mgf`).
 
 The two sampled statistics are plain numpy. The Kolmogorov-Smirnov
-statistic differences the two empirical CDFs at every pooled draw. The
+statistic differences the two empirical CDFs at every distinct draw: at the
+last index i of a run of equal values in a sorted sample, that sample's CDF is
+(i + 1) / size, and only the other sample's CDF takes a lookup. The
 characteristic-function gap is even in t, so only the grid's nodes t >= 0
 are evaluated, and exp(i t x) moves from node to node by one complex
 product with exp(i dt x) instead of a cos/sin pair per node.
@@ -148,13 +150,16 @@ def ks_two_sample_threshold(n1, n2, tests=1):
 
 def _ks_statistic(a, b):
     """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
-    two empirical CDFs, evaluated at every pooled draw."""
+    two empirical CDFs, evaluated at every distinct draw of either sample."""
     a = np.sort(a)
     b = np.sort(b)
-    pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
-    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    gap = 0.0
+    for s, other in ((a, b), (b, a)):
+        ends = np.append(np.flatnonzero(s[:-1] != s[1:]), s.size - 1)
+        own = (ends + 1) / s.size
+        cross = np.searchsorted(other, s[ends], side="right") / other.size
+        gap = max(gap, float(np.max(np.abs(own - cross))))
+    return gap
 
 
 def _cf_sums(x, t0, dt, nodes):

@@ -5,8 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewa_agg.bernstein import (
+    MGF_SE_MULTIPLIER,
+    _sampled_moments,
     beta_threshold,
     check_noise_mgf,
     default_t_grid,
@@ -14,7 +18,7 @@ from ewa_agg.bernstein import (
     mgf_bound_check,
     variance_penalty_coefficient,
 )
-from ewa_agg.coupling import conditional_zeta_laws
+from ewa_agg.coupling import CF_BLOCK, conditional_zeta_laws
 from ewa_agg.noise import (
     FAMILIES,
     BoundedBinaryMixture,
@@ -237,19 +241,57 @@ class TestMgfChecks:
 
     def test_sampled_overflow_fails_closed(self):
         # exp(t x) stays finite at t = 4, x = 100 but its square does not, so
-        # the margin overflows; the point must fail, not pass with ratio -inf
-        zeta = np.random.default_rng(0).normal(size=1000)
-        zeta[0] = 100.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = mgf_bound_check(zeta, 1.0, 0.0, 2.0, np.linspace(4.0, 7.0, 8))
-        assert not report.verdict
-        assert report.max_ratio == math.inf
-        assert report.worst_t == 4.0
+        # the margin overflows; the point must fail, not pass with ratio -inf,
+        # whichever block of draws holds the 100
+        for size, at in ((1000, 0), (2 * CF_BLOCK + 7, CF_BLOCK + 5)):
+            zeta = np.random.default_rng(0).normal(size=size)
+            zeta[at] = 100.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = mgf_bound_check(zeta, 1.0, 0.0, 2.0, np.linspace(4.0, 7.0, 8))
+            assert not report.verdict
+            assert report.max_ratio == math.inf
+            assert report.worst_t == 4.0
+
+    def test_merged_m2_keeps_two_pass_accuracy(self):
+        # exp(x) has mean about 5e21 and relative spread 1e-6 over three blocks;
+        # E[z^2] - E[z]^2 would be off by about 5e-5 of the variance here
+        x = 50.0 + 1e-6 * np.random.default_rng(7).normal(size=2 * CF_BLOCK + 123)
+        mean, m2 = _sampled_moments(x, np.array([1.0]))
+        z = np.exp(x)
+        assert mean[0] == pytest.approx(z.mean(), rel=1e-15)
+        assert m2[0] == pytest.approx(z.var() * z.size, rel=1e-10)
 
     def test_sampled_input_validation(self):
         with pytest.raises(ValueError, match="1-D"):
             mgf_bound_check(np.zeros((3, 3)), 1.0, 0.0, 2.0, np.array([0.1]))
+
+
+_nodes = st.floats(0.01, 3.0).flatmap(lambda t: st.sampled_from([t, -t]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, CF_BLOCK - 1, CF_BLOCK, CF_BLOCK + 1, 2 * CF_BLOCK + 123]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 2.0),
+    st.lists(_nodes, min_size=1, max_size=9),
+)
+def test_sampled_moments_match_the_per_point_formula(size, seed, scale, grid):
+    # the blocked moments against exp(t x).mean() and the 5-standard-error
+    # margin, node by node, on unsorted non-uniform grids: byte for byte up to
+    # one block, to 1e-12 beyond, where only the order of the sums changes
+    x = np.random.default_rng(seed).laplace(0.3, scale, size)
+    grid = np.array(grid)
+    mean, m2 = _sampled_moments(x, grid)
+    margin = MGF_SE_MULTIPLIER * np.sqrt(m2 / (size - 1)) / math.sqrt(size)
+    for idx, t in enumerate(grid):
+        values = np.exp(t * x)
+        want = (values.mean(), MGF_SE_MULTIPLIER * values.std(ddof=1) / math.sqrt(size))
+        if size <= CF_BLOCK:
+            assert (mean[idx], margin[idx]) == want
+        else:
+            assert (mean[idx], margin[idx]) == pytest.approx(want, rel=1e-12)
 
 
 ALL_MODELS = [

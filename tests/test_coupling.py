@@ -289,6 +289,11 @@ def _ks_pairs():
         "heavy_ties": (rng.integers(0, 6, 3_000).astype(float), rng.integers(0, 7, 2_000).astype(float)),
         "identical": (same, same.copy()),
         "disjoint": (rng.uniform(0.0, 1.0, 500), rng.uniform(2.0, 3.0, 900)),
+        "cross_ties": (
+            np.concatenate([rng.normal(size=2_000), np.repeat([-1.0, 0.0, 0.5], 40)]),
+            np.concatenate([rng.normal(size=1_500), np.repeat([0.0, 0.5, 2.0], 25)]),
+        ),
+        "one_draw": (rng.normal(size=1), rng.normal(size=900)),
     }
 
 

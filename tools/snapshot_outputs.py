@@ -11,7 +11,11 @@ written to OUT/demos/<name>.txt. These runs take EWA_AGG_THREADS=1, whatever the
 caller's environment holds. A wide scenario per family (n = 64, m = 1100, so
 m n > BLOCK_DOUBLES and each chunk holds one replicate) runs simulate and certify
 at EWA_AGG_THREADS=2 into OUT/cli-threads2/: two workers share those runs, so a
-diff also covers the worker count. OUT/exit_codes.txt lists every exit code.
+diff also covers the worker count. For gaussian and laplace, verify-coupling (by
+the cf_grid method) and verify-bernstein also run at sample_size
+2 * CF_BLOCK + 123 into OUT/cli-blocks/, so that the blocked CF sums and the
+blocked MGF moments go through several blocks of draws. OUT/exit_codes.txt lists
+every exit code.
 Snapshots of two checkouts compare with `diff -r OUT_A OUT_B`.
 """
 
@@ -28,6 +32,7 @@ SAMPLE_SIZE = 20_000
 COMMANDS = ("simulate", "certify", "verify-coupling", "verify-bernstein", "dv-check", "oracle-bound")
 FORMATS = ("csv", "json")
 WIDE = {"n": 64, "m": 1100}
+BLOCK_FAMILIES = ("gaussian", "laplace")
 
 
 def _run(args, env, path, codes):
@@ -46,19 +51,28 @@ def main(argv):
         print(f"{init} is missing: {argv[1]} is not a checkout", file=sys.stderr)
         return 2
     sys.path.insert(0, str(src / "src"))
+    from ewa_agg.coupling import CF_BLOCK
     from ewa_agg.noise import FAMILIES
     from ewa_agg.oracle import make_scenario
 
     env = dict(os.environ, PYTHONPATH=str(src / "src"), **{THREADS: "1"})
-    for folder in ("configs", "cli", "cli-threads2", "demos"):
+    for folder in ("configs", "cli", "cli-threads2", "cli-blocks", "demos"):
         (out / folder).mkdir(parents=True, exist_ok=True)
     codes = []
-    runs = (("", {}, "cli", COMMANDS, "1"), (".wide", WIDE, "cli-threads2", COMMANDS[:2], "2"))
+    sampled = {"sample_size": SAMPLE_SIZE}
+    blocks = {"sample_size": 2 * CF_BLOCK + 123, "method": "cf_grid"}
+    runs = (
+        ("", {}, sampled, FAMILIES, "cli", COMMANDS, "1"),
+        (".wide", WIDE, sampled, FAMILIES, "cli-threads2", COMMANDS[:2], "2"),
+        (".blocks", {}, blocks, BLOCK_FAMILIES, "cli-blocks", COMMANDS[2:4], "1"),
+    )
     for family in FAMILIES:
-        for suffix, shape, folder, commands, threads in runs:
+        for suffix, shape, extras, families, folder, commands, threads in runs:
+            if family not in families:
+                continue
             doc = make_scenario(family, replicates=REPLICATES, seed=SEED, **shape).to_json()
             config = out / "configs" / f"{family}{suffix}.json"
-            config.write_text(json.dumps({**doc, "sample_size": SAMPLE_SIZE}))
+            config.write_text(json.dumps({**doc, **extras}))
             for command in commands:
                 for fmt in FORMATS:
                     args = [sys.executable, "-m", "ewa_agg.cli", command, str(config)]
