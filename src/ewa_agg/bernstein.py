@@ -32,6 +32,11 @@ merge into the running ones by the pairwise update of Chan, Golub and
 LeVeque (1983), which keeps the accuracy of two passes. An exp that
 overflows, in any block, leaves its point's moments non-finite, and the
 point fails.
+
+An exact check takes a family's conditional laws all at once, as the rows
+of a `laws.LawRows`: exp(t x) runs over groups of whole laws of at most
+CF_BLOCK doubles, each law's MGF is the matrix-vector product on its own
+columns, and the report is that of the first law with the largest ratio.
 """
 
 import math
@@ -40,8 +45,8 @@ from typing import Callable
 
 import numpy as np
 
-from .coupling import CF_BLOCK, CHECK_CSV_HEADER, Report, conditional_zeta_laws, _check_alpha
-from .laws import DiscreteLaw
+from .coupling import CF_BLOCK, CHECK_CSV_HEADER, Report, _check_alpha
+from .laws import DiscreteLaw, LawRows
 
 MGF_RATIO_TOL = 1e-12
 MGF_SE_MULTIPLIER = 5.0
@@ -162,6 +167,62 @@ def _sampled_moments(samples, t_grid):
     return mean, m2
 
 
+def _worst_points(mgf, margin, bound):
+    """Per column of mgf (one law, its rows the grid points): the largest ratio
+    (mgf - margin) / bound and the first grid index that reaches it. A mean or
+    margin that is not finite certifies nothing: its point fails, unless the
+    bound there is infinite and so met by anything."""
+    bound = np.broadcast_to(bound[:, None], mgf.shape)
+    with np.errstate(invalid="ignore"):
+        ratio = (mgf - margin) / bound
+    blind = ~(np.isfinite(mgf) & np.isfinite(margin))
+    ratio[blind] = np.where(np.isinf(bound[blind]), 0.0, np.inf)
+    worst = np.argmax(ratio, axis=0)
+    return ratio[worst, np.arange(ratio.shape[1])], worst
+
+
+def _exact_worst_points(rows, t_grid, bound):
+    """`_worst_points` of every law of a `laws.LawRows`, exactly. exp(t x) is taken
+    over groups of whole laws whose matrix holds at most CF_BLOCK doubles (a law
+    wider than that is a group of its own), and each law's MGF is the matrix-vector
+    product on its own columns."""
+    offsets = rows.offsets
+    width = CF_BLOCK // max(1, t_grid.size)
+    ratios, worst = [], []
+    first = 0
+    while first < rows.count:
+        last = int(np.searchsorted(offsets, offsets[first] + width, side="right")) - 1
+        last = max(last, first + 1)
+        lo, hi = offsets[first], offsets[last]
+        terms = np.exp(np.multiply.outer(t_grid, rows.values[lo:hi]))
+        spans = zip(offsets[first:last] - lo, offsets[first + 1 : last + 1] - lo)
+        mgf = np.stack([terms[:, s:e] @ rows.probs[lo + s : lo + e] for s, e in spans], axis=1)
+        group_ratios, group_worst = _worst_points(mgf, 0.0, bound)
+        ratios.append(group_ratios)
+        worst.append(group_worst)
+        first = last
+    return np.concatenate(ratios), np.concatenate(worst)
+
+
+def _report(ratios, worst, t_grid, method, family, alpha):
+    """The report of the first law with the largest ratio, at its worst point."""
+    ratios = ratios.tolist()
+    law = 0
+    for j, ratio in enumerate(ratios):
+        if ratio > ratios[law]:
+            law = j
+    max_ratio = ratios[law]
+    return MgfCheckReport(
+        family=family,
+        alpha=alpha,
+        method=method,
+        max_ratio=max_ratio,
+        worst_t=float(t_grid[worst[law]]),
+        verdict=max_ratio <= 1.0 + MGF_RATIO_TOL,
+        points=int(t_grid.size),
+    )
+
+
 def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
     """Compare E[exp(t zeta)] against the profile bound over a t-grid.
 
@@ -174,8 +235,7 @@ def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
     t_grid = np.asarray(t_grid, dtype=np.float64)
     bound = mgf_bound(t_grid, v, b, c)  # also validates the domain
     if isinstance(law, DiscreteLaw):
-        mgf = law.mgf(t_grid)
-        margin = np.zeros_like(bound)
+        ratios, worst = _exact_worst_points(LawRows.stack([law]), t_grid, bound)
         method = "exact"
     else:
         samples = np.asarray(law, dtype=np.float64)
@@ -183,31 +243,17 @@ def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
             raise ValueError("sampled laws need a 1-D array with at least 2 draws")
         mgf, m2 = _sampled_moments(samples, t_grid)
         margin = MGF_SE_MULTIPLIER * np.sqrt(m2 / (samples.size - 1)) / math.sqrt(samples.size)
+        ratios, worst = _worst_points(mgf[:, None], margin[:, None], bound)
         method = "sampled"
-    with np.errstate(invalid="ignore"):
-        ratio = (mgf - margin) / bound
-    # a mean or margin that is not finite certifies nothing: its point fails,
-    # unless the bound there is infinite and so met by anything
-    blind = ~(np.isfinite(mgf) & np.isfinite(margin))
-    ratio[blind] = np.where(np.isinf(bound[blind]), 0.0, np.inf)
-    worst = int(np.argmax(ratio))
-    max_ratio = float(ratio[worst])
-    return MgfCheckReport(
-        family=family,
-        alpha=alpha,
-        method=method,
-        max_ratio=max_ratio,
-        worst_t=float(t_grid[worst]),
-        verdict=max_ratio <= 1.0 + MGF_RATIO_TOL,
-        points=int(t_grid.size),
-    )
+    return _report(ratios, worst, t_grid, method, family, alpha)
 
 
 def check_noise_mgf(model, alpha, sample_size=1_000_000, rng=None):
     """Run the profile bound over every conditional companion law of a
-    noise model: exactly for the discrete families, from samples drawn
-    from `rng` for the continuous ones, which require it so that a verdict
-    reproduces from its seed. Returns the worst-case report."""
+    noise model: exactly for the discrete families, all their conditional laws
+    at once as rows, and from samples drawn from `rng` for the continuous ones,
+    which require it so that a verdict reproduces from its seed. Returns the
+    worst-case report: the first law with the largest ratio."""
     alpha = _check_alpha(alpha)
     profile = model.profile()
     v = profile.v(alpha)
@@ -215,18 +261,18 @@ def check_noise_mgf(model, alpha, sample_size=1_000_000, rng=None):
     c = profile.mgf_normalization
     t_grid = default_t_grid(v, b)
     if model.discrete:
-        laws = conditional_zeta_laws(model, alpha)
-    else:
-        if rng is None:
-            raise ValueError("sampled MGF checks need a generator: pass rng")
-        n = int(sample_size)
-        if n < 2:
-            raise ValueError("sample_size must be at least 2")
-        laws = (model.companion_draws(i, alpha, n, rng) for i in range(model.dim))
+        bound = mgf_bound(t_grid, v, b, c)
+        ratios, worst = _exact_worst_points(model.conditional_rows(alpha), t_grid, bound)
+        return _report(ratios, worst, t_grid, "exact", model.family, alpha)
+    if rng is None:
+        raise ValueError("sampled MGF checks need a generator: pass rng")
+    n = int(sample_size)
+    if n < 2:
+        raise ValueError("sample_size must be at least 2")
     worst = None
-    for law in laws:
+    for i in range(model.dim):
+        law = model.companion_draws(i, alpha, n, rng)
         report = mgf_bound_check(law, v, b, c, t_grid, family=model.family, alpha=alpha)
         if worst is None or report.max_ratio > worst.max_ratio:
             worst = report
     return worst
-

@@ -11,13 +11,15 @@ alpha = 0 is the degenerate no-op: every branch collapses to zeta = 0.
 This module knows no noise family: each family's coupling formula lives on
 its class in `noise`. A discrete family states its per-coordinate branches,
 (stay value, stay prob, jump value, jump prob), as a static `branches`, and
-enumerates one coordinate's conditioning records as (record probability,
-xi value, branches); `exact_coupled_sum_law`, `max_conditional_mean_error`
-and `conditional_zeta_laws` are all derived from that one enumeration
-(through the family's `coupled_sum_law`, `conditional_means` and
-`conditional_laws`, whose defaults use the record helpers below), and
-`two_branch_draw` draws its companion from the same branches. Atoms merge
-and align under `laws.MERGE_ATOL`, the one atom tolerance. A continuous
+enumerates the conditioning records of all coordinates at once, as flat
+arrays (coordinate, record probability, xi value) and each record's
+branches; `exact_coupled_sum_law`, `max_conditional_mean_error`,
+`conditional_zeta_laws` and the exact branch of `verify_coupling` are all
+derived from that one enumeration (through the family's `coupled_sum_rows`,
+`conditional_means` and `conditional_rows`, which hold every coordinate's
+laws as one `laws.LawRows` batch), and `two_branch_draw` draws its
+companion from the same branches. Atoms merge and align under the one atom
+tolerance of `laws`, MERGE_ATOL · min(1, span) of each law. A continuous
 family draws its companion independently of xi (its static `couple`), and
 the statistical checks sample it. alpha is checked once, at each public
 entry (`sample_coupling`, `verify_coupling` and the exact wrappers here,
@@ -37,7 +39,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .laws import DiscreteLaw, max_atom_probability_error
+from .laws import LawRows
 
 EXACT_TOL = 1e-12
 KS_SIGNIFICANCE = 1e-3
@@ -92,28 +94,6 @@ def sample_coupling(model, alpha, rng):
     return CouplingDraw(xi=xi, zeta=zeta, alpha=alpha, conditioning_record=record)
 
 
-def branch_mean(branches):
-    """E[zeta | record] of one record's (stay value, stay prob, jump value,
-    jump prob)."""
-    sv, sp, jv, jp = branches
-    return float(sv * sp + jv * jp)
-
-
-def branch_law(branches):
-    """The two-atom law of zeta given one record."""
-    sv, sp, jv, jp = (float(x) for x in branches)
-    return DiscreteLaw.from_atoms([sv, jv], [sp, jp])
-
-
-def records_sum_law(records):
-    """Law of xi + zeta over one coordinate's conditioning records."""
-    values, probs = [], []
-    for p, xi, (sv, sp, jv, jp) in records:
-        values += [xi + sv, xi + jv]
-        probs += [p * sp, p * jp]
-    return DiscreteLaw.from_atoms(values, probs)
-
-
 def _discrete_alpha(model, alpha):
     alpha = _check_alpha(alpha)
     if not model.discrete:
@@ -124,21 +104,22 @@ def _discrete_alpha(model, alpha):
 def exact_coupled_sum_law(model, i, alpha):
     """Enumerated law of xi_i + zeta_i for a discrete-family coordinate."""
     alpha = _discrete_alpha(model, alpha)
-    return model.coupled_sum_law(i, alpha)
+    return model.coupled_sum_rows(alpha).law(i)
 
 
 def max_conditional_mean_error(model, alpha):
     """Largest |E[zeta | record]| over all conditioning records, computed
     exactly from the branch means (discrete families only)."""
     alpha = _discrete_alpha(model, alpha)
-    return max(abs(m) for i in range(model.dim) for m in model.conditional_means(i, alpha))
+    return float(np.max(np.abs(model.conditional_means(alpha))))
 
 
 def conditional_zeta_laws(model, alpha):
     """Exact conditional laws of zeta, one per distinct conditioning record
-    (discrete families only). Used by the moment-generating checks."""
+    (discrete families only). The moment-generating checks take the same laws
+    as rows, `model.conditional_rows(alpha)`."""
     alpha = _discrete_alpha(model, alpha)
-    return [law for i in range(model.dim) for law in model.conditional_laws(i, alpha)]
+    return model.conditional_rows(alpha).laws()
 
 
 def ks_two_sample_threshold(n1, n2, tests=1):
@@ -240,11 +221,9 @@ def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=Non
             raise ValueError("method 'exact' requires a discrete noise family")
         n = None
         threshold = mean_threshold = EXACT_TOL
-        stat = 0.0
-        for i in range(model.dim):
-            lhs = exact_coupled_sum_law(model, i, alpha)
-            rhs = model.exact_law(i).scale(1.0 + alpha)
-            stat = max(stat, max_atom_probability_error(lhs, rhs))
+        lhs = model.coupled_sum_rows(alpha)
+        rhs = LawRows.stack([model.exact_law(i) for i in range(model.dim)])
+        stat = float(np.max(lhs.max_atom_probability_error(rhs.scale(1.0 + alpha))))
         mean_stat = max_conditional_mean_error(model, alpha)
         ok = stat <= EXACT_TOL and mean_stat <= EXACT_TOL
     else:

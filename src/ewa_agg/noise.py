@@ -24,12 +24,14 @@ once: sampling and latents, the exact law, the coupling (a discrete
 family's static `branches` formula, which both its conditioning records
 and its companion draw use; a continuous family's static `draw` and
 `couple`, from which its sampling and its coupling draws derive), the
-Bernstein profile row, the JSON parameters and the natural scenario.
+Bernstein profile row, the JSON parameters and the natural scenario. A
+discrete family enumerates the conditioning records of all its coordinates
+at once, as flat arrays, and builds every coordinate's exact laws from them
+as one `laws.LawRows` batch, one merge per step.
 ``FAMILIES`` maps each family tag to its class and is the one list of
 families. The modules below this one know no family: `laws` holds the
-finite-law primitives (re-exported here), `coupling` the two-branch draw,
-the record helpers and the coupling checks, `bernstein` the profile type
-and the MGF checks.
+finite-law primitives (re-exported here), `coupling` the two-branch draw
+and the coupling checks, `bernstein` the profile type and the MGF checks.
 """
 
 import math
@@ -37,8 +39,8 @@ import math
 import numpy as np
 
 from .bernstein import BernsteinProfile
-from .coupling import branch_law, branch_mean, records_sum_law, two_branch_draw
-from .laws import LAW_ATOL, MERGE_ATOL, DiscreteLaw, max_atom_probability_error
+from .coupling import two_branch_draw
+from .laws import LAW_ATOL, MERGE_ATOL, DiscreteLaw, LawRows, max_atom_probability_error
 
 CONTINUOUS = "continuous"
 
@@ -111,12 +113,19 @@ class NoiseModel:
         raise NotImplementedError
 
 
+def _pairs(first, second):
+    """Interleave two arrays: first[0], second[0], first[1], second[1], ..."""
+    return np.stack([first, second], axis=-1).ravel()
+
+
 class _DiscreteNoise(NoiseModel):
     """A family with a finite law per coordinate. Its static `branches` formula
     gives (stay value, stay prob, jump value, jump prob) per entry;
-    `coupling_records(i, alpha)` enumerates coordinate i's conditioning records
-    as (record probability, xi value, branches), from which the exact coupling
-    checks are derived, and `companion` draws from the same formula
+    `coupling_records(alpha)` enumerates the conditioning records of all
+    coordinates at once, coordinate by coordinate, as flat arrays (coordinate,
+    record probability, xi value) and the branches of each record. The exact
+    coupling checks are derived from those arrays as `laws.LawRows`, one merge
+    per step over all coordinates, and `companion` draws from the same formula
     (`coupling.two_branch_draw`)."""
 
     discrete = True
@@ -124,17 +133,25 @@ class _DiscreteNoise(NoiseModel):
     def sample(self, rng):
         return self.sample_with_latents(rng)[0]
 
-    def coupling_records(self, i, alpha):
+    def coupling_records(self, alpha):
         raise NotImplementedError
 
-    def coupled_sum_law(self, i, alpha):
-        return records_sum_law(self.coupling_records(i, alpha))
+    def coupled_sum_rows(self, alpha):
+        """Row i: the law of xi_i + zeta_i over coordinate i's records."""
+        coord, p, xi, (sv, sp, jv, jp) = self.coupling_records(alpha)
+        values, probs = _pairs(xi + sv, xi + jv), _pairs(p * sp, p * jp)
+        return LawRows.from_atoms(np.repeat(coord, 2), values, probs, self.dim)
 
-    def conditional_means(self, i, alpha):
-        return [branch_mean(branches) for _p, _xi, branches in self.coupling_records(i, alpha)]
+    def conditional_means(self, alpha):
+        """E[zeta | record] of every record, in record order."""
+        sv, sp, jv, jp = self.coupling_records(alpha)[3]
+        return sv * sp + jv * jp
 
-    def conditional_laws(self, i, alpha):
-        return [branch_law(branches) for _p, _xi, branches in self.coupling_records(i, alpha)]
+    def conditional_rows(self, alpha):
+        """Row j: the two-atom law of zeta given record j."""
+        sv, sp, jv, jp = self.coupling_records(alpha)[3]
+        record = np.arange(sv.size).repeat(2)
+        return LawRows.from_atoms(record, _pairs(sv, jv), _pairs(sp, jp), sv.size)
 
 
 class _ContinuousNoise(NoiseModel):
@@ -202,8 +219,8 @@ class CenteredBernoulli(_DiscreteNoise):
         rho = float(self.rho[i])
         return DiscreteLaw([1.0 - rho, -rho], [rho, 1.0 - rho])
 
-    def coupling_records(self, i, alpha):
-        return _bernoulli_records(float(self.rho[i]), alpha)
+    def coupling_records(self, alpha):
+        return _bernoulli_records(self.rho, alpha)
 
     def companion(self, record, alpha, rng):
         return two_branch_draw(self.branches(record["xi"], alpha), rng)
@@ -224,10 +241,10 @@ class CenteredBernoulli(_DiscreteNoise):
 
 
 def _bernoulli_records(rho, alpha):
-    return [
-        (p_xi, xi, CenteredBernoulli.branches(xi, alpha))
-        for xi, p_xi in ((1.0 - rho, rho), (-rho, 1.0 - rho))
-    ]
+    """Coordinate i's records: xi = 1 - rho_i w.p. rho_i, then xi = -rho_i."""
+    xi = _pairs(1.0 - rho, -rho)
+    branches = CenteredBernoulli.branches(xi, alpha)
+    return np.arange(rho.size).repeat(2), _pairs(rho, 1.0 - rho), xi, branches
 
 
 class Gaussian(_ContinuousNoise):
@@ -322,6 +339,8 @@ class BoundedBinaryMixture(_DiscreteNoise):
                 self._a[i, j], self._b[i, j], self._p[i, j] = a, b, p
             if abs(self._p[i].sum() - 1.0) > LAW_ATOL:
                 raise ValueError("mixing probabilities must sum to 1")
+        # the columns each coordinate lists; the others are padding
+        self._listed = np.arange(width) < np.array([len(entries) for entries in mixing])[:, None]
         # padding columns keep zero mass; give them a valid (a, b) so vectorized
         # arithmetic below never divides by zero
         pad = self._p == 0.0
@@ -330,7 +349,7 @@ class BoundedBinaryMixture(_DiscreteNoise):
         self.mixing = [
             [((float(a), float(b)), float(p)) for (a, b), p in entries] for entries in mixing
         ]
-        for arr in (self._a, self._b, self._p, self._cum):
+        for arr in (self._a, self._b, self._p, self._cum, self._listed):
             arr.setflags(write=False)
 
     @classmethod
@@ -359,13 +378,17 @@ class BoundedBinaryMixture(_DiscreteNoise):
         values = np.concatenate([a, -b])
         return DiscreteLaw.from_atoms(values, np.concatenate([p * b / (a + b), p * a / (a + b)]))
 
-    def coupling_records(self, i, alpha):
-        records = []
-        for (a, b), q in self.mixing[i]:
-            for eta, p_eta in ((a, b / (a + b)), (-b, a / (a + b))):
-                if p_eta != 0.0:
-                    records.append((q * p_eta, eta, self.branches(a, b, eta, alpha)))
-        return records
+    def coupling_records(self, alpha):
+        """Per coordinate and mixing atom (a, b), eta = a then eta = -b, each kept
+        where its probability is not 0."""
+        a, b = self._a[..., None], self._b[..., None]
+        eta = np.concatenate([a, -b], axis=2)
+        p_eta = np.concatenate([b / (a + b), a / (a + b)], axis=2)
+        keep = self._listed[..., None] & (p_eta != 0.0)
+        a, b = np.broadcast_to(a, keep.shape)[keep], np.broadcast_to(b, keep.shape)[keep]
+        coord = np.broadcast_to(np.arange(self.dim)[:, None, None], keep.shape)[keep]
+        p = (self._p[..., None] * p_eta)[keep]
+        return coord, p, eta[keep], self.branches(a, b, eta[keep], alpha)
 
     def companion(self, record, alpha, rng):
         branches = self.branches(record["a"], record["b"], record["eta"], alpha)
@@ -435,22 +458,29 @@ class CenteredBinomial(_DiscreteNoise):
         )
         return DiscreteLaw(values, probs / probs.sum())
 
-    def coupling_records(self, i, alpha):
+    def coupling_records(self, alpha):
         """The records of one Bernoulli(rho_i) term: each of the k terms is
         coupled on its own, and the coordinate is a times their sum."""
-        return _bernoulli_records(float(self.rho[i]), alpha)
+        return _bernoulli_records(self.rho, alpha)
 
-    def coupled_sum_law(self, i, alpha):
-        return super().coupled_sum_law(i, alpha).convolution_powers(self.k)[-1].scale(self.a)
+    def coupled_sum_rows(self, alpha):
+        return super().coupled_sum_rows(alpha).convolution_powers(self.k)[-1].scale(self.a)
 
-    def conditional_means(self, i, alpha):
+    def conditional_means(self, alpha):
         # the record is the count c of terms at 1 - rho
-        m_hi, m_lo = super().conditional_means(i, alpha)
-        return [self.a * (c * m_hi + (self.k - c) * m_lo) for c in range(self.k + 1)]
+        m_hi, m_lo = super().conditional_means(alpha).reshape(-1, 2).T[..., None]
+        c = np.arange(self.k + 1.0)
+        return (self.a * (c * m_hi + (self.k - c) * m_lo)).ravel()
 
-    def conditional_laws(self, i, alpha):
-        hi, lo = (law.convolution_powers(self.k) for law in super().conditional_laws(i, alpha))
-        return [hi[c].convolve(lo[self.k - c]).scale(self.a) for c in range(self.k + 1)]
+    def conditional_rows(self, alpha):
+        # a term's rows are 2i (xi = 1 - rho_i) and 2i + 1; record (i, c) sums c
+        # terms of the first and k - c of the second
+        terms = super().conditional_rows(alpha)
+        powers = LawRows.concat(terms.convolution_powers(self.k))
+        c = np.tile(np.arange(self.k + 1), self.dim)
+        first = 2 * np.repeat(np.arange(self.dim), self.k + 1)
+        hi, lo = first + c * terms.count, first + 1 + (self.k - c) * terms.count
+        return powers.take(hi).convolve(powers.take(lo)).scale(self.a)
 
     def companion(self, record, alpha, rng):
         branches = CenteredBernoulli.branches(record["eta"], alpha)

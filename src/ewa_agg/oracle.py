@@ -161,12 +161,12 @@ def _seat(bit_generator, words):
 
 
 def derived_stream(seed, *key):
-    """The generator Generator(PCG64(SeedSequence(seed, spawn_key=key))), derived through
-    `derived_states`. seed and the key parts are non-negative integers, as a config's seed
-    is; None or an entropy sequence, which SeedSequence also takes, raises TypeError."""
-    rng = np.random.Generator(np.random.PCG64(0))  # its state is set below
-    _seat(rng.bit_generator, derived_states(seed, [key])[0].tolist())
-    return rng
+    """The generator Generator(PCG64(SeedSequence(seed, spawn_key=key))), numpy's own
+    derivation, which `derived_states` redoes for a whole span of keys. seed and the key
+    parts are non-negative integers, as a config's seed is; None or an entropy sequence,
+    which SeedSequence also takes, raises TypeError."""
+    seeds = np.random.SeedSequence(operator.index(seed), spawn_key=key)
+    return np.random.Generator(np.random.PCG64(seeds))
 
 
 def _penalized_distances(prior, d, beta):

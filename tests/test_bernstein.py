@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import law_reference as ref
 from ewa_agg.bernstein import (
     MGF_SE_MULTIPLIER,
     _sampled_moments,
@@ -344,3 +345,16 @@ def test_infinite_bound_is_met_without_overflow_warning():
         report = check_noise_mgf(model, 1.0)
     assert report.max_ratio == 0.9945488883979142
     assert report.verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref.discrete_models, ref.alphas)
+def test_exact_mgf_check_equals_the_per_law_reference(model, alpha):
+    assert check_noise_mgf(model, alpha) == ref.mgf_report(model, alpha)
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.0))
+def test_exact_mgf_check_of_the_k20_binomial_equals_the_per_law_reference(alpha):
+    # at alpha = 1 the bound overflows to +inf at the grid's edge
+    model = make_scenario("centered_binomial", k=20, seed=1).noise
+    assert check_noise_mgf(model, alpha) == ref.mgf_report(model, alpha)

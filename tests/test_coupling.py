@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import law_reference as ref
 from ewa_agg.coupling import (
     CF_BLOCK,
     CF_POINTS,
     CouplingDraw,
     CouplingReport,
-    branch_law,
     conditional_zeta_laws,
     exact_coupled_sum_law,
     ks_two_sample_threshold,
@@ -408,8 +408,8 @@ def test_binomial_laws_match_direct_convolution(model, alpha):
     laws = iter(conditional_zeta_laws(model, alpha))
     for i in range(model.dim):
         rho = float(model.rho[i])
-        hi = branch_law(CenteredBernoulli.branches(1.0 - rho, alpha))
-        lo = branch_law(CenteredBernoulli.branches(-rho, alpha))
+        hi = ref.branch_law(CenteredBernoulli.branches(1.0 - rho, alpha))
+        lo = ref.branch_law(CenteredBernoulli.branches(-rho, alpha))
         for count in range(model.k + 1):
             direct = DiscreteLaw([0.0], [1.0])
             for term in [hi] * count + [lo] * (model.k - count):
@@ -431,3 +431,35 @@ def test_binomial_exact_checks_are_pinned():
         report = verify_coupling(model, alpha)
         assert (report.statistic, report.mean_zero) == pin
         assert report.verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref.discrete_models, ref.alphas)
+def test_exact_verify_equals_the_per_law_reference(model, alpha):
+    assert verify_coupling(model, alpha) == ref.coupling_report(model, alpha)
+
+
+@pytest.mark.parametrize("alpha", (0.5, 1.0))
+def test_exact_verify_of_the_k20_binomial_equals_the_per_law_reference(alpha):
+    model = make_scenario("centered_binomial", k=20, seed=1).noise
+    assert verify_coupling(model, alpha) == ref.coupling_report(model, alpha)
+
+
+class _WrongSide(BoundedBinaryMixture):
+    """Gives eta = -b the branches of eta = a: centered, but the wrong law."""
+
+    @staticmethod
+    def branches(a, b, eta, alpha):
+        return BoundedBinaryMixture.branches(a, b, a, alpha)
+
+
+@pytest.mark.parametrize("support", (1e-10, 1e-3, 1e3))
+def test_a_wrong_side_branch_fails_at_every_scale(support):
+    # the atoms align under MERGE_ATOL times the support span where that is below 1,
+    # so a support far narrower than MERGE_ATOL is not merged into one atom
+    mixing = [((support, support), 1.0)]
+    report = verify_coupling(_WrongSide.homogeneous(2, support, support, mixing), 0.5)
+    assert not report.verdict
+    assert report.statistic > report.threshold
+    assert report.mean_zero <= report.mean_zero_threshold
+    assert verify_coupling(BoundedBinaryMixture.homogeneous(2, support, support, mixing), 0.5).verdict

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ewa_agg.laws import MERGE_ATOL
+import law_reference as ref
+from ewa_agg.laws import MERGE_ATOL, LawRows
 from ewa_agg.noise import (
     CONTINUOUS,
     FAMILIES,
@@ -170,6 +171,63 @@ def test_convolve_adds_means_and_variances(x, y):
 def test_max_atom_probability_error_is_symmetric_and_zero_on_a_law(x, y):
     assert max_atom_probability_error(x, y) == max_atom_probability_error(y, x)
     assert max_atom_probability_error(x, x) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_laws, min_size=1, max_size=5), st.data())
+def test_row_kernels_equal_one_law_at_a_time(laws, data):
+    # several laws as rows: each row's convolution and alignment are the one law's
+    others = [data.draw(_laws) for _ in laws]
+    rows, other_rows = LawRows.stack(laws), LawRows.stack(others)
+    errors = rows.max_atom_probability_error(other_rows)
+    for r, (x, y) in enumerate(zip(laws, others)):
+        assert _same(rows.convolve(other_rows).law(r), x.convolve(y))
+        assert _same(rows.scale(-1.5).law(r), x.scale(-1.5))
+        assert errors[r] == max_atom_probability_error(x, y)
+
+
+def test_rows_do_not_merge_across_a_row_boundary():
+    # 1.0 and 1.0 + 1e-12 lie well within MERGE_ATOL, but in different rows
+    rows = LawRows.from_atoms([1, 0, 0, 1], [1.0 + 1e-12, 0.0, 1.0, 3.0], [0.5] * 4, 2)
+    assert rows.law(0).atoms() == [(0.0, 0.5), (1.0, 0.5)]
+    assert rows.law(1).atoms() == [(1.0 + 1e-12, 0.5), (3.0, 0.5)]
+    # aligned against itself with its rows swapped, each row keeps its own atoms
+    swapped = rows.take([1, 0])
+    assert rows.max_atom_probability_error(swapped).tolist() == [0.5, 0.5]
+    assert rows.max_atom_probability_error(rows).tolist() == [0.0, 0.0]
+
+
+def test_merge_tolerance_follows_a_narrow_span():
+    # under a span of 1 the tolerance is MERGE_ATOL times the span; above, MERGE_ATOL
+    narrow = DiscreteLaw.from_atoms([1e-10, -1e-10, 1e-10 + 1e-20], [0.25, 0.5, 0.25])
+    assert narrow.probs.tolist() == [0.5, 0.5]
+    assert len(DiscreteLaw.from_atoms([1e-10, 1.5e-10], [0.5, 0.5])) == 2
+    wide = DiscreteLaw.from_atoms([2.0, 0.0, 2.0 + 1.5e-9, 2.0 + 0.5e-9], [0.25] * 4)
+    assert len(wide) == 3
+    lone = DiscreteLaw([-1e-10, 1e-10], [0.5, 0.5])
+    assert max_atom_probability_error(lone, DiscreteLaw([-1e-10, 3e-10], [0.5, 0.5])) == 0.5
+
+
+def _same(law, want):
+    return (law.values.tobytes(), law.probs.tobytes()) == (want.values.tobytes(), want.probs.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref.discrete_models, ref.alphas)
+def test_family_rows_equal_the_per_law_reference(model, alpha):
+    # every conditional law, coupled-sum law, alignment statistic and conditional
+    # mean of the rows equals the per-law reference loop's, byte for byte
+    laws = model.conditional_rows(alpha).laws()
+    want = [law for i in range(model.dim) for law in ref.conditional_laws(model, i, alpha)]
+    assert len(laws) == len(want)
+    assert all(_same(law, w) for law, w in zip(laws, want))
+    sums = model.coupled_sum_rows(alpha)
+    assert all(_same(sums.law(i), ref.sum_law(model, i, alpha)) for i in range(model.dim))
+    exact = LawRows.stack([model.exact_law(i) for i in range(model.dim)])
+    errors = sums.max_atom_probability_error(exact.scale(1.0 + alpha))
+    assert errors.tolist() == ref.alignment_errors(model, alpha)
+    means = [m for i in range(model.dim) for m in ref.conditional_means(model, i, alpha)]
+    assert model.conditional_means(alpha).tolist() == means
 
 
 def test_laplace_inverse_cdf_matches_scipy():

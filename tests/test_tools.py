@@ -1,5 +1,6 @@
 """The checkout tools read the checkout they are given, or refuse it."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ewa_agg
+from ewa_agg.noise import FAMILIES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +42,18 @@ def test_surface_counts_the_checkout():
     assert doc["lines"]["total"] == sum(
         path.read_bytes().count(b"\n") for path in (ROOT / "src" / "ewa_agg").glob("*.py")
     )
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_snapshot_exact_tree_runs_the_verify_workloads_binomial():
+    # the exact-law rows are snapshotted at the size the benchmark times them
+    snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
+    workload = _load(ROOT / "perfbench" / "workload.py")
+    assert snapshot.EXACT["centered_binomial"] == {"k": workload.BINOMIAL_TRIALS}
+    assert all(FAMILIES[family].discrete for family in snapshot.EXACT)

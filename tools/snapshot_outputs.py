@@ -14,8 +14,11 @@ at EWA_AGG_THREADS=2 into OUT/cli-threads2/: two workers share those runs, so a
 diff also covers the worker count. For gaussian and laplace, verify-coupling (by
 the cf_grid method) and verify-bernstein also run at sample_size
 2 * CF_BLOCK + 123 into OUT/cli-blocks/, so that the blocked CF sums and the
-blocked MGF moments go through several blocks of draws. OUT/exit_codes.txt lists
-every exit code.
+blocked MGF moments go through several blocks of draws. For centered_binomial at
+k = 20 (the size the benchmark's verify workload runs) and for
+bounded_binary_mixture, verify-coupling and verify-bernstein, both by exact
+enumeration, run into OUT/cli-exact/, so that a diff covers the exact-law rows at
+that size. OUT/exit_codes.txt lists every exit code.
 Snapshots of two checkouts compare with `diff -r OUT_A OUT_B`.
 """
 
@@ -33,6 +36,7 @@ COMMANDS = ("simulate", "certify", "verify-coupling", "verify-bernstein", "dv-ch
 FORMATS = ("csv", "json")
 WIDE = {"n": 64, "m": 1100}
 BLOCK_FAMILIES = ("gaussian", "laplace")
+EXACT = {"centered_binomial": {"k": 20}, "bounded_binary_mixture": {}}
 
 
 def _run(args, env, path, codes):
@@ -56,20 +60,23 @@ def main(argv):
     from ewa_agg.oracle import make_scenario
 
     env = dict(os.environ, PYTHONPATH=str(src / "src"), **{THREADS: "1"})
-    for folder in ("configs", "cli", "cli-threads2", "cli-blocks", "demos"):
+    for folder in ("configs", "cli", "cli-threads2", "cli-blocks", "cli-exact", "demos"):
         (out / folder).mkdir(parents=True, exist_ok=True)
     codes = []
     sampled = {"sample_size": SAMPLE_SIZE}
     blocks = {"sample_size": 2 * CF_BLOCK + 123, "method": "cf_grid"}
+    # (config suffix, make_scenario arguments per family, config extras, folder, ...)
     runs = (
-        ("", {}, sampled, FAMILIES, "cli", COMMANDS, "1"),
-        (".wide", WIDE, sampled, FAMILIES, "cli-threads2", COMMANDS[:2], "2"),
-        (".blocks", {}, blocks, BLOCK_FAMILIES, "cli-blocks", COMMANDS[2:4], "1"),
+        ("", dict.fromkeys(FAMILIES, {}), sampled, "cli", COMMANDS, "1"),
+        (".wide", dict.fromkeys(FAMILIES, WIDE), sampled, "cli-threads2", COMMANDS[:2], "2"),
+        (".blocks", dict.fromkeys(BLOCK_FAMILIES, {}), blocks, "cli-blocks", COMMANDS[2:4], "1"),
+        (".exact", EXACT, {}, "cli-exact", COMMANDS[2:4], "1"),
     )
     for family in FAMILIES:
-        for suffix, shape, extras, families, folder, commands, threads in runs:
-            if family not in families:
+        for suffix, shapes, extras, folder, commands, threads in runs:
+            if family not in shapes:
                 continue
+            shape = shapes[family]
             doc = make_scenario(family, replicates=REPLICATES, seed=SEED, **shape).to_json()
             config = out / "configs" / f"{family}{suffix}.json"
             config.write_text(json.dumps({**doc, **extras}))
