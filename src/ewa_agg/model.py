@@ -250,6 +250,8 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "prior_samples", _as_count(self.prior_samples, "prior_samples")
             )
+        if not isinstance(self.prior, WeightVector):  # its checks run here, once
+            object.__setattr__(self, "prior", WeightVector(self.prior))
         if self.dictionary.n != self.truth.size:
             raise ValueError("dictionary atoms must share the dimension of truth")
         if self.noise.dim != self.truth.size:

@@ -19,11 +19,20 @@ exact finite law; continuous ones return the ``CONTINUOUS`` marker.
 Sampling consumes only the caller's generator, so draws are reproducible
 from a seed.
 
+A draw comes in two parts. `raw_draw(rng)` is its one generator call:
+``rng.random(K)`` for the four uniform families (K = n for Bernoulli and
+Laplace, 2n for the mixture, its pair picks then its sides, and k n for the
+binomial) and ``rng.standard_normal(n)`` for the Gaussian. `noise_rows(raw)`
+turns an (R, K) block of raw draws into (R, n) noise and the latents, row by
+row, so a caller that draws many vectors (`oracle.mc_risk`) runs it once per
+block. `sample` and `sample_with_latents` are its one-row case, so each
+formula is written once, and each row's floats equal the one-row call's.
+
 Everything that depends on the family lives on its class, each formula
 once: sampling and latents, the exact law, the coupling (a discrete
 family's static `branches` formula, which both its conditioning records
-and its companion draw use; a continuous family's static `draw` and
-`couple`, from which its sampling and its coupling draws derive), the
+and its companion draw use; a continuous family's static `raw`, `transform`
+and `couple`, from which its sampling and its coupling draws derive), the
 Bernstein profile row, the JSON parameters and the natural scenario. A
 discrete family enumerates the conditioning records of all its coordinates
 at once, as flat arrays, and builds every coordinate's exact laws from them
@@ -85,11 +94,21 @@ class NoiseModel:
     def sample(self, rng):
         raise NotImplementedError
 
+    def raw_draw(self, rng):
+        """One vector's only generator call: the raw values `noise_rows` turns into its noise.
+        Default: the noise itself, for a family that defines only `sample`."""
+        return self.sample(rng)
+
+    def noise_rows(self, raw):
+        """(noise, latents) of an (R, K) block of raw draws, row by row: noise is (R, n) and
+        each latent has a leading R axis. It may overwrite raw. Default: the raw rows."""
+        return raw, {"xi": raw}
+
     def sample_with_latents(self, rng):
         """Draw one noise vector together with the conditioning record the
-        coupling constructions need. Default: the vector itself."""
-        xi = self.sample(rng)
-        return xi, {"xi": xi}
+        coupling constructions need: the one-row case of `noise_rows`."""
+        xi, latents = self.noise_rows(self.raw_draw(rng)[None])
+        return xi[0], {key: value[0] for key, value in latents.items()}
 
     def companion(self, record, alpha, rng):
         """The coupling companion zeta of the vector drawn with `record`."""
@@ -155,16 +174,29 @@ class _DiscreteNoise(NoiseModel):
 
 
 class _ContinuousNoise(NoiseModel):
-    """A family with one continuous scale parameter per coordinate, defined by two
-    static formulas: `draw(scale, rng)`, one value per entry of a scale array, and
-    `couple(scale, alpha, rng)`, its companion, independent of xi."""
+    """A family with one continuous scale parameter per coordinate, defined by three
+    static formulas: `raw(rng, shape)`, its one generator call; `transform(raw, scale)`,
+    which turns the raw values into draws of the given scales entry by entry; and
+    `couple(scale, alpha, rng)`, the companion, independent of xi. `draw(scale, rng)`, one
+    value per entry of a scale array, is the first two in turn."""
 
     @property
     def dim(self):
         return int(self.scale.size)
 
+    @classmethod
+    def draw(cls, scale, rng):
+        return cls.transform(cls.raw(rng, np.shape(scale)), scale)
+
     def sample(self, rng):
-        return self.draw(self.scale, rng)
+        return self.sample_with_latents(rng)[0]
+
+    def raw_draw(self, rng):
+        return self.raw(rng, self.scale.shape)
+
+    def noise_rows(self, raw):
+        xi = self.transform(raw, self.scale)
+        return xi, {"xi": xi}
 
     def coordinate_draws(self, i, n, rng):
         """n independent draws of coordinate i."""
@@ -211,9 +243,12 @@ class CenteredBernoulli(_DiscreteNoise):
     def dim(self):
         return int(self.rho.size)
 
-    def sample(self, rng):
-        u = rng.random(self.dim)
-        return np.where(u < self.rho, 1.0 - self.rho, -self.rho)
+    def raw_draw(self, rng):
+        return rng.random(self.dim)
+
+    def noise_rows(self, raw):
+        xi = np.where(raw < self.rho, 1.0 - self.rho, -self.rho)
+        return xi, {"xi": xi}
 
     def exact_law(self, i):
         rho = float(self.rho[i])
@@ -255,12 +290,22 @@ class Gaussian(_ContinuousNoise):
     json_keys = ("sigma",)
 
     @staticmethod
-    def draw(sigma, rng):
-        return rng.normal(0.0, sigma)
+    def raw(rng, shape):
+        return rng.standard_normal(shape)
+
+    @staticmethod
+    def transform(z, sigma):
+        """0.0 + sigma z, in place in z: the arithmetic of rng.normal(0.0, sigma), bit for
+        bit, since with loc 0 a fused and an unfused product round alike. Like it, an
+        overflow to inf goes unwarned."""
+        with np.errstate(over="ignore"):
+            z *= sigma
+        z += 0.0
+        return z
 
     @staticmethod
     def couple(sigma, alpha, rng):
-        return rng.normal(0.0, math.sqrt(2.0 * alpha + alpha * alpha) * sigma)
+        return Gaussian.draw(math.sqrt(2.0 * alpha + alpha * alpha) * sigma, rng)
 
     def __init__(self, sigma):
         self.sigma = _coordinate_array(sigma, "sigma", low=0.0)
@@ -360,17 +405,17 @@ class BoundedBinaryMixture(_DiscreteNoise):
     def dim(self):
         return int(self._a.shape[0])
 
-    def _draw_pairs(self, rng):
-        u = rng.random(self.dim)
-        idx = np.sum(self._cum < u[:, None], axis=1)
-        idx = np.minimum(idx, self._a.shape[1] - 1)
-        rows = np.arange(self.dim)
-        return self._a[rows, idx], self._b[rows, idx]
+    def raw_draw(self, rng):
+        return rng.random(2 * self.dim)
 
-    def sample_with_latents(self, rng):
-        a, b = self._draw_pairs(rng)
-        u = rng.random(self.dim)
-        xi = np.where(u < b / (a + b), a, -b)
+    def noise_rows(self, raw):
+        """Each row's first n uniforms pick the pairs (a, b), and its last n the sides."""
+        pick, side = raw[:, : self.dim], raw[:, self.dim :]
+        idx = np.sum(self._cum < pick[..., None], axis=-1)
+        idx = np.minimum(idx, self._a.shape[1] - 1)
+        coord = np.arange(self.dim)
+        a, b = self._a[coord, idx], self._b[coord, idx]
+        xi = np.where(side < b / (a + b), a, -b)
         return xi, {"a": a, "b": b, "eta": xi}
 
     def exact_law(self, i):
@@ -444,10 +489,14 @@ class CenteredBinomial(_DiscreteNoise):
     def dim(self):
         return int(self.rho.size)
 
-    def sample_with_latents(self, rng):
-        u = rng.random((self.k, self.dim))
+    def raw_draw(self, rng):
+        return rng.random(self.k * self.dim)
+
+    def noise_rows(self, raw):
+        """A row's uniforms are its k terms' rows of n, in turn."""
+        u = raw.reshape(len(raw), self.k, self.dim)
         eta = np.where(u < self.rho, 1.0 - self.rho, -self.rho)
-        return self.a * eta.sum(axis=0), {"eta": eta}
+        return self.a * eta.sum(axis=1), {"eta": eta}
 
     def exact_law(self, i):
         rho = float(self.rho[i])
@@ -520,8 +569,10 @@ class Laplace(_ContinuousNoise):
     json_keys = ("mu",)
 
     @staticmethod
-    def draw(mu, rng):
-        return laplace_inverse_cdf(rng.random(mu.shape), mu)
+    def raw(rng, shape):
+        return rng.random(shape)
+
+    transform = staticmethod(laplace_inverse_cdf)
 
     @staticmethod
     def couple(mu, alpha, rng):

@@ -18,7 +18,12 @@ Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))), and runs the distance,
 softmax and moments behind `posterior_weights`. A worker's span of replicates
 hashes all their PCG64 states in one numpy pass (`derived_states`, numpy's
 hash redone, equal to it word for word) and seats each state in turn on one
-generator of its own. Replicates go through in chunks of
+generator of its own. Seated, a replicate makes only its generator calls: the
+family's raw draw (`NoiseModel.raw_draw`) and, with prior_samples set, the
+uniforms of rng.choice(m, prior_samples, p=prior). Its chunk then turns every
+row's raw draw into noise by one `noise_rows` call, and every row's uniforms
+into atom picks by one searchsorted on the prior's cdf, which is built once per
+config as rng.choice builds it (`_choice_cdf`). Replicates go through in chunks of
 R_c = BLOCK_DOUBLES // (m n) rows, m being prior_samples when set (one row
 where n outgrows einsum's buffer; `ewa._signal_rows`), by a rule that does not
 look at the worker count: one distance block and one row-wise softmax per
@@ -261,33 +266,47 @@ def worker_count():
     return _as_count(raw, THREADS_ENV_VAR)
 
 
+def _choice_cdf(p):
+    """The cdf rng.choice(len(p), size, p=p) picks from, built as numpy builds it: its picks
+    are cdf.searchsorted(rng.random(size), side="right"). choice also checks p on each call;
+    a prior's `WeightVector` checks, made once, are stricter."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _run_replicates(config):
     """Each replicate's risk and posterior variance; what no replicate changes is made once.
     A worker's span derives its replicates' stream states (`derived_states`) and seats each
-    in turn on one generator of its own; it goes in chunks of `_signal_rows` replicates,
-    whatever the worker count: one distance block and one row-wise softmax per chunk, then
+    in turn on one generator of its own, for its raw noise draw and its prior uniforms; it
+    goes in chunks of `_signal_rows` replicates, whatever the worker count: one noise
+    transform, one prior pick, one distance block and one row-wise softmax per chunk, then
     each row's moments. A config whose chunks hold more than one row runs on one worker, as
     its chunks' small numpy calls hold the GIL."""
     total, beta, sampled = config.replicates, config.beta, config.prior_samples
     atoms = config.dictionary.atoms
     norms = _atom_sq_distances(0.0, atoms)
     prior = config.prior if sampled is None else WeightVector.uniform(sampled)
+    if sampled is not None:
+        cdf = _choice_cdf(config.prior.weights)
     rows = _signal_rows(sampled or len(atoms), config.truth.size)
     risks, pvars = np.empty(total), np.empty(total)
 
     def fill(rng, chunk, states):
-        draws, picks, bits = [], [], rng.bit_generator
+        raws, picks, bits = [], [], rng.bit_generator
         for words in states:
             _seat(bits, words)
-            draws.append(config.noise.sample(rng))
+            raws.append(config.noise.raw_draw(rng))
             if sampled is not None:
-                picks.append(rng.choice(len(atoms), size=sampled, p=config.prior.weights))
-        y = config.truth + np.array(draws)
+                picks.append(rng.random(sampled))
+        raws = np.array(raws)  # the list goes before the transform's blocks are made
+        y = config.truth + config.noise.noise_rows(raws)[0]
+        del raws  # and the block before the distance block is
         if not np.all(np.isfinite(y)):
             raise ValueError("signal entries must be finite")
         theta, sq = atoms, norms
         if sampled is not None:
-            idx = np.array(picks)
+            idx = cdf.searchsorted(np.array(picks), side="right")
             theta, sq = atoms[idx], norms[idx]  # each replicate's own (s, n) atoms
         if math.isinf(beta):
             w = np.broadcast_to(prior.weights, (len(chunk), len(prior)))

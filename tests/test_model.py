@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
+import draw_reference as draws
 from ewa_agg.model import (
     Dictionary,
     ExperimentConfig,
@@ -21,7 +22,7 @@ from ewa_agg.model import (
     squared_distance,
     sup_diameter,
 )
-from ewa_agg.noise import Gaussian
+from ewa_agg.noise import FAMILIES, Gaussian
 
 
 def test_as_signal_coerces_lists():
@@ -294,6 +295,44 @@ class TestExperimentConfig:
         assert back.beta == cfg.beta
         assert (back.replicates, back.seed) == (cfg.replicates, cfg.seed)
         assert back.noise.family == "gaussian"
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_json_text_round_trips_exactly(self, family, data):
+        # every float goes through json.dumps's repr and back, -0.0 and beta = inf included
+        noise = data.draw(draws.models(family, max_n=6), label="noise")
+        n = noise.dim
+        coords = st.floats(-1e6, 1e6, allow_subnormal=True)
+        truth = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
+        m = data.draw(st.integers(1, 5))
+        rows = st.lists(st.lists(coords, min_size=n, max_size=n), min_size=m, max_size=m)
+        atoms = np.array(data.draw(rows))
+        weights = data.draw(draws.priors(m, m) | st.just(np.full(m, 1.0 / m)))
+        cfg = ExperimentConfig(
+            truth=truth,
+            dictionary=Dictionary(atoms),
+            prior=WeightVector(weights),
+            noise=noise,
+            beta=data.draw(st.floats(5e-324, math.inf)),
+            replicates=data.draw(st.integers(1, 10**6)),
+            seed=data.draw(st.integers(0, 2**64 - 1)),
+            prior_samples=data.draw(st.none() | st.integers(1, 10**4)),
+        )
+        back = ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+        assert json.dumps(back.to_json()) == json.dumps(cfg.to_json())
+        for ours, theirs in [
+            (back.truth, cfg.truth),
+            (back.dictionary.atoms, cfg.dictionary.atoms),
+            (back.prior.weights, cfg.prior.weights),
+        ]:
+            assert ours.tobytes() == theirs.tobytes()
+        assert (back.beta, back.replicates, back.seed, back.prior_samples) == (
+            cfg.beta, cfg.replicates, cfg.seed, cfg.prior_samples,
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ours = back.noise.sample(np.random.default_rng(seed))
+        assert ours.tobytes() == cfg.noise.sample(np.random.default_rng(seed)).tobytes()
 
     def test_prior_samples_round_trip(self):
         cfg = _small_config(prior_samples=64)

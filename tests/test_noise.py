@@ -1,5 +1,6 @@
-"""Noise families: exact laws, sampling moments, JSON round trips."""
+"""Noise families: exact laws, sampling moments, batched draws, JSON round trips."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import draw_reference as draws
 import law_reference as ref
 from ewa_agg.laws import MERGE_ATOL, LawRows
 from ewa_agg.noise import (
@@ -397,6 +399,108 @@ def test_json_round_trip(family):
     assert back.dim == model.dim
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
     assert np.array_equal(model.sample(rng_a), back.sample(rng_b))
+
+
+def _assert_same(got, want):
+    """Equal under ==, sign bits included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_same_draw(got, want):
+    (xi, latents), (want_xi, want_latents) = got, want
+    _assert_same(xi, want_xi)
+    assert latents.keys() == want_latents.keys()
+    for key, value in want_latents.items():
+        _assert_same(latents[key], value)
+
+
+def _assert_chunk_equals_one_vector_draws(model, seed, rows):
+    """R generators each make their raw draw; one transform of the stacked block must give
+    every row the bits of that generator's one-vector draw, and leave it where it did."""
+    rngs = [np.random.default_rng([seed, r]) for r in range(rows)]
+    xi, latents = model.noise_rows(np.array([model.raw_draw(rng) for rng in rngs]))
+    assert xi.shape == (rows, model.dim)
+    for r, rng in enumerate(rngs):
+        expected = np.random.default_rng([seed, r])
+        row = xi[r], {key: value[r] for key, value in latents.items()}
+        _assert_same_draw(row, draws.sample_with_latents(model, expected))
+        assert rng.random(3).tolist() == expected.random(3).tolist()
+    want = draws.sample_with_latents(model, np.random.default_rng([seed, 0]))
+    _assert_same_draw(model.sample_with_latents(np.random.default_rng([seed, 0])), want)
+    _assert_same(model.sample(np.random.default_rng([seed, 0])), want[0])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_chunk_transform_equals_one_vector_draws(family, data):
+    model = data.draw(draws.models(family), label="model")
+    seed, rows = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(1, 7))
+    _assert_chunk_equals_one_vector_draws(model, seed, rows)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        # at n = 1 the k axis is innermost and numpy sums it pairwise, from k = 8 on
+        CenteredBinomial(0.37, 25, [0.3]),
+        CenteredBinomial(0.37, 9, [0.61]),
+        CenteredBinomial(0.37, 25, [0.3, 0.6, 0.45]),
+        # padded coordinates and zero-mass atoms
+        BoundedBinaryMixture(1.0, 1.0, [[((0.5, 0.5), 1.0)], [((0.0, 1.0), 0.0), *MIXING]]),
+    ],
+)
+def test_chunk_transform_equals_one_vector_draws_at_the_edges(model):
+    for seed in range(40):
+        _assert_chunk_equals_one_vector_draws(model, seed, rows=5)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "laplace"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_continuous_draws_and_companions_equal_their_formulas(family, data):
+    model = data.draw(draws.models(family, max_n=3), label="model")
+    assume(np.max(model.scale) < 1e300)  # (1 + alpha) sigma must not overflow
+    i = data.draw(st.integers(0, model.dim - 1))
+    size, seed = data.draw(st.integers(1, 300)), data.draw(st.integers(0, 2**32 - 1))
+    alpha = data.draw(st.floats(0.0, 1.0))
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    scale = np.full(size, float(model.scale[i]))
+    _assert_same(model.coordinate_draws(i, size, ours), draws.continuous_draw(model, scale, theirs))
+    got = model.companion_draws(i, alpha, size, ours)
+    _assert_same(got, draws.companion_draw(model, scale, alpha, theirs))
+    assert ours.random(3).tolist() == theirs.random(3).tolist()
+
+
+def test_gaussian_overflow_is_unwarned_as_in_numpy():
+    # rng.normal(0.0, 1.7e308) overflows to inf silently; warnings are errors here
+    model = Gaussian([1.7e308] * 8 + [1.0])
+    got = model.sample(np.random.default_rng(4))
+    _assert_same(got, np.random.default_rng(4).normal(0.0, model.sigma))
+    assert np.isinf(got).any()
+
+
+def _json_text_round_trip(model):
+    return noise_from_json(json.loads(json.dumps(noise_to_json(model))))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_noise_json_round_trips_exactly(family, data):
+    model = data.draw(draws.models(family, max_n=8), label="model")
+    back = _json_text_round_trip(model)
+    assert type(back) is type(model)
+    assert back.params_json() == model.params_json()
+    assert noise_to_json(_json_text_round_trip(back)) == noise_to_json(model)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    _assert_same_draw(
+        back.sample_with_latents(np.random.default_rng(seed)),
+        model.sample_with_latents(np.random.default_rng(seed)),
+    )
 
 
 def test_family_names_are_pinned():

@@ -1,5 +1,6 @@
 """Oracle bounds, the Monte Carlo harness, scenarios, determinism."""
 
+import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ewa_agg import ewa, oracle
+import draw_reference as draws
+from ewa_agg import cli, ewa, oracle
 from ewa_agg.bernstein import beta_threshold
 from ewa_agg.ewa import aggregate, gibbs_objective, posterior_variance, posterior_weights
 from ewa_agg.model import (
@@ -468,12 +470,56 @@ def test_replicate_chunks_equal_the_public_path(family, monkeypatch):
         _assert_chunks_equal_the_public_path(monkeypatch, config, (1, 5, 7, 64))
 
 
-class _OddDraws(Gaussian):
-    """Gaussian noise behind 3 int32 draws, which leave half of a 64-bit output buffered."""
+@settings(max_examples=200, deadline=None)
+@given(weights=draws.priors(), size=st.integers(1, 500), seed=st.integers(0, 2**64 - 1))
+@example(weights=np.array([0.0, 0.0, 1.0, 0.0]), size=50, seed=1)
+@example(weights=np.array([0.0, 1e-12, 0.5 - 1e-12, 0.5, 0.0]), size=500, seed=2)
+def test_prior_cdf_picks_as_numpy_choice(weights, size, seed):
+    prior = WeightVector(weights)
+    cdf = oracle._choice_cdf(prior.weights)
+    ours = cdf.searchsorted(np.random.default_rng(seed).random(size), side="right")
+    theirs = draws.prior_pick(np.random.default_rng(seed), prior.weights, size)
+    assert ours.dtype == theirs.dtype
+    assert ours.tolist() == theirs.tolist()
 
-    def sample(self, rng):
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [-0.1, 0.3, 0.3, 0.3, 0.2],  # negative
+        [math.nan, 0.25, 0.25, 0.25, 0.25],
+        [0.2, 0.2, 0.2, 0.2, 0.2 + 1e-9],  # off 1 by less than rng.choice's own tolerance
+        [0.3, 0.3, 0.3, 0.3, 0.3],
+    ],
+)
+def test_bad_sampled_prior_is_rejected_before_any_replicate(bad, monkeypatch, tmp_path, capsys):
+    # rng.choice no longer sees the prior: the checks made when the config is built must hold
+    def no_replicate(*_args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(oracle, "_seat", no_replicate)
+    config = _toy_config(replicates=5, prior_samples=7)  # 5 atoms
+    with pytest.raises(ValueError, match="weights"):
+        replace(config, prior=bad)
+    with pytest.raises(ValueError, match="weights"):
+        replace(config, prior=np.array(bad))
+    doc = {**config.to_json(), "prior": bad}
+    with pytest.raises(ValueError, match="prior is invalid"):
+        ExperimentConfig.from_json(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("simulate", "certify"):
+        assert cli.main([command, str(path)]) == 2
+        assert "prior is invalid" in capsys.readouterr().err
+
+
+class _OddDraws(Gaussian):
+    """Gaussian noise whose raw draw makes 3 int32 draws first, which leave half of a 64-bit
+    output buffered."""
+
+    def raw_draw(self, rng):
         rng.integers(0, 2**31, size=3, dtype=np.int32)
-        return super().sample(rng)
+        return super().raw_draw(rng)
 
 
 def test_reused_generator_leaks_no_buffered_half(monkeypatch):

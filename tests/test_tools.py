@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import ewa_agg
+from ewa_agg.ewa import _signal_rows
+from ewa_agg.model import WeightVector
 from ewa_agg.noise import FAMILIES
+from ewa_agg.oracle import make_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,3 +60,21 @@ def test_snapshot_exact_tree_runs_the_verify_workloads_binomial():
     workload = _load(ROOT / "perfbench" / "workload.py")
     assert snapshot.EXACT["centered_binomial"] == {"k": workload.BINOMIAL_TRIALS}
     assert all(FAMILIES[family].discrete for family in snapshot.EXACT)
+
+
+def test_snapshot_sampled_trees_cover_the_prior_pick():
+    # the canned sampled runs take several replicates per chunk, the wide ones one, so that
+    # two workers share them; both priors are skewed and leave atoms without mass
+    snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
+    canned = make_scenario("gaussian", replicates=1).dictionary
+    assert canned.m == snapshot.CANNED_M
+    wide = snapshot.WIDE
+    for m, n, picks, rows in [
+        (canned.m, canned.n, snapshot.PICKS, lambda r: r > 1),
+        (wide["m"], wide["n"], snapshot.WIDE_PICKS, lambda r: r == 1),
+    ]:
+        extras = snapshot._skewed(m, picks)
+        assert extras["prior_samples"] == picks and rows(_signal_rows(picks, n))
+        prior = WeightVector(extras["prior"])
+        assert 0 < prior.support.sum() < m
+        assert len(set(prior.weights[prior.support])) > 1

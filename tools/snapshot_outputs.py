@@ -18,7 +18,12 @@ blocked MGF moments go through several blocks of draws. For centered_binomial at
 k = 20 (the size the benchmark's verify workload runs) and for
 bounded_binary_mixture, verify-coupling and verify-bernstein, both by exact
 enumeration, run into OUT/cli-exact/, so that a diff covers the exact-law rows at
-that size. OUT/exit_codes.txt lists every exit code.
+that size. Each family's scenario also runs simulate and certify with a sampled
+prior (prior_samples set, and a skewed prior with zero-mass atoms, so that a
+diff covers the prior pick): the canned shape with 25 picks at EWA_AGG_THREADS=1
+into OUT/cli-sampled/, and the wide shape with 1100 picks (one replicate per
+chunk) at EWA_AGG_THREADS=2 into OUT/cli-sampled-threads2/.
+OUT/exit_codes.txt lists every exit code.
 Snapshots of two checkouts compare with `diff -r OUT_A OUT_B`.
 """
 
@@ -37,6 +42,13 @@ FORMATS = ("csv", "json")
 WIDE = {"n": 64, "m": 1100}
 BLOCK_FAMILIES = ("gaussian", "laplace")
 EXACT = {"centered_binomial": {"k": 20}, "bounded_binary_mixture": {}}
+CANNED_M, PICKS, WIDE_PICKS = 10, 25, 1100
+
+
+def _skewed(m, picks):
+    """prior_samples and a prior over m atoms in proportion to j mod 7: every seventh has none."""
+    weights = [j % 7 for j in range(m)]
+    return {"prior_samples": picks, "prior": [w / sum(weights) for w in weights]}
 
 
 def _run(args, env, path, codes):
@@ -60,18 +72,21 @@ def main(argv):
     from ewa_agg.oracle import make_scenario
 
     env = dict(os.environ, PYTHONPATH=str(src / "src"), **{THREADS: "1"})
-    for folder in ("configs", "cli", "cli-threads2", "cli-blocks", "cli-exact", "demos"):
-        (out / folder).mkdir(parents=True, exist_ok=True)
     codes = []
     sampled = {"sample_size": SAMPLE_SIZE}
     blocks = {"sample_size": 2 * CF_BLOCK + 123, "method": "cf_grid"}
+    picks, wide_picks = _skewed(CANNED_M, PICKS), _skewed(WIDE["m"], WIDE_PICKS)
     # (config suffix, make_scenario arguments per family, config extras, folder, ...)
     runs = (
         ("", dict.fromkeys(FAMILIES, {}), sampled, "cli", COMMANDS, "1"),
         (".wide", dict.fromkeys(FAMILIES, WIDE), sampled, "cli-threads2", COMMANDS[:2], "2"),
         (".blocks", dict.fromkeys(BLOCK_FAMILIES, {}), blocks, "cli-blocks", COMMANDS[2:4], "1"),
         (".exact", EXACT, {}, "cli-exact", COMMANDS[2:4], "1"),
+        (".sampled", dict.fromkeys(FAMILIES, {}), picks, "cli-sampled", COMMANDS[:2], "1"),
+        (".sampled-wide", dict.fromkeys(FAMILIES, WIDE), wide_picks, "cli-sampled-threads2", COMMANDS[:2], "2"),
     )
+    for folder in ("configs", *(run[3] for run in runs), "demos"):
+        (out / folder).mkdir(parents=True, exist_ok=True)
     for family in FAMILIES:
         for suffix, shapes, extras, folder, commands, threads in runs:
             if family not in shapes:
