@@ -91,10 +91,16 @@ def _posterior(log_prior, sq_distances, beta):
         return softmax(np.where(lost & (nearest < np.inf), limit, log_weights))
 
 
-def _posterior_moments(w, atoms, sq_norms):
-    """Posterior mean and variance (clamped at 0), given the atoms' squared norms."""
-    mean = w @ atoms
-    return mean, max(float(w @ sq_norms) - float(mean @ mean), 0.0)
+def _posterior_moments(w, atoms, sq_norms, truth):
+    """(variances, risks) per row of an (R, m) block of weights over (m, n) atoms and their
+    squared norms, or each row's own (R, m, n) and (R, m): w . sq_norms - ||mean||^2 clamped
+    at 0 as Python's max clamps it (NaN passes) and ||mean - truth||^2, by four stacked
+    matmuls, each row's BLAS gemv or dot of its 1-D product; a 2-D gemm sums otherwise."""
+    mean = w[:, None] @ atoms
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats
+        spread = (w[:, None] @ sq_norms[..., None] - mean @ mean.swapaxes(1, 2))[:, 0, 0]
+    d = mean - truth
+    return np.where(0.0 > spread, 0.0, spread), (d @ d.swapaxes(1, 2))[:, 0, 0]
 
 
 def _ewa_inputs(y, dictionary, prior, beta):
@@ -128,9 +134,8 @@ def aggregate(dictionary, w):
 
 def posterior_variance(dictionary, w):
     """sum_j w_j ||theta_j||^2 - ||sum_j w_j theta_j||^2, clamped at 0."""
-    atoms = dictionary.atoms
-    norms = _atom_sq_distances(0.0, atoms)
-    return _posterior_moments(_as_weight_array(w, dictionary.m), atoms, norms)[1]
+    w, norms = _as_weight_array(w, dictionary.m)[None], _atom_sq_distances(0.0, dictionary.atoms)
+    return float(_posterior_moments(w, dictionary.atoms, norms, 0.0)[0][0])
 
 
 def kl_divergence(p, q):

@@ -26,12 +26,12 @@ into atom picks by one searchsorted on the prior's cdf, which is built once per
 config as rng.choice builds it (`_choice_cdf`). Replicates go through in chunks of
 R_c = BLOCK_DOUBLES // (m n) rows, m being prior_samples when set (one row
 where n outgrows einsum's buffer; `ewa._signal_rows`), by a rule that does not
-look at the worker count: one distance block and one row-wise softmax per
-chunk, each row giving the bits of its one-replicate call. So results are
-bit-identical however many workers run and however replicates are chunked.
-EWA_AGG_THREADS (default 1) workers share a config whose chunks hold one row;
-a config with more rows per chunk runs on one, as its small numpy calls hold
-the GIL.
+look at the worker count: one distance block, one row-wise softmax and four stacked
+matmuls of moments (`ewa._posterior_moments`: each row's BLAS call, where a 2-D gemm
+would sum in another order) per chunk, each row giving the bits of its one-replicate
+call. So results are bit-identical however many workers run and however replicates
+are chunked. EWA_AGG_THREADS (default 1) workers share a config whose chunks hold
+one row; one with more rows per chunk runs on one, as its numpy calls hold the GIL.
 """
 
 import math
@@ -59,7 +59,6 @@ from .model import (
     _as_count,
     logsumexp,
     sup_diameter,
-    squared_distance,
 )
 from .noise import FAMILIES
 
@@ -280,9 +279,9 @@ def _run_replicates(config):
     A worker's span derives its replicates' stream states (`derived_states`) and seats each
     in turn on one generator of its own, for its raw noise draw and its prior uniforms; it
     goes in chunks of `_signal_rows` replicates, whatever the worker count: one noise
-    transform, one prior pick, one distance block and one row-wise softmax per chunk, then
-    each row's moments. A config whose chunks hold more than one row runs on one worker, as
-    its chunks' small numpy calls hold the GIL."""
+    transform, one prior pick, one distance block, one row-wise softmax and four stacked
+    matmuls of moments per chunk: only the generator calls are per replicate. A config whose
+    chunks hold more than one row runs on one worker, as their small numpy calls hold the GIL."""
     total, beta, sampled = config.replicates, config.beta, config.prior_samples
     atoms = config.dictionary.atoms
     norms = _atom_sq_distances(0.0, atoms)
@@ -304,18 +303,14 @@ def _run_replicates(config):
         del raws  # and the block before the distance block is
         if not np.all(np.isfinite(y)):
             raise ValueError("signal entries must be finite")
-        theta, sq = atoms, norms
-        if sampled is not None:
-            idx = cdf.searchsorted(np.array(picks), side="right")
-            theta, sq = atoms[idx], norms[idx]  # each replicate's own (s, n) atoms
+        idx = cdf.searchsorted(np.array(picks), side="right") if sampled else slice(None)
+        theta, sq = atoms[idx], norms[idx]  # sampled: each replicate's own (s, n) atoms
         if math.isinf(beta):
-            w = np.broadcast_to(prior.weights, (len(chunk), len(prior)))
+            w = np.broadcast_to(prior.weights, (len(states), len(prior)))
         else:
             w = _posterior(prior.log_weights, _atom_sq_distances(y, theta), beta)[0]
-        for k, r in enumerate(chunk):  # per row: a gemm would sum in another order
-            theta_r, sq_r = (theta[k], sq[k]) if sampled else (theta, sq)
-            estimate, pvars[r] = _posterior_moments(w[k], theta_r, sq_r)
-            risks[r] = squared_distance(estimate, config.truth)
+        # stacked matmuls make each row's one-replicate BLAS call; a 2-D gemm sums otherwise
+        pvars[chunk], risks[chunk] = _posterior_moments(w, theta, sq, config.truth)
 
     def fill_span(lo, hi):  # a chunk's arrays go before the next one's are made
         rng = np.random.Generator(np.random.PCG64(0))  # `fill` sets each replicate's state
@@ -325,7 +320,7 @@ def _run_replicates(config):
             states = derived_states(config.seed, [(r,) for r in range(first, last)]).tolist()
             for start in range(first, last, rows):
                 stop = min(start + rows, last)
-                fill(rng, range(start, stop), states[start - first : stop - first])
+                fill(rng, slice(start, stop), states[start - first : stop - first])
 
     workers = worker_count()  # checked even where one worker is taken
     if rows > 1:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import ewa_agg
 from ewa_agg import cli
 from ewa_agg.model import Dictionary, ExperimentConfig, WeightVector
 from ewa_agg.noise import CenteredBernoulli, Gaussian, Laplace
-from ewa_agg.oracle import OracleBoundReport, RiskReport, make_scenario
+from ewa_agg.oracle import OracleBoundReport, RiskReport, make_scenario, mc_risk
 
 RISK_CSV_HEADER = list(RiskReport.CSV_HEADER)
 
@@ -222,6 +223,23 @@ def test_oracle_bound_passes_where_the_bounds_meet(tmp_path, capsys):
     row = list(csv.reader(capsys.readouterr().out.splitlines()))[1]
     assert float(row[4]) <= float(row[3]) == 31305.214660571233
     assert row[5] == "pass"
+
+
+@pytest.mark.parametrize("mode", ["clean", "variance_penalty"])
+def test_one_atom_posterior_variance_is_a_positive_zero(tmp_path, capsys, mode):
+    # one atom has no spread: the variance clamp gives +0.0, never the -0.0 that Python's
+    # max(-0.0, 0.0) keeps, so the penalty (coefficient times the mean variance) reads 0
+    doc = make_scenario("gaussian", m=1, replicates=20, seed=1).to_json()
+    report = mc_risk(ExperimentConfig.from_json(doc), mode=mode)
+    assert math.copysign(1.0, report.mean_posterior_variance) == 1.0
+    assert report.mean_posterior_variance == 0.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**doc, "mode": mode}))
+    _run(["simulate", cfg])
+    row = list(csv.reader(capsys.readouterr().out.splitlines()))[1]
+    assert row[RISK_CSV_HEADER.index("penalty")] == "0"
+    _run(["simulate", cfg, "--format", "json"])
+    assert '    "penalty": 0.0,\n' in capsys.readouterr().out
 
 
 def test_json_writes_an_infinite_beta_and_bound_as_infinity(tmp_path, capsys):

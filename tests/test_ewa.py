@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import moments_reference as moments
 from ewa_agg.ewa import (
+    EINSUM_BUFFER,
     _atom_sq_distances,
+    _posterior_moments,
+    _signal_rows,
     aggregate,
     dv_minimality_test,
     ewa_estimate,
@@ -189,6 +193,56 @@ def test_signal_blocks_equal_one_signal_at_a_time(m, n):
     rows = [_atom_sq_distances(y, a) for y, a in zip(ys, own)]
     assert np.array_equal(_atom_sq_distances(ys, own), rows)
     assert np.array_equal(_atom_sq_distances(ys[:1], atoms), block[:1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    n=st.integers(1, 64),
+    rows=st.integers(1, 40),
+    picks=st.one_of(st.none(), st.integers(1, 12)),
+    weights=st.sampled_from(("dense", "sparse", "broadcast")),
+    scale=st.integers(-160, 160),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=3, n=EINSUM_BUFFER + 1, rows=3, picks=None, weights="dense", scale=0, seed=1)
+@example(m=40, n=64, rows=26, picks=None, weights="sparse", scale=0, seed=2)
+@example(m=5, n=7, rows=9, picks=4, weights="broadcast", scale=0, seed=3)
+@example(m=6, n=3, rows=8, picks=None, weights="sparse", scale=160, seed=4)
+@example(m=6, n=3, rows=8, picks=5, weights="dense", scale=155, seed=5)
+def test_moment_rows_equal_the_one_row_formulas(m, n, rows, picks, weights, scale, seed):
+    # rows of weights that are exactly zero or subnormal, or one row broadcast as at
+    # beta = +inf (stride 0), against shared or each row's own sampled atoms; at scale 155
+    # and up the squared norms overflow and inf - inf or 0 * inf gives NaN
+    assert _signal_rows(40, 64) < 26 and _signal_rows(3, EINSUM_BUFFER + 1) == 1
+    rng = np.random.default_rng(seed)
+    atoms = rng.normal(size=(m, n)) * 10.0**scale
+    truth = rng.normal(size=n) * 10.0**scale
+    with np.errstate(over="ignore"):
+        norms = _atom_sq_distances(0.0, atoms)
+    k = picks or m
+    if weights == "broadcast":
+        w = np.broadcast_to(rng.dirichlet(np.ones(k)), (rows, k))
+    else:
+        w = rng.dirichlet(np.ones(k), size=rows)
+    if weights == "sparse":
+        w[rng.random(w.shape) < 0.3] = 0.0
+        tiny = rng.random(w.shape) < 0.3
+        w[tiny] = rng.integers(1, 2**52, tiny.sum()) * 5e-324
+    theta, sq = atoms, norms
+    if picks is not None:
+        idx = rng.integers(0, m, (rows, picks))
+        theta, sq = atoms[idx], norms[idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = np.array(_posterior_moments(w, theta, sq, truth))
+        want = np.array([
+            moments.one_row(w[r], *((theta[r], sq[r]) if picks else (theta, sq)), truth)
+            for r in range(rows)
+        ]).T
+        assert got.tobytes() == want.tobytes()  # NaN and the sign of zero included
+        if weights != "sparse" and picks is None:  # the one-row case, on a probability vector
+            one = posterior_variance(Dictionary(atoms), w[0])
+            assert np.float64(one).tobytes() == want[0, 0].tobytes()
 
 
 def test_posterior_variance_never_negative():

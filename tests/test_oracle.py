@@ -13,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import draw_reference as draws
+import moments_reference as moments
 from ewa_agg import cli, ewa, oracle
 from ewa_agg.bernstein import beta_threshold
-from ewa_agg.ewa import aggregate, gibbs_objective, posterior_variance, posterior_weights
+from ewa_agg.ewa import gibbs_objective, kl_divergence, posterior_weights
 from ewa_agg.model import (
     Dictionary,
     ExperimentConfig,
@@ -304,6 +305,65 @@ def test_gibbs_bound_is_the_objective_at_the_posterior(instance, beta):
     assert abs(value - bound) <= 1e-12 * abs(bound) + 1e-14 * beta
 
 
+def _mp_kl_terms(p, q):
+    """(KL(p || q), sum_j p_j (|log p_j| + |log q_j|)) at 50 digits over p_j > 0: the value
+    and the scale its float sum's rounding errors are relative to; +inf where q_j = 0."""
+    with mpmath.workdps(50):
+        pairs = [(mpmath.mpf(pj), mpmath.mpf(qj)) for pj, qj in zip(p, q) if pj > 0.0]
+        if any(qj == 0 for _, qj in pairs):
+            return mpmath.inf, mpmath.inf
+        logs = [(pj, mpmath.log(pj), mpmath.log(qj)) for pj, qj in pairs]
+        kl = mpmath.fsum(pj * (lp - lq) for pj, lp, lq in logs)
+        return kl, mpmath.fsum(pj * (abs(lp) + abs(lq)) for pj, lp, lq in logs)
+
+
+def _assert_close(value, reference, scale):
+    """value is reference within 1e-13 of scale (a few hundred ulps of the operands' size)
+    plus 20 steps of 5e-324, the absolute rounding of a result below the normal range; or
+    +inf where reference passes the largest double by more than that."""
+    if math.isinf(value) or reference == mpmath.inf:
+        assert value == math.inf and reference > (1 - 1e-13) * np.finfo(np.float64).max
+    else:
+        assert abs(mpmath.mpf(value) - reference) <= 1e-13 * scale + 1e-322
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bound_instances(), _all_betas, st.one_of(st.none(), st.lists(st.floats(0.0, 1.0))))
+def test_gibbs_objective_and_kl_match_high_precision(instance, beta, raw):
+    # at the posterior (the prior up to rounding at large beta) or at another weight vector,
+    # which may charge atoms without prior mass
+    d, truth, prior = instance
+    if raw is None or len(raw) < d.m or not any(raw[: d.m]):
+        w = posterior_weights(truth, d, prior, beta).weights
+    else:
+        w = np.array(raw[: d.m]) / math.fsum(raw[: d.m])
+    kl, kl_scale = _mp_kl_terms(w, prior.weights)
+    _assert_close(kl_divergence(w, prior), kl, kl_scale)
+    with mpmath.workdps(50):
+        diffs = [[mpmath.mpf(a) - mpmath.mpf(t) for a, t in zip(atom, truth)] for atom in d.atoms]
+        expected = mpmath.fsum(
+            mpmath.mpf(wj) * mpmath.fsum(x * x for x in row) for wj, row in zip(w, diffs)
+        )
+        objective = expected + (beta * kl if kl else 0)
+    value = gibbs_objective(w, truth, d, prior, beta)
+    _assert_close(value, objective, expected + beta * kl_scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bound_instances(), st.integers(0, 2**64 - 1))
+def test_risk_at_the_largest_finite_beta_is_the_prior_mean_risk(instance, seed):
+    # beta -> inf: the posterior log pi0(j) - d_j / beta tends to the prior, so at
+    # beta = 1e308 every replicate's aggregate is the prior mean up to rounding. The truth
+    # sits 20 or more from the atoms in its first coordinate, so that the squared distance
+    # does not cancel and its relative error stays that of the weights.
+    d, truth, prior = instance
+    truth = truth + np.where(np.arange(d.n) == 0, 30.0, 0.0)
+    noise = Gaussian.homogeneous(d.n, 1.0)
+    config = ExperimentConfig(truth, d, prior, noise, beta=1e308, replicates=5, seed=seed)
+    limit = mc_risk(replace(config, beta=math.inf)).risk
+    assert abs(mc_risk(config).risk - limit) <= 1e-12 * limit
+
+
 def test_worker_count(monkeypatch):
     monkeypatch.delenv("EWA_AGG_THREADS", raising=False)
     assert worker_count() == 1
@@ -410,18 +470,18 @@ class TestMcRisk:
 
 
 def _public_replicate(config, r):
-    """Replicate r through posterior_weights, aggregate and posterior_variance, drawing from
+    """Replicate r through posterior_weights and the one-row moment formulas, drawing from
     numpy's own (seed, r) stream."""
     rng = _numpy_stream(config.seed, r)
     y = config.truth + config.noise.sample(rng)
-    dictionary, prior = config.dictionary, config.prior
+    atoms, prior = config.dictionary.atoms, config.prior
     if config.prior_samples is not None:
-        idx = rng.choice(dictionary.m, size=config.prior_samples, p=prior.weights)
-        dictionary = Dictionary(dictionary.atoms[idx])
+        atoms = atoms[rng.choice(len(atoms), size=config.prior_samples, p=prior.weights)]
         prior = WeightVector.uniform(config.prior_samples)
-    post = posterior_weights(y, dictionary, prior, config.beta)
-    risk = squared_distance(aggregate(dictionary, post), config.truth)
-    return risk, posterior_variance(dictionary, post)
+    post = posterior_weights(y, Dictionary(atoms), prior, config.beta)
+    norms = ewa._atom_sq_distances(0.0, atoms)
+    pvar, risk = moments.one_row(post.weights, atoms, norms, config.truth)
+    return risk, pvar
 
 
 def _public_path_configs(family, replicates):

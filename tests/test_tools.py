@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,3 +79,15 @@ def test_snapshot_sampled_trees_cover_the_prior_pick():
         prior = WeightVector(extras["prior"])
         assert 0 < prior.support.sum() < m
         assert len(set(prior.weights[prior.support])) > 1
+
+
+def test_snapshot_limits_tree_puts_several_rows_in_a_chunk():
+    # broadcast weights, lost-mass rows and one-atom rows go through the stacked moments
+    # with their neighbours in a chunk, not alone
+    snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
+    cases = snapshot.LIMITS.values()
+    assert {extras.get("beta") for _, extras in cases} >= {math.inf, 1e-310}
+    assert any(shape.get("m") == 1 for shape, _ in cases)
+    for shape, _ in cases:
+        dictionary = make_scenario("gaussian", replicates=1, **shape).dictionary
+        assert _signal_rows(dictionary.m, dictionary.n) > 1

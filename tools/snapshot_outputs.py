@@ -22,12 +22,17 @@ that size. Each family's scenario also runs simulate and certify with a sampled
 prior (prior_samples set, and a skewed prior with zero-mass atoms, so that a
 diff covers the prior pick): the canned shape with 25 picks at EWA_AGG_THREADS=1
 into OUT/cli-sampled/, and the wide shape with 1100 picks (one replicate per
-chunk) at EWA_AGG_THREADS=2 into OUT/cli-sampled-threads2/.
+chunk) at EWA_AGG_THREADS=2 into OUT/cli-sampled-threads2/. Each family's canned
+shape also runs simulate at EWA_AGG_THREADS=1 at the edges of a chunk's moment rows,
+each into its folder under OUT/cli-limits/: beta-inf (beta = +inf, every row the
+prior's weights), beta-1e-310 (every d_j / beta overflows, so rows lose their mass)
+and one-atom (m = 1).
 OUT/exit_codes.txt lists every exit code.
 Snapshots of two checkouts compare with `diff -r OUT_A OUT_B`.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +48,12 @@ WIDE = {"n": 64, "m": 1100}
 BLOCK_FAMILIES = ("gaussian", "laplace")
 EXACT = {"centered_binomial": {"k": 20}, "bounded_binary_mixture": {}}
 CANNED_M, PICKS, WIDE_PICKS = 10, 25, 1100
+# folder under cli-limits: (make_scenario arguments, config extras)
+LIMITS = {
+    "beta-inf": ({}, {"beta": math.inf}),
+    "beta-1e-310": ({}, {"beta": 1e-310}),
+    "one-atom": ({"m": 1}, {}),
+}
 
 
 def _skewed(m, picks):
@@ -84,6 +95,10 @@ def main(argv):
         (".exact", EXACT, {}, "cli-exact", COMMANDS[2:4], "1"),
         (".sampled", dict.fromkeys(FAMILIES, {}), picks, "cli-sampled", COMMANDS[:2], "1"),
         (".sampled-wide", dict.fromkeys(FAMILIES, WIDE), wide_picks, "cli-sampled-threads2", COMMANDS[:2], "2"),
+        *(
+            (f".{case}", dict.fromkeys(FAMILIES, shape), extras, f"cli-limits/{case}", COMMANDS[:1], "1")
+            for case, (shape, extras) in LIMITS.items()
+        ),
     )
     for folder in ("configs", *(run[3] for run in runs), "demos"):
         (out / folder).mkdir(parents=True, exist_ok=True)
