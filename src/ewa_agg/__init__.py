@@ -13,7 +13,6 @@ from .model import (
     ExperimentConfig,
     WeightVector,
     as_signal,
-    squared_distance,
     sup_diameter,
 )
 from .ewa import (
@@ -27,6 +26,7 @@ from .ewa import (
     posterior_variance,
     posterior_weights,
     sampled_prior_ewa,
+    squared_distance,
 )
 from .noise import (
     BoundedBinaryMixture,

@@ -51,25 +51,33 @@ def _signal_rows(m, n):
 
 def _atom_sq_distances(y, atoms):
     """||theta_j - y||^2 per row theta_j of atoms, from explicit differences (||y||^2 - 2 y.theta
-    cancels); at y = 0, the squared norms. An (R, n) block of signals gives (R, m), against one
-    (m, n) set of atoms or each signal's own in (R, m, n). Many C-ordered atoms go in blocks of
-    rows whose differences stay in cache; einsum sums a row alike in any block, 2-D or 3-D, if
-    the row fits its buffer, so a row of a block equals its 1-D call there."""
+    cancels); at y = 0, the squared norms: the package's one squared-distance reduction. An
+    (R, n) block of signals gives (R, m), against one (m, n) set of atoms or each signal's own
+    in (R, m, n). Atoms go in blocks of `_signal_rows(1, n)` rows, whose C-ordered differences
+    stay in cache. einsum sums a C-ordered row alike in any block, 2-D or 3-D, if the row fits
+    its buffer, and a longer row goes alone, so a row's sum depends neither on how many rows
+    share the call nor on the atoms' memory order."""
     y = np.asarray(y)
     if y.ndim == 2:
-        if len(y) == 1:
-            return _atom_sq_distances(y[0], atoms[0] if atoms.ndim == 3 else atoms)[None]
-        diff = (atoms if atoms.ndim == 3 else atoms[None]) - y[:, None]
+        if len(y) == 1 or y.shape[1] > EINSUM_BUFFER:
+            own = atoms if atoms.ndim == 3 else [atoms] * len(y)
+            return np.array([_atom_sq_distances(row, a) for row, a in zip(y, own)])
+        diff = np.subtract(atoms if atoms.ndim == 3 else atoms[None], y[:, None], order="C")
         return np.einsum("rij,rij->ri", diff, diff)
-    m, n = atoms.shape
-    if m * n <= BLOCK_DOUBLES or n > EINSUM_BUFFER or not atoms.flags.c_contiguous:
-        diff = atoms - y
-        return np.einsum("ij,ij->i", diff, diff)
-    rows, out = BLOCK_DOUBLES // n, np.empty(m)
-    for lo in range(0, m, rows):
-        diff = atoms[lo : lo + rows] - y
+    rows, out = _signal_rows(1, atoms.shape[1]), np.empty(len(atoms))
+    for lo in range(0, len(atoms), rows):
+        diff = np.subtract(atoms[lo : lo + rows], y, order="C")
         np.einsum("ij,ij->i", diff, diff, out=out[lo : lo + rows])
     return out
+
+
+def squared_distance(a, b):
+    """Sum of squared coordinate differences: `_atom_sq_distances` on one pair."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return float(_atom_sq_distances(b, a[None])[0])
 
 
 def _posterior(log_prior, sq_distances, beta):
@@ -94,13 +102,14 @@ def _posterior(log_prior, sq_distances, beta):
 def _posterior_moments(w, atoms, sq_norms, truth):
     """(variances, risks) per row of an (R, m) block of weights over (m, n) atoms and their
     squared norms, or each row's own (R, m, n) and (R, m): w . sq_norms - ||mean||^2 clamped
-    at 0 as Python's max clamps it (NaN passes) and ||mean - truth||^2, by four stacked
-    matmuls, each row's BLAS gemv or dot of its 1-D product; a 2-D gemm sums otherwise."""
-    mean = w[:, None] @ atoms
+    at 0 as Python's max clamps it (NaN passes) and ||mean - truth||^2. The two weighted sums
+    are stacked matmuls, each row's BLAS gemv or dot of its 1-D product (a 2-D gemm sums
+    otherwise); both squared norms come from `_atom_sq_distances` on the (R, n) means, so a
+    point-mass row gives the bound's own d_j and a variance of exactly 0."""
+    mean = (w[:, None] @ atoms)[:, 0]
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats
-        spread = (w[:, None] @ sq_norms[..., None] - mean @ mean.swapaxes(1, 2))[:, 0, 0]
-    d = mean - truth
-    return np.where(0.0 > spread, 0.0, spread), (d @ d.swapaxes(1, 2))[:, 0, 0]
+        spread = (w[:, None] @ sq_norms[..., None])[:, 0, 0] - _atom_sq_distances(0.0, mean)
+    return np.where(0.0 > spread, 0.0, spread), _atom_sq_distances(truth, mean)
 
 
 def _ewa_inputs(y, dictionary, prior, beta):

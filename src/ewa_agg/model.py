@@ -25,16 +25,6 @@ def as_signal(values, dim=None):
     return arr
 
 
-def squared_distance(a, b):
-    """Sum of squared coordinate differences."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(d @ d)
-
-
 class Dictionary:
     """An ordered finite set of candidate signals, one per row."""
 

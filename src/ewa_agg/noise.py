@@ -92,17 +92,17 @@ class NoiseModel:
         return cls(np.full(n, float(value)))
 
     def sample(self, rng):
-        raise NotImplementedError
+        """One noise vector: the one-row case of `noise_rows`."""
+        return self.sample_with_latents(rng)[0]
 
     def raw_draw(self, rng):
-        """One vector's only generator call: the raw values `noise_rows` turns into its noise.
-        Default: the noise itself, for a family that defines only `sample`."""
-        return self.sample(rng)
+        """One vector's only generator call: the raw values `noise_rows` turns into its noise."""
+        raise NotImplementedError
 
     def noise_rows(self, raw):
         """(noise, latents) of an (R, K) block of raw draws, row by row: noise is (R, n) and
-        each latent has a leading R axis. It may overwrite raw. Default: the raw rows."""
-        return raw, {"xi": raw}
+        each latent has a leading R axis. It may overwrite raw."""
+        raise NotImplementedError
 
     def sample_with_latents(self, rng):
         """Draw one noise vector together with the conditioning record the
@@ -149,9 +149,6 @@ class _DiscreteNoise(NoiseModel):
 
     discrete = True
 
-    def sample(self, rng):
-        return self.sample_with_latents(rng)[0]
-
     def coupling_records(self, alpha):
         raise NotImplementedError
 
@@ -187,9 +184,6 @@ class _ContinuousNoise(NoiseModel):
     @classmethod
     def draw(cls, scale, rng):
         return cls.transform(cls.raw(rng, np.shape(scale)), scale)
-
-    def sample(self, rng):
-        return self.sample_with_latents(rng)[0]
 
     def raw_draw(self, rng):
         return self.raw(rng, self.scale.shape)

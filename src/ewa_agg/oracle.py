@@ -26,12 +26,18 @@ into atom picks by one searchsorted on the prior's cdf, which is built once per
 config as rng.choice builds it (`_choice_cdf`). Replicates go through in chunks of
 R_c = BLOCK_DOUBLES // (m n) rows, m being prior_samples when set (one row
 where n outgrows einsum's buffer; `ewa._signal_rows`), by a rule that does not
-look at the worker count: one distance block, one row-wise softmax and four stacked
-matmuls of moments (`ewa._posterior_moments`: each row's BLAS call, where a 2-D gemm
-would sum in another order) per chunk, each row giving the bits of its one-replicate
-call. So results are bit-identical however many workers run and however replicates
-are chunked. EWA_AGG_THREADS (default 1) workers share a config whose chunks hold
-one row; one with more rows per chunk runs on one, as its numpy calls hold the GIL.
+look at the worker count: one distance block, one row-wise softmax and one moments
+call (`ewa._posterior_moments`: two stacked matmuls, each row's BLAS call where a 2-D
+gemm would sum in another order, and the squared norms by `ewa._atom_sq_distances`)
+per chunk, each row giving the bits of its one-replicate call. So results are
+bit-identical however many workers run and however replicates are chunked.
+EWA_AGG_THREADS (default 1) workers share a config whose chunks hold one row; one with
+more rows per chunk runs on one, as its numpy calls hold the GIL.
+
+Where the posterior is a point mass on atom j, a tie passes: every risk is the bound's
+d_j bit for bit (both sum in `ewa._atom_sq_distances`), every posterior variance is 0, a
+constant series has its value as mean and exactly 0 as standard error (`_mean_and_stderr`),
+and the Gibbs bound, clamped to [min_j d_j, f], is d_j.
 """
 
 import math
@@ -88,7 +94,7 @@ def _steps(const, mult, count):
 
 
 def _hash(value, xor, mul):
-    """hashmix on uint32s: Python ints, or numpy arrays that broadcast."""
+    """hashmix on uint32 arrays that broadcast."""
     value = ((value ^ xor) & _MASK32) * mul & _MASK32
     return value ^ value >> 16
 
@@ -116,28 +122,17 @@ def _words(value):
 def derived_states(seed, keys):
     """The PCG64 seed words of Generator(PCG64(SeedSequence(seed, spawn_key=key))) per key, as
     a (len(keys), 4) uint64 array: initstate high and low words, then initseq's. The seed's
-    words fill and mix the pool once, in Python ints. Each key word then mixes into the 4 pool
+    pool is numpy's own (SeedSequence(seed).pool). Each key word then mixes into the 4 pool
     words of every key at once, one array pass per word position (a key with fewer words keeps
     its pool), and the pools hash out 8 words as generate_state(4, uint64) does."""
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_WORDS - len(entropy))
+    pool = np.random.SeedSequence(seed).pool
     key_words = [[w for part in key for w in _words(part)] for key in keys]
     lengths = np.fromiter(map(len, key_words), np.intp, len(key_words))
     table = np.zeros((len(key_words), lengths.max(initial=0)), np.uint32)
     table[np.arange(table.shape[1]) < lengths[:, None]] = [w for ws in key_words for w in ws]
-    # 4 steps fill the pool and 12 cross-mix it; each later seed or key word takes 4 more
-    xors, muls = _steps(_INIT_A, _MULT_A, _POOL_WORDS * (len(entropy) + table.shape[1]))
-    pool = [_hash(*first) for first in zip(entropy[:_POOL_WORDS], xors, muls)]
-    step = _POOL_WORDS
-    for src in range(_POOL_WORDS):  # late words reach the early ones
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], xors[step], muls[step]))
-                step += 1
-    for extra in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = _mix(pool[dst], _hash(extra, xors[step], muls[step]))
-            step += 1
+    # the seed took 4 hash steps per word, padded to 4 words; each key word takes 4 more
+    step = _POOL_WORDS * max(len(_words(seed)), _POOL_WORDS)
+    xors, muls = _steps(_INIT_A, _MULT_A, step + _POOL_WORDS * table.shape[1])
     pools = np.repeat(_column(pool), len(key_words), axis=1)
     for col in range(table.shape[1]):
         run = slice(step, step + _POOL_WORDS)
@@ -195,7 +190,8 @@ def oracle_bound_gibbs(dictionary, truth, prior, beta):
     -beta s = sum_j pi0(j) beta (1 - exp(-d_j / beta)), a term being d_j where d_j / beta is
     subnormal, so no digit cancels. Elsewhere it is f - beta log sum_j exp((f - t_j) / beta)
     over the finite bound's terms t_j: one exponent is exactly 0, so the log-sum-exp is >= 0
-    (f where every (t_j - f) / beta overflows, as at subnormal beta)."""
+    (f where every (t_j - f) / beta overflows, as at subnormal beta). Either value is clamped
+    to [min_j d_j, f], which bracket the bound exactly, so a point-mass prior gives its d_j."""
     prior, d, beta = _ewa_inputs(truth, dictionary, prior, beta)
     if math.isinf(beta):
         return float(prior.weights @ d)
@@ -208,11 +204,13 @@ def oracle_bound_gibbs(dictionary, truth, prior, beta):
     s = pi @ e
     if s >= -1.0 / 16.0:
         terms = np.where(x < np.finfo(np.float64).tiny, d, -beta * e)
-        return float(min((np.log1p(s) / s if s else 1.0) * (pi @ terms), f))
-    if f == np.inf:  # every t_j overflows: Gibbs <= finite = +inf
+        value = (np.log1p(s) / s if s else 1.0) * (pi @ terms)
+    elif f == np.inf:  # every t_j overflows: Gibbs <= finite = +inf
         return math.inf
-    with np.errstate(over="ignore"):
-        return float(f - beta * logsumexp((f - t) / beta))
+    else:
+        with np.errstate(over="ignore"):
+            value = f - beta * logsumexp((f - t) / beta)
+    return float(min(max(value, d.min()), f))
 
 
 @dataclass(frozen=True)
@@ -279,8 +277,8 @@ def _run_replicates(config):
     A worker's span derives its replicates' stream states (`derived_states`) and seats each
     in turn on one generator of its own, for its raw noise draw and its prior uniforms; it
     goes in chunks of `_signal_rows` replicates, whatever the worker count: one noise
-    transform, one prior pick, one distance block, one row-wise softmax and four stacked
-    matmuls of moments per chunk: only the generator calls are per replicate. A config whose
+    transform, one prior pick, one distance block, one row-wise softmax and one moments
+    call per chunk: only the generator calls are per replicate. A config whose
     chunks hold more than one row runs on one worker, as their small numpy calls hold the GIL."""
     total, beta, sampled = config.replicates, config.beta, config.prior_samples
     atoms = config.dictionary.atoms
@@ -309,7 +307,6 @@ def _run_replicates(config):
             w = np.broadcast_to(prior.weights, (len(states), len(prior)))
         else:
             w = _posterior(prior.log_weights, _atom_sq_distances(y, theta), beta)[0]
-        # stacked matmuls make each row's one-replicate BLAS call; a 2-D gemm sums otherwise
         pvars[chunk], risks[chunk] = _posterior_moments(w, theta, sq, config.truth)
 
     def fill_span(lo, hi):  # a chunk's arrays go before the next one's are made
@@ -334,10 +331,14 @@ def _run_replicates(config):
 
 
 def _mean_and_stderr(values):
-    mean = float(values.mean())
+    """Mean and standard error, both of the series shifted by its first value (if finite): a
+    constant series gives that value and a standard error of exactly 0."""
+    first = values[0] if math.isfinite(values[0]) else 0.0  # an infinite one shifts to NaN
+    shifted = values - first
+    mean = float(first + shifted.mean())
     if values.size < 2:
         return mean, 0.0
-    return mean, float(values.std(ddof=1)) / math.sqrt(values.size)
+    return mean, float(shifted.std(ddof=1)) / math.sqrt(values.size)
 
 
 def mc_risk(config, mode="clean"):

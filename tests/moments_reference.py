@@ -1,9 +1,12 @@
 """A reference for a replicate's moments: the one-row formulas of the aggregate, its
-posterior variance and its squared error as they were written before a chunk's rows
-went through `ewa._posterior_moments` together. The rows kernel must equal them
-byte for byte, NaN and the sign of zero included."""
+posterior variance and its squared error, each squared norm taken by the package's one
+squared-distance reduction (`squared_distance`). The rows kernel
+`ewa._posterior_moments` must equal them byte for byte, NaN and the sign of zero
+included."""
 
-from ewa_agg.model import squared_distance
+import numpy as np
+
+from ewa_agg.ewa import squared_distance
 
 
 def one_row(w, atoms, sq_norms, truth):
@@ -11,4 +14,5 @@ def one_row(w, atoms, sq_norms, truth):
     and their (m,) squared norms: the mean is w @ atoms, the variance
     w . sq_norms - ||mean||^2 clamped at 0 by Python's max, the error ||mean - truth||^2."""
     mean = w @ atoms
-    return max(float(w @ sq_norms) - float(mean @ mean), 0.0), squared_distance(mean, truth)
+    norm = squared_distance(mean, np.zeros_like(mean))
+    return max(float(w @ sq_norms) - norm, 0.0), squared_distance(mean, truth)

@@ -242,6 +242,19 @@ def test_one_atom_posterior_variance_is_a_positive_zero(tmp_path, capsys, mode):
     assert '    "penalty": 0.0,\n' in capsys.readouterr().out
 
 
+def test_one_atom_tie_passes(tmp_path, capsys):
+    # the risk is the atom's squared distance in every replicate, and so is the bound: both
+    # sum the same differences in one reduction, so this config, whose two sides differ in
+    # their last bit when summed in other orders, passes with a standard error of 0
+    cfg = tmp_path / "cfg.json"
+    doc = make_scenario("gaussian", n=45, m=1, replicates=64, seed=58).to_json()
+    cfg.write_text(json.dumps(doc))
+    assert _run(["simulate", cfg, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)[0]
+    assert report["verdict"] == "pass"
+    assert report["risk"] == report["bound"] and report["stderr"] == 0.0
+
+
 def test_json_writes_an_infinite_beta_and_bound_as_infinity(tmp_path, capsys):
     # the JSON output contract at beta = +inf: Python's json token Infinity, which
     # json.loads reads back; with a uniform prior no atom has full mass, so the

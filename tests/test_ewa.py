@@ -22,6 +22,7 @@ from ewa_agg.ewa import (
     posterior_variance,
     posterior_weights,
     sampled_prior_ewa,
+    squared_distance,
 )
 from ewa_agg.model import Dictionary, WeightVector
 
@@ -171,19 +172,29 @@ def test_posterior_variance_hand_value():
     [(300, 256, "C"), (20000, 7, "C"), (20, 8192, "C"), (5, 40000, "C"), (257, 256, "F")],
 )
 def test_atom_distances_equal_whole_differences_bit_for_bit(m, n, order):
-    # the first three go a block of rows at a time; a row past einsum's buffer
-    # and Fortran-ordered atoms are differenced whole
+    # the first three go a block of rows at a time; a row past einsum's buffer goes alone
+    # (a 5-row einsum sums it in other pieces), and Fortran-ordered atoms are differenced
+    # in C order (einsum sums a Fortran-ordered row in another order), so that a row's sum
+    # depends neither on how many rows share the call nor on the atoms' memory order
     rng = np.random.default_rng(RNG_SEED)
     atoms = np.array(rng.normal(scale=30.0, size=(m, n)), order=order)
     y = rng.normal(size=n)
-    diff = atoms - y
-    whole = np.einsum("ij,ij->i", diff, diff)
-    assert np.array_equal(_atom_sq_distances(y, atoms), whole)
+    diff = np.ascontiguousarray(atoms - y)
+    if n > EINSUM_BUFFER:
+        whole = np.concatenate([np.einsum("ij,ij->i", row, row) for row in diff[:, None]])
+    else:
+        whole = np.einsum("ij,ij->i", diff, diff)
+    got = _atom_sq_distances(y, atoms)
+    assert np.array_equal(got, whole)
+    for j in (0, m - 1):
+        assert _atom_sq_distances(y, atoms[j : j + 1])[0] == got[j]
+        assert squared_distance(atoms[j], y) == got[j]
 
 
-@pytest.mark.parametrize("m, n", [(1, 8192), (2, 4096), (10, 50), (5000, 1), (1, 1)])
+@pytest.mark.parametrize("m, n", [(1, 8192), (2, 4096), (10, 50), (5000, 1), (1, 1), (2, 9000)])
 def test_signal_blocks_equal_one_signal_at_a_time(m, n):
-    # rows that fit einsum's buffer: `_signal_rows` sends a longer one alone
+    # a block sums a row that fits einsum's buffer as a 1-D call does; a longer row goes
+    # one signal at a time
     rng = np.random.default_rng(RNG_SEED)
     atoms = rng.normal(scale=30.0, size=(m, n))
     ys = rng.normal(size=(3, n))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 
 import draw_reference as draws
+from ewa_agg.ewa import squared_distance
 from ewa_agg.model import (
     Dictionary,
     ExperimentConfig,
@@ -19,7 +20,6 @@ from ewa_agg.model import (
     as_signal,
     logsumexp,
     softmax,
-    squared_distance,
     sup_diameter,
 )
 from ewa_agg.noise import FAMILIES, Gaussian

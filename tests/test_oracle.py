@@ -9,19 +9,18 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import draw_reference as draws
 import moments_reference as moments
 from ewa_agg import cli, ewa, oracle
 from ewa_agg.bernstein import beta_threshold
-from ewa_agg.ewa import gibbs_objective, kl_divergence, posterior_weights
+from ewa_agg.ewa import gibbs_objective, kl_divergence, posterior_weights, squared_distance
 from ewa_agg.model import (
     Dictionary,
     ExperimentConfig,
     WeightVector,
-    squared_distance,
     sup_diameter,
 )
 from ewa_agg.noise import FAMILIES, Gaussian
@@ -655,6 +654,91 @@ def test_overflowing_observation_is_rejected():
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError, match="signal entries must be finite"):
             mc_risk(config)
+
+
+@pytest.mark.parametrize("value", [0.1, 3.7416977251043515, 1.2901429954575159, 5e-324, 1e308])
+def test_constant_series_has_its_value_and_no_stderr(value):
+    # numpy's mean of 200 equal doubles can be off in its last bit; an infinite series
+    # keeps its infinite mean (its spread is NaN, as numpy's std makes it)
+    assert oracle._mean_and_stderr(np.full(200, value)) == (value, 0.0)
+    with np.errstate(invalid="ignore"):
+        assert oracle._mean_and_stderr(np.full(3, value * math.inf))[0] == math.inf
+
+
+_PLANTED = 1.0 - 1e-9  # a bound this much low must fail a tie
+
+
+def _point_mass(family, n, seed, replicates, dirac):
+    """make_scenario's config with one atom, or with five under a Dirac prior on atom
+    seed % 5: every replicate's posterior is a point mass on that atom, so its risk is the
+    atom's squared distance to the truth, which is also the Gibbs bound."""
+    if not dirac:
+        return make_scenario(family, n=n, m=1, replicates=replicates, seed=seed)
+    config = make_scenario(family, n=n, m=5, replicates=replicates, seed=seed)
+    return replace(config, prior=WeightVector.dirac(5, seed % 5))
+
+
+def _tie_report(config, mode, scale=1.0):
+    """mc_risk's report with the Gibbs bound scaled by `scale` (below 1: a planted fault)."""
+    bound = oracle.oracle_bound_gibbs
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clean mode below the threshold
+        patch.setattr(oracle, "oracle_bound_gibbs", lambda *args: scale * bound(*args))
+        return mc_risk(config, mode)
+
+
+def _assert_tie(config, mode):
+    report = _tie_report(config, mode)
+    assert report.verdict, report
+    assert report.risk == report.bound and report.stderr == 0.0 == report.combined_stderr
+    assert report.mean_posterior_variance == 0.0
+    assert not _tie_report(config, mode, _PLANTED).verdict
+    return report
+
+
+def test_point_mass_configs_never_false_fail():
+    # 5 families x 40 seeds, n = 7 + seed, R = 64, three sets: one atom in clean mode, one
+    # atom in variance_penalty mode at half the threshold, and a Dirac prior on 5 atoms
+    runs = 0
+    for family in FAMILIES:
+        for seed in range(40):
+            one = _point_mass(family, 7 + seed, seed, 64, dirac=False)
+            _assert_tie(one, "clean")
+            _assert_tie(replace(one, beta=one.beta / 2.0), "variance_penalty")
+            _assert_tie(_point_mass(family, 7 + seed, seed, 64, dirac=True), "clean")
+            runs += 3
+    assert runs == 600
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    n=st.integers(1, 64),
+    dirac=st.booleans(),
+    log_ratio=st.floats(-4.0, 2.0),  # log10(d / beta): the bound takes log1p below ~1/16
+    mode=st.sampled_from(("clean", "variance_penalty")),
+    replicates=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="gaussian", n=ewa.EINSUM_BUFFER + 1, dirac=True, log_ratio=-1.3, mode="clean",
+         replicates=3, seed=1)
+@example(family="centered_bernoulli", n=8, dirac=False, log_ratio=math.log10(0.0645),
+         mode="variance_penalty", replicates=64, seed=1)
+@example(family="bounded_binary_mixture", n=14, dirac=True, log_ratio=math.log10(0.0646),
+         mode="clean", replicates=64, seed=7)
+def test_point_mass_risk_is_the_bound_bit_for_bit(
+    family, n, dirac, log_ratio, mode, replicates, seed
+):
+    # the risk and the bound's d_j are one reduction of the same differences, the bound
+    # sits in its exact bracket [min_j d_j, f] = {d_j}, and a constant series has stderr 0
+    config = _point_mass(family, n, seed, replicates, dirac)
+    atom = config.dictionary.atoms[seed % 5 if dirac else 0]
+    d = squared_distance(atom, config.truth)
+    config = replace(config, beta=d / 10.0**log_ratio)
+    if mode == "variance_penalty":
+        edge = 2.0 * config.noise.profile().b(0.0) * sup_diameter(config.dictionary)
+        assume(config.beta > edge)
+    assert _assert_tie(config, mode).bound == d
 
 
 class TestScenarios:

@@ -12,9 +12,9 @@ import pytest
 
 import ewa_agg
 from ewa_agg.ewa import _signal_rows
-from ewa_agg.model import WeightVector
+from ewa_agg.model import ExperimentConfig, WeightVector
 from ewa_agg.noise import FAMILIES
-from ewa_agg.oracle import make_scenario
+from ewa_agg.oracle import make_scenario, mc_risk
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,3 +91,17 @@ def test_snapshot_limits_tree_puts_several_rows_in_a_chunk():
     for shape, _ in cases:
         dictionary = make_scenario("gaussian", replicates=1, **shape).dictionary
         assert _signal_rows(dictionary.m, dictionary.n) > 1
+
+
+def test_snapshot_ties_tree_runs_point_masses_that_pass():
+    # every family at m = 1 and under a Dirac prior: each replicate's risk is the bound's
+    # own d_j, so the verdict passes with the risk equal to the bound and a stderr of 0
+    snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
+    for shapes, extras in snapshot.TIES.values():
+        assert set(shapes) == set(FAMILIES)
+        for family, shape in shapes.items():
+            doc = make_scenario(family, replicates=snapshot.REPLICATES, seed=snapshot.SEED, **shape)
+            config = ExperimentConfig.from_json({**doc.to_json(), **extras})
+            assert config.prior.support.sum() == 1
+            report = mc_risk(config)
+            assert report.verdict and report.risk == report.bound and report.stderr == 0.0

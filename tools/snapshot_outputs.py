@@ -26,7 +26,10 @@ chunk) at EWA_AGG_THREADS=2 into OUT/cli-sampled-threads2/. Each family's canned
 shape also runs simulate at EWA_AGG_THREADS=1 at the edges of a chunk's moment rows,
 each into its folder under OUT/cli-limits/: beta-inf (beta = +inf, every row the
 prior's weights), beta-1e-310 (every d_j / beta overflows, so rows lose their mass)
-and one-atom (m = 1).
+and one-atom (m = 1). Each family also runs simulate at EWA_AGG_THREADS=1 on two
+point-mass shapes into OUT/cli-ties/: one-atom (m = 1) and dirac (m = 5, a Dirac
+prior on atom 2), at sizes n where the risk and the Gibbs bound, equal in exact
+arithmetic, differ in their last bit if summed in two orders.
 OUT/exit_codes.txt lists every exit code.
 Snapshots of two checkouts compare with `diff -r OUT_A OUT_B`.
 """
@@ -53,6 +56,15 @@ LIMITS = {
     "beta-inf": ({}, {"beta": math.inf}),
     "beta-1e-310": ({}, {"beta": 1e-310}),
     "one-atom": ({"m": 1}, {}),
+}
+# sizes n at which a one-atom scenario's risk and bound differ in their last bit if summed
+# in two orders; the Dirac runs take n = 8, where they do too
+TIE_N = {"centered_bernoulli": 10, "gaussian": 8, "bounded_binary_mixture": 8,
+         "centered_binomial": 10, "laplace": 8}
+# folder under cli-ties: (make_scenario arguments per family, config extras)
+TIES = {
+    "one-atom": ({family: {"n": n, "m": 1} for family, n in TIE_N.items()}, {}),
+    "dirac": (dict.fromkeys(TIE_N, {"n": 8, "m": 5}), {"prior": [0.0, 0.0, 1.0, 0.0, 0.0]}),
 }
 
 
@@ -98,6 +110,10 @@ def main(argv):
         *(
             (f".{case}", dict.fromkeys(FAMILIES, shape), extras, f"cli-limits/{case}", COMMANDS[:1], "1")
             for case, (shape, extras) in LIMITS.items()
+        ),
+        *(
+            (f".ties-{case}", shapes, extras, f"cli-ties/{case}", COMMANDS[:1], "1")
+            for case, (shapes, extras) in TIES.items()
         ),
     )
     for folder in ("configs", *(run[3] for run in runs), "demos"):
