@@ -24,14 +24,15 @@ uniforms of rng.choice(m, prior_samples, p=prior). Its chunk then turns every
 row's raw draw into noise by one `noise_rows` call, and every row's uniforms
 into atom picks by one searchsorted on the prior's cdf, which is built once per
 config as rng.choice builds it (`_choice_cdf`). Replicates go through in chunks of
-R_c = BLOCK_DOUBLES // (m n) rows, m being prior_samples when set (one row
-where n outgrows einsum's buffer; `ewa._signal_rows`), by a rule that does not
-look at the worker count: one distance block, one row-wise softmax and one moments
-call (`ewa._posterior_moments`: two stacked matmuls, each row's BLAS call where a 2-D
-gemm would sum in another order, and the squared norms by `ewa._atom_sq_distances`)
-per chunk, each row giving the bits of its one-replicate call. So results are
-bit-identical however many workers run and however replicates are chunked.
-EWA_AGG_THREADS (default 1) workers share a config whose chunks hold one row; one with
+R_c = BLOCK_DOUBLES // (m n) rows, m being prior_samples when set (one row where n outgrows
+einsum's buffer; `ewa._signal_rows`), by a rule blind to the worker count and to beta: one
+distance block per chunk, then per temperature one row-wise softmax and one moments call
+(`ewa._posterior_moments`: two stacked matmuls, each row's BLAS call where a 2-D gemm would
+sum in another order, and the squared norms by `ewa._atom_sq_distances`), each row giving
+the bits of its one-replicate call. So results are bit-identical however many workers run,
+however replicates are chunked and however many temperatures share the pass: `certify_config`
+makes one pass for its two, and each report equals its own `mc_risk` run. EWA_AGG_THREADS
+(default 1) workers share a config whose chunks hold one row; one with
 more rows per chunk runs on one, as its numpy calls hold the GIL.
 
 Where the posterior is a point mass on atom j, a tie passes: every risk is the bound's
@@ -272,22 +273,23 @@ def _choice_cdf(p):
     return cdf
 
 
-def _run_replicates(config):
-    """Each replicate's risk and posterior variance; what no replicate changes is made once.
-    A worker's span derives its replicates' stream states (`derived_states`) and seats each
-    in turn on one generator of its own, for its raw noise draw and its prior uniforms; it
-    goes in chunks of `_signal_rows` replicates, whatever the worker count: one noise
-    transform, one prior pick, one distance block, one row-wise softmax and one moments
-    call per chunk: only the generator calls are per replicate. A config whose
-    chunks hold more than one row runs on one worker, as their small numpy calls hold the GIL."""
-    total, beta, sampled = config.replicates, config.beta, config.prior_samples
+def _run_replicates(config, betas):
+    """One (risks, pvars) pair of per-replicate series per temperature in betas; what no
+    replicate or beta changes is made once. A worker's span derives its replicates' stream
+    states (`derived_states`) and seats each in turn on one generator of its own, for its raw
+    noise draw and its prior uniforms; it goes in chunks of `_signal_rows` replicates, whatever
+    the worker count or beta: one noise transform, prior pick and distance block (none if every
+    beta is +inf) per chunk, then a row-wise softmax and moments call per beta, so each pair is
+    bit for bit a pass at its beta alone. A config whose chunks hold more than one row runs on
+    one worker, as their small numpy calls hold the GIL."""
+    total, sampled = config.replicates, config.prior_samples
     atoms = config.dictionary.atoms
     norms = _atom_sq_distances(0.0, atoms)
     prior = config.prior if sampled is None else WeightVector.uniform(sampled)
     if sampled is not None:
         cdf = _choice_cdf(config.prior.weights)
     rows = _signal_rows(sampled or len(atoms), config.truth.size)
-    risks, pvars = np.empty(total), np.empty(total)
+    runs = [(np.empty(total), np.empty(total)) for _ in betas]
 
     def fill(rng, chunk, states):
         raws, picks, bits = [], [], rng.bit_generator
@@ -303,11 +305,14 @@ def _run_replicates(config):
             raise ValueError("signal entries must be finite")
         idx = cdf.searchsorted(np.array(picks), side="right") if sampled else slice(None)
         theta, sq = atoms[idx], norms[idx]  # sampled: each replicate's own (s, n) atoms
-        if math.isinf(beta):
-            w = np.broadcast_to(prior.weights, (len(states), len(prior)))
-        else:
-            w = _posterior(prior.log_weights, _atom_sq_distances(y, theta), beta)[0]
-        pvars[chunk], risks[chunk] = _posterior_moments(w, theta, sq, config.truth)
+        if not all(map(math.isinf, betas)):
+            d = _atom_sq_distances(y, theta)
+        for beta, (risks, pvars) in zip(betas, runs):
+            if math.isinf(beta):
+                w = np.broadcast_to(prior.weights, (len(states), len(prior)))
+            else:
+                w = _posterior(prior.log_weights, d, beta)[0]
+            pvars[chunk], risks[chunk] = _posterior_moments(w, theta, sq, config.truth)
 
     def fill_span(lo, hi):  # a chunk's arrays go before the next one's are made
         rng = np.random.Generator(np.random.PCG64(0))  # `fill` sets each replicate's state
@@ -327,7 +332,7 @@ def _run_replicates(config):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for future in [pool.submit(fill_span, lo, hi) for lo, hi in spans]:
             future.result()
-    return risks, pvars
+    return runs
 
 
 def _mean_and_stderr(values):
@@ -341,64 +346,72 @@ def _mean_and_stderr(values):
     return mean, float(shifted.std(ddof=1)) / math.sqrt(values.size)
 
 
+def _reports(checks, profile, d0, threshold):
+    """The `RiskReport` of each (config, mode) in checks, configs that differ only in beta.
+    Every check runs before one replicate pass serves every beta (`_run_replicates`)."""
+    for config, mode in checks:
+        if mode == "variance_penalty" and math.isinf(config.beta):
+            raise ValueError("variance_penalty mode requires finite beta")
+        if mode == "clean" and not math.isinf(config.beta) and config.beta < threshold:
+            warnings.warn(
+                f"beta={config.beta:g} is below the certified threshold {threshold:g}; "
+                "the clean bound is not guaranteed there",
+                stacklevel=3,
+            )
+    coeffs = [
+        0.0 if mode == "clean" else variance_penalty_coefficient(config.beta, profile, d0)
+        for config, mode in checks
+    ]
+    runs = _run_replicates(checks[0][0], tuple(config.beta for config, _ in checks))
+    reports = []
+    for (config, mode), coeff, (risks, pvars) in zip(checks, coeffs, runs):
+        risk, risk_se = _mean_and_stderr(risks)
+        pvar, pvar_se = _mean_and_stderr(pvars)
+        bound = oracle_bound_gibbs(config.dictionary, config.truth, config.prior, config.beta)
+        if coeff != 0.0:
+            combined, combined_se = _mean_and_stderr(risks - coeff * pvars)
+        else:
+            combined, combined_se = risk, risk_se
+        penalty = coeff * pvar
+        slack = bound + penalty - risk
+        verdict = combined <= bound + CONFIDENCE_MULTIPLIER * combined_se
+        reports.append(RiskReport(
+            family=config.noise.family,
+            n=config.dictionary.n,
+            m=config.dictionary.m,
+            beta=config.beta,
+            threshold=threshold,
+            mode=mode,
+            risk=risk,
+            stderr=risk_se,
+            mean_posterior_variance=pvar,
+            posterior_variance_stderr=pvar_se,
+            bound=bound,
+            penalty_coefficient=coeff,
+            penalty=penalty,
+            combined_stderr=combined_se,
+            slack=slack,
+            verdict=bool(verdict),
+            R=config.replicates,
+            seed=config.seed,
+        ))
+    return reports
+
+
 def mc_risk(config, mode="clean"):
     """Monte Carlo risk certification for one experiment configuration.
 
-    mode "clean" checks risk <= gibbs bound (warning when beta sits below
-    the family threshold, where that inequality is not certified);
-    "variance_penalty" adds the penalty-coefficient times the mean
-    posterior variance to the right-hand side. Verdicts carry a
-    3-standard-error allowance computed from the per-replicate series.
+    mode "clean" checks risk <= gibbs bound (warning when beta sits below the family
+    threshold, where that inequality is not certified); "variance_penalty" adds the
+    penalty-coefficient times the mean posterior variance to the right-hand side. Verdicts
+    carry a 3-standard-error allowance computed from the per-replicate series of one
+    replicate pass at beta, the series `certify_config`'s pass gives each of its two betas.
     """
     if mode not in ("clean", "variance_penalty"):
         raise ValueError("mode must be 'clean' or 'variance_penalty'")
     profile = config.noise.profile()
     d0 = sup_diameter(config.dictionary)
-    threshold = beta_threshold(profile, d0)
-    beta = config.beta
-    if mode == "variance_penalty":
-        if math.isinf(beta):
-            raise ValueError("variance_penalty mode requires finite beta")
-        coeff = variance_penalty_coefficient(beta, profile, d0)
-    else:
-        coeff = 0.0
-        if not math.isinf(beta) and beta < threshold:
-            warnings.warn(
-                f"beta={beta:g} is below the certified threshold {threshold:g}; "
-                "the clean bound is not guaranteed there",
-                stacklevel=2,
-            )
-    risks, pvars = _run_replicates(config)
-    risk, risk_se = _mean_and_stderr(risks)
-    pvar, pvar_se = _mean_and_stderr(pvars)
-    bound = oracle_bound_gibbs(config.dictionary, config.truth, config.prior, beta)
-    if coeff != 0.0:
-        combined, combined_se = _mean_and_stderr(risks - coeff * pvars)
-    else:
-        combined, combined_se = risk, risk_se
-    penalty = coeff * pvar
-    slack = bound + penalty - risk
-    verdict = combined <= bound + CONFIDENCE_MULTIPLIER * combined_se
-    return RiskReport(
-        family=config.noise.family,
-        n=config.dictionary.n,
-        m=config.dictionary.m,
-        beta=beta,
-        threshold=threshold,
-        mode=mode,
-        risk=risk,
-        stderr=risk_se,
-        mean_posterior_variance=pvar,
-        posterior_variance_stderr=pvar_se,
-        bound=bound,
-        penalty_coefficient=coeff,
-        penalty=penalty,
-        combined_stderr=combined_se,
-        slack=slack,
-        verdict=bool(verdict),
-        R=config.replicates,
-        seed=config.seed,
-    )
+    return _reports([(config, mode)], profile, d0, beta_threshold(profile, d0))[0]
 
 
 _SCENARIO_KEY = 9001
@@ -434,13 +447,15 @@ def make_scenario(family, n=50, m=10, replicates=10_000, seed=20250822, **params
 
 
 def certify_config(config):
-    """Run the two certification checks on a configuration: the clean
-    bound at the family threshold and the variance-penalty bound at half
-    the threshold. Returns both reports."""
-    threshold = beta_threshold(config.noise.profile(), sup_diameter(config.dictionary))
-    clean = mc_risk(replace(config, beta=threshold), mode="clean")
-    penalized = mc_risk(replace(config, beta=threshold / 2.0), mode="variance_penalty")
-    return [clean, penalized]
+    """Run the two certification checks on a configuration: the clean bound at the family
+    threshold and the variance-penalty bound at half the threshold. Returns both reports. Both
+    checks run before any replicate, and one replicate pass serves both temperatures, so each
+    report is bit-identical to its own `mc_risk` run."""
+    profile = config.noise.profile()
+    d0 = sup_diameter(config.dictionary)
+    threshold = beta_threshold(profile, d0)
+    clean, half = replace(config, beta=threshold), replace(config, beta=threshold / 2.0)
+    return _reports([(clean, "clean"), (half, "variance_penalty")], profile, d0, threshold)
 
 
 def certify_corollary(family, n=50, m=10, replicates=10_000, seed=20250822, **params):

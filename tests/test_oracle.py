@@ -284,18 +284,20 @@ def _distance_instances(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_distance_instances(), _log_uniform(1e-3, 1e308))
+@given(_distance_instances(), _log_uniform(5e-324, 1e308))
 def test_gibbs_bound_matches_high_precision(instance, beta):
     d, prior = instance
     truth = np.zeros(1)
     gibbs = oracle_bound_gibbs(d, truth, prior, beta)
     reference = _mp_gibbs_bound(d.atoms[:, 0] ** 2, prior.weights, beta)
     if gibbs < oracle_bound_finite(d, truth, prior, beta):
-        assert abs(gibbs - reference) <= 1e-12 * abs(reference)
+        # plus 20 steps of 5e-324 (as `_assert_close`): a subnormal bound, as at
+        # beta = 5e-324, rounds to a multiple of 5e-324, so no relative error holds there
+        assert abs(gibbs - reference) <= 1e-12 * abs(reference) + 1e-322
 
 
 @settings(max_examples=300, deadline=None)
-@given(_bound_instances(), st.floats(math.log(1e-3), math.log(1e3)).map(math.exp))
+@given(_bound_instances(), _log_uniform(1e-300, 1e300))
 def test_gibbs_bound_is_the_objective_at_the_posterior(instance, beta):
     d, truth, prior = instance
     bound = oracle_bound_gibbs(d, truth, prior, beta)
@@ -500,26 +502,34 @@ def _public_path_configs(family, replicates):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_replicates_equal_the_public_path(family):
     for config in _public_path_configs(family, replicates=12):
-        risks, pvars = _run_replicates(config)
+        risks, pvars = _run_replicates(config, (config.beta,))[0]
         for r in range(config.replicates):
             assert (risks[r], pvars[r]) == _public_replicate(config, r)
 
 
 def _assert_chunks_equal_the_public_path(monkeypatch, config, chunk_rows):
     """Every replicate of `config` equals its public path when `_run_replicates` takes each
-    row count in `chunk_rows` (set through ewa.BLOCK_DOUBLES) at 1 and at 3 workers. A span
-    derives its states 10 keys at a time (whole chunks), so spans cross several key blocks."""
+    row count in `chunk_rows` (set through ewa.BLOCK_DOUBLES) at 1 and at 3 workers, alone at
+    config.beta and in one pass that also serves +inf, 1e-310 and a finite beta, each of them
+    at its own public path. A span derives its states 10 keys at a time (whole chunks), so
+    spans cross several key blocks."""
     monkeypatch.setattr(oracle, "_STATE_KEYS", 10)
     n = config.truth.size
     m_eff = config.prior_samples or config.dictionary.m
-    public = [_public_replicate(config, r) for r in range(config.replicates)]
+    betas = (config.beta, math.inf, 1e-310, 0.37)
+    public = [
+        [_public_replicate(replace(config, beta=beta), r) for r in range(config.replicates)]
+        for beta in betas
+    ]
     for rows in chunk_rows:
         monkeypatch.setattr(ewa, "BLOCK_DOUBLES", rows * m_eff * n)
         assert ewa._signal_rows(m_eff, n) == rows
         for threads in ("1", "3"):
             monkeypatch.setenv("EWA_AGG_THREADS", threads)
-            risks, pvars = _run_replicates(config)
-            assert list(zip(risks, pvars)) == public
+            [(risks, pvars)] = _run_replicates(config, betas[:1])
+            assert list(zip(risks, pvars)) == public[0]
+            runs = _run_replicates(config, betas)
+            assert [list(zip(risks, pvars)) for risks, pvars in runs] == public
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -599,9 +609,9 @@ def test_chunked_configs_take_one_worker(monkeypatch):
     monkeypatch.setenv("EWA_AGG_THREADS", "3")
     config = _toy_config(replicates=20)  # 5 atoms of length 6
     assert ewa._signal_rows(5, 6) > 1
-    _run_replicates(config)
+    _run_replicates(config, (config.beta,))
     monkeypatch.setattr(ewa, "BLOCK_DOUBLES", 30)  # one row per chunk
-    _run_replicates(config)
+    _run_replicates(config, (config.beta,))
     assert pools == [1, 3]
 
 
@@ -609,7 +619,7 @@ def test_long_signals_take_one_row_at_a_time():
     # a row past einsum's buffer sums in other pieces in a 3-D block, so it goes alone
     config = make_scenario("gaussian", n=9000, m=2, replicates=3, seed=3)
     assert ewa._signal_rows(2, 9000) == 1
-    risks, pvars = _run_replicates(config)
+    risks, pvars = _run_replicates(config, (config.beta,))[0]
     assert list(zip(risks, pvars)) == [_public_replicate(config, r) for r in range(3)]
 
 
@@ -637,12 +647,12 @@ def test_distance_blocks_and_threads_do_not_change_replicates(monkeypatch):
     # a 12-double block differences the toy's 6-dimensional atoms two rows at a time
     monkeypatch.delenv("EWA_AGG_THREADS", raising=False)
     configs = [_toy_config(replicates=40), _toy_config(replicates=40, prior_samples=7)]
-    whole = [_run_replicates(config) for config in configs]
+    whole = [_run_replicates(config, (config.beta,))[0] for config in configs]
     monkeypatch.setattr(ewa, "BLOCK_DOUBLES", 12)
     for threads in ("1", "3"):
         monkeypatch.setenv("EWA_AGG_THREADS", threads)
         for config, (risks, pvars) in zip(configs, whole):
-            got_risks, got_pvars = _run_replicates(config)
+            got_risks, got_pvars = _run_replicates(config, (config.beta,))[0]
             assert np.array_equal(got_risks, risks)
             assert np.array_equal(got_pvars, pvars)
 
@@ -785,6 +795,48 @@ def test_certify_config_runs_both_modes():
     assert penalized.mode == "variance_penalty"
     assert penalized.beta == pytest.approx(th / 2.0)
     assert clean.verdict and penalized.verdict
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_certify_pass_equals_two_separate_passes(family, threads, monkeypatch):
+    # one replicate pass serves both temperatures: each report is its own mc_risk run's
+    monkeypatch.setenv("EWA_AGG_THREADS", threads)
+    canned = make_scenario(family, replicates=40, seed=7)
+    mass = np.arange(10) % 7  # atom 0 and atom 7 have none
+    skewed = WeightVector(mass / mass.sum())
+    wide = make_scenario(family, n=64, m=1100, replicates=9, seed=7)
+    assert ewa._signal_rows(canned.dictionary.m, canned.dictionary.n) > 1
+    assert ewa._signal_rows(wide.dictionary.m, wide.dictionary.n) == 1
+    for config in (canned, replace(canned, prior=skewed, prior_samples=25), wide):
+        th = beta_threshold(config.noise.profile(), sup_diameter(config.dictionary))
+        separate = [
+            mc_risk(replace(config, beta=th), "clean"),
+            mc_risk(replace(config, beta=th / 2.0), "variance_penalty"),
+        ]
+        shared = certify_config(config)
+        assert [r.to_json() for r in shared] == [r.to_json() for r in separate]
+
+
+@pytest.mark.parametrize("family", sorted(set(FAMILIES) - {"gaussian"}))
+def test_bad_half_temperature_is_rejected_before_any_replicate(
+    family, monkeypatch, tmp_path, capsys
+):
+    def no_replicate(*_args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(oracle, "_seat", no_replicate)
+    config = make_scenario(family, n=20, m=5, replicates=20_000, seed=RNG_SEED)
+    # atoms scaled by 20 widen d0 until v'(0) <= b(0) d0: half the threshold has no coefficient
+    config = replace(config, dictionary=Dictionary(config.dictionary.atoms * 20.0))
+    with pytest.raises(ValueError, match=r"beta must exceed 2 \* b\(0\) \* d0"):
+        certify_config(config)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(config.to_json()))
+    assert cli.main(["certify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "beta must exceed 2 * b(0) * d0" in captured.err
 
 
 def test_certify_corollary_smoke():

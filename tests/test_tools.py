@@ -14,7 +14,7 @@ import ewa_agg
 from ewa_agg.ewa import _signal_rows
 from ewa_agg.model import ExperimentConfig, WeightVector
 from ewa_agg.noise import FAMILIES
-from ewa_agg.oracle import make_scenario, mc_risk
+from ewa_agg.oracle import certify_config, make_scenario, mc_risk
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -105,3 +105,15 @@ def test_snapshot_ties_tree_runs_point_masses_that_pass():
             assert config.prior.support.sum() == 1
             report = mc_risk(config)
             assert report.verdict and report.risk == report.bound and report.stderr == 0.0
+            for report in certify_config(config):  # the tie holds at both temperatures
+                assert report.verdict and report.risk == report.bound
+
+
+def test_snapshot_scaled_atoms_certify_is_rejected():
+    # the scaled-atom certify exits 2: its half temperature has no penalty coefficient
+    snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
+    family, shape, scale = snapshot.SCALED
+    config = make_scenario(family, replicates=snapshot.REPLICATES, seed=snapshot.SEED, **shape)
+    doc = {**config.to_json(), "dictionary": (scale * config.dictionary.atoms).tolist()}
+    with pytest.raises(ValueError, match=r"beta must exceed 2 \* b\(0\) \* d0"):
+        certify_config(ExperimentConfig.from_json(doc))

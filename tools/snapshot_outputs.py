@@ -26,10 +26,13 @@ chunk) at EWA_AGG_THREADS=2 into OUT/cli-sampled-threads2/. Each family's canned
 shape also runs simulate at EWA_AGG_THREADS=1 at the edges of a chunk's moment rows,
 each into its folder under OUT/cli-limits/: beta-inf (beta = +inf, every row the
 prior's weights), beta-1e-310 (every d_j / beta overflows, so rows lose their mass)
-and one-atom (m = 1). Each family also runs simulate at EWA_AGG_THREADS=1 on two
-point-mass shapes into OUT/cli-ties/: one-atom (m = 1) and dirac (m = 5, a Dirac
-prior on atom 2), at sizes n where the risk and the Gibbs bound, equal in exact
-arithmetic, differ in their last bit if summed in two orders.
+and one-atom (m = 1). A laplace scenario with its atoms scaled by 20 runs certify
+into OUT/cli-limits/scaled-atoms/: half its threshold admits no penalty coefficient,
+so it exits 2 before any replicate runs. Each family also runs simulate and certify
+at EWA_AGG_THREADS=1 on two point-mass shapes into OUT/cli-ties/: one-atom (m = 1)
+and dirac (m = 5, a Dirac prior on atom 2), at sizes n where the risk and the Gibbs
+bound, equal in exact arithmetic, differ in their last bit if summed in two orders;
+certify checks the tie at both of its temperatures.
 OUT/exit_codes.txt lists every exit code.
 Snapshots of two checkouts compare with `diff -r OUT_A OUT_B`.
 """
@@ -66,6 +69,9 @@ TIES = {
     "one-atom": ({family: {"n": n, "m": 1} for family, n in TIE_N.items()}, {}),
     "dirac": (dict.fromkeys(TIE_N, {"n": 8, "m": 5}), {"prior": [0.0, 0.0, 1.0, 0.0, 0.0]}),
 }
+# (family, make_scenario arguments, atom scale) of a certify run under cli-limits/scaled-atoms:
+# scaled atoms widen d0 until v'(0) <= b(0) d0, so half the threshold has no penalty coefficient
+SCALED = ("laplace", {"n": 20, "m": 5}, 20.0)
 
 
 def _skewed(m, picks):
@@ -99,6 +105,9 @@ def main(argv):
     sampled = {"sample_size": SAMPLE_SIZE}
     blocks = {"sample_size": 2 * CF_BLOCK + 123, "method": "cf_grid"}
     picks, wide_picks = _skewed(CANNED_M, PICKS), _skewed(WIDE["m"], WIDE_PICKS)
+    scaled_family, scaled_shape, scale = SCALED
+    scaled = make_scenario(scaled_family, replicates=REPLICATES, seed=SEED, **scaled_shape)
+    scaled_atoms = {"dictionary": (scale * scaled.dictionary.atoms).tolist()}
     # (config suffix, make_scenario arguments per family, config extras, folder, ...)
     runs = (
         ("", dict.fromkeys(FAMILIES, {}), sampled, "cli", COMMANDS, "1"),
@@ -112,8 +121,12 @@ def main(argv):
             for case, (shape, extras) in LIMITS.items()
         ),
         *(
-            (f".ties-{case}", shapes, extras, f"cli-ties/{case}", COMMANDS[:1], "1")
+            (f".ties-{case}", shapes, extras, f"cli-ties/{case}", COMMANDS[:2], "1")
             for case, (shapes, extras) in TIES.items()
+        ),
+        (
+            ".scaled", {scaled_family: scaled_shape}, scaled_atoms, "cli-limits/scaled-atoms",
+            COMMANDS[1:2], "1",
         ),
     )
     for folder in ("configs", *(run[3] for run in runs), "demos"):
