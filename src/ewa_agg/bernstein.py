@@ -204,14 +204,19 @@ def _exact_worst_points(rows, t_grid, bound):
     return np.concatenate(ratios), np.concatenate(worst)
 
 
+def _sampled_worst_point(samples, t_grid, bound):
+    """`_worst_points` of one law given by its draws: the empirical mean, credited a
+    MGF_SE_MULTIPLIER-standard-error margin."""
+    mgf, m2 = _sampled_moments(samples, t_grid)
+    margin = MGF_SE_MULTIPLIER * np.sqrt(m2 / (samples.size - 1)) / math.sqrt(samples.size)
+    return _worst_points(mgf[:, None], margin[:, None], bound)
+
+
 def _report(ratios, worst, t_grid, method, family, alpha):
-    """The report of the first law with the largest ratio, at its worst point."""
-    ratios = ratios.tolist()
-    law = 0
-    for j, ratio in enumerate(ratios):
-        if ratio > ratios[law]:
-            law = j
-    max_ratio = ratios[law]
+    """The report of the first law with the largest ratio, at its worst point. The
+    ratios are never NaN, so np.argmax picks that law."""
+    law = int(np.argmax(ratios))
+    max_ratio = float(ratios[law])
     return MgfCheckReport(
         family=family,
         alpha=alpha,
@@ -241,9 +246,7 @@ def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
         samples = np.asarray(law, dtype=np.float64)
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("sampled laws need a 1-D array with at least 2 draws")
-        mgf, m2 = _sampled_moments(samples, t_grid)
-        margin = MGF_SE_MULTIPLIER * np.sqrt(m2 / (samples.size - 1)) / math.sqrt(samples.size)
-        ratios, worst = _worst_points(mgf[:, None], margin[:, None], bound)
+        ratios, worst = _sampled_worst_point(samples, t_grid, bound)
         method = "sampled"
     return _report(ratios, worst, t_grid, method, family, alpha)
 
@@ -260,8 +263,8 @@ def check_noise_mgf(model, alpha, sample_size=1_000_000, rng=None):
     b = profile.b(alpha)
     c = profile.mgf_normalization
     t_grid = default_t_grid(v, b)
+    bound = mgf_bound(t_grid, v, b, c)
     if model.discrete:
-        bound = mgf_bound(t_grid, v, b, c)
         ratios, worst = _exact_worst_points(model.conditional_rows(alpha), t_grid, bound)
         return _report(ratios, worst, t_grid, "exact", model.family, alpha)
     if rng is None:
@@ -269,10 +272,9 @@ def check_noise_mgf(model, alpha, sample_size=1_000_000, rng=None):
     n = int(sample_size)
     if n < 2:
         raise ValueError("sample_size must be at least 2")
-    worst = None
-    for i in range(model.dim):
-        law = model.companion_draws(i, alpha, n, rng)
-        report = mgf_bound_check(law, v, b, c, t_grid, family=model.family, alpha=alpha)
-        if worst is None or report.max_ratio > worst.max_ratio:
-            worst = report
-    return worst
+    points = [
+        _sampled_worst_point(model.companion_draws(i, alpha, n, rng), t_grid, bound)
+        for i in range(model.dim)
+    ]
+    ratios, worst = (np.concatenate(arrays) for arrays in zip(*points))
+    return _report(ratios, worst, t_grid, "sampled", model.family, alpha)

@@ -14,16 +14,16 @@ its class in `noise`. A discrete family states its per-coordinate branches,
 enumerates the conditioning records of all coordinates at once, as flat
 arrays (coordinate, record probability, xi value) and each record's
 branches; `exact_coupled_sum_law`, `max_conditional_mean_error`,
-`conditional_zeta_laws` and the exact branch of `verify_coupling` are all
-derived from that one enumeration (through the family's `coupled_sum_rows`,
-`conditional_means` and `conditional_rows`, which hold every coordinate's
-laws as one `laws.LawRows` batch), and `two_branch_draw` draws its
-companion from the same branches. Atoms merge and align under the one atom
-tolerance of `laws`, MERGE_ATOL · min(1, span) of each law. A continuous
-family draws its companion independently of xi (its static `couple`), and
-the statistical checks sample it. alpha is checked once, at each public
-entry (`sample_coupling`, `verify_coupling` and the exact wrappers here,
-`bernstein.check_noise_mgf`).
+`conditional_zeta_laws` and both sides of the exact branch of
+`verify_coupling` are all derived from that one enumeration (through the
+family's `marginal_rows`, `coupled_sum_rows`, `conditional_means` and
+`conditional_rows`, which hold every coordinate's laws as one `laws.LawRows`
+batch), and `two_branch_draw` draws its companion from the same branches.
+Atoms merge and align under the one atom tolerance of `laws`, MERGE_ATOL ·
+min(1, span) of each law. A continuous family draws its companion
+independently of xi (its static `couple`), and the statistical checks
+sample it. alpha is checked once, at each public entry (`sample_coupling`,
+`verify_coupling` and the exact wrappers here, `bernstein.check_noise_mgf`).
 
 The two sampled statistics are plain numpy. The Kolmogorov-Smirnov
 statistic differences the two empirical CDFs at every distinct draw: at the
@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .laws import LawRows
 
 EXACT_TOL = 1e-12
 KS_SIGNIFICANCE = 1e-3
@@ -102,7 +100,9 @@ def _discrete_alpha(model, alpha):
 
 
 def exact_coupled_sum_law(model, i, alpha):
-    """Enumerated law of xi_i + zeta_i for a discrete-family coordinate."""
+    """Enumerated law of xi_i + zeta_i for a discrete-family coordinate. It builds
+    the rows of every coordinate and returns row i, so a loop over all coordinates
+    should take `model.coupled_sum_rows(alpha)` once instead."""
     alpha = _discrete_alpha(model, alpha)
     return model.coupled_sum_rows(alpha).law(i)
 
@@ -203,9 +203,10 @@ class CouplingReport(Report):
 def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=None):
     """Check the amplification identity and the centering of zeta.
 
-    method "exact" enumerates the branch tree (discrete families);
-    "ks" compares xi + zeta with (1+alpha)*xi by a two-sample
-    Kolmogorov-Smirnov statistic per coordinate, computed locally, and
+    method "exact" enumerates the branch tree (discrete families), aligning
+    `model.coupled_sum_rows(alpha)` with `model.marginal_rows().scale(1 + alpha)`
+    over all coordinates at once; "ks" compares xi + zeta with (1+alpha)*xi by
+    a two-sample Kolmogorov-Smirnov statistic per coordinate, computed locally, and
     tests the largest at the asymptotic threshold of
     `ks_two_sample_threshold` over model.dim tests; "cf_grid" compares
     empirical characteristic functions on the CF_POINTS-point grid over
@@ -221,9 +222,8 @@ def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=Non
             raise ValueError("method 'exact' requires a discrete noise family")
         n = None
         threshold = mean_threshold = EXACT_TOL
-        lhs = model.coupled_sum_rows(alpha)
-        rhs = LawRows.stack([model.exact_law(i) for i in range(model.dim)])
-        stat = float(np.max(lhs.max_atom_probability_error(rhs.scale(1.0 + alpha))))
+        rhs = model.marginal_rows().scale(1.0 + alpha)
+        stat = float(np.max(model.coupled_sum_rows(alpha).max_atom_probability_error(rhs)))
         mean_stat = max_conditional_mean_error(model, alpha)
         ok = stat <= EXACT_TOL and mean_stat <= EXACT_TOL
     else:

@@ -1,7 +1,10 @@
 """Finite laws on the reals.
 
-These primitives know no noise family; `coupling`, `bernstein` and `noise`
-all build on them, and `noise` re-exports them.
+These primitives know no noise family. `noise` builds every exact law of a
+discrete family on them (the marginals of xi, the coupled sums and the
+conditional laws of zeta, each a batch of rows from the family's one
+enumeration of records) and re-exports them; `bernstein` takes those rows,
+and `coupling` compares them.
 
 A batch of laws is held as rows (`LawRows`): flat `values` and `probs`
 arrays sorted by row and then by value, row r taking the atoms from

@@ -14,10 +14,9 @@ Five families are supported, each with per-coordinate parameters:
 * ``laplace``: coordinate i is Laplace with scale mu_i (density
   exp(-|x|/mu_i) / (2 mu_i)).
 
-Every coordinate has mean zero exactly. Discrete families expose their
-exact finite law; continuous ones return the ``CONTINUOUS`` marker.
-Sampling consumes only the caller's generator, so draws are reproducible
-from a seed.
+Every coordinate has mean zero exactly. A discrete family (``discrete`` set)
+gives every coordinate's exact finite law as `marginal_rows()`. Sampling
+consumes only the caller's generator, so draws are reproducible from a seed.
 
 A draw comes in two parts. `raw_draw(rng)` is its one generator call:
 ``rng.random(K)`` for the four uniform families (K = n for Bernoulli and
@@ -29,14 +28,17 @@ block. `sample` and `sample_with_latents` are its one-row case, so each
 formula is written once, and each row's floats equal the one-row call's.
 
 Everything that depends on the family lives on its class, each formula
-once: sampling and latents, the exact law, the coupling (a discrete
-family's static `branches` formula, which both its conditioning records
-and its companion draw use; a continuous family's static `raw`, `transform`
-and `couple`, from which its sampling and its coupling draws derive), the
-Bernstein profile row, the JSON parameters and the natural scenario. A
-discrete family enumerates the conditioning records of all its coordinates
-at once, as flat arrays, and builds every coordinate's exact laws from them
-as one `laws.LawRows` batch, one merge per step.
+once: sampling and latents, the coupling (a discrete family's static
+`branches` formula, which both its conditioning records and its companion
+draw use; a continuous family's static `raw`, `transform` and `couple`,
+from which its sampling and its coupling draws derive), the Bernstein
+profile row, the JSON parameters and the natural scenario. A discrete
+family states its law of xi once, in `coupling_records`: the conditioning
+records of all its coordinates at once, as flat arrays. Every exact law is
+built from them as one `laws.LawRows` batch, one merge per step: the
+marginals of xi, the coupled sums, the conditional means and laws. A
+family whose coordinate sums several coupled terms states its lift from
+one term's law to the coordinate's once, in `_lift`.
 ``FAMILIES`` maps each family tag to its class and is the one list of
 families. The modules below this one know no family: `laws` holds the
 finite-law primitives (re-exported here), `coupling` the two-branch draw
@@ -50,8 +52,6 @@ import numpy as np
 from .bernstein import BernsteinProfile
 from .coupling import two_branch_draw
 from .laws import LAW_ATOL, MERGE_ATOL, DiscreteLaw, LawRows, max_atom_probability_error
-
-CONTINUOUS = "continuous"
 
 
 def _coordinate_array(values, name, low=None, high=None):
@@ -75,8 +75,8 @@ def _clipped_atoms(truth, m, rng):
 
 
 class NoiseModel:
-    """Base class: a family name, a dimension, sampling, and exact laws,
-    plus the family's coupling, moment profile, JSON form and scenario."""
+    """Base class: a family name, a dimension and sampling, plus the family's
+    coupling, moment profile, JSON form and scenario."""
 
     family = ""
     discrete = False  # True: finite exact laws, so the coupling is checked by enumeration
@@ -114,10 +114,6 @@ class NoiseModel:
         """The coupling companion zeta of the vector drawn with `record`."""
         raise NotImplementedError
 
-    def exact_law(self, i):
-        """Exact law of coordinate i, or the CONTINUOUS marker."""
-        return CONTINUOUS
-
     def profile(self):
         """The family's `bernstein.BernsteinProfile`."""
         raise NotImplementedError
@@ -142,21 +138,31 @@ class _DiscreteNoise(NoiseModel):
     gives (stay value, stay prob, jump value, jump prob) per entry;
     `coupling_records(alpha)` enumerates the conditioning records of all
     coordinates at once, coordinate by coordinate, as flat arrays (coordinate,
-    record probability, xi value) and the branches of each record. The exact
-    coupling checks are derived from those arrays as `laws.LawRows`, one merge
-    per step over all coordinates, and `companion` draws from the same formula
-    (`coupling.two_branch_draw`)."""
+    record probability, xi value) and the branches of each record. The first
+    three do not depend on alpha, and they are the one statement of the law of
+    xi. The exact laws are derived from those arrays as `laws.LawRows`, one
+    merge per step over all coordinates, and `companion` draws from the same
+    formula (`coupling.two_branch_draw`)."""
 
     discrete = True
 
     def coupling_records(self, alpha):
         raise NotImplementedError
 
+    def _lift(self, rows):
+        """A coordinate's law from the law its records give: the same law here."""
+        return rows
+
+    def marginal_rows(self):
+        """Row i: the law of xi_i over coordinate i's records."""
+        coord, p, xi, _ = self.coupling_records(0.0)
+        return self._lift(LawRows.from_atoms(coord, xi, p, self.dim))
+
     def coupled_sum_rows(self, alpha):
         """Row i: the law of xi_i + zeta_i over coordinate i's records."""
         coord, p, xi, (sv, sp, jv, jp) = self.coupling_records(alpha)
         values, probs = _pairs(xi + sv, xi + jv), _pairs(p * sp, p * jp)
-        return LawRows.from_atoms(np.repeat(coord, 2), values, probs, self.dim)
+        return self._lift(LawRows.from_atoms(np.repeat(coord, 2), values, probs, self.dim))
 
     def conditional_means(self, alpha):
         """E[zeta | record] of every record, in record order."""
@@ -243,10 +249,6 @@ class CenteredBernoulli(_DiscreteNoise):
     def noise_rows(self, raw):
         xi = np.where(raw < self.rho, 1.0 - self.rho, -self.rho)
         return xi, {"xi": xi}
-
-    def exact_law(self, i):
-        rho = float(self.rho[i])
-        return DiscreteLaw([1.0 - rho, -rho], [rho, 1.0 - rho])
 
     def coupling_records(self, alpha):
         return _bernoulli_records(self.rho, alpha)
@@ -412,11 +414,6 @@ class BoundedBinaryMixture(_DiscreteNoise):
         xi = np.where(side < b / (a + b), a, -b)
         return xi, {"a": a, "b": b, "eta": xi}
 
-    def exact_law(self, i):
-        a, b, p = self._a[i], self._b[i], self._p[i]
-        values = np.concatenate([a, -b])
-        return DiscreteLaw.from_atoms(values, np.concatenate([p * b / (a + b), p * a / (a + b)]))
-
     def coupling_records(self, alpha):
         """Per coordinate and mixing atom (a, b), eta = a then eta = -b, each kept
         where its probability is not 0."""
@@ -470,9 +467,11 @@ class CenteredBinomial(_DiscreteNoise):
         self.a = float(a)
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError("a must be positive")
-        self.k = int(k)
-        if self.k < 1 or self.k != k:
+        # an integral float such as 5.0 is taken; a bool, inf or nan is not
+        integral = isinstance(k, (int, np.integer)) or (isinstance(k, float) and k.is_integer())
+        if isinstance(k, bool) or not integral or k < 1:
             raise ValueError("k must be a positive integer")
+        self.k = int(k)
         self.rho = _coordinate_array(rho, "rho", low=0.0, high=1.0)
 
     @classmethod
@@ -492,22 +491,14 @@ class CenteredBinomial(_DiscreteNoise):
         eta = np.where(u < self.rho, 1.0 - self.rho, -self.rho)
         return self.a * eta.sum(axis=1), {"eta": eta}
 
-    def exact_law(self, i):
-        rho = float(self.rho[i])
-        j = np.arange(self.k + 1)
-        values = self.a * (j - self.k * rho)
-        probs = np.array(
-            [math.comb(self.k, jj) * rho**jj * (1.0 - rho) ** (self.k - jj) for jj in j]
-        )
-        return DiscreteLaw(values, probs / probs.sum())
-
     def coupling_records(self, alpha):
         """The records of one Bernoulli(rho_i) term: each of the k terms is
         coupled on its own, and the coordinate is a times their sum."""
         return _bernoulli_records(self.rho, alpha)
 
-    def coupled_sum_rows(self, alpha):
-        return super().coupled_sum_rows(alpha).convolution_powers(self.k)[-1].scale(self.a)
+    def _lift(self, rows):
+        """a times the sum of k independent terms of one term's law."""
+        return rows.convolution_powers(self.k)[-1].scale(self.a)
 
     def conditional_means(self, alpha):
         # the record is the count c of terms at 1 - rho

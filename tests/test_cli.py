@@ -337,6 +337,16 @@ class TestInputErrors:
         cfg.write_text(json.dumps(doc))
         self._expect_error(capsys, ["simulate", cfg], "noise.family must be one of")
 
+    @pytest.mark.parametrize("k", ["Infinity", "1e999", "NaN", "true", "2.5"])
+    def test_bad_binomial_k(self, tmp_path, capsys, k):
+        # a non-finite k once raised OverflowError, a traceback and the verdict's exit 1
+        cfg = tmp_path / "cfg.json"
+        doc = _write_config(cfg)
+        params = {"a": 0.2, "k": 0, "rho": [0.5] * 6}
+        doc["noise"] = {"family": "centered_binomial", "params": params}
+        cfg.write_text(json.dumps(doc).replace('"k": 0', f'"k": {k}'))
+        self._expect_error(capsys, ["certify", cfg], "k must be a positive integer")
+
     def test_nan_mixing_probability(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         doc = _write_config(cfg)

@@ -122,9 +122,10 @@ DISCRETE_MODELS = [
 @pytest.mark.parametrize("model", DISCRETE_MODELS, ids=lambda m: m.family)
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_exact_amplification_identity(model, alpha):
+    marginals = model.marginal_rows()
     for i in range(model.dim):
         lhs = exact_coupled_sum_law(model, i, alpha)
-        rhs = model.exact_law(i).scale(1.0 + alpha)
+        rhs = marginals.law(i).scale(1.0 + alpha)
         assert max_atom_probability_error(lhs, rhs) <= 1e-12
     assert max_conditional_mean_error(model, alpha) <= 1e-12
 
@@ -145,6 +146,35 @@ def test_verify_coupling_exact(model):
     assert report.statistic <= 1e-12
     assert report.mean_zero <= 1e-12
     assert report.sample_size is None
+
+
+def _plant_branch_fault(monkeypatch, cls):
+    """Scale every stay probability of cls.branches by 1 - 1e-9, the jump taking the
+    rest: each conditional law still sums to 1, but it is the wrong law."""
+    honest = cls.branches
+
+    def faulty(*args):
+        sv, sp, jv, jp = honest(*args)
+        return sv, sp * (1.0 - 1e-9), jv, jp + sp * 1e-9
+
+    monkeypatch.setattr(cls, "branches", staticmethod(faulty))
+
+
+# each discrete model and the class whose branches its records take
+BRANCH_OWNERS = [CenteredBernoulli, BoundedBinaryMixture, CenteredBernoulli]
+
+
+@pytest.mark.parametrize("model, owner", zip(DISCRETE_MODELS, BRANCH_OWNERS), ids=lambda m: m.family)
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_a_branch_fault_fails_the_exact_verdict(monkeypatch, model, owner, alpha):
+    # the marginal and the coupled sum come from one enumeration of records, so a
+    # fault in the branches alone must show in both the identity and the centering
+    assert verify_coupling(model, alpha).verdict
+    _plant_branch_fault(monkeypatch, owner)
+    report = verify_coupling(model, alpha)
+    assert not report.verdict
+    assert report.statistic > report.threshold
+    assert report.mean_zero > report.mean_zero_threshold
 
 
 class TestSamplers:
@@ -386,9 +416,10 @@ _discrete_models = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(_discrete_models, _alphas)
 def test_records_give_the_exact_identity(model, alpha):
+    marginals = model.marginal_rows()
     for i in range(model.dim):
         lhs = exact_coupled_sum_law(model, i, alpha)
-        rhs = model.exact_law(i).scale(1.0 + alpha)
+        rhs = marginals.law(i).scale(1.0 + alpha)
         assert max_atom_probability_error(lhs, rhs) <= 1e-12
     assert verify_coupling(model, alpha).statistic <= 1e-12
 

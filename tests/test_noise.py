@@ -11,9 +11,9 @@ from scipy import stats
 
 import draw_reference as draws
 import law_reference as ref
+from ewa_agg.coupling import EXACT_TOL
 from ewa_agg.laws import MERGE_ATOL, LawRows
 from ewa_agg.noise import (
-    CONTINUOUS,
     FAMILIES,
     BoundedBinaryMixture,
     CenteredBernoulli,
@@ -225,9 +225,11 @@ def test_family_rows_equal_the_per_law_reference(model, alpha):
     assert all(_same(law, w) for law, w in zip(laws, want))
     sums = model.coupled_sum_rows(alpha)
     assert all(_same(sums.law(i), ref.sum_law(model, i, alpha)) for i in range(model.dim))
-    exact = LawRows.stack([model.exact_law(i) for i in range(model.dim)])
-    errors = sums.max_atom_probability_error(exact.scale(1.0 + alpha))
+    marginals = model.marginal_rows()
+    assert all(_same(marginals.law(i), ref.marginal_law(model, i)) for i in range(model.dim))
+    errors = sums.max_atom_probability_error(marginals.scale(1.0 + alpha))
     assert errors.tolist() == ref.alignment_errors(model, alpha)
+    assert max(errors) <= EXACT_TOL
     means = [m for i in range(model.dim) for m in ref.conditional_means(model, i, alpha)]
     assert model.conditional_means(alpha).tolist() == means
 
@@ -242,16 +244,70 @@ def test_laplace_inverse_cdf_matches_scipy():
 
 
 def _check_law_centered(model):
-    for i in range(model.dim):
-        law = model.exact_law(i)
+    for law in model.marginal_rows().laws():
         assert abs(sum(p for _, p in law.atoms()) - 1.0) <= 1e-12
         assert abs(law.mean()) <= 1e-12
 
 
+# The marginal oracles: each family's `marginal_rows` against a law computed without it.
+def _bernoulli_closed_form():
+    m = CenteredBernoulli([0.3])
+    assert m.marginal_rows().law(0).atoms() == [(-0.3, 0.7), (0.7, 0.3)]
+
+
+def _mixture_brute_force():
+    m = BoundedBinaryMixture.homogeneous(2, 0.6, 0.6, MIXING)
+    # brute force over (pair, side)
+    mass = {}
+    for (a, b), p in MIXING:
+        mass[a] = mass.get(a, 0.0) + p * b / (a + b)
+        mass[-b] = mass.get(-b, 0.0) + p * a / (a + b)
+    for law in m.marginal_rows().laws():
+        assert sorted(mass) == law.values.tolist()
+        for value, prob in law.atoms():
+            assert prob == pytest.approx(mass[value], abs=1e-15)
+
+
+def _binomial_scipy():
+    m = CenteredBinomial(0.5, 6, [0.3])
+    law = m.marginal_rows().law(0)
+    j = np.arange(7)
+    assert np.allclose(law.probs, stats.binom.pmf(j, 6, 0.3), rtol=0.0, atol=1e-14)
+    assert np.allclose(law.values, 0.5 * (j - 6 * 0.3))
+
+
+def _plant_record_fault(monkeypatch, cls):
+    """Move 1e-9 of mass from coordinate 0's second record to its first: every law
+    still sums to 1, but coordinate 0's law of xi is wrong."""
+    honest = cls.coupling_records
+
+    def faulty(self, alpha):
+        coord, p, xi, branches = honest(self, alpha)
+        assert coord[0] == coord[1] == 0
+        return coord, p + np.r_[1e-9, -1e-9, np.zeros(p.size - 2)], xi, branches
+
+    monkeypatch.setattr(cls, "coupling_records", faulty)
+
+
+@pytest.mark.parametrize(
+    "cls, oracle",
+    [
+        (CenteredBernoulli, _bernoulli_closed_form),
+        (BoundedBinaryMixture, _mixture_brute_force),
+        (CenteredBinomial, _binomial_scipy),
+    ],
+    ids=lambda x: getattr(x, "family", None),
+)
+def test_a_record_fault_fails_the_marginal_oracle(monkeypatch, cls, oracle):
+    oracle()
+    _plant_record_fault(monkeypatch, cls)
+    with pytest.raises(AssertionError):
+        oracle()
+
+
 class TestCenteredBernoulli:
     def test_exact_law(self):
-        m = CenteredBernoulli([0.3])
-        assert m.exact_law(0).atoms() == [(-0.3, 0.7), (0.7, 0.3)]
+        _bernoulli_closed_form()
         _check_law_centered(CenteredBernoulli([0.1, 0.5, 0.92]))
 
     def test_samples_live_on_support(self):
@@ -282,7 +338,7 @@ class TestGaussian:
         draws = np.array([m.sample(rng) for _ in range(20_000)])
         assert np.allclose(draws.mean(axis=0), 0.0, atol=0.1)
         assert np.allclose(draws.std(axis=0), [1.0, 2.5], rtol=0.05)
-        assert m.exact_law(0) == CONTINUOUS
+        assert not m.discrete
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
@@ -291,16 +347,8 @@ class TestGaussian:
 
 class TestBoundedBinaryMixture:
     def test_exact_law_matches_enumeration(self):
-        m = BoundedBinaryMixture.homogeneous(2, 0.6, 0.6, MIXING)
-        law = m.exact_law(0)
-        # brute force over (pair, side)
-        mass = {}
-        for (a, b), p in MIXING:
-            mass[a] = mass.get(a, 0.0) + p * b / (a + b)
-            mass[-b] = mass.get(-b, 0.0) + p * a / (a + b)
-        for value, prob in law.atoms():
-            assert prob == pytest.approx(mass[value], abs=1e-15)
-        _check_law_centered(m)
+        _mixture_brute_force()
+        _check_law_centered(BoundedBinaryMixture.homogeneous(2, 0.6, 0.6, MIXING))
 
     def test_latents_are_consistent(self):
         m = BoundedBinaryMixture.homogeneous(3, 0.6, 0.6, MIXING)
@@ -317,7 +365,7 @@ class TestBoundedBinaryMixture:
         m = BoundedBinaryMixture.homogeneous(1, 0.6, 0.6, MIXING)
         rng = np.random.default_rng(4)
         draws = np.array([m.sample(rng)[0] for _ in range(20_000)])
-        law = m.exact_law(0)
+        law = m.marginal_rows().law(0)
         assert draws.mean() == pytest.approx(0.0, abs=5.0 * math.sqrt(law.variance() / 20_000))
         assert draws.var() == pytest.approx(law.variance(), rel=0.1)
 
@@ -335,21 +383,16 @@ class TestBoundedBinaryMixture:
 class TestCenteredBinomial:
     def test_exact_law_is_k_fold_convolution(self):
         m = CenteredBinomial(0.25, 4, [0.35])
-        law = m.exact_law(0)
-        term = CenteredBernoulli([0.35]).exact_law(0)
+        law = m.marginal_rows().law(0)
+        term = DiscreteLaw([0.65, -0.35], [0.35, 0.65])
         conv = term
         for _ in range(3):
             conv = conv.convolve(term)
         assert max_atom_probability_error(law, conv.scale(0.25)) <= 1e-12
 
     def test_exact_law_matches_scipy_binom(self):
-        m = CenteredBinomial(0.5, 6, [0.3])
-        law = m.exact_law(0)
-        j = np.arange(7)
-        ref = stats.binom.pmf(j, 6, 0.3)
-        assert np.allclose(law.probs, ref, atol=1e-14)
-        assert np.allclose(law.values, 0.5 * (j - 6 * 0.3))
-        _check_law_centered(m)
+        _binomial_scipy()
+        _check_law_centered(CenteredBinomial(0.5, 6, [0.3]))
 
     def test_latents_sum_to_sample(self):
         m = CenteredBinomial.homogeneous(3, 0.2, 5, 0.4)
@@ -361,8 +404,10 @@ class TestCenteredBinomial:
     def test_validation(self):
         with pytest.raises(ValueError):
             CenteredBinomial(0.0, 3, [0.5])
-        with pytest.raises(ValueError):
-            CenteredBinomial(0.5, 0, [0.5])
+        for k in (0, 2.5, math.inf, math.nan, True, "3"):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                CenteredBinomial(0.5, k, [0.5])
+        assert CenteredBinomial(0.5, 3.0, [0.5]).k == 3
 
 
 class TestLaplace:
@@ -373,7 +418,7 @@ class TestLaplace:
         assert np.allclose(draws.mean(axis=0), 0.0, atol=0.05)
         # Laplace variance is 2 mu^2
         assert np.allclose(draws.var(axis=0), [2.0, 0.5], rtol=0.1)
-        assert m.exact_law(1) == CONTINUOUS
+        assert not m.discrete
 
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,12 @@ def test_surface_counts_the_checkout():
     assert doc["lines"]["total"] == sum(
         path.read_bytes().count(b"\n") for path in (ROOT / "src" / "ewa_agg").glob("*.py")
     )
+    # a class body's methods are the callables and descriptors in its own namespace
+    kinds = (types.FunctionType, staticmethod, classmethod, property)
+    assert doc["family_methods"] == {
+        family: len([raw for raw in vars(cls).values() if isinstance(raw, kinds)])
+        for family, cls in FAMILIES.items()
+    }
 
 
 def _load(path):

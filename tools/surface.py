@@ -15,7 +15,10 @@ one JSON object:
   bound to a string constant at module level is resolved);
 - "keyword_defaults": the parameters with a default value, summed over the
   exported callables and the public methods of the exported classes (a
-  function reached through several classes counts once).
+  function reached through several classes counts once);
+- "family_methods": per family tag of ewa_agg.noise.FAMILIES, the methods its
+  class body defines itself (functions, static methods, class methods and
+  properties), so the size of each family's contract can be compared.
 """
 
 import ast
@@ -78,6 +81,11 @@ def _keyword_defaults(package):
     return total
 
 
+def _own_methods(cls):
+    kinds = (staticmethod, classmethod, property)
+    return sum(inspect.isfunction(raw) or isinstance(raw, kinds) for raw in vars(cls).values())
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__.splitlines()[2], file=sys.stderr)
@@ -90,6 +98,7 @@ def main(argv):
     sys.path.insert(0, str(src))
     import ewa_agg
     from ewa_agg import cli
+    from ewa_agg.noise import FAMILIES
 
     if Path(ewa_agg.__file__).resolve().parent != src / "ewa_agg":
         print(f"ewa_agg was imported from {ewa_agg.__file__}, not from {src}", file=sys.stderr)
@@ -105,6 +114,7 @@ def main(argv):
         "extension_keys": list(cli._EXTENSION_KEYS),
         "environment": environment,
         "keyword_defaults": _keyword_defaults(ewa_agg),
+        "family_methods": {family: _own_methods(cls) for family, cls in FAMILIES.items()},
     }
     print(json.dumps(doc, indent=2))
     return 0
