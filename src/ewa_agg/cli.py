@@ -1,7 +1,10 @@
 """Command-line front end: JSON experiment configs in, CSV or JSON out.
 
-Subcommands: simulate, certify, verify-coupling, verify-bernstein,
-dv-check, oracle-bound. Each returns a list of reports, and `main` prints
+Usage: ewa-agg COMMAND CONFIG [-o FILE] [--format csv|json] [--seed N], the
+command one of simulate, certify, verify-coupling, verify-bernstein, dv-check,
+oracle-bound. One flat parser reads the line, so the options may also come
+before the command or between it and the config; a bad line exits 2 with the
+parser's usage message. Each command returns a list of reports, and `main` prints
 them as one table: the columns are the reports' CSV_HEADER plus a seed
 column when a report does not carry one, and a JSON row holds the same
 columns, each named by its report field (`coupling.Report`). Exit status
@@ -146,13 +149,11 @@ def _build_parser():
         prog="ewa-agg",
         description="Exponentially weighted aggregation: simulation and verification reports.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("config", help="path to a JSON experiment configuration")
-        cmd.add_argument("-o", "--output", default=None, help="write the report here (default: stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("command", choices=_COMMANDS, help="the report to make")
+    parser.add_argument("config", help="path to a JSON experiment configuration")
+    parser.add_argument("-o", "--output", default=None, help="write the report here (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 

@@ -13,7 +13,7 @@ minimizer of the Gibbs objective
 
 over probability vectors w, which `dv_minimality_test` probes empirically.
 beta = +inf is the degenerate no-data limit: the posterior is the prior; where
-every supported d_j / beta overflows, it is the beta -> 0 limit (`_posterior`).
+every supported d_j / beta overflows, it is the beta -> 0 limit (`_posterior_terms`).
 """
 
 import math
@@ -22,7 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import Report
-from .model import WeightVector, _as_count, _as_weight_array, _check_beta, as_signal, softmax
+from .model import (
+    WeightVector,
+    _as_count,
+    _as_weight_array,
+    _check_beta,
+    _log_softmax,
+    _softmax_terms,
+    as_signal,
+)
 
 DV_TOLERANCE = 1e-9
 BLOCK_DOUBLES = 1 << 16  # 512 KiB of differences: a block stays in a core's L2 cache
@@ -80,15 +88,15 @@ def squared_distance(a, b):
     return float(_atom_sq_distances(b, a[None])[0])
 
 
-def _posterior(log_prior, sq_distances, beta):
-    """(weights, log-weights): the softmax of log pi0(j) - d_j / beta, an overflowing quotient
-    giving -inf, per row of an (R, m) block of distances. A row left with no mass (subnormal
-    beta) takes its distances shifted by their minimum over the supported atoms: the
-    beta -> 0 limit, the prior restricted to the nearest ones."""
+def _posterior_terms(log_prior, sq_distances, beta):
+    """The softmax terms (`model._softmax_terms`) of log pi0(j) - d_j / beta, an overflowing
+    quotient giving -inf, per row of an (R, m) block of distances. A row left with no mass
+    (subnormal beta) takes its distances shifted by their minimum over the supported atoms:
+    the beta -> 0 limit, the prior restricted to the nearest ones."""
     with np.errstate(over="ignore"):
         log_weights = log_prior - sq_distances / beta
     try:
-        return softmax(log_weights)
+        return _softmax_terms(log_weights)
     except ValueError:  # log_weights is never NaN or +inf, so: some row has no mass
         lost = np.all(log_weights == -np.inf, axis=-1, keepdims=True)
         supported = np.asarray(log_prior) > -np.inf
@@ -96,7 +104,13 @@ def _posterior(log_prior, sq_distances, beta):
         with np.errstate(over="ignore", invalid="ignore"):
             limit = log_prior - np.maximum(sq_distances - nearest, 0.0) / beta
         # where every supported distance overflowed there is no limit either: softmax raises
-        return softmax(np.where(lost & (nearest < np.inf), limit, log_weights))
+        return _softmax_terms(np.where(lost & (nearest < np.inf), limit, log_weights))
+
+
+def _posterior(log_prior, sq_distances, beta):
+    """The posterior weights of `_posterior_terms` alone, with no log-weights made."""
+    e, s, _ = _posterior_terms(log_prior, sq_distances, beta)
+    return e / s
 
 
 def _posterior_moments(w, atoms, sq_norms, truth):
@@ -132,7 +146,7 @@ def posterior_weights(y, dictionary, prior, beta):
     prior, d, beta = _ewa_inputs(y, dictionary, prior, beta)
     if math.isinf(beta):
         return prior
-    return WeightVector(*_posterior(prior.log_weights, d, beta))
+    return WeightVector(*_log_softmax(*_posterior_terms(prior.log_weights, d, beta)))
 
 
 def aggregate(dictionary, w):
@@ -198,7 +212,7 @@ def sampled_prior_ewa(y, prior_sampler, beta, s, rng):
     y = as_signal(y, draws.shape[1])
     if math.isinf(beta):
         return draws.mean(axis=0)
-    return _posterior(0.0, _atom_sq_distances(y, draws), beta)[0] @ draws
+    return _posterior(0.0, _atom_sq_distances(y, draws), beta) @ draws
 
 
 def dv_minimality_test(y, dictionary, prior, beta, trials, rng):

@@ -84,10 +84,10 @@ def logsumexp(a):
     return out[()]
 
 
-def softmax(log_weights):
-    """(weights, log-weights) proportional to exp(log_weights), normalized by logsumexp and
-    then renormalized linearly to kill residual rounding; each row of a 2-D array is
-    normalized and checked on its own, to the bits of its 1-D call."""
+def _softmax_terms(log_weights):
+    """softmax's checks and the terms of its result: (e, s, norm), norm being log_weights less
+    each row's logsumexp, e = exp(norm) and s each row's sum of e. The weights are e / s, so a
+    caller that needs no log-weights stops here."""
     lw = np.asarray(log_weights, dtype=np.float64)
     if lw.ndim not in (1, 2) or lw.size == 0:
         raise ValueError("log_weights must form a non-empty 1-D array, or a 2-D array of rows")
@@ -97,12 +97,23 @@ def softmax(log_weights):
     if (total == -np.inf).any():
         raise ValueError("log_weights must carry some mass")
     norm = lw - total
-    w = np.exp(norm)
-    s = w.sum(axis=-1, keepdims=True)
+    e = np.exp(norm)
+    return e, e.sum(axis=-1, keepdims=True), norm
+
+
+def _log_softmax(e, s, norm):
+    """softmax's (weights, log-weights) from its terms (`_softmax_terms`)."""
     # libm's log per row: numpy's vector log differs from it in some last bits
     log_s = np.array([math.log(v) for v in s.flat]).reshape(s.shape)
-    # exp underflow leaves w == 0 with a finite log; pin those to -inf
-    return w / s, np.where(w > 0.0, norm - log_s, -np.inf)
+    # exp underflow leaves e == 0 with a finite log; pin those to -inf
+    return e / s, np.where(e > 0.0, norm - log_s, -np.inf)
+
+
+def softmax(log_weights):
+    """(weights, log-weights) proportional to exp(log_weights), normalized by logsumexp and
+    then renormalized linearly to kill residual rounding; each row of a 2-D array is
+    normalized and checked on its own, to the bits of its 1-D call."""
+    return _log_softmax(*_softmax_terms(log_weights))
 
 
 def _check_beta(beta):

@@ -455,6 +455,15 @@ class BoundedBinaryMixture(_DiscreteNoise):
         return truth, cls.homogeneous(n, a_max, b_max, mixing), _clipped_atoms(truth, m, rng)
 
 
+def _term_count(k):
+    """k as an int, if a positive integer: an integral float such as 5.0 is taken; a bool,
+    inf or nan is not."""
+    integral = isinstance(k, (int, np.integer)) or (isinstance(k, float) and k.is_integer())
+    if isinstance(k, bool) or not integral or k < 1:
+        raise ValueError("k must be a positive integer")
+    return int(k)
+
+
 class CenteredBinomial(_DiscreteNoise):
     """Coordinate i is a * (Binomial(k, rho_i) - k * rho_i), realized as a
     sum of k centered Bernoulli terms scaled by a. Coupling: zeta is a times
@@ -467,11 +476,7 @@ class CenteredBinomial(_DiscreteNoise):
         self.a = float(a)
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError("a must be positive")
-        # an integral float such as 5.0 is taken; a bool, inf or nan is not
-        integral = isinstance(k, (int, np.integer)) or (isinstance(k, float) and k.is_integer())
-        if isinstance(k, bool) or not integral or k < 1:
-            raise ValueError("k must be a positive integer")
-        self.k = int(k)
+        self.k = _term_count(k)
         self.rho = _coordinate_array(rho, "rho", low=0.0, high=1.0)
 
     @classmethod
@@ -531,7 +536,7 @@ class CenteredBinomial(_DiscreteNoise):
 
     @classmethod
     def scenario(cls, n, m, rng, params):
-        k = int(params.pop("k", 5))
+        k = _term_count(params.pop("k", 5))
         a = float(params.pop("a", 1.0 / k))
         truth = rng.uniform(0.2, 0.8, n)
         return truth, cls(a, k, truth.copy()), _clipped_atoms(truth, m, rng)

@@ -16,9 +16,14 @@ for `ewa-agg oracle-bound`; each report's fields are its JSON keys
 Replicate r draws its noise from the stream numpy derives for (seed, r),
 Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))), and runs the distance,
 softmax and moments behind `posterior_weights`. A worker's span of replicates
-hashes all their PCG64 states in one numpy pass (`derived_states`, numpy's
-hash redone, equal to it word for word) and seats each state in turn on one
-generator of its own. Seated, a replicate makes only its generator calls: the
+hashes all their PCG64 seed words in one numpy pass (`derived_states`, numpy's
+hash redone, equal to it word for word), turns them into seated (state, inc)
+words by 128-bit arithmetic on 64-bit halves (`_seated`), and seats each in turn
+on one generator of its own by writing its words into the generator's struct
+(`_seat_rows`). numpy does not publish that struct, so the span's generator first
+checks its layout by reading before writing (`_state_views`); where the check
+fails, the span seats through the bit_generator.state setter, with the same bits.
+Seated, a replicate makes only its generator calls: the
 family's raw draw (`NoiseModel.raw_draw`) and, with prior_samples set, the
 uniforms of rng.choice(m, prior_samples, p=prior). Its chunk then turns every
 row's raw draw into noise by one `noise_rows` call, and every row's uniforms
@@ -31,9 +36,10 @@ distance block per chunk, then per temperature one row-wise softmax and one mome
 sum in another order, and the squared norms by `ewa._atom_sq_distances`), each row giving
 the bits of its one-replicate call. So results are bit-identical however many workers run,
 however replicates are chunked and however many temperatures share the pass: `certify_config`
-makes one pass for its two, and each report equals its own `mc_risk` run. EWA_AGG_THREADS
-(default 1) workers share a config whose chunks hold one row; one with
-more rows per chunk runs on one, as its numpy calls hold the GIL.
+makes one pass for its two, and each report equals its own `mc_risk` run. The softmax makes
+the weights alone (`ewa._posterior`), no log-weights. EWA_AGG_THREADS (default 1) workers
+share a config whose chunks hold one row; one with more rows per chunk runs on one, as its
+numpy calls hold the GIL. A single span runs in the calling thread, with no pool.
 
 Where the posterior is a point mass on atom j, a tie passes: every risk is the bound's
 d_j bit for bit (both sum in `ewa._atom_sq_distances`), every posterior variance is 0, a
@@ -41,6 +47,7 @@ constant series has its value as mean and exactly 0 as standard error (`_mean_an
 and the Gibbs bound, clamped to [min_j d_j, f], is d_j.
 """
 
+import ctypes
 import math
 import operator
 import os
@@ -74,13 +81,18 @@ THREADS_ENV_VAR = "EWA_AGG_THREADS"
 
 
 # numpy's SeedSequence hash (4-word pool) and PCG64 seeding; NEP 19 pins both
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy into the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the pool out into state words
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_STATE_KEYS = 1 << 14  # keys a span derives at once: its transient lists stay a few MB
+_STATE_KEYS = 1 << 14  # keys a span derives at once: its transient arrays stay a few MB
+# two PCG64 states in `_seated` order, every word distinct, for the layout check
+_PROBES = (
+    [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x13579BDF02468ACF, 0x2468ACE013579BDF],
+    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xD6E8FEB86659FD93],
+)
 
 
 def _steps(const, mult, count):
@@ -120,21 +132,38 @@ def _words(value):
     return words
 
 
-def derived_states(seed, keys):
-    """The PCG64 seed words of Generator(PCG64(SeedSequence(seed, spawn_key=key))) per key, as
-    a (len(keys), 4) uint64 array: initstate high and low words, then initseq's. The seed's
-    pool is numpy's own (SeedSequence(seed).pool). Each key word then mixes into the 4 pool
-    words of every key at once, one array pass per word position (a key with fewer words keeps
-    its pool), and the pools hash out 8 words as generate_state(4, uint64) does."""
-    pool = np.random.SeedSequence(seed).pool
+def _key_table(keys):
+    """(table, lengths): each key's 32-bit words as SeedSequence reads them, zero-padded to the
+    longest key, and each key's word count. A range of ints stands for the keys (r,), its table
+    one numpy column pass."""
+    if isinstance(keys, range) and keys.step == 1 and 0 <= keys.start and keys.stop <= 1 << 63:
+        r = np.arange(keys.start, max(keys.start, keys.stop), dtype=np.uint64)
+        high = (r >> 32).astype(np.uint32)
+        lengths = np.where(high > 0, 2, 1)
+        table = np.column_stack([r.astype(np.uint32), high])
+        return table[:, : lengths.max(initial=0)], lengths
+    if isinstance(keys, range):
+        keys = [(r,) for r in keys]
     key_words = [[w for part in key for w in _words(part)] for key in keys]
     lengths = np.fromiter(map(len, key_words), np.intp, len(key_words))
     table = np.zeros((len(key_words), lengths.max(initial=0)), np.uint32)
     table[np.arange(table.shape[1]) < lengths[:, None]] = [w for ws in key_words for w in ws]
+    return table, lengths
+
+
+def derived_states(seed, keys):
+    """The PCG64 seed words of Generator(PCG64(SeedSequence(seed, spawn_key=key))) per key, as
+    a (len(keys), 4) uint64 array: initstate high and low words, then initseq's. keys is a list
+    of tuples or a range of ints r, each the key (r,). The seed's pool is numpy's own
+    (SeedSequence(seed).pool). Each key word then mixes into the 4 pool words of every key at
+    once, one array pass per word position (a key with fewer words keeps its pool), and the
+    pools hash out 8 words as generate_state(4, uint64) does."""
+    pool = np.random.SeedSequence(seed).pool
+    table, lengths = _key_table(keys)
     # the seed took 4 hash steps per word, padded to 4 words; each key word takes 4 more
     step = _POOL_WORDS * max(len(_words(seed)), _POOL_WORDS)
     xors, muls = _steps(_INIT_A, _MULT_A, step + _POOL_WORDS * table.shape[1])
-    pools = np.repeat(_column(pool), len(key_words), axis=1)
+    pools = np.repeat(_column(pool), len(table), axis=1)
     for col in range(table.shape[1]):
         run = slice(step, step + _POOL_WORDS)
         hashed = _hash(table[:, col], _column(xors[run]), _column(muls[run]))
@@ -146,18 +175,99 @@ def derived_states(seed, keys):
     return (out[0::2] | out[1::2] << 32).T
 
 
-def _seat(bit_generator, words):
-    """Set a PCG64 to the state pcg64_set_seed makes of one key's 4 words (Python ints), with
-    no buffered 32-bit half."""
-    state_hi, state_lo, seq_hi, seq_lo = words
-    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-    state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
-    bit_generator.state = {
+def _high_product(a, b):
+    """The high 64 bits of the 128-bit products a * b of uint64 values."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    cross, other = a1 * b0, a0 * b1
+    mid = (a0 * b0 >> 32) + (cross & _MASK32) + (other & _MASK32)  # below 3 * 2^32
+    return a1 * b1 + (cross >> 32) + (other >> 32) + (mid >> 32)
+
+
+def _seated(words):
+    """The PCG64 state pcg64_set_seed makes of each row of `derived_states` words, as a
+    (len(words), 4) uint64 array: state low and high words, then inc's, the order of numpy's
+    struct. inc = initseq << 1 | 1 and state = (inc + initstate) mult + inc, mod 2^128, on
+    64-bit halves."""
+    state_hi, state_lo, seq_hi, seq_lo = words.T
+    inc_lo, inc_hi = seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63
+    x_lo = inc_lo + state_lo
+    x_hi = inc_hi + state_hi + (x_lo < inc_lo)
+    mult_hi, mult_lo = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+    lo = x_lo * mult_lo
+    hi = _high_product(x_lo, mult_lo) + x_lo * mult_hi + x_hi * mult_lo
+    state_lo = lo + inc_lo
+    state_hi = hi + inc_hi + (state_lo < lo)
+    return np.column_stack([state_lo, state_hi, inc_lo, inc_hi])
+
+
+def _view(owner, address, dtype, count):
+    """A writable numpy view of count items of dtype at address, memory inside owner; the view
+    keeps owner alive."""
+    memory = (ctypes.c_char * (np.dtype(dtype).itemsize * count)).from_address(address)
+    memory.owner = owner
+    return np.frombuffer(memory, dtype)
+
+
+def _state_views(bit_generator):
+    """(words, flags): numpy views over a PCG64's state and inc words, in `_seated` order, and
+    over its has_uint32 and uinteger fields, or None where numpy's struct is laid out otherwise.
+    bit_generator.ctypes.state_address holds a pointer to the (state, inc) pair, then the two
+    fields; numpy does not publish that layout, so it is checked by reading before writing.
+    Only memory inside the generator object is read. The words behind the pointer must be a
+    state the setter made, low word first, with its buffered half read back in the fields;
+    then a state written through the views must equal a twin's made by the setter, by its
+    state dict and by a draw."""
+    try:
+        inside = range(id(bit_generator), id(bit_generator) + type(bit_generator).__basicsize__)
+        address = bit_generator.ctypes.state_address
+        fields = address + ctypes.sizeof(ctypes.c_void_p)
+        if address not in inside or fields + 7 not in inside:
+            return None
+        pointer = int(_view(bit_generator, address, np.uintp, 1)[0])
+        if pointer not in inside or pointer + 31 not in inside:
+            return None
+        words = _view(bit_generator, pointer, np.uint64, 4)
+        flags = _view(bit_generator, fields, np.uint64, 1)
+        (read, written), buffered = _PROBES, 0x9E3779B9
+        bit_generator.state = _state_dict(*read, buffered)
+        if words.tolist() != read or flags.view(np.uint32).tolist() != [1, buffered]:
+            return None
+        words[:] = written
+        flags[0] = 0
+        twin = np.random.PCG64(0)
+        twin.state = _state_dict(*written)
+        if bit_generator.state != twin.state or bit_generator.random_raw() != twin.random_raw():
+            return None
+    except (AttributeError, TypeError, ValueError):  # not numpy's PCG64, or no view made
+        return None
+    return words, flags
+
+
+def _state_dict(state_lo, state_hi, inc_lo, inc_hi, buffered=None):
+    """PCG64's bit_generator.state for the `_seated` words, with buffered as its stored 32-bit
+    half if given."""
+    return {
         "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
+        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": int(buffered is not None),
+        "uinteger": buffered or 0,
     }
+
+
+def _seat_rows(bit_generator, views, rows):
+    """Seat bit_generator at each row of `_seated` words in turn, with no buffered 32-bit half,
+    yielding after each: through its `_state_views`, or by the state setter where views is
+    None."""
+    if views is None:
+        for row in rows.tolist():
+            bit_generator.state = _state_dict(*row)
+            yield
+    else:
+        words, flags = views
+        for row in rows:
+            words[:] = row
+            flags[0] = 0
+            yield
 
 
 def derived_stream(seed, *key):
@@ -275,13 +385,16 @@ def _choice_cdf(p):
 
 def _run_replicates(config, betas):
     """One (risks, pvars) pair of per-replicate series per temperature in betas; what no
-    replicate or beta changes is made once. A worker's span derives its replicates' stream
-    states (`derived_states`) and seats each in turn on one generator of its own, for its raw
-    noise draw and its prior uniforms; it goes in chunks of `_signal_rows` replicates, whatever
-    the worker count or beta: one noise transform, prior pick and distance block (none if every
-    beta is +inf) per chunk, then a row-wise softmax and moments call per beta, so each pair is
-    bit for bit a pass at its beta alone. A config whose chunks hold more than one row runs on
-    one worker, as their small numpy calls hold the GIL."""
+    replicate or beta changes is made once. A worker's span derives its replicates' seated
+    stream states (`derived_states` of its range of keys, then `_seated`) and seats each in
+    turn on one generator of its own (`_seat_rows`), for its raw noise draw and its prior
+    uniforms: by a direct write into the generator's struct where the span's layout check
+    passes (`_state_views`), else by the state setter, with the same bits. It goes in chunks
+    of `_signal_rows` replicates, whatever the worker count or beta: one noise transform,
+    prior pick and distance block (none if every beta is +inf) per chunk, then a row-wise
+    softmax (weights only) and moments call per beta, so each pair is bit for bit a pass at
+    its beta alone. A config whose chunks hold more than one row runs on one worker, as their
+    small numpy calls hold the GIL; one span runs in the calling thread, with no pool."""
     total, sampled = config.replicates, config.prior_samples
     atoms = config.dictionary.atoms
     norms = _atom_sq_distances(0.0, atoms)
@@ -291,10 +404,9 @@ def _run_replicates(config, betas):
     rows = _signal_rows(sampled or len(atoms), config.truth.size)
     runs = [(np.empty(total), np.empty(total)) for _ in betas]
 
-    def fill(rng, chunk, states):
-        raws, picks, bits = [], [], rng.bit_generator
-        for words in states:
-            _seat(bits, words)
+    def fill(rng, views, chunk, seated):
+        raws, picks = [], []
+        for _ in _seat_rows(rng.bit_generator, views, seated):
             raws.append(config.noise.raw_draw(rng))
             if sampled is not None:
                 picks.append(rng.random(sampled))
@@ -309,29 +421,33 @@ def _run_replicates(config, betas):
             d = _atom_sq_distances(y, theta)
         for beta, (risks, pvars) in zip(betas, runs):
             if math.isinf(beta):
-                w = np.broadcast_to(prior.weights, (len(states), len(prior)))
+                w = np.broadcast_to(prior.weights, (len(seated), len(prior)))
             else:
-                w = _posterior(prior.log_weights, d, beta)[0]
+                w = _posterior(prior.log_weights, d, beta)
             pvars[chunk], risks[chunk] = _posterior_moments(w, theta, sq, config.truth)
 
     def fill_span(lo, hi):  # a chunk's arrays go before the next one's are made
-        rng = np.random.Generator(np.random.PCG64(0))  # `fill` sets each replicate's state
+        rng = np.random.Generator(np.random.PCG64(0))  # `fill` seats each replicate's state
+        views = _state_views(rng.bit_generator)
         keys_at_once = rows * max(1, _STATE_KEYS // rows)  # whole chunks
         for first in range(lo, hi, keys_at_once):
             last = min(first + keys_at_once, hi)
-            states = derived_states(config.seed, [(r,) for r in range(first, last)]).tolist()
+            seated = _seated(derived_states(config.seed, range(first, last)))
             for start in range(first, last, rows):
                 stop = min(start + rows, last)
-                fill(rng, slice(start, stop), states[start - first : stop - first])
+                fill(rng, views, slice(start, stop), seated[start - first : stop - first])
 
     workers = worker_count()  # checked even where one worker is taken
     if rows > 1:
         workers = 1
     step = -(-total // workers)
     spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(fill_span, lo, hi) for lo, hi in spans]:
-            future.result()
+    if len(spans) == 1:
+        fill_span(*spans[0])
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for future in [pool.submit(fill_span, lo, hi) for lo, hi in spans]:
+                future.result()
     return runs
 
 

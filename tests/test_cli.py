@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ewa_agg
-from ewa_agg import cli
+from ewa_agg import cli, oracle
 from ewa_agg.model import Dictionary, ExperimentConfig, WeightVector
 from ewa_agg.noise import CenteredBernoulli, Gaussian, Laplace
 from ewa_agg.oracle import OracleBoundReport, RiskReport, make_scenario, mc_risk
@@ -356,6 +356,85 @@ class TestInputErrors:
         cfg.write_text(json.dumps(doc))  # json writes and reads the token NaN
         for command in ("simulate", "verify-bernstein", "verify-coupling"):
             self._expect_error(capsys, [command, cfg], "mixing probabilities must be finite")
+
+
+class TestParse:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [],
+            ["certfy", "cfg.json"],
+            ["certify"],
+            ["certify", "cfg.json", "--format", "xml"],
+            ["certify", "cfg.json", "--seed", "abc"],
+        ],
+        ids=["no-arguments", "unknown-command", "missing-config", "format-xml", "seed-abc"],
+    )
+    def test_usage_errors_exit_two(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ewa-agg ")
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: ewa-agg ")
+        assert "{" + ",".join(cli._COMMANDS) + "}" in out
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_each_command_takes_the_options_after_the_config(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        _write_config(cfg)
+        seen = []
+
+        def report(config, extras):
+            seen.append(config.seed)
+            return [OracleBoundReport(1, 1, 1.0, 0.0, 0.0, verdict=True)]
+
+        monkeypatch.setitem(cli._COMMANDS, command, report)
+        assert _run([command, cfg, "-o", out, "--format", "json", "--seed", 5]) == 0
+        assert seen == [5]
+        assert json.loads(out.read_text())[0]["seed"] == 5
+        assert capsys.readouterr().out == ""
+
+    def test_options_may_sit_anywhere(self, tmp_path, capsys):
+        # one parser: an option before the command, between it and the config, or after both
+        cfg = tmp_path / "cfg.json"
+        _write_config(cfg)
+        outputs = []
+        for args in (
+            ["oracle-bound", cfg, "--format", "json", "--seed", 5],
+            ["oracle-bound", "--format", "json", cfg, "--seed", 5],
+            ["--seed", 5, "--format", "json", "oracle-bound", cfg],
+            ["--seed", 5, "oracle-bound", "--format", "json", cfg],
+        ):
+            assert _run(args) == 0
+            outputs.append(capsys.readouterr().out)
+        assert json.loads(outputs[0])[0]["seed"] == 5
+        assert outputs == outputs[:1] * 4
+
+
+def test_certify_seats_replicates_by_the_direct_write(tmp_path, capsys, monkeypatch):
+    # numpy's PCG64 layout passes the check here, so every span writes its states directly
+    taken, check = [], oracle._state_views
+
+    def recorded(bit_generator):
+        taken.append(check(bit_generator))
+        return taken[-1]
+
+    monkeypatch.setattr(oracle, "_state_views", recorded)
+    cfg = tmp_path / "cfg.json"
+    _write_config(cfg)
+    assert _run(["certify", cfg]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert taken and all(views is not None for views in taken)
 
 
 def test_failed_verdict_exits_one(tmp_path, capsys, monkeypatch):

@@ -2,8 +2,8 @@
 
 import json
 import math
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import mpmath
@@ -111,6 +111,65 @@ def test_bad_seeds_and_keys_raise_as_numpy_does(seed, key):
 def test_derived_stream_takes_integer_seeds_only(seed):
     with pytest.raises(TypeError):
         derived_stream(seed, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**128 - 1), keys=st.lists(_KEY_PART, min_size=1, max_size=6))
+@example(seed=2**128 - 1, keys=[0, 2**32 - 1, 2**32, 2**40 - 1])
+def test_seated_words_equal_numpy_state(seed, keys):
+    seated = oracle._seated(derived_states(seed, [(r,) for r in keys]))
+    rng = np.random.Generator(np.random.PCG64(0))
+    views = oracle._state_views(rng.bit_generator)
+    assert views is not None  # numpy's layout passes the check here
+    seats = oracle._seat_rows(rng.bit_generator, views, seated)
+    for r, row, _ in zip(keys, seated.tolist(), seats, strict=True):
+        theirs = _numpy_stream(seed, r)
+        assert oracle._state_dict(*row) == theirs.bit_generator.state
+        assert rng.bit_generator.state == theirs.bit_generator.state
+        assert rng.random(4).tolist() == theirs.random(4).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**128 - 1), lo=st.integers(0, 2**40), size=st.integers(0, 300))
+@example(seed=5, lo=2**32 - 150, size=300)  # keys of one word and of two in one span
+@example(seed=5, lo=0, size=0)
+def test_range_keys_equal_their_list_form(seed, lo, size):
+    keys = range(lo, lo + size)
+    expected = derived_states(seed, [(r,) for r in keys])
+    assert np.array_equal(derived_states(seed, keys), expected)
+    assert derived_states(seed, keys).shape == expected.shape == (size, 4)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_layout_check_rejects_other_generators(bit_generator):
+    assert oracle._state_views(bit_generator(0)) is None
+
+
+def test_layout_check_reads_before_it_writes(monkeypatch):
+    # views that do not see the generator's memory (here: copies of it) fail the read-back
+    view = oracle._view
+    monkeypatch.setattr(oracle, "_view", lambda *args: view(*args).copy())
+    rng = np.random.Generator(np.random.PCG64(3))
+    assert oracle._state_views(rng.bit_generator) is None
+
+
+@pytest.mark.parametrize("field", ["state", "uinteger"])
+def test_layout_check_rejects_a_read_back_mismatch(field, monkeypatch):
+    # the setter makes another state than the check then looks for: the read fails alone,
+    # although the direct write that follows would still match its twin
+    state_dict = oracle._state_dict
+
+    def shifted(state_lo, state_hi, inc_lo, inc_hi, buffered=None):
+        doc = state_dict(state_lo, state_hi, inc_lo, inc_hi, buffered)
+        if buffered is not None:  # the state the check reads back
+            (doc if field == "uinteger" else doc["state"])[field] ^= 1
+        return doc
+
+    monkeypatch.setattr(oracle, "_state_dict", shifted)
+    rng = np.random.Generator(np.random.PCG64(3))
+    assert oracle._state_views(rng.bit_generator) is None
+    monkeypatch.setattr(oracle, "_state_dict", state_dict)
+    assert oracle._state_views(rng.bit_generator) is not None
 
 
 class TestOracleBounds:
@@ -566,7 +625,7 @@ def test_bad_sampled_prior_is_rejected_before_any_replicate(bad, monkeypatch, tm
     def no_replicate(*_args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(oracle, "_seat", no_replicate)
+    monkeypatch.setattr(oracle, "_seat_rows", no_replicate)
     config = _toy_config(replicates=5, prior_samples=7)  # 5 atoms
     with pytest.raises(ValueError, match="weights"):
         replace(config, prior=bad)
@@ -597,22 +656,68 @@ def test_reused_generator_leaks_no_buffered_half(monkeypatch):
     _assert_chunks_equal_the_public_path(monkeypatch, config, (1, 5, 64))
 
 
+def test_replicate_sentinel_fires_on_a_valid_config(monkeypatch, tmp_path):
+    # the "rejected before any replicate" tests patch `_seat_rows`: every replicate goes
+    # through it, on the direct path and on the fallback alike
+    def no_replicate(*_args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(oracle, "_seat_rows", no_replicate)
+    config = _toy_config(replicates=5, prior_samples=7)
+    path = tmp_path / "valid.json"
+    path.write_text(json.dumps(config.to_json()))
+    for views in (oracle._state_views, lambda _bit_generator: None):
+        monkeypatch.setattr(oracle, "_state_views", views)
+        with pytest.raises(AssertionError, match="a replicate ran"):
+            certify_config(config)
+        with pytest.raises(AssertionError, match="a replicate ran"):
+            cli.main(["simulate", str(path)])
+
+
 def test_chunked_configs_take_one_worker(monkeypatch):
-    pools = []
+    # each span derives its keys in one call: record the spans and the threads running them
+    spans, derive = [], oracle.derived_states
 
-    class Recorded(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    def recorded(seed, keys):
+        spans.append((keys, threading.current_thread() is threading.main_thread()))
+        if barrier is not None:
+            barrier.wait()  # times out unless every span runs at once
+        return derive(seed, keys)
 
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setattr(oracle, "derived_states", recorded)
     monkeypatch.setenv("EWA_AGG_THREADS", "3")
     config = _toy_config(replicates=20)  # 5 atoms of length 6
     assert ewa._signal_rows(5, 6) > 1
+    barrier = None
     _run_replicates(config, (config.beta,))
+    assert spans == [(range(0, 20), True)]  # one span, run inline
+    spans.clear()
     monkeypatch.setattr(ewa, "BLOCK_DOUBLES", 30)  # one row per chunk
+    barrier = threading.Barrier(3, timeout=30)
     _run_replicates(config, (config.beta,))
-    assert pools == [1, 3]
+    assert sorted(spans, key=lambda span: span[0].start) == [
+        (range(0, 7), False), (range(7, 14), False), (range(14, 20), False),
+    ]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fallback_seating_equals_the_direct_write(family, monkeypatch):
+    # the state setter, taken where the layout check fails, gives every replicate's bits
+    canned = make_scenario(family, replicates=40, seed=7)
+    wide = make_scenario(family, n=64, m=1100, replicates=6, seed=7)
+    assert ewa._signal_rows(wide.dictionary.m, wide.dictionary.n) == 1  # two spans at 2 threads
+    cases = [(canned, "1"), (replace(canned, prior_samples=25), "1"), (wide, "2")]
+    if family == "gaussian":
+        cases.append((replace(_toy_config(37), noise=_OddDraws.homogeneous(6, 1.0)), "1"))
+    direct = oracle._state_views
+    for config, threads in cases:
+        monkeypatch.setenv("EWA_AGG_THREADS", threads)
+        runs = []
+        for views in (direct, lambda _bit_generator: None):
+            monkeypatch.setattr(oracle, "_state_views", views)
+            betas = (config.beta, config.beta / 2.0)
+            runs.append([[s.tolist() for s in run] for run in _run_replicates(config, betas)])
+        assert runs[0] == runs[1]
 
 
 def test_long_signals_take_one_row_at_a_time():
@@ -771,6 +876,18 @@ class TestScenarios:
         assert cfg.noise.k == 4
         assert cfg.noise.a == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("k", [2.5, True, math.inf, math.nan, 0, -3])
+    def test_binomial_scenario_checks_k_before_deriving_a(self, k):
+        # k = 2.5 once ran k = 2 with a = 1/2, True ran k = 1, inf raised OverflowError
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            make_scenario("centered_binomial", n=9, m=3, replicates=10, k=k)
+
+    def test_binomial_scenario_takes_an_integral_float_k(self):
+        a = make_scenario("centered_binomial", n=9, m=3, replicates=10, k=5.0)
+        b = make_scenario("centered_binomial", n=9, m=3, replicates=10, k=5)
+        assert a.noise.k == 5 and a.noise.a == 0.2
+        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+
     def test_same_seed_same_scenario(self):
         a = make_scenario("gaussian", n=8, m=3, replicates=10)
         b = make_scenario("gaussian", n=8, m=3, replicates=10)
@@ -825,7 +942,7 @@ def test_bad_half_temperature_is_rejected_before_any_replicate(
     def no_replicate(*_args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(oracle, "_seat", no_replicate)
+    monkeypatch.setattr(oracle, "_seat_rows", no_replicate)
     config = make_scenario(family, n=20, m=5, replicates=20_000, seed=RNG_SEED)
     # atoms scaled by 20 widen d0 until v'(0) <= b(0) d0: half the threshold has no coefficient
     config = replace(config, dictionary=Dictionary(config.dictionary.atoms * 20.0))
