@@ -26,21 +26,30 @@ stated once: b(0) is b evaluated at 0. This module holds the profile
 type, the thresholds and the MGF checks, and knows no family.
 
 A sampled check forms its moments block by block: the draws go through in
-blocks of `coupling.CF_BLOCK`, each grid point takes exp(t x) of a block in
-one cache-sized buffer, and the block's mean and sum of squared deviations
-merge into the running ones by the pairwise update of Chan, Golub and
-LeVeque (1983), which keeps the accuracy of two passes. An exp that
-overflows, in any block, leaves its point's moments non-finite, and the
-point fails.
+blocks of `coupling.CF_BLOCK`, in three cache-sized buffers. On each side of 0
+the grid is walked outward: the node nearest 0 takes exp(t x) of the block
+itself, and a node one grid spacing further is the previous node's values
+times exp(spacing x), so a block costs two exps per side. Each node's block mean
+is a pairwise sum, and its sum of squared deviations (M2) is sum v^2 - s mean,
+one more pass, where the rounding bound of that difference allows it, and the
+two-pass sum of (v - mean)^2 elsewhere. The block moments merge into the
+running ones by the pairwise update of Chan, Golub and LeVeque (1983). An exp or
+a product that overflows, in any block, leaves its point's moments non-finite,
+and the point fails.
 
 An exact check takes a family's conditional laws all at once, as the rows
 of a `laws.LawRows`: exp(t x) runs over groups of whole laws of at most
 CF_BLOCK doubles, each law's MGF is the matrix-vector product on its own
 columns, and the report is that of the first law with the largest ratio.
+The grid, which never holds t = 0, cannot see the second-order condition
+there: the ratio to the bound is 1 + t^2 (Var/2 - v/c) + O(|t|^3) near 0. So
+an exact check also requires each law's variance to be at most 2 v / c, the
+sub-gamma condition's variance factor (Boucheron, Lugosi and Massart 2013,
+section 2.4); a law above it fails the verdict whatever its grid ratios.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -52,6 +61,9 @@ MGF_RATIO_TOL = 1e-12
 MGF_SE_MULTIPLIER = 5.0
 DEFAULT_T_POINTS = 64
 DOMAIN_COVERAGE = 0.95
+_U = 2.0**-53  # unit roundoff of float64
+_WALK_TOL = 16 * _U  # of the grid's largest |t|: how far a walked node may sit off its step
+_ONE_PASS_M2_RTOL = 2.0**-30  # the rounding, relative to M2, a one-pass block M2 may carry
 
 
 @dataclass(frozen=True)
@@ -135,30 +147,122 @@ class MgfCheckReport(Report):
         return [doc[key] for key in self.CSV_HEADER]
 
 
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), the relative error bound of n roundings."""
+    return n * _U / (1.0 - n * _U)
+
+
+def _grid_walk(t_grid):
+    """The walk `_sampled_moments` takes over t_grid: for each side of 0 that holds
+    nodes (t = 0 goes with t > 0), a pair (step, nodes). nodes lists the side's grid
+    indices outward from 0, each with k, its count of steps from the last node that
+    takes its own exp (k = 0 for that node). step is the grid's mean spacing, signed
+    outward, or None when no node of the side is walked. The rule is in the
+    `_sampled_moments` docstring."""
+    t = t_grid.tolist()
+    delta = (max(t) - min(t)) / (len(t) - 1) if len(t) > 1 else math.nan
+    tol = _WALK_TOL * max(map(abs, t), default=0.0)
+    if not math.isfinite(tol):
+        delta = math.nan  # an infinite or NaN node: nothing is walked
+    walk = []
+    for sign in (1.0, -1.0):
+        side = [i for i, ti in enumerate(t) if (ti >= 0.0) == (sign > 0.0)]
+        side.sort(key=lambda i: abs(t[i]))
+        nodes, anchor, k = [], None, 0
+        for i in side:
+            k += 1
+            if anchor is None or not abs(t[i] - t[anchor] - k * sign * delta) <= tol:
+                anchor, k = i, 0
+            nodes.append((i, k))
+        if nodes:
+            walk.append((sign * delta if any(k for _, k in nodes) else None, nodes))
+    return walk
+
+
+def _one_pass_m2(values, total, mean):
+    """sum v^2 - total mean over a block of values, total and mean being the block's
+    pairwise sum and mean, where `_sampled_moments`' guard keeps it; else None. The
+    sum of squares is einsum's, not BLAS's, whose bits vary with its thread count."""
+    squares = float(np.einsum("i,i->", values, values))
+    m2 = squares - float(total) * float(mean)
+    if 0.0 < m2 < math.inf and _gamma(3 * values.size + 2) * squares <= _ONE_PASS_M2_RTOL * m2:
+        return m2
+    return None
+
+
 def _sampled_moments(samples, t_grid):
     """Mean and sum of squared deviations (M2) of exp(t x) over the draws x, for
-    each t of the grid, merged block by block as the module docstring says. The
-    merge from the empty state is exact, so up to CF_BLOCK draws these give
-    numpy's `mean` and `std(ddof=1)` bytes."""
+    each t of the grid, merged block by block as the module docstring says.
+
+    The walk (`_grid_walk`). On each side of 0 the nodes go outward from 0 and the
+    nearest takes exp(t x) itself. Let D = (max t - min t) / (points - 1), the
+    grid's mean spacing, T = max |t| and u = 2^-53. A node whose inward neighbour
+    on its side was computed is walked, its values the neighbour's times
+    exp(+-D x), when it lies within 16 u T of t_a +- k D, t_a being the last node
+    that took its own exp and k its count of steps from it. linspace's own
+    rounding puts each of its nodes within 4 u T of that progression, so two
+    nodes sit within 8 u T of each other's, and evaluating the test adds at most
+    4 u T more. Any other node takes its own exp and the walk starts again from
+    it, so a grid whose spacing varies keeps each node's own exp(t x); a grid
+    with an infinite or NaN node walks nothing.
+
+    A walked node's error, against exp(t x) of the same draw x: numpy's accuracy
+    tests hold its float64 exp to 1 ulp (at most 2 u relative), each exp's
+    argument rounds once, and so does each product. With dt = t - (t_a +- k D),
+    the node's exact offset from its step (at most 8 u T on a linspace grid),
+    the relative error is at most e^L - 1 with, to first order in u,
+
+        L = |dt| |x| + u ((|t_a| + k D + |t|) |x| + 3 k + 4),
+
+    that is the arguments of exp(t_a x), of the k steps exp(D x) and of the
+    reference, two ulps for each of those k + 2 exps, and one u per product.
+
+    The block M2. The mean is the block's pairwise sum over its size nb, as
+    numpy's mean is. The one-pass M2 = sum v^2 - s mean (s the sum) errs by at
+    most gamma_{3 nb + 1} sum v^2 (Higham 2002, section 3.1: gamma_nb for the sum of
+    squares, gamma_{2 nb} for s mean, through s^2 / nb <= sum v^2, and one
+    rounding for the difference); evaluated on computed values it is at most
+    gamma_{3 nb + 2} sum v^2. M2 keeps the one-pass value only where that bound is
+    at most _ONE_PASS_M2_RTOL = 2^-30 of M2, and otherwise (a spread small
+    against the mean, M2 <= 0 as in a constant block, or an overflow) takes the
+    two passes sum (v - mean)^2. A relative error of 2^-30 in M2 moves the
+    5-standard-error margin by at most 2^-31 of itself, far below the margin's
+    own sampling error of about 1/sqrt(2 n) of it.
+
+    The merge from the empty state is exact, so up to CF_BLOCK draws a node that
+    takes its own exp has numpy's `mean` bytes, and also its `std(ddof=1)` bytes
+    where the guard took two passes."""
     count = 0
     mean = np.zeros(t_grid.size)
     m2 = np.zeros(t_grid.size)
     block_mean = np.empty_like(mean)
     block_m2 = np.empty_like(mean)
-    buf = np.empty(min(samples.size, CF_BLOCK))
+    buffers = np.empty((3, min(samples.size, CF_BLOCK)))
+    walk = _grid_walk(t_grid)
     # an overflow is caught by the caller, where its point fails
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, samples.size, CF_BLOCK):
             block = samples[start : start + CF_BLOCK]
             nb = block.size
-            values = buf[:nb]
-            for idx, t in enumerate(t_grid):
-                np.multiply(t, block, out=values)
-                np.exp(values, out=values)
-                block_mean[idx] = values.sum() / nb
-                np.subtract(values, block_mean[idx], out=values)
-                np.square(values, out=values)
-                block_m2[idx] = values.sum()
+            values, steps, scratch = buffers[:, :nb]
+            for step, nodes in walk:
+                if step is not None:
+                    np.multiply(step, block, out=steps)
+                    np.exp(steps, out=steps)
+                for idx, k in nodes:
+                    if k:
+                        np.multiply(values, steps, out=values)
+                    else:
+                        np.multiply(t_grid[idx], block, out=values)
+                        np.exp(values, out=values)
+                    block_sum = values.sum()
+                    block_mean[idx] = node_mean = block_sum / nb
+                    node_m2 = _one_pass_m2(values, block_sum, node_mean)
+                    if node_m2 is None:
+                        np.subtract(values, node_mean, out=scratch)
+                        np.square(scratch, out=scratch)
+                        node_m2 = scratch.sum()
+                    block_m2[idx] = node_m2
             total = count + nb
             delta = block_mean - mean
             mean += delta * (nb / total)
@@ -228,27 +332,36 @@ def _report(ratios, worst, t_grid, method, family, alpha):
     )
 
 
+def _exact_report(rows, t_grid, bound, v, c, family, alpha):
+    """The exact report over the laws of a `laws.LawRows`: the grid's, its verdict
+    failing also where a law's variance exceeds 2 v / c by more than
+    MGF_RATIO_TOL, the t -> 0 condition of the module docstring."""
+    report = _report(*_exact_worst_points(rows, t_grid, bound), t_grid, "exact", family, alpha)
+    if c * np.max(rows.variances()) <= (1.0 + MGF_RATIO_TOL) * 2.0 * v:
+        return report
+    return replace(report, verdict=False)
+
+
 def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
     """Compare E[exp(t zeta)] against the profile bound over a t-grid.
 
-    ``law`` is a DiscreteLaw (exact moments) or a 1-D sample array
-    (empirical mean, credited a 5-standard-error margin, both merged over
-    blocks of CF_BLOCK draws by Chan's update). Any t_grid inside the domain
-    is taken. A point whose mean or margin is not finite, as after an
+    ``law`` is a DiscreteLaw (exact moments; its variance must also be at most
+    2 v / c, the t -> 0 condition of the module docstring) or a 1-D sample
+    array (empirical mean, credited a 5-standard-error margin, both merged over
+    blocks of CF_BLOCK draws by Chan's update, with the grid walked and each
+    block's M2 guarded as `_sampled_moments` derives). Any t_grid inside the
+    domain is taken. A point whose mean or margin is not finite, as after an
     overflow, fails unless the bound there is infinite.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     bound = mgf_bound(t_grid, v, b, c)  # also validates the domain
     if isinstance(law, DiscreteLaw):
-        ratios, worst = _exact_worst_points(LawRows.stack([law]), t_grid, bound)
-        method = "exact"
-    else:
-        samples = np.asarray(law, dtype=np.float64)
-        if samples.ndim != 1 or samples.size < 2:
-            raise ValueError("sampled laws need a 1-D array with at least 2 draws")
-        ratios, worst = _sampled_worst_point(samples, t_grid, bound)
-        method = "sampled"
-    return _report(ratios, worst, t_grid, method, family, alpha)
+        return _exact_report(LawRows.stack([law]), t_grid, bound, v, c, family, alpha)
+    samples = np.asarray(law, dtype=np.float64)
+    if samples.ndim != 1 or samples.size < 2:
+        raise ValueError("sampled laws need a 1-D array with at least 2 draws")
+    ratios, worst = _sampled_worst_point(samples, t_grid, bound)
+    return _report(ratios, worst, t_grid, "sampled", family, alpha)
 
 
 def check_noise_mgf(model, alpha, sample_size=1_000_000, rng=None):
@@ -265,8 +378,8 @@ def check_noise_mgf(model, alpha, sample_size=1_000_000, rng=None):
     t_grid = default_t_grid(v, b)
     bound = mgf_bound(t_grid, v, b, c)
     if model.discrete:
-        ratios, worst = _exact_worst_points(model.conditional_rows(alpha), t_grid, bound)
-        return _report(ratios, worst, t_grid, "exact", model.family, alpha)
+        rows = model.conditional_rows(alpha)
+        return _exact_report(rows, t_grid, bound, v, c, model.family, alpha)
     if rng is None:
         raise ValueError("sampled MGF checks need a generator: pass rng")
     n = int(sample_size)

@@ -200,14 +200,14 @@ class _ContinuousNoise(NoiseModel):
 
     def coordinate_draws(self, i, n, rng):
         """n independent draws of coordinate i."""
-        return self.draw(np.full(n, float(self.scale[i])), rng)
+        return self.draw(np.broadcast_to(float(self.scale[i]), n), rng)
 
     def companion(self, record, alpha, rng):
         return self.couple(self.scale, alpha, rng)
 
     def companion_draws(self, i, alpha, n, rng):
         """n independent companions of coordinate i."""
-        return self.couple(np.full(n, float(self.scale[i])), alpha, rng)
+        return self.couple(np.broadcast_to(float(self.scale[i]), n), alpha, rng)
 
     @classmethod
     def scenario(cls, n, m, rng, params):

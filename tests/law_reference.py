@@ -108,12 +108,14 @@ def mgf_report(model, alpha):
     """`check_noise_mgf(model, alpha)` of a discrete family, law by law: each law's
     ratio E[exp(t zeta)] / bound over the grid, a non-finite MGF failing its point
     unless the bound there is infinite, and the first law with a strictly greater
-    largest ratio wins."""
+    largest ratio wins; the verdict also needs each law's variance to be at most
+    2 v / c, up to MGF_RATIO_TOL."""
     profile = model.profile()
     v, b, c = profile.v(alpha), profile.b(alpha), profile.mgf_normalization
     t_grid = default_t_grid(v, b)
     bound = mgf_bound(t_grid, v, b, c)
     worst = None
+    small_t = True
     for i in range(model.dim):
         for law in conditional_laws(model, i, alpha):
             mgf = law.mgf(t_grid)
@@ -123,13 +125,14 @@ def mgf_report(model, alpha):
             point = int(np.argmax(ratio))
             if worst is None or ratio[point] > worst[0]:
                 worst = (float(ratio[point]), float(t_grid[point]))
+            small_t = small_t and c * law.variance() <= (1.0 + MGF_RATIO_TOL) * 2.0 * v
     return MgfCheckReport(
         family=model.family,
         alpha=alpha,
         method="exact",
         max_ratio=worst[0],
         worst_t=worst[1],
-        verdict=worst[0] <= 1.0 + MGF_RATIO_TOL,
+        verdict=worst[0] <= 1.0 + MGF_RATIO_TOL and small_t,
         points=int(t_grid.size),
     )
 

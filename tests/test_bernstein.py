@@ -1,7 +1,11 @@
 """Moment profiles: thresholds, penalty coefficients, MGF domination."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +14,11 @@ from hypothesis import strategies as st
 
 import law_reference as ref
 from ewa_agg.bernstein import (
+    MGF_RATIO_TOL,
     MGF_SE_MULTIPLIER,
+    BernsteinProfile,
+    _grid_walk,
+    _one_pass_m2,
     _sampled_moments,
     beta_threshold,
     check_noise_mgf,
@@ -254,6 +262,23 @@ class TestMgfChecks:
             assert report.max_ratio == math.inf
             assert report.worst_t == 4.0
 
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_sampled_overflow_at_a_walked_node_fails_closed(self, sign):
+        # on the symmetric grid +-1, +-3, +-5, +-7 the square of exp(t x) at x = +-100
+        # first overflows at |t| = 5, the third node of its side and a walked one;
+        # the first grid index it fails at is 5 on the right, -7 on the left
+        grid = np.linspace(-7.0, 7.0, 8)
+        assert [[k for _, k in nodes] for _, nodes in _grid_walk(grid)] == [[0, 1, 2, 3]] * 2
+        for size, at in ((1000, 0), (2 * CF_BLOCK + 7, CF_BLOCK + 5)):
+            zeta = np.random.default_rng(0).normal(size=size)
+            zeta[at] = sign * 100.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = mgf_bound_check(zeta, 1.0, 0.0, 2.0, grid)
+            assert not report.verdict
+            assert report.max_ratio == math.inf
+            assert report.worst_t == (5.0 if sign > 0 else -7.0)
+
     def test_merged_m2_keeps_two_pass_accuracy(self):
         # exp(x) has mean about 5e21 and relative spread 1e-6 over three blocks;
         # E[z^2] - E[z]^2 would be off by about 5e-5 of the variance here
@@ -268,7 +293,44 @@ class TestMgfChecks:
             mgf_bound_check(np.zeros((3, 3)), 1.0, 0.0, 2.0, np.array([0.1]))
 
 
+U = 2.0**-53
+# the bounds below are first order in u; this factor covers their higher-order terms
+SECOND_ORDER = 1.0 + 2.0**-20
+
+
+def _gamma(n):
+    return n * U / (1.0 - n * U)
+
+
+def _walk_errors(grid, x):
+    """Per grid index, the bound the `_sampled_moments` docstring derives on the
+    relative error of the node's values against exp(t x): 0 where the node takes its
+    own exp, e^L - 1 where it is walked, with its offset dt from its step exact."""
+    top = float(np.max(np.abs(x)))
+    errors = np.zeros(grid.size)
+    for step, nodes in _grid_walk(grid):
+        for idx, k in nodes:
+            if k == 0:
+                anchor = idx
+                continue
+            t, t_a = float(grid[idx]), float(grid[anchor])
+            dt = abs(float(Fraction(t) - Fraction(t_a) - k * Fraction(step)))
+            rounding = (abs(t_a) + k * abs(step) + abs(t)) * top + 3 * k + 4
+            errors[idx] = math.expm1((dt * top + U * rounding) * SECOND_ORDER)
+    return errors
+
+
 _nodes = st.floats(0.01, 3.0).flatmap(lambda t: st.sampled_from([t, -t]))
+# (grid, uniform): unsorted lists of +-t, and linspace grids, which the kernel walks
+_grids = st.one_of(
+    st.lists(_nodes, min_size=1, max_size=9).map(lambda nodes: (np.array(nodes), False)),
+    st.builds(default_t_grid, st.floats(0.5, 4.0), st.just(0.0) | st.floats(0.3, 2.0)).map(
+        lambda grid: (grid, True)
+    ),
+    st.builds(np.linspace, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(2, 16)).map(
+        lambda grid: (grid, True)
+    ),
+)
 
 
 @settings(max_examples=40, deadline=None)
@@ -276,23 +338,65 @@ _nodes = st.floats(0.01, 3.0).flatmap(lambda t: st.sampled_from([t, -t]))
     st.sampled_from([2, CF_BLOCK - 1, CF_BLOCK, CF_BLOCK + 1, 2 * CF_BLOCK + 123]),
     st.integers(0, 2**32 - 1),
     st.floats(0.1, 2.0),
-    st.lists(_nodes, min_size=1, max_size=9),
+    _grids,
 )
-def test_sampled_moments_match_the_per_point_formula(size, seed, scale, grid):
-    # the blocked moments against exp(t x).mean() and the 5-standard-error
-    # margin, node by node, on unsorted non-uniform grids: byte for byte up to
-    # one block, to 1e-12 beyond, where only the order of the sums changes
+def test_sampled_moments_match_the_per_point_formula(size, seed, scale, grid_case):
+    # the blocked moments against exp(t x).mean() and the 5-standard-error margin,
+    # node by node. Up to one block: byte for byte where the arithmetic is numpy's
+    # (the mean of a node that takes its own exp, and its margin too where the
+    # guard took two passes), elsewhere within the bound the `_sampled_moments`
+    # docstring derives in units of u. Beyond one block, where the merge also
+    # orders the sums, to 1e-12.
+    grid, uniform = grid_case
     x = np.random.default_rng(seed).laplace(0.3, scale, size)
-    grid = np.array(grid)
+    walk = _grid_walk(grid)
+    if uniform:
+        # a linspace grid takes one exp per side and walks every other node
+        assert sum(k == 0 for _, nodes in walk for _, k in nodes) == len(walk)
     mean, m2 = _sampled_moments(x, grid)
     margin = MGF_SE_MULTIPLIER * np.sqrt(m2 / (size - 1)) / math.sqrt(size)
+    walked = _walk_errors(grid, x)
     for idx, t in enumerate(grid):
         values = np.exp(t * x)
         want = (values.mean(), MGF_SE_MULTIPLIER * values.std(ddof=1) / math.sqrt(size))
-        if size <= CF_BLOCK:
-            assert (mean[idx], margin[idx]) == want
-        else:
+        if size > CF_BLOCK:
             assert (mean[idx], margin[idx]) == pytest.approx(want, rel=1e-12)
+            continue
+        rho = walked[idx]
+        if rho == 0.0:
+            assert mean[idx] == want[0]
+        else:
+            assert abs(mean[idx] - want[0]) <= (rho + _gamma(2 * size)) * SECOND_ORDER * want[0]
+        if rho == 0.0 and _one_pass_m2(values, values.sum(), want[0]) is None or want[1] == 0.0:
+            # numpy's arithmetic, or constant values (t = 0, walked by exp(0 x) = 1)
+            assert margin[idx] == want[1]
+            continue
+        # sqrt(M2) moves by at most rho sqrt(sum v^2) under the walk's errors; the
+        # one-pass M2 errs by at most 2^-30 of itself and two passes by gamma_{n+2}
+        # plus gamma_n^2 (sum v^2) / M2; the margin's last few operations by 12 u
+        spread = float(values @ values) / (float(values.var()) * size)
+        two_pass = _gamma(size + 2) + _gamma(size) ** 2 * spread
+        rel = rho * math.sqrt(spread) + 2.0**-31 + two_pass + 12 * U
+        assert abs(margin[idx] - want[1]) <= rel * SECOND_ORDER * want[1]
+
+
+def test_walk_takes_its_own_exp_off_the_uniform_progression():
+    # a grid whose spacing varies walks nothing, and neither does one with an
+    # infinite node, whose finite nodes keep numpy's bytes; the default grid takes
+    # one exp per side, at the nodes nearest 0
+    assert _grid_walk(np.array([0.3, -0.1, 0.7, 1.0, -2.0])) == [
+        (None, [(0, 0), (2, 0), (3, 0)]),
+        (None, [(1, 0), (4, 0)]),
+    ]
+    grid = np.array([0.5, 1.0, 1.5, math.inf])
+    assert _grid_walk(grid) == [(None, [(0, 0), (1, 0), (2, 0), (3, 0)])]
+    x = np.random.default_rng(3).normal(size=1000)
+    assert _sampled_moments(x, grid)[0][:3].tolist() == [np.exp(t * x).mean() for t in grid[:3]]
+    grid = default_t_grid(0.75, 0.5)
+    (right, right_nodes), (left, left_nodes) = _grid_walk(grid)
+    assert right == -left == (grid[-1] - grid[0]) / (grid.size - 1)
+    assert right_nodes == [(32 + k, k) for k in range(32)]
+    assert left_nodes == [(31 - k, k) for k in range(32)]
 
 
 ALL_MODELS = [
@@ -345,6 +449,27 @@ def test_infinite_bound_is_met_without_overflow_warning():
         report = check_noise_mgf(model, 1.0)
     assert report.max_ratio == 0.9945488883979142
     assert report.verdict
+
+
+@pytest.mark.parametrize(
+    "family, shape",
+    [("centered_bernoulli", {}), ("bounded_binary_mixture", {}), ("centered_binomial", {"k": 20})],
+)
+def test_exact_check_fails_a_profile_below_the_variance(family, shape, monkeypatch):
+    # v shrunk until the largest conditional variance is 1.005 * 2 v / c at alpha = 0.5:
+    # the inequality then fails for small |t|, inside the grid's middle gap, so every
+    # grid point passes and only the t -> 0 condition fails the verdict
+    alpha = 0.5
+    model = make_scenario(family, seed=1, **shape).noise
+    profile = model.profile()
+    c = profile.mgf_normalization
+    v = float(np.max(model.conditional_rows(alpha).variances())) * c / (2.0 * 1.005)
+    planted = BernsteinProfile(lambda a: v, profile.b, profile.v_prime_0, c)
+    monkeypatch.setattr(model, "profile", lambda: planted)
+    report = check_noise_mgf(model, alpha)
+    assert report.max_ratio <= 1.0 + MGF_RATIO_TOL
+    assert not report.verdict
+    assert report == ref.mgf_report(model, alpha)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,6 +13,7 @@ import pytest
 
 import ewa_agg
 from ewa_agg import cli, oracle
+from ewa_agg.coupling import CF_BLOCK
 from ewa_agg.model import Dictionary, ExperimentConfig, WeightVector
 from ewa_agg.noise import CenteredBernoulli, Gaussian, Laplace
 from ewa_agg.oracle import OracleBoundReport, RiskReport, make_scenario, mc_risk
@@ -489,3 +490,43 @@ def test_certify_is_deterministic_across_thread_counts(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# Each subprocess prints the verify-bernstein reports of its config paths, then the
+# sampled-MGF moments of fixed draws on two default grids, all as hex bytes.
+_MGF_BYTES = """
+import sys
+import numpy as np
+from ewa_agg import cli
+from ewa_agg.bernstein import _sampled_moments, default_t_grid
+for path in sys.argv[2:]:
+    cli.main(["verify-bernstein", path, "--format", "json"])
+x = np.random.default_rng(5).laplace(0.3, 1.0, int(sys.argv[1]))
+for b in (0.0, 0.3):
+    print(b"".join(m.tobytes() for m in _sampled_moments(x, default_t_grid(1.0, b))).hex())
+"""
+
+
+def test_verify_bernstein_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
+    # the sampled MGF check sums v^2 without BLAS, whose dot product returns other
+    # bits at other OPENBLAS_NUM_THREADS. The reports' worst points take two passes,
+    # so the moments of every grid point are compared as well.
+    size = 2 * CF_BLOCK + 123
+    paths = []
+    for family in ("gaussian", "laplace"):
+        doc = make_scenario(family, seed=3).to_json() | {"sample_size": size, "alpha_grid": [1.0]}
+        paths.append(tmp_path / f"{family}.json")
+        paths[-1].write_text(json.dumps(doc))
+    outputs = set()
+    for blas, workers in (("1", "1"), ("2", "1"), ("1", "2")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, EWA_AGG_THREADS=workers)
+        proc = subprocess.run(
+            [sys.executable, "-c", _MGF_BYTES, str(size), *map(str, paths)],
+            capture_output=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(b'"verdict": "pass"') == 2
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
