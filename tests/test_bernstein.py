@@ -251,33 +251,22 @@ class TestMgfChecks:
     def test_sampled_overflow_fails_closed(self):
         # exp(t x) stays finite at t = 4, x = 100 but its square does not, so
         # the margin overflows; the point must fail, not pass with ratio -inf,
-        # whichever block of draws holds the 100
-        for size, at in ((1000, 0), (2 * CF_BLOCK + 7, CF_BLOCK + 5)):
-            zeta = np.random.default_rng(0).normal(size=size)
-            zeta[at] = 100.0
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                report = mgf_bound_check(zeta, 1.0, 0.0, 2.0, np.linspace(4.0, 7.0, 8))
-            assert not report.verdict
-            assert report.max_ratio == math.inf
-            assert report.worst_t == 4.0
-
-    @pytest.mark.parametrize("sign", (1.0, -1.0))
-    def test_sampled_overflow_at_a_walked_node_fails_closed(self, sign):
-        # on the symmetric grid +-1, +-3, +-5, +-7 the square of exp(t x) at x = +-100
-        # first overflows at |t| = 5, the third node of its side and a walked one;
-        # the first grid index it fails at is 5 on the right, -7 on the left
-        grid = np.linspace(-7.0, 7.0, 8)
-        assert [[k for _, k in nodes] for _, nodes in _grid_walk(grid)] == [[0, 1, 2, 3]] * 2
-        for size, at in ((1000, 0), (2 * CF_BLOCK + 7, CF_BLOCK + 5)):
-            zeta = np.random.default_rng(0).normal(size=size)
-            zeta[at] = sign * 100.0
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                report = mgf_bound_check(zeta, 1.0, 0.0, 2.0, grid)
-            assert not report.verdict
-            assert report.max_ratio == math.inf
-            assert report.worst_t == (5.0 if sign > 0 else -7.0)
+        # whichever block of draws holds the 100. On the symmetric grid +-1, +-3,
+        # +-5, +-7 the square at x = +-100 first overflows at |t| = 5, a walked
+        # node; the first grid index it fails at is 5 on the right, -7 on the left
+        symmetric = np.linspace(-7.0, 7.0, 8)
+        assert [[k for _, k in nodes] for _, nodes in _grid_walk(symmetric)] == [[0, 1, 2, 3]] * 2
+        cases = ((np.linspace(4.0, 7.0, 8), 100.0, 4.0), (symmetric, 100.0, 5.0), (symmetric, -100.0, -7.0))
+        for grid, draw, worst_t in cases:
+            for size, at in ((1000, 0), (2 * CF_BLOCK + 7, CF_BLOCK + 5)):
+                zeta = np.random.default_rng(0).normal(size=size)
+                zeta[at] = draw
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    report = mgf_bound_check(zeta, 1.0, 0.0, 2.0, grid)
+                assert not report.verdict
+                assert report.max_ratio == math.inf
+                assert report.worst_t == worst_t
 
     def test_merged_m2_keeps_two_pass_accuracy(self):
         # exp(x) has mean about 5e21 and relative spread 1e-6 over three blocks;
