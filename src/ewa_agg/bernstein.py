@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coupling import CF_BLOCK, CHECK_CSV_HEADER, Report, _check_alpha
+from .coupling import CF_BLOCK, CHECK_CSV_HEADER, Report, _as_count, _check_alpha
 from .laws import DiscreteLaw, LawRows
 
 MGF_RATIO_TOL = 1e-12
@@ -120,8 +120,10 @@ def default_t_grid(v, b):
 
 
 def mgf_bound(t, v, b, c):
-    """exp(v t^2 / (c (1 - b |t|))) on the admissible domain."""
+    """exp(v t^2 / (c (1 - b |t|))) on the admissible domain; a NaN or infinite t is refused."""
     t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t must be finite")
     if np.any(b * np.abs(t) >= 1.0):
         raise ValueError("t must satisfy b * |t| < 1")
     # near the domain edge the bound overflows to +inf, which any MGF meets
@@ -153,7 +155,7 @@ def _gamma(n):
 
 
 def _grid_walk(t_grid):
-    """The walk `_sampled_moments` takes over t_grid: for each side of 0 that holds
+    """The walk `_sampled_moments` takes over a finite t_grid: for each side of 0 that holds
     nodes (t = 0 goes with t > 0), a pair (step, nodes). nodes lists the side's grid
     indices outward from 0, each with k, its count of steps from the last node that
     takes its own exp (k = 0 for that node). step is the grid's mean spacing, signed
@@ -162,8 +164,6 @@ def _grid_walk(t_grid):
     t = t_grid.tolist()
     delta = (max(t) - min(t)) / (len(t) - 1) if len(t) > 1 else math.nan
     tol = _WALK_TOL * max(map(abs, t), default=0.0)
-    if not math.isfinite(tol):
-        delta = math.nan  # an infinite or NaN node: nothing is walked
     walk = []
     for sign in (1.0, -1.0):
         side = [i for i, ti in enumerate(t) if (ti >= 0.0) == (sign > 0.0)]
@@ -203,8 +203,8 @@ def _sampled_moments(samples, t_grid):
     rounding puts each of its nodes within 4 u T of that progression, so two
     nodes sit within 8 u T of each other's, and evaluating the test adds at most
     4 u T more. Any other node takes its own exp and the walk starts again from
-    it, so a grid whose spacing varies keeps each node's own exp(t x); a grid
-    with an infinite or NaN node walks nothing.
+    it, so a grid whose spacing varies keeps each node's own exp(t x). A grid
+    with an infinite or NaN node never gets here: `mgf_bound` refuses it.
 
     A walked node's error, against exp(t x) of the same draw x: numpy's accuracy
     tests hold its float64 exp to 1 ulp (at most 2 u relative), each exp's
@@ -350,8 +350,9 @@ def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
     array (empirical mean, credited a 5-standard-error margin, both merged over
     blocks of CF_BLOCK draws by Chan's update, with the grid walked and each
     block's M2 guarded as `_sampled_moments` derives). Any t_grid inside the
-    domain is taken. A point whose mean or margin is not finite, as after an
-    overflow, fails unless the bound there is infinite.
+    domain is taken; a non-finite node raises ValueError (`mgf_bound`). A point
+    whose mean or margin is not finite, as after an overflow, fails unless the
+    bound there is infinite.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     bound = mgf_bound(t_grid, v, b, c)  # also validates the domain
@@ -382,7 +383,7 @@ def check_noise_mgf(model, alpha, sample_size=1_000_000, rng=None):
         return _exact_report(rows, t_grid, bound, v, c, model.family, alpha)
     if rng is None:
         raise ValueError("sampled MGF checks need a generator: pass rng")
-    n = int(sample_size)
+    n = _as_count(sample_size, "sample_size")
     if n < 2:
         raise ValueError("sample_size must be at least 2")
     points = [

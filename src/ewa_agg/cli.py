@@ -21,9 +21,9 @@ import sys
 from dataclasses import replace
 
 from .bernstein import check_noise_mgf
-from .coupling import verify_coupling
+from .coupling import _as_count, verify_coupling
 from .ewa import dv_minimality_test
-from .model import ExperimentConfig, _CONFIG_KEYS, _as_count
+from .model import ExperimentConfig, _CONFIG_KEYS
 from .oracle import (
     OracleBoundReport,
     certify_config,

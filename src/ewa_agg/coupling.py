@@ -62,6 +62,13 @@ class Report:
         return [doc[key] for key in self.CSV_HEADER]
 
 
+def _as_count(value, name):
+    """The one count check: an int >= 1, never a bool and never a truncated float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return int(value)
+
+
 def _check_alpha(alpha):
     alpha = float(alpha)
     if math.isnan(alpha) or alpha < 0.0 or alpha > 1.0:
@@ -231,7 +238,7 @@ def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=Non
             raise ValueError("method must be one of: exact, ks, cf_grid")
         if model.discrete:
             raise ValueError(f"method '{method}' requires a continuous noise family")
-        n = int(sample_size)
+        n = _as_count(sample_size, "sample_size")
         if n < 2:
             raise ValueError("sample_size must be at least 2")
         if rng is None:

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import Report
+from .coupling import Report, _as_count
 from .model import (
     WeightVector,
-    _as_count,
     _as_weight_array,
     _check_beta,
     _log_softmax,

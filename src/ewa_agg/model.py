@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coupling import _as_count
 from .noise import NoiseModel, noise_from_json, noise_to_json
 
 SIMPLEX_ATOL = 1e-12
@@ -216,13 +217,6 @@ def _as_beta(value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError("beta must be positive")
     return _check_beta(value)
-
-
-def _as_count(value, name):
-    """The one count check: an int >= 1, never a bool and never a truncated float."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer")
-    return int(value)
 
 
 @dataclass(frozen=True)

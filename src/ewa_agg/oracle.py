@@ -14,37 +14,38 @@ for `ewa-agg oracle-bound`; each report's fields are its JSON keys
 (`coupling.Report`), and its CSV_HEADER picks the CSV columns.
 
 Replicate r draws its noise from the stream numpy derives for (seed, r),
-Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))), and runs the distance,
-softmax and moments behind `posterior_weights`. A worker's span of replicates
-hashes all their PCG64 seed words in one numpy pass (`derived_states`, numpy's
-hash redone, equal to it word for word), turns them into seated (state, inc)
-words by 128-bit arithmetic on 64-bit halves (`_seated`), and seats each in turn
-on one generator of its own by writing its words into the generator's struct
-(`_seat_rows`). numpy does not publish that struct, so the span's generator first
-checks its layout by reading before writing (`_state_views`); where the check
-fails, the span seats through the bit_generator.state setter, with the same bits.
-Seated, a replicate makes only its generator calls: the
-family's raw draw (`NoiseModel.raw_draw`) and, with prior_samples set, the
-uniforms of rng.choice(m, prior_samples, p=prior). Its chunk then turns every
-row's raw draw into noise by one `noise_rows` call, and every row's uniforms
-into atom picks by one searchsorted on the prior's cdf, which is built once per
-config as rng.choice builds it (`_choice_cdf`). Replicates go through in chunks of
-R_c = BLOCK_DOUBLES // (m n) rows, m being prior_samples when set (one row where n outgrows
-einsum's buffer; `ewa._signal_rows`), by a rule blind to the worker count and to beta: one
-distance block per chunk, then per temperature one row-wise softmax and one moments call
-(`ewa._posterior_moments`: two stacked matmuls, each row's BLAS call where a 2-D gemm would
-sum in another order, and the squared norms by `ewa._atom_sq_distances`), each row giving
-the bits of its one-replicate call. So results are bit-identical however many workers run,
-however replicates are chunked and however many temperatures share the pass: `certify_config`
-makes one pass for its two, and each report equals its own `mc_risk` run. The softmax makes
-the weights alone (`ewa._posterior`), no log-weights. EWA_AGG_THREADS (default 1) workers
-share a config whose chunks hold one row; one with more rows per chunk runs on one, as its
-numpy calls hold the GIL. A single span runs in the calling thread, with no pool.
+Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))), and runs the distance, softmax and
+moments behind `posterior_weights`. The stream pipeline: a worker's span of replicates
+[first, last) gets all their seated PCG64 (state, inc) words from one function of (seed,
+first, last), `_seated_states`, which redoes numpy's seed hash and PCG64 seeding in a few
+array passes and equals numpy's seated state word for word. The span seats each row in turn
+on one generator of its own by writing the words into the generator's struct (`_seat_rows`).
+numpy does not publish that struct, so the span's generator first checks its layout by
+reading before writing (`_state_views`); where the check fails, the span seats through the
+bit_generator.state setter, with the same bits. Seated, a replicate makes only its generator
+calls: the family's raw draw (`NoiseModel.raw_draw`) and, with prior_samples set, the
+uniforms of rng.choice(m, prior_samples, p=prior). Its chunk then turns every row's raw draw
+into noise by one `noise_rows` call, and every row's uniforms into atom picks by one
+searchsorted on the prior's cdf, which is built once per config as rng.choice builds it
+(`_choice_cdf`). Replicates go through in chunks of R_c = BLOCK_DOUBLES // (m n) rows, m
+being prior_samples when set (one row where n outgrows einsum's buffer; `ewa._signal_rows`),
+by a rule blind to the worker count and to beta: one distance block per chunk, then per
+temperature one row-wise softmax and one moments call (`ewa._posterior_moments`: two stacked
+matmuls, each row's BLAS call where a 2-D gemm would sum in another order, and the squared
+norms by `ewa._atom_sq_distances`), each row giving the bits of its one-replicate call. So
+results are bit-identical however many workers run, however replicates are chunked and
+however many temperatures share the pass: `certify_config` makes one pass for its two, and
+each report equals its own `mc_risk` run. The softmax makes the weights alone
+(`ewa._posterior`), no log-weights. EWA_AGG_THREADS (default 1) workers share a config whose
+chunks hold one row; one with more rows per chunk runs on one, as its numpy calls hold the
+GIL. A single span runs in the calling thread, with no pool.
 
 Where the posterior is a point mass on atom j, a tie passes: every risk is the bound's
 d_j bit for bit (both sum in `ewa._atom_sq_distances`), every posterior variance is 0, a
 constant series has its value as mean and exactly 0 as standard error (`_mean_and_stderr`),
-and the Gibbs bound, clamped to [min_j d_j, f], is d_j.
+and the Gibbs bound, clamped to [min_j d_j, f], is d_j. Where it is uniform over copies of
+one atom, the risk can sit an ulp above d_j, as the weights' sum is not 1 exactly; both
+verdicts allow for such rounding (`_rounding_allowance`), a bound far below any real gap.
 """
 
 import ctypes
@@ -57,8 +58,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bernstein import beta_threshold, variance_penalty_coefficient
-from .coupling import Report
+from .bernstein import _gamma, beta_threshold, variance_penalty_coefficient
+from .coupling import Report, _as_count
 from .ewa import (
     _atom_sq_distances,
     _ewa_inputs,
@@ -70,7 +71,6 @@ from .model import (
     Dictionary,
     ExperimentConfig,
     WeightVector,
-    _as_count,
     logsumexp,
     sup_diameter,
 )
@@ -88,7 +88,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _STATE_KEYS = 1 << 14  # keys a span derives at once: its transient arrays stay a few MB
-# two PCG64 states in `_seated` order, every word distinct, for the layout check
+# two PCG64 states in `_seated_states` order, every word distinct, for the layout check
 _PROBES = (
     [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x13579BDF02468ACF, 0x2468ACE013579BDF],
     [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xD6E8FEB86659FD93],
@@ -121,60 +121,6 @@ def _column(values):
     return np.array(values, np.uint32)[:, None]
 
 
-def _words(value):
-    """The little-endian 32-bit words of a non-negative integer, as SeedSequence reads it."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _key_table(keys):
-    """(table, lengths): each key's 32-bit words as SeedSequence reads them, zero-padded to the
-    longest key, and each key's word count. A range of ints stands for the keys (r,), its table
-    one numpy column pass."""
-    if isinstance(keys, range) and keys.step == 1 and 0 <= keys.start and keys.stop <= 1 << 63:
-        r = np.arange(keys.start, max(keys.start, keys.stop), dtype=np.uint64)
-        high = (r >> 32).astype(np.uint32)
-        lengths = np.where(high > 0, 2, 1)
-        table = np.column_stack([r.astype(np.uint32), high])
-        return table[:, : lengths.max(initial=0)], lengths
-    if isinstance(keys, range):
-        keys = [(r,) for r in keys]
-    key_words = [[w for part in key for w in _words(part)] for key in keys]
-    lengths = np.fromiter(map(len, key_words), np.intp, len(key_words))
-    table = np.zeros((len(key_words), lengths.max(initial=0)), np.uint32)
-    table[np.arange(table.shape[1]) < lengths[:, None]] = [w for ws in key_words for w in ws]
-    return table, lengths
-
-
-def derived_states(seed, keys):
-    """The PCG64 seed words of Generator(PCG64(SeedSequence(seed, spawn_key=key))) per key, as
-    a (len(keys), 4) uint64 array: initstate high and low words, then initseq's. keys is a list
-    of tuples or a range of ints r, each the key (r,). The seed's pool is numpy's own
-    (SeedSequence(seed).pool). Each key word then mixes into the 4 pool words of every key at
-    once, one array pass per word position (a key with fewer words keeps its pool), and the
-    pools hash out 8 words as generate_state(4, uint64) does."""
-    pool = np.random.SeedSequence(seed).pool
-    table, lengths = _key_table(keys)
-    # the seed took 4 hash steps per word, padded to 4 words; each key word takes 4 more
-    step = _POOL_WORDS * max(len(_words(seed)), _POOL_WORDS)
-    xors, muls = _steps(_INIT_A, _MULT_A, step + _POOL_WORDS * table.shape[1])
-    pools = np.repeat(_column(pool), len(table), axis=1)
-    for col in range(table.shape[1]):
-        run = slice(step, step + _POOL_WORDS)
-        hashed = _hash(table[:, col], _column(xors[run]), _column(muls[run]))
-        pools = np.where(lengths > col, _mix(pools, hashed), pools)
-        step += _POOL_WORDS
-    xors, muls = _steps(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
-    out = _hash(pools[np.arange(2 * _POOL_WORDS) % _POOL_WORDS], _column(xors), _column(muls))
-    out = out.astype(np.uint64)
-    return (out[0::2] | out[1::2] << 32).T
-
-
 def _high_product(a, b):
     """The high 64 bits of the 128-bit products a * b of uint64 values."""
     a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
@@ -183,12 +129,31 @@ def _high_product(a, b):
     return a1 * b1 + (cross >> 32) + (other >> 32) + (mid >> 32)
 
 
-def _seated(words):
-    """The PCG64 state pcg64_set_seed makes of each row of `derived_states` words, as a
-    (len(words), 4) uint64 array: state low and high words, then inc's, the order of numpy's
-    struct. inc = initseq << 1 | 1 and state = (inc + initstate) mult + inc, mod 2^128, on
-    64-bit halves."""
-    state_hi, state_lo, seq_hi, seq_lo = words.T
+def _seated_states(seed, first, last):
+    """The seated PCG64 words of Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))) for r in
+    range(first, last), 0 <= first <= last <= 2^64, as a (last - first, 4) uint64 array in the
+    order of numpy's struct: state low and high words, then inc's. The seed's pool is numpy's
+    own (SeedSequence(seed).pool, which validates the seed). Each key word mixes into the 4
+    pool words of every key at once, one array pass per word position: the low word of every
+    key, then the high word of the keys >= 2^32, the only keys with one. The pools hash out the
+    words initstate and initseq, as generate_state(4, uint64) does, and pcg64_set_seed seats
+    them: inc = initseq << 1 | 1 and state = (inc + initstate) mult + inc, mod 2^128, on 64-bit
+    halves."""
+    pool = np.random.SeedSequence(seed).pool
+    r = np.arange(first, max(first, last), dtype=np.uint64)
+    # the seed took 4 hash steps per 32-bit word, padded to 4 words; each key word takes 4 more
+    step = _POOL_WORDS * max(-(-operator.index(seed).bit_length() // 32), _POOL_WORDS)
+    xors, muls = _steps(_INIT_A, _MULT_A, step + 2 * _POOL_WORDS)
+    low, high = slice(step, step + _POOL_WORDS), slice(step + _POOL_WORDS, None)
+    pools = _mix(_column(pool), _hash(r.astype(np.uint32), _column(xors[low]), _column(muls[low])))
+    wide = min(max(0, (1 << 32) - first), len(r))  # the first key of two words
+    if wide < len(r):
+        hashed = _hash((r[wide:] >> 32).astype(np.uint32), _column(xors[high]), _column(muls[high]))
+        pools[:, wide:] = _mix(pools[:, wide:], hashed)
+    xors, muls = _steps(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
+    out = _hash(pools[np.arange(2 * _POOL_WORDS) % _POOL_WORDS], _column(xors), _column(muls))
+    out = out.astype(np.uint64)
+    state_hi, state_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32
     inc_lo, inc_hi = seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63
     x_lo = inc_lo + state_lo
     x_hi = inc_hi + state_hi + (x_lo < inc_lo)
@@ -209,14 +174,14 @@ def _view(owner, address, dtype, count):
 
 
 def _state_views(bit_generator):
-    """(words, flags): numpy views over a PCG64's state and inc words, in `_seated` order, and
-    over its has_uint32 and uinteger fields, or None where numpy's struct is laid out otherwise.
-    bit_generator.ctypes.state_address holds a pointer to the (state, inc) pair, then the two
-    fields; numpy does not publish that layout, so it is checked by reading before writing.
-    Only memory inside the generator object is read. The words behind the pointer must be a
-    state the setter made, low word first, with its buffered half read back in the fields;
-    then a state written through the views must equal a twin's made by the setter, by its
-    state dict and by a draw."""
+    """(words, flags): numpy views over a PCG64's state and inc words, in `_seated_states`
+    order, and over its has_uint32 and uinteger fields, or None where numpy's struct is laid
+    out otherwise. bit_generator.ctypes.state_address holds a pointer to the (state, inc) pair,
+    then the two fields; numpy does not publish that layout, so it is checked by reading before
+    writing. Only memory inside the generator object is read. The words behind the pointer
+    must be a state the setter made, low word first, with its buffered half read back in the
+    fields; then a state written through the views must equal a twin's made by the setter, by
+    its state dict and by a draw."""
     try:
         inside = range(id(bit_generator), id(bit_generator) + type(bit_generator).__basicsize__)
         address = bit_generator.ctypes.state_address
@@ -244,8 +209,8 @@ def _state_views(bit_generator):
 
 
 def _state_dict(state_lo, state_hi, inc_lo, inc_hi, buffered=None):
-    """PCG64's bit_generator.state for the `_seated` words, with buffered as its stored 32-bit
-    half if given."""
+    """PCG64's bit_generator.state for the `_seated_states` words, with buffered as its stored
+    32-bit half if given."""
     return {
         "bit_generator": "PCG64",
         "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
@@ -255,9 +220,9 @@ def _state_dict(state_lo, state_hi, inc_lo, inc_hi, buffered=None):
 
 
 def _seat_rows(bit_generator, views, rows):
-    """Seat bit_generator at each row of `_seated` words in turn, with no buffered 32-bit half,
-    yielding after each: through its `_state_views`, or by the state setter where views is
-    None."""
+    """Seat bit_generator at each row of `_seated_states` words in turn, with no buffered
+    32-bit half, yielding after each: through its `_state_views`, or by the state setter where
+    views is None."""
     if views is None:
         for row in rows.tolist():
             bit_generator.state = _state_dict(*row)
@@ -272,7 +237,7 @@ def _seat_rows(bit_generator, views, rows):
 
 def derived_stream(seed, *key):
     """The generator Generator(PCG64(SeedSequence(seed, spawn_key=key))), numpy's own
-    derivation, which `derived_states` redoes for a whole span of keys. seed and the key
+    derivation, which `_seated_states` redoes for a whole span of keys (r,). seed and the key
     parts are non-negative integers, as a config's seed is; None or an entropy sequence,
     which SeedSequence also takes, raises TypeError."""
     seeds = np.random.SeedSequence(operator.index(seed), spawn_key=key)
@@ -385,16 +350,14 @@ def _choice_cdf(p):
 
 def _run_replicates(config, betas):
     """One (risks, pvars) pair of per-replicate series per temperature in betas; what no
-    replicate or beta changes is made once. A worker's span derives its replicates' seated
-    stream states (`derived_states` of its range of keys, then `_seated`) and seats each in
-    turn on one generator of its own (`_seat_rows`), for its raw noise draw and its prior
-    uniforms: by a direct write into the generator's struct where the span's layout check
-    passes (`_state_views`), else by the state setter, with the same bits. It goes in chunks
-    of `_signal_rows` replicates, whatever the worker count or beta: one noise transform,
-    prior pick and distance block (none if every beta is +inf) per chunk, then a row-wise
-    softmax (weights only) and moments call per beta, so each pair is bit for bit a pass at
-    its beta alone. A config whose chunks hold more than one row runs on one worker, as their
-    small numpy calls hold the GIL; one span runs in the calling thread, with no pool."""
+    replicate or beta changes is made once. A worker's span seats its replicates' streams as
+    the module docstring's stream pipeline says, for each one's raw noise draw and prior
+    uniforms. It goes in chunks of `_signal_rows` replicates, whatever the worker count or
+    beta: one noise transform, prior pick and distance block (none if every beta is +inf) per
+    chunk, then a row-wise softmax (weights only) and moments call per beta, so each pair is
+    bit for bit a pass at its beta alone. A config whose chunks hold more than one row runs on
+    one worker, as their small numpy calls hold the GIL; one span runs in the calling thread,
+    with no pool."""
     total, sampled = config.replicates, config.prior_samples
     atoms = config.dictionary.atoms
     norms = _atom_sq_distances(0.0, atoms)
@@ -432,7 +395,7 @@ def _run_replicates(config, betas):
         keys_at_once = rows * max(1, _STATE_KEYS // rows)  # whole chunks
         for first in range(lo, hi, keys_at_once):
             last = min(first + keys_at_once, hi)
-            seated = _seated(derived_states(config.seed, range(first, last)))
+            seated = _seated_states(config.seed, first, last)
             for start in range(first, last, rows):
                 stop = min(start + rows, last)
                 fill(rng, views, slice(start, stop), seated[start - first : stop - first])
@@ -462,6 +425,38 @@ def _mean_and_stderr(values):
     return mean, float(shifted.std(ddof=1)) / math.sqrt(values.size)
 
 
+def _rounding_allowance(config):
+    """The allowance both verdicts add to their right-hand side: how far rounding alone may put
+    a replicate's computed risk above the computed Gibbs bound where the exact risk is at most
+    the exact bound, made once per config from the atoms' magnitudes. Take gamma_k = k u /
+    (1 - k u), u = 2^-53, the bound on k roundings (Higham 2002, section 3.1), s weights (m,
+    or prior_samples where set), n coordinates, truth t, a_i = max_j |theta_ji| and
+    c_i = max_j |theta_ji - t_i|. The sums behind the risk and the bound:
+
+    - the weights' sum: e_j / fl(sum_j e_j) of nonnegative e_j is w_j (1 + theta_s), w being
+      e normalized exactly;
+    - the gemv mean: fl(sum_j w^_j theta_ji) = sum_j w_j theta_ji (1 + theta_2s) lies within
+      e_i = gamma_2s a_i of the exact mean M_i, a convex combination of atoms: |M_i - t_i| <= c_i;
+    - the squared distance: n + 2 roundings of nonnegative terms, so the risk is at most
+      (1 + gamma_{n+2}) sum_i (|M_i - t_i| + e_i)^2
+      <= R + sum_i e_i (2 c_i + e_i) + gamma_{n+2} sum_i (c_i + e_i)^2, R the exact risk;
+    - the bound's d_j: the same reduction, so d^_j >= (1 - gamma_{n+2}) d_j. The Gibbs bound B
+      is nondecreasing and concave in d with B(0) = 0, so B(d^) >= (1 - gamma_{n+2}) B(d)
+      >= B(d) - gamma_{n+2} sum_i c_i^2, as B(d) <= max_j d_j <= sum_i c_i^2.
+
+    So R <= B(d) gives risk <= bound + the sum of these terms, the allowance, to first order in
+    its own rounding. It leaves out the exp and log of the softmax and of the bound, and the
+    replicate mean: at a tie between copies of one atom each posterior is uniform over them,
+    the bound is its clamped d_j, and a constant series keeps its value (`_mean_and_stderr`)."""
+    atoms, truth = config.dictionary.atoms, config.truth
+    top, bottom = atoms.max(axis=0), atoms.min(axis=0)
+    a = np.maximum(np.abs(top), np.abs(bottom))
+    c = np.maximum(top - truth, truth - bottom)
+    e = _gamma(2 * (config.prior_samples or len(atoms))) * a
+    n_sums = _gamma(truth.size + 2)
+    return float(e @ (2.0 * c + e) + n_sums * ((c + e) @ (c + e) + c @ c))
+
+
 def _reports(checks, profile, d0, threshold):
     """The `RiskReport` of each (config, mode) in checks, configs that differ only in beta.
     Every check runs before one replicate pass serves every beta (`_run_replicates`)."""
@@ -479,6 +474,7 @@ def _reports(checks, profile, d0, threshold):
         for config, mode in checks
     ]
     runs = _run_replicates(checks[0][0], tuple(config.beta for config, _ in checks))
+    allowance = _rounding_allowance(checks[0][0])
     reports = []
     for (config, mode), coeff, (risks, pvars) in zip(checks, coeffs, runs):
         risk, risk_se = _mean_and_stderr(risks)
@@ -490,7 +486,7 @@ def _reports(checks, profile, d0, threshold):
             combined, combined_se = risk, risk_se
         penalty = coeff * pvar
         slack = bound + penalty - risk
-        verdict = combined <= bound + CONFIDENCE_MULTIPLIER * combined_se
+        verdict = combined <= bound + allowance + CONFIDENCE_MULTIPLIER * combined_se
         reports.append(RiskReport(
             family=config.noise.family,
             n=config.dictionary.n,

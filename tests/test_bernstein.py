@@ -28,6 +28,7 @@ from ewa_agg.bernstein import (
     variance_penalty_coefficient,
 )
 from ewa_agg.coupling import CF_BLOCK, conditional_zeta_laws
+from ewa_agg.laws import DiscreteLaw
 from ewa_agg.noise import (
     FAMILIES,
     BoundedBinaryMixture,
@@ -189,6 +190,23 @@ class TestGridAndBound:
     def test_mgf_bound_domain_error(self):
         with pytest.raises(ValueError, match="b \\* \\|t\\|"):
             mgf_bound(2.1, 1.0, 0.5, 2.0)
+
+    @pytest.mark.parametrize("node", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("b", [0.0, 0.5])
+    def test_non_finite_nodes_are_refused(self, node, b):
+        # a NaN node passes the domain test b |t| < 1 and t = inf at b = 0 makes 0 * inf:
+        # both are refused first, with no RuntimeWarning (an error under this suite)
+        x = np.random.default_rng(3).normal(size=1000)
+        grid = [0.5, node]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: mgf_bound(grid, 1.0, b, 2.0),
+                lambda: mgf_bound_check(x, 1.0, b, 2.0, grid),
+                lambda: mgf_bound_check(DiscreteLaw([-1.0, 1.0], [0.5, 0.5]), 1.0, b, 2.0, grid),
+            ):
+                with pytest.raises(ValueError, match="t must be finite"):
+                    call()
 
 
 class TestMgfChecks:
@@ -370,17 +388,15 @@ def test_sampled_moments_match_the_per_point_formula(size, seed, scale, grid_cas
 
 
 def test_walk_takes_its_own_exp_off_the_uniform_progression():
-    # a grid whose spacing varies walks nothing, and neither does one with an
-    # infinite node, whose finite nodes keep numpy's bytes; the default grid takes
-    # one exp per side, at the nodes nearest 0
+    # a grid whose spacing varies walks nothing; one with an infinite node is refused
+    # before any walk; the default grid takes one exp per side, at the nodes nearest 0
     assert _grid_walk(np.array([0.3, -0.1, 0.7, 1.0, -2.0])) == [
         (None, [(0, 0), (2, 0), (3, 0)]),
         (None, [(1, 0), (4, 0)]),
     ]
-    grid = np.array([0.5, 1.0, 1.5, math.inf])
-    assert _grid_walk(grid) == [(None, [(0, 0), (1, 0), (2, 0), (3, 0)])]
     x = np.random.default_rng(3).normal(size=1000)
-    assert _sampled_moments(x, grid)[0][:3].tolist() == [np.exp(t * x).mean() for t in grid[:3]]
+    with pytest.raises(ValueError, match="t must be finite"):
+        mgf_bound_check(x, 1.0, 0.0, 2.0, [0.5, 1.0, 1.5, math.inf])
     grid = default_t_grid(0.75, 0.5)
     (right, right_nodes), (left, left_nodes) = _grid_walk(grid)
     assert right == -left == (grid[-1] - grid[0]) / (grid.size - 1)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import law_reference as ref
+from ewa_agg.bernstein import check_noise_mgf
 from ewa_agg.coupling import (
     CF_BLOCK,
     CF_POINTS,
@@ -370,6 +371,23 @@ class TestVerifyCouplingStatistical:
             with pytest.raises(ValueError, match="generator"):
                 verify_coupling(Laplace([1.0]), 0.5, method=method, sample_size=100)
         assert verify_coupling(CenteredBernoulli([0.3]), 0.5).verdict
+
+    @pytest.mark.parametrize("entry", ["ks", "cf_grid", "mgf"])
+    def test_sample_size_takes_the_package_count_rule(self, entry):
+        # the count rule the CLI applies: no truncated float, no bool, no string
+        def run(sample_size):
+            rng = np.random.default_rng(3)
+            if entry == "mgf":
+                return check_noise_mgf(Laplace([1.0]), 0.5, sample_size=sample_size, rng=rng)
+            return verify_coupling(Laplace([1.0]), 0.5, entry, sample_size=sample_size, rng=rng)
+
+        for bad in (2.9, 10.7, True, "50"):
+            with pytest.raises(ValueError, match="sample_size must be a positive integer"):
+                run(bad)
+        with pytest.raises(ValueError, match="sample_size must be at least 2"):
+            run(1)
+        report = run(2)
+        assert report.points == 64 if entry == "mgf" else report.sample_size == 2
 
     def test_method_family_mismatch(self):
         with pytest.raises(ValueError, match="discrete"):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,34 @@ def test_snapshot_ties_tree_runs_point_masses_that_pass():
             assert report.verdict and report.risk == report.bound and report.stderr == 0.0
             for report in certify_config(config):  # the tie holds at both temperatures
                 assert report.verdict and report.risk == report.bound
+
+
+def test_snapshot_seeds_tree_spans_one_and_two_words():
+    # certify's --seed takes a seed of one 32-bit word and seeds of two, up to the largest
+    # a 64-bit seed holds; each runs the canned shape through the seated streams
+    snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
+    words = [max(1, -(-seed.bit_length() // 32)) for seed in snapshot.SEEDS]
+    assert sorted(set(words)) == [1, 2] and max(snapshot.SEEDS) == 2**64 - 1
+    config = make_scenario("gaussian", replicates=snapshot.REPLICATES, seed=snapshot.SEED)
+    runs = [[r.risk for r in certify_config(replace(config, seed=s))] for s in snapshot.SEEDS]
+    assert len({tuple(risks) for risks in runs}) == len(snapshot.SEEDS)
+
+
+def test_snapshot_duplicated_tree_runs_ties_that_pass():
+    # every family's one atom copied under a uniform prior: each posterior is uniform over the
+    # copies, so every replicate has the same risk, and the tie passes in every verdict
+    snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
+    assert set(snapshot.DUPLICATED_N) == set(FAMILIES)
+    size, seed = snapshot.REPLICATES, snapshot.SEED
+    for family, n in snapshot.DUPLICATED_N.items():
+        scenario = make_scenario(family, n=n, m=1, replicates=size, seed=seed)
+        doc = scenario.to_json()
+        config = ExperimentConfig.from_json({**doc, **snapshot._duplicated(doc)})
+        assert config.dictionary.m == snapshot.COPIES
+        assert (config.dictionary.atoms == scenario.dictionary.atoms).all()
+        assert (config.prior.weights == WeightVector.uniform(snapshot.COPIES).weights).all()
+        for report in [mc_risk(config), *certify_config(config)]:
+            assert report.verdict and report.stderr == 0.0, report
 
 
 def test_snapshot_scaled_atoms_certify_is_rejected():

@@ -32,7 +32,11 @@ so it exits 2 before any replicate runs. Each family also runs simulate and cert
 at EWA_AGG_THREADS=1 on two point-mass shapes into OUT/cli-ties/: one-atom (m = 1)
 and dirac (m = 5, a Dirac prior on atom 2), at sizes n where the risk and the Gibbs
 bound, equal in exact arithmetic, differ in their last bit if summed in two orders;
-certify checks the tie at both of its temperatures.
+certify checks the tie at both of its temperatures. Into OUT/cli-ties/duplicated/ go
+simulate and certify on five copies of the family's one atom under a uniform prior, at
+the n where the last bit of the weighted mean once failed all three verdicts. certify
+also runs on each family's canned shape at --seed 0, 2^32 and 2^64 - 1, seeds of one
+32-bit word and of two, into OUT/cli-seeds/<family>.certify.<seed>.<format>.
 OUT/exit_codes.txt lists every exit code.
 Snapshots of two checkouts compare with `diff -r OUT_A OUT_B`.
 """
@@ -69,6 +73,11 @@ TIES = {
     "one-atom": ({family: {"n": n, "m": 1} for family, n in TIE_N.items()}, {}),
     "dirac": (dict.fromkeys(TIE_N, {"n": 8, "m": 5}), {"prior": [0.0, 0.0, 1.0, 0.0, 0.0]}),
 }
+# n per family of the one atom that cli-ties/duplicated copies COPIES times under a uniform prior
+DUPLICATED_N = {"centered_bernoulli": 3, "gaussian": 3, "bounded_binary_mixture": 2,
+                "centered_binomial": 3, "laplace": 3}
+COPIES = 5
+SEEDS = (0, 2**32, 2**64 - 1)  # cli-seeds: certify's --seed, of one 32-bit word and of two
 # (family, make_scenario arguments, atom scale) of a certify run under cli-limits/scaled-atoms:
 # scaled atoms widen d0 until v'(0) <= b(0) d0, so half the threshold has no penalty coefficient
 SCALED = ("laplace", {"n": 20, "m": 5}, 20.0)
@@ -78,6 +87,11 @@ def _skewed(m, picks):
     """prior_samples and a prior over m atoms in proportion to j mod 7: every seventh has none."""
     weights = [j % 7 for j in range(m)]
     return {"prior_samples": picks, "prior": [w / sum(weights) for w in weights]}
+
+
+def _duplicated(doc):
+    """The config extras that copy a one-atom scenario's atom COPIES times, uniform prior."""
+    return {"dictionary": doc["dictionary"] * COPIES, "prior": [1.0 / COPIES] * COPIES}
 
 
 def _run(args, env, path, codes):
@@ -125,11 +139,15 @@ def main(argv):
             for case, (shapes, extras) in TIES.items()
         ),
         (
+            ".ties-duplicated", {family: {"n": n, "m": 1} for family, n in DUPLICATED_N.items()},
+            _duplicated, "cli-ties/duplicated", COMMANDS[:2], "1",
+        ),
+        (
             ".scaled", {scaled_family: scaled_shape}, scaled_atoms, "cli-limits/scaled-atoms",
             COMMANDS[1:2], "1",
         ),
     )
-    for folder in ("configs", *(run[3] for run in runs), "demos"):
+    for folder in ("configs", *(run[3] for run in runs), "cli-seeds", "demos"):
         (out / folder).mkdir(parents=True, exist_ok=True)
     for family in FAMILIES:
         for suffix, shapes, extras, folder, commands, threads in runs:
@@ -138,12 +156,18 @@ def main(argv):
             shape = shapes[family]
             doc = make_scenario(family, replicates=REPLICATES, seed=SEED, **shape).to_json()
             config = out / "configs" / f"{family}{suffix}.json"
-            config.write_text(json.dumps({**doc, **extras}))
+            config.write_text(json.dumps({**doc, **(extras(doc) if callable(extras) else extras)}))
             for command in commands:
                 for fmt in FORMATS:
                     args = [sys.executable, "-m", "ewa_agg.cli", command, str(config)]
                     path = out / folder / f"{family}.{command}.{fmt}"
                     _run([*args, "--format", fmt], {**env, THREADS: threads}, path, codes)
+        canned = str(out / "configs" / f"{family}.json")  # the first run's config
+        for seed in SEEDS:
+            for fmt in FORMATS:
+                args = [sys.executable, "-m", "ewa_agg.cli", "certify", canned, "--seed", str(seed)]
+                path = out / "cli-seeds" / f"{family}.certify.{seed}.{fmt}"
+                _run([*args, "--format", fmt], env, path, codes)
     for demo in sorted((src / "demos").glob("*.py")):
         _run([sys.executable, str(demo)], env, out / "demos" / f"{demo.stem}.txt", codes)
     (out / "exit_codes.txt").write_text("".join(codes))
