@@ -120,11 +120,12 @@ class LawRows:
         return np.repeat(np.arange(self.count), np.diff(self.offsets))
 
     def variances(self):
-        """Each row's variance: the sum of p (x - mean)^2 over its own atoms."""
+        """Each row's variance: the sum of p (x - mean)^2 over its own atoms, grouped as in
+        `DiscreteLaw.variance`: (p (x - mean)) (x - mean) rounds otherwise at a subnormal p."""
         starts = self.offsets[:-1]
         means = np.add.reduceat(self.probs * self.values, starts)
         deviations = self.values - np.repeat(means, np.diff(self.offsets))
-        return np.add.reduceat(self.probs * deviations * deviations, starts)
+        return np.add.reduceat(self.probs * (deviations * deviations), starts)
 
     def law(self, r):
         """Row r as a `DiscreteLaw`, sharing its arrays."""

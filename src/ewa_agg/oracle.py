@@ -45,7 +45,7 @@ d_j bit for bit (both sum in `ewa._atom_sq_distances`), every posterior variance
 constant series has its value as mean and exactly 0 as standard error (`_mean_and_stderr`),
 and the Gibbs bound, clamped to [min_j d_j, f], is d_j. Where it is uniform over copies of
 one atom, the risk can sit an ulp above d_j, as the weights' sum is not 1 exactly; both
-verdicts allow for such rounding (`_rounding_allowance`), a bound far below any real gap.
+verdicts allow for such rounding (`_rounding_allowance`), scaled by each report's own terms.
 """
 
 import ctypes
@@ -425,36 +425,37 @@ def _mean_and_stderr(values):
     return mean, float(shifted.std(ddof=1)) / math.sqrt(values.size)
 
 
-def _rounding_allowance(config):
-    """The allowance both verdicts add to their right-hand side: how far rounding alone may put
-    a replicate's computed risk above the computed Gibbs bound where the exact risk is at most
-    the exact bound, made once per config from the atoms' magnitudes. Take gamma_k = k u /
-    (1 - k u), u = 2^-53, the bound on k roundings (Higham 2002, section 3.1), s weights (m,
-    or prior_samples where set), n coordinates, truth t, a_i = max_j |theta_ji| and
-    c_i = max_j |theta_ji - t_i|. The sums behind the risk and the bound:
+def _rounding_allowance(config, bound, penalty, pvar):
+    """What a report's verdict adds to its right-hand side: how far rounding alone may put the
+    computed left-hand side (mean risk less penalty) above the computed Gibbs bound where the
+    exact one is at most the exact bound. With u = 2^-53, gamma_k = k u / (1 - k u) bounds k
+    roundings (Higham 2002, section 3.1); take G = gamma_2s over s weights (m, or
+    prior_samples), H = gamma_{n+2} over n coordinates and T = ||t||. Per replicate let M =
+    sum_j w_j theta_j be the exact mean, R = ||M - t||^2 the exact risk, V the posterior
+    variance and P = sum_j w_j ||theta_j - t||^2 = R + V:
 
-    - the weights' sum: e_j / fl(sum_j e_j) of nonnegative e_j is w_j (1 + theta_s), w being
-      e normalized exactly;
-    - the gemv mean: fl(sum_j w^_j theta_ji) = sum_j w_j theta_ji (1 + theta_2s) lies within
-      e_i = gamma_2s a_i of the exact mean M_i, a convex combination of atoms: |M_i - t_i| <= c_i;
-    - the squared distance: n + 2 roundings of nonnegative terms, so the risk is at most
-      (1 + gamma_{n+2}) sum_i (|M_i - t_i| + e_i)^2
-      <= R + sum_i e_i (2 c_i + e_i) + gamma_{n+2} sum_i (c_i + e_i)^2, R the exact risk;
-    - the bound's d_j: the same reduction, so d^_j >= (1 - gamma_{n+2}) d_j. The Gibbs bound B
-      is nondecreasing and concave in d with B(0) = 0, so B(d^) >= (1 - gamma_{n+2}) B(d)
-      >= B(d) - gamma_{n+2} sum_i c_i^2, as B(d) <= max_j d_j <= sum_i c_i^2.
+    - the weights' sum and the gemv mean: fl(sum_j w^_j theta_ji) = sum_j w_j theta_ji
+      (1 + theta_2s) lies within G sum_j w_j (|t_i| + |theta_ji - t_i|) of M_i, so the
+      computed mean lies within e = G (T + sqrt(P)) of M (Jensen);
+    - the squared distance: n + 2 roundings of nonnegative terms, so the computed risk is at
+      most (1 + H) (sqrt(R) + e)^2 <= (1 + H) (R + 2 G (T sqrt(P) + P + G (T^2 + P))), and its
+      mean over replicates the same in the means of R and P (sqrt is concave);
+    - the bound's d_j: the same reduction, so d^_j >= (1 - H) d_j; the Gibbs bound B is
+      nondecreasing and concave in d, 0 at d = 0, so the computed one is >= (1 - H) B.
 
-    So R <= B(d) gives risk <= bound + the sum of these terms, the allowance, to first order in
-    its own rounding. It leaves out the exp and log of the softmax and of the bound, and the
-    replicate mean: at a tie between copies of one atom each posterior is uniform over them,
-    the bound is its clamped d_j, and a constant series keeps its value (`_mean_and_stderr`)."""
-    atoms, truth = config.dictionary.atoms, config.truth
-    top, bottom = atoms.max(axis=0), atoms.min(axis=0)
-    a = np.maximum(np.abs(top), np.abs(bottom))
-    c = np.maximum(top - truth, truth - bottom)
-    e = _gamma(2 * (config.prior_samples or len(atoms))) * a
-    n_sums = _gamma(truth.size + 2)
-    return float(e @ (2.0 * c + e) + n_sums * ((c + e) @ (c + e) + c @ c))
+    Where mean R - penalty <= B, the mean R is at most C = (bound + max(penalty, 0)) / (1 - H)
+    and the mean P at most C + pvar, so the computed left-hand side exceeds the bound by at
+    most 2 H C + 2 (1 + H) G (T sqrt(P) + P + G (T^2 + P)), the allowance, to first order in
+    its inputs; atoms of no posterior weight add nothing. Left out: the exp and log of the
+    softmax and the bound, the replicate mean and the posterior variance's rounding. At a tie
+    between copies of one atom each posterior is uniform over them, the bound is its clamped
+    d_j, a constant series keeps its value and the computed variance is at least the exact 0.
+    A non-finite allowance (an overflowing norm) is 0, leaving the strict verdict."""
+    h, g = _gamma(config.truth.size + 2), _gamma(2 * (config.prior_samples or config.dictionary.m))
+    cap = (bound + max(penalty, 0.0)) / (1.0 - h)
+    p, t = cap + pvar, math.hypot(*config.truth.tolist())
+    allowance = 2.0 * h * cap + 2.0 * (1.0 + h) * g * (t * math.sqrt(p) + p + g * (t * t + p))
+    return allowance if math.isfinite(allowance) else 0.0
 
 
 def _reports(checks, profile, d0, threshold):
@@ -474,7 +475,6 @@ def _reports(checks, profile, d0, threshold):
         for config, mode in checks
     ]
     runs = _run_replicates(checks[0][0], tuple(config.beta for config, _ in checks))
-    allowance = _rounding_allowance(checks[0][0])
     reports = []
     for (config, mode), coeff, (risks, pvars) in zip(checks, coeffs, runs):
         risk, risk_se = _mean_and_stderr(risks)
@@ -486,6 +486,7 @@ def _reports(checks, profile, d0, threshold):
             combined, combined_se = risk, risk_se
         penalty = coeff * pvar
         slack = bound + penalty - risk
+        allowance = _rounding_allowance(config, bound, penalty, pvar)
         verdict = combined <= bound + allowance + CONFIDENCE_MULTIPLIER * combined_se
         reports.append(RiskReport(
             family=config.noise.family,

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import law_reference as ref
@@ -479,6 +479,7 @@ def test_exact_check_fails_a_profile_below_the_variance(family, shape, monkeypat
 
 @settings(max_examples=40, deadline=None)
 @given(ref.discrete_models, ref.alphas)
+@example(CenteredBinomial(0.625, 1, [0.25]), 5e-324)  # a subnormal atom probability
 def test_exact_mgf_check_equals_the_per_law_reference(model, alpha):
     assert check_noise_mgf(model, alpha) == ref.mgf_report(model, alpha)
 

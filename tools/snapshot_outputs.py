@@ -122,6 +122,10 @@ def main(argv):
     scaled_family, scaled_shape, scale = SCALED
     scaled = make_scenario(scaled_family, replicates=REPLICATES, seed=SEED, **scaled_shape)
     scaled_atoms = {"dictionary": (scale * scaled.dictionary.atoms).tolist()}
+    duplicated = {  # cli-ties/duplicated takes one run per family, each copying its own atom
+        family: make_scenario(family, n=n, m=1, replicates=REPLICATES, seed=SEED).to_json()
+        for family, n in DUPLICATED_N.items()
+    }
     # (config suffix, make_scenario arguments per family, config extras, folder, ...)
     runs = (
         ("", dict.fromkeys(FAMILIES, {}), sampled, "cli", COMMANDS, "1"),
@@ -138,9 +142,10 @@ def main(argv):
             (f".ties-{case}", shapes, extras, f"cli-ties/{case}", COMMANDS[:2], "1")
             for case, (shapes, extras) in TIES.items()
         ),
-        (
-            ".ties-duplicated", {family: {"n": n, "m": 1} for family, n in DUPLICATED_N.items()},
-            _duplicated, "cli-ties/duplicated", COMMANDS[:2], "1",
+        *(
+            (".ties-duplicated", {family: {"n": DUPLICATED_N[family], "m": 1}}, _duplicated(doc),
+             "cli-ties/duplicated", COMMANDS[:2], "1")
+            for family, doc in duplicated.items()
         ),
         (
             ".scaled", {scaled_family: scaled_shape}, scaled_atoms, "cli-limits/scaled-atoms",
@@ -156,7 +161,7 @@ def main(argv):
             shape = shapes[family]
             doc = make_scenario(family, replicates=REPLICATES, seed=SEED, **shape).to_json()
             config = out / "configs" / f"{family}{suffix}.json"
-            config.write_text(json.dumps({**doc, **(extras(doc) if callable(extras) else extras)}))
+            config.write_text(json.dumps({**doc, **extras}))
             for command in commands:
                 for fmt in FORMATS:
                     args = [sys.executable, "-m", "ewa_agg.cli", command, str(config)]
