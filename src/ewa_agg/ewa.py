@@ -49,33 +49,30 @@ class DvMinimalityReport(Report):
     verdict: bool
 
 
-def _signal_rows(m, n):
-    """How many signals go through `_atom_sq_distances` in one block against m atoms of
-    length n: as many as keep the block's differences within BLOCK_DOUBLES, and one where a
-    row outgrows einsum's buffer (a longer row sums in other pieces in a block)."""
-    return 1 if n > EINSUM_BUFFER else max(1, BLOCK_DOUBLES // (m * n))
+def _signal_rows(k, n):
+    """How many signals go in a chunk against k atoms of length n, or atoms in a block against
+    k signals (`_atom_sq_distances`): as many as keep a block's differences within
+    BLOCK_DOUBLES, and one where a row outgrows einsum's buffer, which sums it in pieces."""
+    return 1 if n > EINSUM_BUFFER else max(1, BLOCK_DOUBLES // (k * n))
 
 
 def _atom_sq_distances(y, atoms):
     """||theta_j - y||^2 per row theta_j of atoms, from explicit differences (||y||^2 - 2 y.theta
-    cancels); at y = 0, the squared norms: the package's one squared-distance reduction. An
-    (R, n) block of signals gives (R, m), against one (m, n) set of atoms or each signal's own
-    in (R, m, n). Atoms go in blocks of `_signal_rows(1, n)` rows, whose C-ordered differences
-    stay in cache. einsum sums a C-ordered row alike in any block, 2-D or 3-D, if the row fits
-    its buffer, and a longer row goes alone, so a row's sum depends neither on how many rows
-    share the call nor on the atoms' memory order."""
+    cancels); at y = 0.0, the squared norms: the package's one squared-distance reduction. One
+    signal gives (m,), an (R, n) block (R, m), against one (m, n) set of atoms or each signal's
+    own in (R, m, n). One loop: blocks of `_signal_rows(R, n)` atoms, each one C-ordered
+    difference, which stays in cache, and one einsum, which sums a C-ordered row that fits its
+    buffer alike in any block and whatever the atoms' memory order. Precondition: R is 1 where
+    n > EINSUM_BUFFER (a longer row must go alone), as in chunks of `_signal_rows(m, n)`."""
     y = np.asarray(y)
-    if y.ndim == 2:
-        if len(y) == 1 or y.shape[1] > EINSUM_BUFFER:
-            own = atoms if atoms.ndim == 3 else [atoms] * len(y)
-            return np.array([_atom_sq_distances(row, a) for row, a in zip(y, own)])
-        diff = np.subtract(atoms if atoms.ndim == 3 else atoms[None], y[:, None], order="C")
-        return np.einsum("rij,rij->ri", diff, diff)
-    rows, out = _signal_rows(1, atoms.shape[1]), np.empty(len(atoms))
-    for lo in range(0, len(atoms), rows):
-        diff = np.subtract(atoms[lo : lo + rows], y, order="C")
-        np.einsum("ij,ij->i", diff, diff, out=out[lo : lo + rows])
-    return out
+    signals = y.reshape(-1, 1, y.shape[-1] if y.ndim else 1)
+    atoms = atoms if atoms.ndim == 3 else atoms[None]
+    m, n = atoms.shape[1:]
+    rows, out = _signal_rows(len(signals), n), np.empty((len(signals), m))
+    for lo in range(0, m, rows):
+        diff = np.subtract(atoms[:, lo : lo + rows], signals, order="C")
+        np.einsum("rij,rij->ri", diff, diff, out=out[:, lo : lo + rows])
+    return out if y.ndim == 2 else out[0]
 
 
 def squared_distance(a, b):
@@ -120,6 +117,8 @@ def _posterior_moments(w, atoms, sq_norms, truth):
     otherwise); both squared norms come from `_atom_sq_distances` on the (R, n) means, so a
     point-mass row gives the bound's own d_j and a variance of exactly 0."""
     mean = (w[:, None] @ atoms)[:, 0]
+    if np.isinf(sq_norms).any():  # an atom of weight 0 adds 0 to w . sq_norms, not 0 * inf
+        sq_norms = np.where(w == 0.0, 0.0, sq_norms)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats
         spread = (w[:, None] @ sq_norms[..., None])[:, 0, 0] - _atom_sq_distances(0.0, mean)
     return np.where(0.0 > spread, 0.0, spread), _atom_sq_distances(truth, mean)

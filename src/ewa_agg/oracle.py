@@ -27,18 +27,18 @@ calls: the family's raw draw (`NoiseModel.raw_draw`) and, with prior_samples set
 uniforms of rng.choice(m, prior_samples, p=prior). Its chunk then turns every row's raw draw
 into noise by one `noise_rows` call, and every row's uniforms into atom picks by one
 searchsorted on the prior's cdf, which is built once per config as rng.choice builds it
-(`_choice_cdf`). Replicates go through in chunks of R_c = BLOCK_DOUBLES // (m n) rows, m
-being prior_samples when set (one row where n outgrows einsum's buffer; `ewa._signal_rows`),
-by a rule blind to the worker count and to beta: one distance block per chunk, then per
-temperature one row-wise softmax and one moments call (`ewa._posterior_moments`: two stacked
-matmuls, each row's BLAS call where a 2-D gemm would sum in another order, and the squared
-norms by `ewa._atom_sq_distances`), each row giving the bits of its one-replicate call. So
-results are bit-identical however many workers run, however replicates are chunked and
-however many temperatures share the pass: `certify_config` makes one pass for its two, and
-each report equals its own `mc_risk` run. The softmax makes the weights alone
-(`ewa._posterior`), no log-weights. EWA_AGG_THREADS (default 1) workers share a config whose
-chunks hold one row; one with more rows per chunk runs on one, as its numpy calls hold the
-GIL. A single span runs in the calling thread, with no pool.
+(`_choice_cdf`). Replicates go through in chunks of R_c = `ewa._signal_rows(m, n)` rows (m
+being prior_samples when set), blind to the worker count and to beta: BLOCK_DOUBLES // (m n),
+and one where n outgrows einsum's buffer, the one distance loop's precondition. Per chunk one
+`ewa._atom_sq_distances` call, then per temperature one row-wise softmax and one moments call
+(`ewa._posterior_moments`: two stacked matmuls, each row's BLAS call where a 2-D gemm would
+sum in another order, and the squared norms by the same loop), each row giving the bits of
+its one-replicate call. So results are bit-identical however many workers run, however
+replicates are chunked and however many temperatures share the pass: `certify_config` makes
+one pass for its two, and each report equals its own `mc_risk` run. The softmax makes the
+weights alone (`ewa._posterior`), no log-weights. EWA_AGG_THREADS (default 1) workers share a
+config whose chunks hold one row; one with more rows per chunk runs on one, as its numpy
+calls hold the GIL. A single span runs in the calling thread, with no pool.
 
 Where the posterior is a point mass on atom j, a tie passes: every risk is the bound's
 d_j bit for bit (both sum in `ewa._atom_sq_distances`), every posterior variance is 0, a

@@ -169,41 +169,54 @@ def test_posterior_variance_hand_value():
 
 @pytest.mark.parametrize(
     "m, n, order",
-    [(300, 256, "C"), (20000, 7, "C"), (20, 8192, "C"), (5, 40000, "C"), (257, 256, "F")],
+    [
+        (10, 50, "C"),  # the canned configs' shape
+        (4096, 256, "C"),  # the wide config's
+        (1024, 256, "C"),  # and its 1024 sampled atoms per replicate
+        (1100, 64, "C"),
+        (300, 256, "C"),
+        (20000, 7, "C"),
+        (20, 8192, "C"),
+        (1, 8192, "C"),
+        (2, 4096, "C"),
+        (5000, 1, "C"),
+        (1, 1, "C"),
+        (3, 10000, "C"),  # rows past einsum's buffer: a block of three would sum otherwise
+        (5, 40000, "C"),
+        (2, 70000, "C"),
+        (257, 256, "F"),
+    ],
 )
 def test_atom_distances_equal_whole_differences_bit_for_bit(m, n, order):
-    # the first three go a block of rows at a time; a row past einsum's buffer goes alone
-    # (a 5-row einsum sums it in other pieces), and Fortran-ordered atoms are differenced
-    # in C order (einsum sums a Fortran-ordered row in another order), so that a row's sum
-    # depends neither on how many rows share the call nor on the atoms' memory order
+    # each row sums as its whole C-ordered difference does (a row past einsum's buffer
+    # alone), whatever the atoms' memory order and however many rows share the call: one
+    # signal, 0.0 for the squared norms, or a chunk of _signal_rows(m, n) signals (a span's
+    # last chunk may hold one) against shared or their own atoms
     rng = np.random.default_rng(RNG_SEED)
     atoms = np.array(rng.normal(scale=30.0, size=(m, n)), order=order)
-    y = rng.normal(size=n)
-    diff = np.ascontiguousarray(atoms - y)
-    if n > EINSUM_BUFFER:
-        whole = np.concatenate([np.einsum("ij,ij->i", row, row) for row in diff[:, None]])
-    else:
-        whole = np.einsum("ij,ij->i", diff, diff)
-    got = _atom_sq_distances(y, atoms)
-    assert np.array_equal(got, whole)
+    signals = _signal_rows(m, n)
+    own = np.array(rng.normal(scale=30.0, size=(signals, m, n)), order=order)
+    ys = rng.normal(size=(signals, n))
+
+    def whole(y, a):
+        diff = np.ascontiguousarray(a - y)
+        rows = diff.reshape(-1, n)
+        if n > EINSUM_BUFFER:
+            sums = np.concatenate([np.einsum("ij,ij->i", row, row) for row in rows[:, None]])
+        else:
+            sums = np.einsum("ij,ij->i", rows, rows)
+        return sums.reshape(diff.shape[:-1])
+
+    got = _atom_sq_distances(ys[0], atoms)
+    assert np.array_equal(got, whole(ys[0], atoms))
+    assert np.array_equal(_atom_sq_distances(0.0, atoms), whole(0.0, atoms))
     for j in (0, m - 1):
-        assert _atom_sq_distances(y, atoms[j : j + 1])[0] == got[j]
-        assert squared_distance(atoms[j], y) == got[j]
-
-
-@pytest.mark.parametrize("m, n", [(1, 8192), (2, 4096), (10, 50), (5000, 1), (1, 1), (2, 9000)])
-def test_signal_blocks_equal_one_signal_at_a_time(m, n):
-    # a block sums a row that fits einsum's buffer as a 1-D call does; a longer row goes
-    # one signal at a time
-    rng = np.random.default_rng(RNG_SEED)
-    atoms = rng.normal(scale=30.0, size=(m, n))
-    ys = rng.normal(size=(3, n))
-    own = rng.normal(size=(3, m, n))
-    block = _atom_sq_distances(ys, atoms)
-    assert np.array_equal(block, [_atom_sq_distances(y, atoms) for y in ys])
-    rows = [_atom_sq_distances(y, a) for y, a in zip(ys, own)]
-    assert np.array_equal(_atom_sq_distances(ys, own), rows)
-    assert np.array_equal(_atom_sq_distances(ys[:1], atoms), block[:1])
+        assert _atom_sq_distances(ys[0], atoms[j : j + 1])[0] == got[j]
+        assert squared_distance(atoms[j], ys[0]) == got[j]
+    for k in {signals, 1}:
+        chunk = ys[:k, None]
+        assert np.array_equal(_atom_sq_distances(ys[:k], atoms), whole(chunk, atoms[None]))
+        assert np.array_equal(_atom_sq_distances(ys[:k], own[:k]), whole(chunk, own[:k]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -224,7 +237,7 @@ def test_signal_blocks_equal_one_signal_at_a_time(m, n):
 def test_moment_rows_equal_the_one_row_formulas(m, n, rows, picks, weights, scale, seed):
     # rows of weights that are exactly zero or subnormal, or one row broadcast as at
     # beta = +inf (stride 0), against shared or each row's own sampled atoms; at scale 155
-    # and up the squared norms overflow and inf - inf or 0 * inf gives NaN
+    # and up the squared norms overflow: inf - inf gives NaN, and an atom of weight 0 adds 0
     assert _signal_rows(40, 64) < 26 and _signal_rows(3, EINSUM_BUFFER + 1) == 1
     rng = np.random.default_rng(seed)
     atoms = rng.normal(size=(m, n)) * 10.0**scale
@@ -262,6 +275,16 @@ def test_posterior_variance_never_negative():
         atoms = rng.normal(size=(4, 3)) * 1e-8 + 5.0  # tight cluster, cancellation-prone
         w = rng.dirichlet(np.ones(4))
         assert posterior_variance(Dictionary(atoms), w) >= 0.0
+
+
+def test_an_atom_of_weight_zero_adds_no_variance():
+    # the far atom's squared norm overflows: at weight 0 it adds 0 to w . ||theta||^2 (not
+    # 0 * inf = NaN); at any weight, a subnormal one too, the variance is not finite
+    atoms = Dictionary(np.array([[1.0, 2.0], [3.0, 4.0], [1e155, 1e155]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert posterior_variance(atoms, [0.5, 0.5, 0.0]) == 1.0 + 1.0
+        assert posterior_variance(atoms, [0.5, 0.5 - 5e-324, 5e-324]) == math.inf
+        assert math.isnan(posterior_variance(atoms, [0.5, 0.0, 0.5]))  # inf - inf
 
 
 class TestKlDivergence:

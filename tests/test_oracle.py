@@ -74,15 +74,17 @@ def _assert_numpy_seated(seed, first, last):
 @example(seed=0, first=5, size=1)
 @example(seed=2**64 - 1, first=2**40, size=3)
 @example(seed=RNG_SEED, first=7, size=oracle._STATE_KEYS)  # a whole span block
+# a span from one-word keys into two-word ones, at seeds of one word, of two and of more
+# than the pool holds
+@example(seed=0, first=2**32 - 750, size=1503)
+@example(seed=1, first=2**32 - 750, size=1503)
+@example(seed=7, first=2**32 - 750, size=1503)
+@example(seed=RNG_SEED, first=2**32 - 750, size=1503)
+@example(seed=2**63 + 5, first=2**32 - 750, size=1503)
+@example(seed=2**64 - 1, first=2**32 - 750, size=1503)
+@example(seed=2**130 + 12_345, first=2**32 - 750, size=1503)
 def test_seated_states_equal_numpy(seed, first, size):
     _assert_numpy_seated(seed, first, first + size)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, RNG_SEED, 2**63 + 5, 2**64 - 1, 2**130 + 12_345])
-def test_span_states_equal_numpy(seed):
-    # the pinned span from one-word keys into two-word ones, which the property's examples
-    # leave to this table, at seeds of one word, of two and of more than the pool holds
-    _assert_numpy_seated(seed, 2**32 - 750, 2**32 + 753)
 
 
 def _raised(make):
@@ -834,15 +836,20 @@ def test_duplicated_atom_ties_pass():
     assert runs == 600
 
 
+def _far_atom_config(far, replicates, seed):
+    """Five copies of a gaussian n = 50 atom at prior mass 0.2 each, and at prior mass 0 one
+    atom with every entry `far`."""
+    one = make_scenario("gaussian", n=50, m=1, replicates=replicates, seed=seed)
+    atoms = np.vstack([np.repeat(one.dictionary.atoms, 5, axis=0), np.full((1, 50), far)])
+    return replace(one, dictionary=Dictionary(atoms), prior=WeightVector([0.2] * 5 + [0.0]))
+
+
 @pytest.mark.parametrize("far", [1e8, 1e155])
 def test_an_atom_of_no_weight_leaves_the_allowance_alone(far):
-    # five copies of one atom and, at prior mass 0, one far off: the allowance follows the
-    # report's bound, posterior variance and truth, not the dictionary's widest atom, so the
-    # planted bound still fails; at 1e155 the far atom's squared norm overflows, the posterior
-    # variance is NaN and the allowance is 0 (the strict verdict), never inf
-    one = make_scenario("gaussian", n=50, m=1, replicates=64, seed=0)
-    atoms = np.vstack([np.repeat(one.dictionary.atoms, 5, axis=0), np.full((1, 50), far)])
-    config = replace(one, dictionary=Dictionary(atoms), prior=WeightVector([0.2] * 5 + [0.0]))
+    # the allowance follows the report's bound, posterior variance and truth, not the
+    # dictionary's widest atom, so the planted bound still fails; at 1e155 the far atom's
+    # squared norm overflows and the allowance stays finite
+    config = _far_atom_config(far, 64, seed=0)
     report = _tie_report(config, "clean")
     assert report.verdict and report.risk == report.bound and report.stderr == 0.0, report
     allowance = oracle._rounding_allowance(
@@ -850,6 +857,18 @@ def test_an_atom_of_no_weight_leaves_the_allowance_alone(far):
     )
     assert 0.0 <= allowance <= 1e-12 * report.bound
     assert not _tie_report(config, "clean", _PLANTED).verdict
+
+
+def test_an_overflowing_atom_of_no_weight_leaves_the_variance_finite():
+    # the far atom at 1e155, whose squared norm overflows, adds 0 to every replicate's
+    # w . ||theta||^2 rather than 0 * inf = NaN: the posterior variance and the penalty stay
+    # finite and both verdicts pass at each of six seeds (a NaN variance failed seed 5)
+    for seed in range(6):
+        config = _far_atom_config(1e155, 200, seed)
+        for mode in ("clean", "variance_penalty"):
+            report = _tie_report(config, mode)
+            assert report.verdict, report
+            assert math.isfinite(report.mean_posterior_variance + report.penalty), report
 
 
 @settings(max_examples=100, deadline=None)

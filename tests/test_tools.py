@@ -48,6 +48,17 @@ def test_surface_counts_the_checkout():
     assert doc["lines"]["total"] == sum(
         path.read_bytes().count(b"\n") for path in (ROOT / "src" / "ewa_agg").glob("*.py")
     )
+    # code lines leave out blank lines, comments and docstrings, but not other strings
+    code = doc["code_lines"]
+    assert code.keys() == doc["lines"].keys()
+    assert code["total"] == sum(count for module, count in code.items() if module != "total")
+    assert all(0 < code[module] < doc["lines"][module] for module in code)
+    source = (
+        '"""Module doc."""\n\n# a comment\nX = """not a\ndocstring"""\n\n\n'
+        'class C:\n    """Doc."""\n\n    def f(self):\n        """Doc\n        string."""\n'
+        "        return X  # trailing\n"
+    )
+    assert _load(ROOT / "tools" / "surface.py")._code_lines(source) == 5
     # a class body's methods are the callables and descriptors in its own namespace
     kinds = (types.FunctionType, staticmethod, classmethod, property)
     assert doc["family_methods"] == {

@@ -8,6 +8,9 @@ one JSON object:
 
 - "lines": source lines (newlines, as `wc -l` counts them) per module of
   SRC/src/ewa_agg, and their "total";
+- "code_lines": the same count without blank lines, comment lines and
+  docstrings (of the module, its classes and its functions), so that trimmed
+  prose does not read as deleted code;
 - "exports": len(ewa_agg.__all__);
 - "extension_keys": the CLI's config keys beyond the experiment's own;
 - "environment": the environment variables the package reads, found in its
@@ -23,9 +26,31 @@ one JSON object:
 
 import ast
 import inspect
+import io
 import json
 import sys
+import tokenize
 from pathlib import Path
+
+
+_NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+    tokenize.ENCODING, tokenize.ENDMARKER,
+}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _code_lines(source):
+    """The lines a token of code touches, less the lines of every docstring."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docs)
 
 
 def _env_reads(path):
@@ -107,9 +132,12 @@ def main(argv):
     modules = sorted((src / "ewa_agg").glob("*.py"))
     lines = {path.stem: path.read_bytes().count(b"\n") for path in modules}
     lines["total"] = sum(lines.values())
+    code_lines = {path.stem: _code_lines(path.read_text()) for path in modules}
+    code_lines["total"] = sum(code_lines.values())
     environment = sorted({key for path in modules for key in _env_reads(path)})
     doc = {
         "lines": lines,
+        "code_lines": code_lines,
         "exports": len(ewa_agg.__all__),
         "extension_keys": list(cli._EXTENSION_KEYS),
         "environment": environment,
