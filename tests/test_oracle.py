@@ -74,17 +74,15 @@ def _assert_numpy_seated(seed, first, last):
 @example(seed=0, first=5, size=1)
 @example(seed=2**64 - 1, first=2**40, size=3)
 @example(seed=RNG_SEED, first=7, size=oracle._STATE_KEYS)  # a whole span block
-# a span from one-word keys into two-word ones, at seeds of one word, of two and of more
-# than the pool holds
-@example(seed=0, first=2**32 - 750, size=1503)
-@example(seed=1, first=2**32 - 750, size=1503)
-@example(seed=7, first=2**32 - 750, size=1503)
-@example(seed=RNG_SEED, first=2**32 - 750, size=1503)
-@example(seed=2**63 + 5, first=2**32 - 750, size=1503)
-@example(seed=2**64 - 1, first=2**32 - 750, size=1503)
-@example(seed=2**130 + 12_345, first=2**32 - 750, size=1503)
 def test_seated_states_equal_numpy(seed, first, size):
     _assert_numpy_seated(seed, first, first + size)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, RNG_SEED, 2**63 + 5, 2**64 - 1, 2**130 + 12_345])
+def test_span_states_equal_numpy(seed):
+    # the pinned span from one-word keys into two-word ones, which the property's examples
+    # leave to this table, at seeds of one word, of two and of more than the pool holds
+    _assert_numpy_seated(seed, 2**32 - 750, 2**32 + 753)
 
 
 def _raised(make):
