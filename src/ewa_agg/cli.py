@@ -144,21 +144,19 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="ewa-agg",
-        description="Exponentially weighted aggregation: simulation and verification reports.",
-    )
-    parser.add_argument("command", choices=_COMMANDS, help="the report to make")
-    parser.add_argument("config", help="path to a JSON experiment configuration")
-    parser.add_argument("-o", "--output", default=None, help="write the report here (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="ewa-agg",
+    description="Exponentially weighted aggregation: simulation and verification reports.",
+)
+_PARSER.add_argument("command", choices=_COMMANDS, help="the report to make")
+_PARSER.add_argument("config", help="path to a JSON experiment configuration")
+_PARSER.add_argument("-o", "--output", default=None, help="write the report here (default: stdout)")
+_PARSER.add_argument("--format", choices=("csv", "json"), default="csv")
+_PARSER.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config, extras = _parse_config(args.config, args.seed)
         reports = _COMMANDS[args.command](config, extras)

@@ -16,15 +16,14 @@ for `ewa-agg oracle-bound`; each report's fields are its JSON keys
 Replicate r draws its noise from the stream numpy derives for (seed, r),
 Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))), and runs the distance, softmax and
 moments behind `posterior_weights`. The stream pipeline: a worker's span of replicates
-[first, last) gets all their seated PCG64 (state, inc) words from one function of (seed,
-first, last), `_seated_states`, which redoes numpy's seed hash and PCG64 seeding in a few
-array passes and equals numpy's seated state word for word. The span seats each row in turn
-on one generator of its own by writing the words into the generator's struct (`_seat_rows`).
-numpy does not publish that struct, so the span's generator first checks its layout by
-reading before writing (`_state_views`); where the check fails, the span seats through the
-bit_generator.state setter, with the same bits. Seated, a replicate makes only its generator
-calls: the family's raw draw (`NoiseModel.raw_draw`) and, with prior_samples set, the
-uniforms of rng.choice(m, prior_samples, p=prior). Its chunk then turns every row's raw draw
+[first, last) gets the words SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)
+of all its keys from one function of (seed, first, last), `_seed_words`, which redoes numpy's
+seed hash in a few array passes and equals numpy's words for every key. Each replicate then
+takes Generator(PCG64(_SeedWords(row))): `_SeedWords` holds its row behind numpy's public
+`ISeedSequence` interface, and PCG64 seeds itself from it as from the SeedSequence. The
+generator makes only the replicate's own calls: the family's raw draw
+(`NoiseModel.raw_draw`) and, with prior_samples set, the uniforms of rng.choice(m,
+prior_samples, p=prior). Its chunk then turns every row's raw draw
 into noise by one `noise_rows` call, and every row's uniforms into atom picks by one
 searchsorted on the prior's cdf, which is built once per config as rng.choice builds it
 (`_choice_cdf`). Replicates go through in chunks of R_c = `ewa._signal_rows(m, n)` rows (m
@@ -48,7 +47,6 @@ one atom, the risk can sit an ulp above d_j, as the weights' sum is not 1 exactl
 verdicts allow for such rounding (`_rounding_allowance`), scaled by each report's own terms.
 """
 
-import ctypes
 import math
 import operator
 import os
@@ -80,19 +78,13 @@ CONFIDENCE_MULTIPLIER = 3.0
 THREADS_ENV_VAR = "EWA_AGG_THREADS"
 
 
-# numpy's SeedSequence hash (4-word pool) and PCG64 seeding; NEP 19 pins both
-_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+# numpy's SeedSequence hash (4-word pool); NEP 19 pins it
+_MASK32 = (1 << 32) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy into the pool
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the pool out into state words
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _STATE_KEYS = 1 << 14  # keys a span derives at once: its transient arrays stay a few MB
-# two PCG64 states in `_seated_states` order, every word distinct, for the layout check
-_PROBES = (
-    [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x13579BDF02468ACF, 0x2468ACE013579BDF],
-    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xD6E8FEB86659FD93],
-)
 
 
 def _steps(const, mult, count):
@@ -121,24 +113,14 @@ def _column(values):
     return np.array(values, np.uint32)[:, None]
 
 
-def _high_product(a, b):
-    """The high 64 bits of the 128-bit products a * b of uint64 values."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    cross, other = a1 * b0, a0 * b1
-    mid = (a0 * b0 >> 32) + (cross & _MASK32) + (other & _MASK32)  # below 3 * 2^32
-    return a1 * b1 + (cross >> 32) + (other >> 32) + (mid >> 32)
-
-
-def _seated_states(seed, first, last):
-    """The seated PCG64 words of Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))) for r in
-    range(first, last), 0 <= first <= last <= 2^64, as a (last - first, 4) uint64 array in the
-    order of numpy's struct: state low and high words, then inc's. The seed's pool is numpy's
-    own (SeedSequence(seed).pool, which validates the seed). Each key word mixes into the 4
-    pool words of every key at once, one array pass per word position: the low word of every
-    key, then the high word of the keys >= 2^32, the only keys with one. The pools hash out the
-    words initstate and initseq, as generate_state(4, uint64) does, and pcg64_set_seed seats
-    them: inc = initseq << 1 | 1 and state = (inc + initstate) mult + inc, mod 2^128, on 64-bit
-    halves."""
+def _seed_words(seed, first, last):
+    """The words SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64) for r in
+    range(first, last), 0 <= first <= last <= 2^64, as one C-contiguous (last - first, 4)
+    uint64 array, the words from which PCG64 seeds itself. The seed's pool is numpy's own
+    (SeedSequence(seed).pool, which validates the seed). Each key word mixes into the 4 pool
+    words of every key at once, one array pass per word position: the low word of every key,
+    then the high word of the keys >= 2^32, the only keys with one. The pools hash out 8
+    32-bit words, paired low word first."""
     pool = np.random.SeedSequence(seed).pool
     r = np.arange(first, max(first, last), dtype=np.uint64)
     # the seed took 4 hash steps per 32-bit word, padded to 4 words; each key word takes 4 more
@@ -153,93 +135,30 @@ def _seated_states(seed, first, last):
     xors, muls = _steps(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
     out = _hash(pools[np.arange(2 * _POOL_WORDS) % _POOL_WORDS], _column(xors), _column(muls))
     out = out.astype(np.uint64)
-    state_hi, state_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32
-    inc_lo, inc_hi = seq_lo << 1 | 1, seq_hi << 1 | seq_lo >> 63
-    x_lo = inc_lo + state_lo
-    x_hi = inc_hi + state_hi + (x_lo < inc_lo)
-    mult_hi, mult_lo = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
-    lo = x_lo * mult_lo
-    hi = _high_product(x_lo, mult_lo) + x_lo * mult_hi + x_hi * mult_lo
-    state_lo = lo + inc_lo
-    state_hi = hi + inc_hi + (state_lo < lo)
-    return np.column_stack([state_lo, state_hi, inc_lo, inc_hi])
+    return (out[0::2] | out[1::2] << 32).T.copy()
 
 
-def _view(owner, address, dtype, count):
-    """A writable numpy view of count items of dtype at address, memory inside owner; the view
-    keeps owner alive."""
-    memory = (ctypes.c_char * (np.dtype(dtype).itemsize * count)).from_address(address)
-    memory.owner = owner
-    return np.frombuffer(memory, dtype)
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """One replicate's row of `_seed_words`, as the seed sequence PCG64 seeds itself from:
+    PCG64(_SeedWords(row)) is the PCG64 of SeedSequence(seed, spawn_key=(r,)). PCG64 reads
+    the row's buffer, so the row must be C-contiguous uint64. Any request but PCG64's 4
+    uint64 words raises, so that a change in what numpy asks for fails instead of seeding
+    another stream."""
 
+    def __init__(self, row):
+        self.row = row
 
-def _state_views(bit_generator):
-    """(words, flags): numpy views over a PCG64's state and inc words, in `_seated_states`
-    order, and over its has_uint32 and uinteger fields, or None where numpy's struct is laid
-    out otherwise. bit_generator.ctypes.state_address holds a pointer to the (state, inc) pair,
-    then the two fields; numpy does not publish that layout, so it is checked by reading before
-    writing. Only memory inside the generator object is read. The words behind the pointer
-    must be a state the setter made, low word first, with its buffered half read back in the
-    fields; then a state written through the views must equal a twin's made by the setter, by
-    its state dict and by a draw."""
-    try:
-        inside = range(id(bit_generator), id(bit_generator) + type(bit_generator).__basicsize__)
-        address = bit_generator.ctypes.state_address
-        fields = address + ctypes.sizeof(ctypes.c_void_p)
-        if address not in inside or fields + 7 not in inside:
-            return None
-        pointer = int(_view(bit_generator, address, np.uintp, 1)[0])
-        if pointer not in inside or pointer + 31 not in inside:
-            return None
-        words = _view(bit_generator, pointer, np.uint64, 4)
-        flags = _view(bit_generator, fields, np.uint64, 1)
-        (read, written), buffered = _PROBES, 0x9E3779B9
-        bit_generator.state = _state_dict(*read, buffered)
-        if words.tolist() != read or flags.view(np.uint32).tolist() != [1, buffered]:
-            return None
-        words[:] = written
-        flags[0] = 0
-        twin = np.random.PCG64(0)
-        twin.state = _state_dict(*written)
-        if bit_generator.state != twin.state or bit_generator.random_raw() != twin.random_raw():
-            return None
-    except (AttributeError, TypeError, ValueError):  # not numpy's PCG64, or no view made
-        return None
-    return words, flags
-
-
-def _state_dict(state_lo, state_hi, inc_lo, inc_hi, buffered=None):
-    """PCG64's bit_generator.state for the `_seated_states` words, with buffered as its stored
-    32-bit half if given."""
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-        "has_uint32": int(buffered is not None),
-        "uinteger": buffered or 0,
-    }
-
-
-def _seat_rows(bit_generator, views, rows):
-    """Seat bit_generator at each row of `_seated_states` words in turn, with no buffered
-    32-bit half, yielding after each: through its `_state_views`, or by the state setter where
-    views is None."""
-    if views is None:
-        for row in rows.tolist():
-            bit_generator.state = _state_dict(*row)
-            yield
-    else:
-        words, flags = views
-        for row in rows:
-            words[:] = row
-            flags[0] = 0
-            yield
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype != np.uint64:
+            raise RuntimeError(f"numpy asked for {n_words} words of {dtype}, not 4 of uint64")
+        return self.row
 
 
 def derived_stream(seed, *key):
     """The generator Generator(PCG64(SeedSequence(seed, spawn_key=key))), numpy's own
-    derivation, which `_seated_states` redoes for a whole span of keys (r,). seed and the key
-    parts are non-negative integers, as a config's seed is; None or an entropy sequence,
-    which SeedSequence also takes, raises TypeError."""
+    derivation, whose seed words `_seed_words` hashes for a whole span of keys (r,). seed and
+    the key parts are non-negative integers, as a config's seed is; None or an entropy
+    sequence, which SeedSequence also takes, raises TypeError."""
     seeds = np.random.SeedSequence(operator.index(seed), spawn_key=key)
     return np.random.Generator(np.random.PCG64(seeds))
 
@@ -350,7 +269,7 @@ def _choice_cdf(p):
 
 def _run_replicates(config, betas):
     """One (risks, pvars) pair of per-replicate series per temperature in betas; what no
-    replicate or beta changes is made once. A worker's span seats its replicates' streams as
+    replicate or beta changes is made once. A worker's span seeds its replicates' streams as
     the module docstring's stream pipeline says, for each one's raw noise draw and prior
     uniforms. It goes in chunks of `_signal_rows` replicates, whatever the worker count or
     beta: one noise transform, prior pick and distance block (none if every beta is +inf) per
@@ -367,9 +286,10 @@ def _run_replicates(config, betas):
     rows = _signal_rows(sampled or len(atoms), config.truth.size)
     runs = [(np.empty(total), np.empty(total)) for _ in betas]
 
-    def fill(rng, views, chunk, seated):
+    def fill(chunk, words):
         raws, picks = [], []
-        for _ in _seat_rows(rng.bit_generator, views, seated):
+        for row in words:
+            rng = np.random.Generator(np.random.PCG64(_SeedWords(row)))
             raws.append(config.noise.raw_draw(rng))
             if sampled is not None:
                 picks.append(rng.random(sampled))
@@ -384,21 +304,19 @@ def _run_replicates(config, betas):
             d = _atom_sq_distances(y, theta)
         for beta, (risks, pvars) in zip(betas, runs):
             if math.isinf(beta):
-                w = np.broadcast_to(prior.weights, (len(seated), len(prior)))
+                w = np.broadcast_to(prior.weights, (len(words), len(prior)))
             else:
                 w = _posterior(prior.log_weights, d, beta)
             pvars[chunk], risks[chunk] = _posterior_moments(w, theta, sq, config.truth)
 
     def fill_span(lo, hi):  # a chunk's arrays go before the next one's are made
-        rng = np.random.Generator(np.random.PCG64(0))  # `fill` seats each replicate's state
-        views = _state_views(rng.bit_generator)
         keys_at_once = rows * max(1, _STATE_KEYS // rows)  # whole chunks
         for first in range(lo, hi, keys_at_once):
             last = min(first + keys_at_once, hi)
-            seated = _seated_states(config.seed, first, last)
+            words = _seed_words(config.seed, first, last)
             for start in range(first, last, rows):
                 stop = min(start + rows, last)
-                fill(rng, views, slice(start, stop), seated[start - first : stop - first])
+                fill(slice(start, stop), words[start - first : stop - first])
 
     workers = worker_count()  # checked even where one worker is taken
     if rows > 1:

@@ -225,7 +225,7 @@ def test_atom_distances_equal_whole_differences_bit_for_bit(m, n, order):
     n=st.integers(1, 64),
     rows=st.integers(1, 40),
     picks=st.one_of(st.none(), st.integers(1, 12)),
-    weights=st.sampled_from(("dense", "sparse", "broadcast")),
+    weights=st.sampled_from(("dense", "sparse", "broadcast", "far")),
     scale=st.integers(-160, 160),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -234,14 +234,21 @@ def test_atom_distances_equal_whole_differences_bit_for_bit(m, n, order):
 @example(m=5, n=7, rows=9, picks=4, weights="broadcast", scale=0, seed=3)
 @example(m=6, n=3, rows=8, picks=None, weights="sparse", scale=160, seed=4)
 @example(m=6, n=3, rows=8, picks=5, weights="dense", scale=155, seed=5)
+@example(m=6, n=3, rows=8, picks=None, weights="far", scale=0, seed=6)
 def test_moment_rows_equal_the_one_row_formulas(m, n, rows, picks, weights, scale, seed):
     # rows of weights that are exactly zero or subnormal, or one row broadcast as at
     # beta = +inf (stride 0), against shared or each row's own sampled atoms; at scale 155
-    # and up the squared norms overflow: inf - inf gives NaN, and an atom of weight 0 adds 0
+    # and up the squared norms overflow: inf - inf gives NaN, and an atom of weight 0 adds 0.
+    # "far": only the odd atoms, of weight 0 in every row, overflow, so 0 * inf = NaN would
+    # show where every other term is finite
     assert _signal_rows(40, 64) < 26 and _signal_rows(3, EINSUM_BUFFER + 1) == 1
     rng = np.random.default_rng(seed)
-    atoms = rng.normal(size=(m, n)) * 10.0**scale
+    base = rng.normal(size=(m, n))
+    atoms = base * 10.0**scale
     truth = rng.normal(size=n) * 10.0**scale
+    far = np.arange(m) % 2 == 1
+    if weights == "far":
+        atoms[far] = base[far] * 1e170
     with np.errstate(over="ignore"):
         norms = _atom_sq_distances(0.0, atoms)
     k = picks or m
@@ -257,6 +264,8 @@ def test_moment_rows_equal_the_one_row_formulas(m, n, rows, picks, weights, scal
     if picks is not None:
         idx = rng.integers(0, m, (rows, picks))
         theta, sq = atoms[idx], norms[idx]
+    if weights == "far":
+        w *= ~(far[idx] if picks else far)  # a row's own picks, or the shared atoms
     with np.errstate(over="ignore", invalid="ignore"):
         got = np.array(_posterior_moments(w, theta, sq, truth))
         want = np.array([
@@ -264,7 +273,7 @@ def test_moment_rows_equal_the_one_row_formulas(m, n, rows, picks, weights, scal
             for r in range(rows)
         ]).T
         assert got.tobytes() == want.tobytes()  # NaN and the sign of zero included
-        if weights != "sparse" and picks is None:  # the one-row case, on a probability vector
+        if weights in ("dense", "broadcast") and picks is None:  # one row, a probability vector
             one = posterior_variance(Dictionary(atoms), w[0])
             assert np.float64(one).tobytes() == want[0, 0].tobytes()
 

@@ -54,18 +54,21 @@ def test_derived_stream_is_keyed_and_reproducible():
 
 
 def _numpy_stream(seed, *key):
-    """numpy's own derivation, the oracle that `_seated_states` must equal (NEP 19 fixes it)."""
+    """numpy's own derivation, the oracle that a replicate's stream must equal (NEP 19 fixes
+    it)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _assert_numpy_seated(seed, first, last):
-    """Every row of the span's `_seated_states` is numpy's seated PCG64 state and inc."""
-    seated = oracle._seated_states(seed, first, last)
-    assert seated.shape == (last - first, 4) and seated.dtype == np.uint64
-    for r, row in zip(range(first, last), seated.tolist(), strict=True):
-        theirs = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))).state["state"]
-        assert row == [theirs["state"] & 2**64 - 1, theirs["state"] >> 64,
-                       theirs["inc"] & 2**64 - 1, theirs["inc"] >> 64]
+def _assert_numpy_words(seed, first, last):
+    """The span's `_seed_words` are one C-contiguous uint64 row per key, each row the words
+    numpy's SeedSequence gives PCG64: PCG64 reads the row's buffer, so a strided row would
+    seed another stream without an error."""
+    words = oracle._seed_words(seed, first, last)
+    assert words.shape == (last - first, 4) and words.dtype == np.uint64
+    assert words.flags.c_contiguous
+    for r, row in zip(range(first, last), words.tolist(), strict=True):
+        seeds = np.random.SeedSequence(seed, spawn_key=(r,))
+        assert row == seeds.generate_state(4, np.uint64).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,14 +78,14 @@ def _assert_numpy_seated(seed, first, last):
 @example(seed=2**64 - 1, first=2**40, size=3)
 @example(seed=RNG_SEED, first=7, size=oracle._STATE_KEYS)  # a whole span block
 def test_seated_states_equal_numpy(seed, first, size):
-    _assert_numpy_seated(seed, first, first + size)
+    _assert_numpy_words(seed, first, first + size)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, RNG_SEED, 2**63 + 5, 2**64 - 1, 2**130 + 12_345])
 def test_span_states_equal_numpy(seed):
     # the pinned span from one-word keys into two-word ones, which the property's examples
     # leave to this table, at seeds of one word, of two and of more than the pool holds
-    _assert_numpy_seated(seed, 2**32 - 750, 2**32 + 753)
+    _assert_numpy_words(seed, 2**32 - 750, 2**32 + 753)
 
 
 def _raised(make):
@@ -100,7 +103,7 @@ _ANY_NUMBER = st.integers(-(2**40), 2**40) | st.floats()
 @given(seed=_ANY_NUMBER | st.integers(0, 2**40), key=st.lists(_ANY_NUMBER, max_size=3))
 def test_bad_seeds_and_keys_raise_as_numpy_does(seed, key):
     # a span's keys are a range, which holds no bad key; derived_stream takes any key
-    assert _raised(lambda: oracle._seated_states(seed, 0, 1)) is _raised(
+    assert _raised(lambda: oracle._seed_words(seed, 0, 1)) is _raised(
         lambda: np.random.SeedSequence(seed)
     )
     expected = _raised(lambda: np.random.SeedSequence(seed, spawn_key=key))
@@ -117,48 +120,18 @@ def test_derived_stream_takes_integer_seeds_only(seed):
 @given(seed=st.integers(0, 2**128 - 1), first=st.integers(0, 2**40), size=st.integers(1, 6))
 @example(seed=2**128 - 1, first=2**32 - 2, size=4)
 def test_seated_words_equal_numpy_state(seed, first, size):
-    seated = oracle._seated_states(seed, first, first + size)
-    rng = np.random.Generator(np.random.PCG64(0))
-    views = oracle._state_views(rng.bit_generator)
-    assert views is not None  # numpy's layout passes the check here
-    seats = oracle._seat_rows(rng.bit_generator, views, seated)
-    for r, row, _ in zip(range(first, first + size), seated.tolist(), seats, strict=True):
-        theirs = _numpy_stream(seed, r)
-        assert oracle._state_dict(*row) == theirs.bit_generator.state
+    # a generator seated from a row is numpy's own stream for its key, by state and draws;
+    # any other request than PCG64's 4 uint64 words raises
+    words = oracle._seed_words(seed, first, first + size)
+    for r, row in zip(range(first, first + size), words, strict=True):
+        seeds = oracle._SeedWords(row)
+        for n_words, dtype in [(8, np.uint32), (4, np.uint32)]:
+            with pytest.raises(RuntimeError, match="not 4 of uint64"):
+                seeds.generate_state(n_words, dtype)
+        rng, theirs = np.random.Generator(np.random.PCG64(seeds)), _numpy_stream(seed, r)
         assert rng.bit_generator.state == theirs.bit_generator.state
-        assert rng.random(4).tolist() == theirs.random(4).tolist()
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
-def test_layout_check_rejects_other_generators(bit_generator):
-    assert oracle._state_views(bit_generator(0)) is None
-
-
-def test_layout_check_reads_before_it_writes(monkeypatch):
-    # views that do not see the generator's memory (here: copies of it) fail the read-back
-    view = oracle._view
-    monkeypatch.setattr(oracle, "_view", lambda *args: view(*args).copy())
-    rng = np.random.Generator(np.random.PCG64(3))
-    assert oracle._state_views(rng.bit_generator) is None
-
-
-@pytest.mark.parametrize("field", ["state", "uinteger"])
-def test_layout_check_rejects_a_read_back_mismatch(field, monkeypatch):
-    # the setter makes another state than the check then looks for: the read fails alone,
-    # although the direct write that follows would still match its twin
-    state_dict = oracle._state_dict
-
-    def shifted(state_lo, state_hi, inc_lo, inc_hi, buffered=None):
-        doc = state_dict(state_lo, state_hi, inc_lo, inc_hi, buffered)
-        if buffered is not None:  # the state the check reads back
-            (doc if field == "uinteger" else doc["state"])[field] ^= 1
-        return doc
-
-    monkeypatch.setattr(oracle, "_state_dict", shifted)
-    rng = np.random.Generator(np.random.PCG64(3))
-    assert oracle._state_views(rng.bit_generator) is None
-    monkeypatch.setattr(oracle, "_state_dict", state_dict)
-    assert oracle._state_views(rng.bit_generator) is not None
+        assert rng.random(3).tolist() == theirs.random(3).tolist()
+        assert rng.standard_normal(3).tolist() == theirs.standard_normal(3).tolist()
 
 
 class TestOracleBounds:
@@ -614,7 +587,7 @@ def test_bad_sampled_prior_is_rejected_before_any_replicate(bad, monkeypatch, tm
     def no_replicate(*_args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(oracle, "_seat_rows", no_replicate)
+    monkeypatch.setattr(oracle, "_SeedWords", no_replicate)
     config = _toy_config(replicates=5, prior_samples=7)  # 5 atoms
     with pytest.raises(ValueError, match="weights"):
         replace(config, prior=bad)
@@ -640,40 +613,39 @@ class _OddDraws(Gaussian):
 
 
 def test_reused_generator_leaks_no_buffered_half(monkeypatch):
-    # the worker's generator serves every replicate of its span: each seat drops the buffer
+    # each replicate seats a generator of its own, so no buffered half passes to the next
     config = replace(_toy_config(replicates=37), noise=_OddDraws.homogeneous(6, 1.0))
     _assert_chunks_equal_the_public_path(monkeypatch, config, (1, 5, 64))
 
 
 def test_replicate_sentinel_fires_on_a_valid_config(monkeypatch, tmp_path):
-    # the "rejected before any replicate" tests patch `_seat_rows`: every replicate goes
-    # through it, on the direct path and on the fallback alike
+    # the "rejected before any replicate" tests patch `_SeedWords`: every replicate's
+    # generator is seeded through it
     def no_replicate(*_args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(oracle, "_seat_rows", no_replicate)
+    monkeypatch.setattr(oracle, "_SeedWords", no_replicate)
     config = _toy_config(replicates=5, prior_samples=7)
     path = tmp_path / "valid.json"
     path.write_text(json.dumps(config.to_json()))
-    for views in (oracle._state_views, lambda _bit_generator: None):
-        monkeypatch.setattr(oracle, "_state_views", views)
-        with pytest.raises(AssertionError, match="a replicate ran"):
-            certify_config(config)
-        with pytest.raises(AssertionError, match="a replicate ran"):
-            cli.main(["simulate", str(path)])
+    with pytest.raises(AssertionError, match="a replicate ran"):
+        certify_config(config)
+    with pytest.raises(AssertionError, match="a replicate ran"):
+        cli.main(["simulate", str(path)])
 
 
 def test_chunked_configs_take_one_worker(monkeypatch):
-    # each span seats its keys in one call: record the spans and the threads running them
-    spans, seated_states = [], oracle._seated_states
+    # each span hashes its keys' words in one call: record the spans and the threads running
+    # them
+    spans, seed_words = [], oracle._seed_words
 
     def recorded(seed, first, last):
         spans.append(((first, last), threading.current_thread() is threading.main_thread()))
         if barrier is not None:
             barrier.wait()  # times out unless every span runs at once
-        return seated_states(seed, first, last)
+        return seed_words(seed, first, last)
 
-    monkeypatch.setattr(oracle, "_seated_states", recorded)
+    monkeypatch.setattr(oracle, "_seed_words", recorded)
     monkeypatch.setenv("EWA_AGG_THREADS", "3")
     config = _toy_config(replicates=20)  # 5 atoms of length 6
     assert ewa._signal_rows(5, 6) > 1
@@ -689,22 +661,22 @@ def test_chunked_configs_take_one_worker(monkeypatch):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fallback_seating_equals_the_direct_write(family, monkeypatch):
-    # the state setter, taken where the layout check fails, gives every replicate's bits
+    # every replicate, seated through `_SeedWords`, draws numpy's own stream: a canned config,
+    # a sampled prior, two spans at 2 threads and, for gaussian, a buffered 32-bit half
     canned = make_scenario(family, replicates=40, seed=7)
     wide = make_scenario(family, n=64, m=1100, replicates=6, seed=7)
     assert ewa._signal_rows(wide.dictionary.m, wide.dictionary.n) == 1  # two spans at 2 threads
     cases = [(canned, "1"), (replace(canned, prior_samples=25), "1"), (wide, "2")]
     if family == "gaussian":
         cases.append((replace(_toy_config(37), noise=_OddDraws.homogeneous(6, 1.0)), "1"))
-    direct = oracle._state_views
     for config, threads in cases:
         monkeypatch.setenv("EWA_AGG_THREADS", threads)
-        runs = []
-        for views in (direct, lambda _bit_generator: None):
-            monkeypatch.setattr(oracle, "_state_views", views)
-            betas = (config.beta, config.beta / 2.0)
-            runs.append([[s.tolist() for s in run] for run in _run_replicates(config, betas)])
-        assert runs[0] == runs[1]
+        betas = (config.beta, config.beta / 2.0)
+        for beta, (risks, pvars) in zip(betas, _run_replicates(config, betas), strict=True):
+            public = replace(config, beta=beta)
+            assert list(zip(risks, pvars)) == [
+                _public_replicate(public, r) for r in range(config.replicates)
+            ]
 
 
 def test_long_signals_take_one_row_at_a_time():
@@ -986,7 +958,7 @@ def test_bad_half_temperature_is_rejected_before_any_replicate(
     def no_replicate(*_args):
         raise AssertionError("a replicate ran")
 
-    monkeypatch.setattr(oracle, "_seat_rows", no_replicate)
+    monkeypatch.setattr(oracle, "_SeedWords", no_replicate)
     config = make_scenario(family, n=20, m=5, replicates=20_000, seed=RNG_SEED)
     # atoms scaled by 20 widen d0 until v'(0) <= b(0) d0: half the threshold has no coefficient
     config = replace(config, dictionary=Dictionary(config.dictionary.atoms * 20.0))

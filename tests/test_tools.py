@@ -58,7 +58,19 @@ def test_surface_counts_the_checkout():
         'class C:\n    """Doc."""\n\n    def f(self):\n        """Doc\n        string."""\n'
         "        return X  # trailing\n"
     )
-    assert _load(ROOT / "tools" / "surface.py")._code_lines(source) == 5
+    surface = _load(ROOT / "tools" / "surface.py")
+    assert surface._code_lines(source) == 5
+    # imports: absolute ones by top-level module, not the package's own; the runtime needs
+    # only numpy beyond the standard library
+    source = (
+        "import os.path, numpy as np\nfrom . import laws\nfrom .ewa import f\n"
+        "from collections.abc import Sequence\nimport ewa_agg.cli\n\n\n"
+        "def g():\n    import ctypes\n"
+    )
+    assert surface._imports(source) == {"os", "numpy", "collections", "ctypes"}
+    assert doc["imports"] == sorted(doc["imports"])
+    assert set(doc["imports"]) - sys.stdlib_module_names == {"numpy"}
+    assert "ctypes" not in doc["imports"]  # no raw memory access
     # a class body's methods are the callables and descriptors in its own namespace
     kinds = (types.FunctionType, staticmethod, classmethod, property)
     assert doc["family_methods"] == {

@@ -11,6 +11,8 @@ one JSON object:
 - "code_lines": the same count without blank lines, comment lines and
   docstrings (of the module, its classes and its functions), so that trimmed
   prose does not read as deleted code;
+- "imports": the top-level modules that SRC/src/ewa_agg imports from outside
+  the package (standard library included), sorted;
 - "exports": len(ewa_agg.__all__);
 - "extension_keys": the CLI's config keys beyond the experiment's own;
 - "environment": the environment variables the package reads, found in its
@@ -51,6 +53,17 @@ def _code_lines(source):
         if token.type not in _NOT_CODE:
             code.update(range(token.start[0], token.end[0] + 1))
     return len(code - docs)
+
+
+def _imports(source):
+    """The top-level modules an absolute import in source names, less the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names - {"ewa_agg"}
 
 
 def _env_reads(path):
@@ -138,6 +151,7 @@ def main(argv):
     doc = {
         "lines": lines,
         "code_lines": code_lines,
+        "imports": sorted(set().union(*(_imports(path.read_text()) for path in modules))),
         "exports": len(ewa_agg.__all__),
         "extension_keys": list(cli._EXTENSION_KEYS),
         "environment": environment,
