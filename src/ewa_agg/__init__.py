@@ -42,10 +42,7 @@ from .noise import (
 from .coupling import (
     CouplingDraw,
     CouplingReport,
-    conditional_zeta_laws,
-    exact_coupled_sum_law,
     ks_two_sample_threshold,
-    max_conditional_mean_error,
     sample_coupling,
     verify_coupling,
 )

@@ -308,14 +308,6 @@ def _exact_worst_points(rows, t_grid, bound):
     return np.concatenate(ratios), np.concatenate(worst)
 
 
-def _sampled_worst_point(samples, t_grid, bound):
-    """`_worst_points` of one law given by its draws: the empirical mean, credited a
-    MGF_SE_MULTIPLIER-standard-error margin."""
-    mgf, m2 = _sampled_moments(samples, t_grid)
-    margin = MGF_SE_MULTIPLIER * np.sqrt(m2 / (samples.size - 1)) / math.sqrt(samples.size)
-    return _worst_points(mgf[:, None], margin[:, None], bound)
-
-
 def _report(ratios, worst, t_grid, method, family, alpha):
     """The report of the first law with the largest ratio, at its worst point. The
     ratios are never NaN, so np.argmax picks that law."""
@@ -332,63 +324,60 @@ def _report(ratios, worst, t_grid, method, family, alpha):
     )
 
 
-def _exact_report(rows, t_grid, bound, v, c, family, alpha):
-    """The exact report over the laws of a `laws.LawRows`: the grid's, its verdict
-    failing also where a law's variance exceeds 2 v / c by more than
-    MGF_RATIO_TOL, the t -> 0 condition of the module docstring."""
-    report = _report(*_exact_worst_points(rows, t_grid, bound), t_grid, "exact", family, alpha)
-    if c * np.max(rows.variances()) <= (1.0 + MGF_RATIO_TOL) * 2.0 * v:
-        return report
-    return replace(report, verdict=False)
-
-
 def mgf_bound_check(law, v, b, c, t_grid, family="", alpha=float("nan")):
     """Compare E[exp(t zeta)] against the profile bound over a t-grid.
 
-    ``law`` is a DiscreteLaw (exact moments; its variance must also be at most
-    2 v / c, the t -> 0 condition of the module docstring) or a 1-D sample
-    array (empirical mean, credited a 5-standard-error margin, both merged over
-    blocks of CF_BLOCK draws by Chan's update, with the grid walked and each
-    block's M2 guarded as `_sampled_moments` derives). Any t_grid inside the
-    domain is taken; a non-finite node raises ValueError (`mgf_bound`). A point
-    whose mean or margin is not finite, as after an overflow, fails unless the
-    bound there is infinite.
+    ``law`` is a DiscreteLaw or a `laws.LawRows` batch of laws (exact moments;
+    each law's variance must also be at most 2 v / c, the t -> 0 condition of the
+    module docstring, or the verdict fails), or a 1-D sample array (empirical
+    mean, credited a 5-standard-error margin, both merged over blocks of CF_BLOCK
+    draws by Chan's update, with the grid walked and each block's M2 guarded as
+    `_sampled_moments` derives). A batch reports its first law with the largest
+    ratio. Any t_grid inside the domain is taken; a non-finite node raises
+    ValueError (`mgf_bound`). A point whose mean or margin is not finite, as after
+    an overflow, fails unless the bound there is infinite.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     bound = mgf_bound(t_grid, v, b, c)  # also validates the domain
     if isinstance(law, DiscreteLaw):
-        return _exact_report(LawRows.stack([law]), t_grid, bound, v, c, family, alpha)
+        law = LawRows.stack([law])
+    if isinstance(law, LawRows):
+        report = _report(*_exact_worst_points(law, t_grid, bound), t_grid, "exact", family, alpha)
+        if c * np.max(law.variances()) <= (1.0 + MGF_RATIO_TOL) * 2.0 * v:
+            return report
+        return replace(report, verdict=False)
     samples = np.asarray(law, dtype=np.float64)
     if samples.ndim != 1 or samples.size < 2:
         raise ValueError("sampled laws need a 1-D array with at least 2 draws")
-    ratios, worst = _sampled_worst_point(samples, t_grid, bound)
+    mgf, m2 = _sampled_moments(samples, t_grid)
+    margin = MGF_SE_MULTIPLIER * np.sqrt(m2 / (samples.size - 1)) / math.sqrt(samples.size)
+    ratios, worst = _worst_points(mgf[:, None], margin[:, None], bound)
     return _report(ratios, worst, t_grid, "sampled", family, alpha)
 
 
 def check_noise_mgf(model, alpha, sample_size=1_000_000, rng=None):
-    """Run the profile bound over every conditional companion law of a
-    noise model: exactly for the discrete families, all their conditional laws
-    at once as rows, and from samples drawn from `rng` for the continuous ones,
-    which require it so that a verdict reproduces from its seed. Returns the
-    worst-case report: the first law with the largest ratio."""
+    """`mgf_bound_check` of every conditional companion law of a noise model, on
+    its profile's default grid: exactly for the discrete families, all their
+    conditional laws at once as rows, and from samples drawn from `rng` for the
+    continuous ones, which require it so that a verdict reproduces from its seed;
+    one report per coordinate, drawn in coordinate order. Returns the worst-case
+    report: the first law with the largest ratio."""
     alpha = _check_alpha(alpha)
     profile = model.profile()
     v = profile.v(alpha)
     b = profile.b(alpha)
     c = profile.mgf_normalization
     t_grid = default_t_grid(v, b)
-    bound = mgf_bound(t_grid, v, b, c)
     if model.discrete:
-        rows = model.conditional_rows(alpha)
-        return _exact_report(rows, t_grid, bound, v, c, model.family, alpha)
+        return mgf_bound_check(model.conditional_rows(alpha), v, b, c, t_grid, model.family, alpha)
     if rng is None:
         raise ValueError("sampled MGF checks need a generator: pass rng")
     n = _as_count(sample_size, "sample_size")
     if n < 2:
         raise ValueError("sample_size must be at least 2")
-    points = [
-        _sampled_worst_point(model.companion_draws(i, alpha, n, rng), t_grid, bound)
+    reports = [
+        mgf_bound_check(model.companion_draws(i, alpha, n, rng), v, b, c, t_grid, model.family, alpha)
         for i in range(model.dim)
     ]
-    ratios, worst = (np.concatenate(arrays) for arrays in zip(*points))
-    return _report(ratios, worst, t_grid, "sampled", model.family, alpha)
+    # the ratios are never NaN, so np.argmax picks the first report with the largest
+    return reports[int(np.argmax([report.max_ratio for report in reports]))]

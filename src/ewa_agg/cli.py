@@ -84,13 +84,10 @@ def _alpha_grid(config, extras, stream):
     """(alpha, generator) per alpha of the grid; the idx-th generator derives from
     (seed, stream, idx)."""
     grid = extras.get("alpha_grid", list(_DEFAULT_ALPHA_GRID))
-    if not isinstance(grid, list) or not grid:
+    reals = isinstance(grid, list) and all(type(a) in (int, float) for a in grid)
+    if not grid or not reals:  # exact types: a JSON true is a bool, an int subclass
         raise ValueError("alpha_grid must be a non-empty array of reals")
-    try:
-        alphas = [float(a) for a in grid]
-    except (TypeError, ValueError):
-        raise ValueError("alpha_grid must be a non-empty array of reals") from None
-    return [(a, derived_stream(config.seed, stream, idx)) for idx, a in enumerate(alphas)]
+    return [(float(a), derived_stream(config.seed, stream, idx)) for idx, a in enumerate(grid)]
 
 
 def _cmd_simulate(config, extras):

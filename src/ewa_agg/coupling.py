@@ -13,17 +13,17 @@ its class in `noise`. A discrete family states its per-coordinate branches,
 (stay value, stay prob, jump value, jump prob), as a static `branches`, and
 enumerates the conditioning records of all coordinates at once, as flat
 arrays (coordinate, record probability, xi value) and each record's
-branches; `exact_coupled_sum_law`, `max_conditional_mean_error`,
-`conditional_zeta_laws` and both sides of the exact branch of
-`verify_coupling` are all derived from that one enumeration (through the
-family's `marginal_rows`, `coupled_sum_rows`, `conditional_means` and
-`conditional_rows`, which hold every coordinate's laws as one `laws.LawRows`
-batch), and `two_branch_draw` draws its companion from the same branches.
-Atoms merge and align under the one atom tolerance of `laws`, MERGE_ATOL ·
-min(1, span) of each law. A continuous family draws its companion
-independently of xi (its static `couple`), and the statistical checks
-sample it. alpha is checked once, at each public entry (`sample_coupling`,
-`verify_coupling` and the exact wrappers here, `bernstein.check_noise_mgf`).
+branches. Its row builders are the exact-law API: `marginal_rows`,
+`coupled_sum_rows` and `conditional_rows` hold every coordinate's or
+record's law as a row of one `laws.LawRows` batch, and `conditional_means`
+every record's E[zeta | record], all derived from that one enumeration. Both
+sides of the exact branch of `verify_coupling` and
+`bernstein.check_noise_mgf` read them, and `two_branch_draw` draws its
+companion from the same branches. Atoms merge and align under the one atom
+tolerance of `laws`, MERGE_ATOL · min(1, span) of each law. A continuous
+family draws its companion independently of xi (its static `couple`), and
+the statistical checks sample it. alpha is checked once, at each public
+entry (`sample_coupling`, `verify_coupling`, `bernstein.check_noise_mgf`).
 
 The two sampled statistics are plain numpy. The Kolmogorov-Smirnov
 statistic differences the two empirical CDFs at every distinct draw: at the
@@ -97,36 +97,6 @@ def sample_coupling(model, alpha, rng):
     xi, record = model.sample_with_latents(rng)
     zeta = model.companion(record, alpha, rng)
     return CouplingDraw(xi=xi, zeta=zeta, alpha=alpha, conditioning_record=record)
-
-
-def _discrete_alpha(model, alpha):
-    alpha = _check_alpha(alpha)
-    if not model.discrete:
-        raise ValueError("exact enumeration needs a discrete noise family")
-    return alpha
-
-
-def exact_coupled_sum_law(model, i, alpha):
-    """Enumerated law of xi_i + zeta_i for a discrete-family coordinate. It builds
-    the rows of every coordinate and returns row i, so a loop over all coordinates
-    should take `model.coupled_sum_rows(alpha)` once instead."""
-    alpha = _discrete_alpha(model, alpha)
-    return model.coupled_sum_rows(alpha).law(i)
-
-
-def max_conditional_mean_error(model, alpha):
-    """Largest |E[zeta | record]| over all conditioning records, computed
-    exactly from the branch means (discrete families only)."""
-    alpha = _discrete_alpha(model, alpha)
-    return float(np.max(np.abs(model.conditional_means(alpha))))
-
-
-def conditional_zeta_laws(model, alpha):
-    """Exact conditional laws of zeta, one per distinct conditioning record
-    (discrete families only). The moment-generating checks take the same laws
-    as rows, `model.conditional_rows(alpha)`."""
-    alpha = _discrete_alpha(model, alpha)
-    return model.conditional_rows(alpha).laws()
 
 
 def ks_two_sample_threshold(n1, n2, tests=1):
@@ -231,7 +201,7 @@ def verify_coupling(model, alpha, method="exact", sample_size=1_000_000, rng=Non
         threshold = mean_threshold = EXACT_TOL
         rhs = model.marginal_rows().scale(1.0 + alpha)
         stat = float(np.max(model.coupled_sum_rows(alpha).max_atom_probability_error(rhs)))
-        mean_stat = max_conditional_mean_error(model, alpha)
+        mean_stat = float(np.max(np.abs(model.conditional_means(alpha))))
         ok = stat <= EXACT_TOL and mean_stat <= EXACT_TOL
     else:
         if method not in ("ks", "cf_grid"):

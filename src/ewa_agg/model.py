@@ -191,7 +191,7 @@ def _as_weight_array(w, m=None):
         raise ValueError(f"weights have length {arr.size}, expected {m}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("weights must be finite")
-    if np.any(arr < 0.0) or abs(float(arr.sum()) - 1.0) > 1e-9:
+    if np.any(arr < 0.0) or abs(float(arr.sum()) - 1.0) > SIMPLEX_ATOL:
         raise ValueError("weights must be a probability vector")
     return arr
 

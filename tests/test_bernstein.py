@@ -27,7 +27,7 @@ from ewa_agg.bernstein import (
     mgf_bound_check,
     variance_penalty_coefficient,
 )
-from ewa_agg.coupling import CF_BLOCK, conditional_zeta_laws
+from ewa_agg.coupling import CF_BLOCK
 from ewa_agg.laws import DiscreteLaw
 from ewa_agg.noise import (
     FAMILIES,
@@ -214,22 +214,29 @@ class TestMgfChecks:
         # rho = 1/2, xi = 1/2, alpha = 1/2: the companion stays at 0.25
         # w.p. 5/6 and jumps to -1.25 w.p. 1/6
         model = CenteredBernoulli([0.5])
-        laws = conditional_zeta_laws(model, 0.5)
+        laws = model.conditional_rows(0.5).laws()
         hand = {(-1.25, 1.0 / 6.0), (0.25, 5.0 / 6.0)}
         got = {(v, p) for v, p in laws[0].atoms()}
         for (hv, hp), (gv, gp) in zip(sorted(hand), sorted(got)):
             assert gv == pytest.approx(hv, abs=1e-15)
             assert gp == pytest.approx(hp, abs=1e-15)
         grid = default_t_grid(0.75, 0.5)
+        reports = []
         for law in laws:
-            report = mgf_bound_check(law, 0.75, 0.5, 2.0, grid, family="centered_bernoulli")
+            report = mgf_bound_check(law, 0.75, 0.5, 2.0, grid, "centered_bernoulli", 0.5)
             assert report.verdict
             assert report.method == "exact"
             assert report.max_ratio <= 1.0 + 1e-12
+            reports.append(report)
+        # the same laws as one batch of rows: the two laws mirror each other, so their
+        # ratios tie at opposite t, and the batch reports the first
+        rows = mgf_bound_check(model.conditional_rows(0.5), 0.75, 0.5, 2.0, grid, "centered_bernoulli", 0.5)
+        assert reports[0].max_ratio == reports[1].max_ratio and reports[0] != reports[1]
+        assert rows == reports[0]
 
     def test_false_profile_fails(self):
         model = CenteredBernoulli([0.5])
-        law = conditional_zeta_laws(model, 1.0)[0]
+        law = model.conditional_rows(1.0).laws()[0]
         # the claimed variance proxy is far too small for this law
         grid = default_t_grid(0.02, 0.1)
         report = mgf_bound_check(law, 0.02, 0.1, 2.0, grid)
@@ -294,6 +301,30 @@ class TestMgfChecks:
         z = np.exp(x)
         assert mean[0] == pytest.approx(z.mean(), rel=1e-15)
         assert m2[0] == pytest.approx(z.var() * z.size, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "model, coordinate",
+        [(Gaussian([0.5, 2.0, 1.0, 2.0]), 0), (Laplace([1.0, 0.3, 3.0]), 1)],
+        ids=["gaussian", "laplace"],
+    )
+    def test_sampled_check_reports_its_worst_coordinate(self, model, coordinate):
+        # each coordinate's companions are drawn in coordinate order and checked on their
+        # own; the model's report is the first with the largest ratio. Near t = 0 the
+        # smallest scale's ratio is the largest, as its margin is the smallest
+        alpha, n = 0.5, 20_000
+        row = model.profile()
+        v, b, c = row.v(alpha), row.b(alpha), row.mgf_normalization
+        grid = default_t_grid(v, b)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            reports = [
+                mgf_bound_check(model.companion_draws(i, alpha, n, rng), v, b, c, grid, model.family, alpha)
+                for i in range(model.dim)
+            ]
+            ratios = [report.max_ratio for report in reports]
+            assert ratios.index(max(ratios)) == coordinate
+            got = check_noise_mgf(model, alpha, sample_size=n, rng=np.random.default_rng(seed))
+            assert got == reports[coordinate]
 
     def test_sampled_input_validation(self):
         with pytest.raises(ValueError, match="1-D"):

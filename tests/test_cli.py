@@ -320,6 +320,11 @@ class TestInputErrors:
         cfg = tmp_path / "cfg.json"
         _write_config(cfg, alpha_grid=[])
         self._expect_error(capsys, ["verify-coupling", cfg], "alpha_grid")
+        # a bool or a string is no real, though float() would take it; the exact
+        # family would run its checks at alpha 1 and 0.5 instead
+        for grid in ([True], ["0.5"]):
+            _write_config(cfg, noise=CenteredBernoulli([0.3] * 6), alpha_grid=grid)
+            self._expect_error(capsys, ["verify-coupling", cfg], "alpha_grid")
 
     def test_t_grid_points_is_not_a_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -16,10 +16,7 @@ from ewa_agg.coupling import (
     CF_POINTS,
     CouplingDraw,
     CouplingReport,
-    conditional_zeta_laws,
-    exact_coupled_sum_law,
     ks_two_sample_threshold,
-    max_conditional_mean_error,
     sample_coupling,
     verify_coupling,
     _empirical_cf_gap,
@@ -123,18 +120,18 @@ DISCRETE_MODELS = [
 @pytest.mark.parametrize("model", DISCRETE_MODELS, ids=lambda m: m.family)
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_exact_amplification_identity(model, alpha):
-    marginals = model.marginal_rows()
+    marginals, sums = model.marginal_rows(), model.coupled_sum_rows(alpha)
     for i in range(model.dim):
-        lhs = exact_coupled_sum_law(model, i, alpha)
+        lhs = sums.law(i)
         rhs = marginals.law(i).scale(1.0 + alpha)
         assert max_atom_probability_error(lhs, rhs) <= 1e-12
-    assert max_conditional_mean_error(model, alpha) <= 1e-12
+    assert np.max(np.abs(model.conditional_means(alpha))) <= 1e-12
 
 
 @pytest.mark.parametrize("model", DISCRETE_MODELS, ids=lambda m: m.family)
 def test_conditional_laws_are_centered(model):
     for alpha in (0.25, 1.0):
-        for law in conditional_zeta_laws(model, alpha):
+        for law in model.conditional_rows(alpha).laws():
             assert abs(law.mean()) <= 1e-12
             assert abs(sum(p for _, p in law.atoms()) - 1.0) <= 1e-12
 
@@ -434,9 +431,9 @@ _discrete_models = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(_discrete_models, _alphas)
 def test_records_give_the_exact_identity(model, alpha):
-    marginals = model.marginal_rows()
+    marginals, sums = model.marginal_rows(), model.coupled_sum_rows(alpha)
     for i in range(model.dim):
-        lhs = exact_coupled_sum_law(model, i, alpha)
+        lhs = sums.law(i)
         rhs = marginals.law(i).scale(1.0 + alpha)
         assert max_atom_probability_error(lhs, rhs) <= 1e-12
     assert verify_coupling(model, alpha).statistic <= 1e-12
@@ -445,16 +442,16 @@ def test_records_give_the_exact_identity(model, alpha):
 @settings(max_examples=60, deadline=None)
 @given(_discrete_models, _alphas)
 def test_mean_error_agrees_with_conditional_laws(model, alpha):
-    laws = conditional_zeta_laws(model, alpha)
+    laws = model.conditional_rows(alpha).laws()
     assert abs(
-        max_conditional_mean_error(model, alpha) - max(abs(law.mean()) for law in laws)
+        np.max(np.abs(model.conditional_means(alpha))) - max(abs(law.mean()) for law in laws)
     ) <= 1e-15
 
 
 @settings(max_examples=40, deadline=None)
 @given(_binomials, _alphas)
 def test_binomial_laws_match_direct_convolution(model, alpha):
-    laws = iter(conditional_zeta_laws(model, alpha))
+    laws = iter(model.conditional_rows(alpha).laws())
     for i in range(model.dim):
         rho = float(model.rho[i])
         hi = ref.branch_law(CenteredBernoulli.branches(1.0 - rho, alpha))

@@ -208,6 +208,12 @@ def test_as_weight_array_accepts_wrappers():
         _as_weight_array(w, m=5)
     with pytest.raises(ValueError, match="weights must be finite"):
         _as_weight_array([math.nan, 1.0])
+    # the one simplex tolerance: what WeightVector refuses, a raw array may not pass
+    off = [0.5, 0.5 + 5e-10]
+    with pytest.raises(ValueError, match="sum to 1"):
+        WeightVector(off)
+    with pytest.raises(ValueError, match="probability vector"):
+        _as_weight_array(off)
 
 
 def _small_config(**overrides):

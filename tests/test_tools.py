@@ -176,3 +176,17 @@ def test_snapshot_scaled_atoms_certify_is_rejected():
     doc = {**config.to_json(), "dictionary": (scale * config.dictionary.atoms).tolist()}
     with pytest.raises(ValueError, match=r"beta must exceed 2 \* b\(0\) \* d0"):
         certify_config(ExperimentConfig.from_json(doc))
+
+
+def test_outputs_match_the_golden_digests():
+    # the output contract against a recorded baseline: every canned CLI output's sha256, read
+    # only under the numpy build and SIMD extensions it was recorded with
+    snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
+    recorded = snapshot.GOLDEN.read_text().splitlines()
+    here = f"# {snapshot.environment()}"
+    if recorded[0] != here:
+        pytest.fail(
+            f"{snapshot.GOLDEN.name} was recorded under {recorded[0][2:]!r}, this run is under"
+            f" {here[2:]!r}: re-record it with tools/snapshot_outputs.py --write-golden"
+        )
+    assert snapshot.golden_lines() == recorded

@@ -1,6 +1,6 @@
 """Write every CLI output and demo stdout of one checkout, for a byte-identity check.
 
-Usage: python3 tools/snapshot_outputs.py SRC OUT
+Usage: python3 tools/snapshot_outputs.py SRC OUT | --write-golden
 
 SRC is a checkout of this repository and OUT a directory to create; the script
 exits 2 if SRC/src holds no package. For each of the five `make_scenario`
@@ -39,14 +39,25 @@ also runs on each family's canned shape at --seed 0, 2^32 and 2^64 - 1, seeds of
 32-bit word and of two, into OUT/cli-seeds/<family>.certify.<seed>.<format>.
 OUT/exit_codes.txt lists every exit code.
 Snapshots of two checkouts compare with `diff -r OUT_A OUT_B`.
+
+With --write-golden the script instead re-records GOLDEN, tests/golden/outputs.sha256
+of its own checkout: the sha256 of the stdout of each OUT/cli/ run (five families, six
+commands, CSV and JSON), made in process through `cli.main` at EWA_AGG_THREADS=1, in
+`sha256sum` form under a first line naming numpy's version and SIMD extensions
+(`environment`). The Tier-1 suite checks that the package reproduces every digest.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 SEED = 3
 THREADS = "EWA_AGG_THREADS"
@@ -81,6 +92,8 @@ SEEDS = (0, 2**32, 2**64 - 1)  # cli-seeds: certify's --seed, of one 32-bit word
 # (family, make_scenario arguments, atom scale) of a certify run under cli-limits/scaled-atoms:
 # scaled atoms widen d0 until v'(0) <= b(0) d0, so half the threshold has no penalty coefficient
 SCALED = ("laplace", {"n": 20, "m": 5}, 20.0)
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "outputs.sha256"
 
 
 def _skewed(m, picks):
@@ -100,7 +113,46 @@ def _run(args, env, path, codes):
     codes.append(f"{path.parent.name}/{path.name} {proc.returncode}\n")
 
 
+def environment():
+    """numpy's version and the SIMD extensions it runs, as `np.show_runtime` reads them:
+    the last bits of a float result may differ where either does."""
+    import numpy as np
+    from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+
+    found = [feature for feature in __cpu_dispatch__ if __cpu_features__[feature]]
+    return f"numpy {np.__version__}; simd baseline {' '.join(__cpu_baseline__)}; found {' '.join(found)}"
+
+
+def golden_lines():
+    """The lines of GOLDEN for the package imported as ewa_agg: the environment, then
+    `<sha256>  cli/<family>.<command>.<format>` per OUT/cli/ run, each run through
+    `cli.main` in process at EWA_AGG_THREADS=1."""
+    from ewa_agg import cli
+    from ewa_agg.noise import FAMILIES
+    from ewa_agg.oracle import make_scenario
+
+    lines = [f"# {environment()}"]
+    with mock.patch.dict(os.environ, {THREADS: "1"}), tempfile.TemporaryDirectory() as tmp:
+        for family in FAMILIES:
+            doc = make_scenario(family, replicates=REPLICATES, seed=SEED).to_json()
+            config = Path(tmp) / f"{family}.json"
+            config.write_text(json.dumps({**doc, "sample_size": SAMPLE_SIZE}))
+            for command in COMMANDS:
+                for fmt in FORMATS:
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        cli.main([command, str(config), "--format", fmt])
+                    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                    lines.append(f"{digest}  cli/{family}.{command}.{fmt}")
+    return lines
+
+
 def main(argv):
+    if argv[1:] == ["--write-golden"]:
+        sys.path.insert(0, str(ROOT / "src"))
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text("\n".join(golden_lines()) + "\n")
+        return 0
     if len(argv) != 3:
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 2
