@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bernstein import _gamma
 from .coupling import Report, _as_count
 from .model import (
     WeightVector,
@@ -34,6 +35,7 @@ from .model import (
 DV_TOLERANCE = 1e-9
 BLOCK_DOUBLES = 1 << 16  # 512 KiB of differences: a block stays in a core's L2 cache
 EINSUM_BUFFER = 8192  # numpy's iterator buffer; einsum sums a longer row in pieces
+EXPANSION_TOLERANCE = 2.0**-30  # the most a replicate's expanded d_j / beta may be off
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,8 @@ def _signal_rows(k, n):
 
 def _atom_sq_distances(y, atoms):
     """||theta_j - y||^2 per row theta_j of atoms, from explicit differences (||y||^2 - 2 y.theta
-    cancels); at y = 0.0, the squared norms: the package's one squared-distance reduction. One
+    cancels); at y = 0.0, the squared norms: the package's one explicit reduction (replicate
+    weights take `_expanded_sq_distances`, guarded by their distance from it). One
     signal gives (m,), an (R, n) block (R, m), against one (m, n) set of atoms or each signal's
     own in (R, m, n). One loop: blocks of `_signal_rows(R, n)` atoms, each one C-ordered
     difference, which stays in cache, and one einsum, which sums a C-ordered row that fits its
@@ -73,6 +76,54 @@ def _atom_sq_distances(y, atoms):
         diff = np.subtract(atoms[:, lo : lo + rows], signals, order="C")
         np.einsum("rij,rij->ri", diff, diff, out=out[:, lo : lo + rows])
     return out if y.ndim == 2 else out[0]
+
+
+def _expanded_sq_distances(noise, atoms, truth, gaps, reach):
+    """(d, err) for an (R, n) block of noise rows xi, the signals y = fl(t + xi) about the
+    truth t, against one (m, n) set of atoms or each row's own (R, m, n): d is (R, m), the
+    expansion of ||y - theta_j||^2 around the truth, with a_j = theta_j - t,
+
+        d_j = ||xi||^2 - 2 (xi . theta_j - xi . t) + ||a_j||^2,
+
+    gaps holding ||a_j||^2 (`_atom_sq_distances(truth, atoms)`, made once per set of atoms,
+    picked with them), and err (R,) bounds |d_j - d~_j| over j, d~ being the explicit kernel
+    `_atom_sq_distances(y, atoms)`. reach is max_j ||theta_j|| + ||t|| over every atom the
+    rows may hold. The cross terms are einsums, which call no BLAS and sum each (r, j) alike
+    in any block and at any BLAS thread count, so equal atoms give equal columns; no (m, n)
+    difference is made. Precondition, as for `_atom_sq_distances`: R is 1 where
+    n > EINSUM_BUFFER.
+
+    The bound: with u = 2^-53 and gamma_k = k u / (1 - k u) (Higham 2002, section 3.1), take
+    S = (||xi|| + reach)^2, which dominates ||xi||^2 + 2 ||xi|| (||theta_j|| + ||t||) +
+    ||a_j||^2, the sum of the magnitudes of the terms, and E_j = ||xi - a_j||^2 <= S.
+
+    - ||xi||^2, xi . theta_j and xi . t each err within gamma_n of the sum of their terms'
+      magnitudes, ||a_j||^2 within gamma_{n+2} (its differences round too); the three
+      combining roundings, fl(P - Q), fl(N - 2 .) and fl(. + A) (doubling is exact), make it
+      gamma_{n+3} (lemma 3.3), so |d_j - E_j| <= gamma_{n+3} S;
+    - y = (t + xi)(1 + delta) by coordinate, ||y - (t + xi)|| <= u sqrt(S), so the exact
+      D_j = ||y - theta_j||^2 lies within (2 u + u^2) S <= gamma_2 S of E_j;
+    - the explicit kernel rounds a difference, a square and n - 1 sums of nonnegative
+      terms: |d~_j - D_j| <= gamma_{n+2} D_j <= gamma_{n+2} (1 + u)^2 S <= gamma_{n+4} S;
+    - a product that underflows errs by up to 2^-1075 absolutely instead, once per multiply
+      (fused or not) of d, the cross terms counting twice, and of d~: under 7 n 2^-1075
+      (1 + gamma).
+
+    So err = 2 gamma_{n+5} S + n 2^-1072 >= (gamma_{n+5} + gamma_{n+4}) S + 7 n 2^-1075
+    (1 + gamma); the margin over gamma_{n+5} + gamma_{n+4} also covers err's own rounding.
+    Where err <= EXPANSION_TOLERANCE beta, d_j / beta, the one term of a log-weight that the
+    signal enters, is within 2^-30 of the explicit kernel's. An overflowing norm makes err
+    +inf, which no beta admits."""
+    bound = 2.0 * _gamma(noise.shape[-1] + 5)
+    sq_noise = _atom_sq_distances(0.0, noise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.einsum("rk,jk->rj" if atoms.ndim == 2 else "rk,rjk->rj", noise, atoms)
+        d -= np.einsum("rk,k->r", noise, truth)[:, None]
+        d *= -2.0
+        d += sq_noise[:, None]
+        d += gaps
+        err = bound * (np.sqrt(sq_noise) + reach) ** 2 + noise.shape[-1] * 2.0**-1072
+    return d, err
 
 
 def squared_distance(a, b):

@@ -14,8 +14,9 @@ for `ewa-agg oracle-bound`; each report's fields are its JSON keys
 (`coupling.Report`), and its CSV_HEADER picks the CSV columns.
 
 Replicate r draws its noise from the stream numpy derives for (seed, r),
-Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))), and runs the distance, softmax and
-moments behind `posterior_weights`. The stream pipeline: a worker's span of replicates
+Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))), weighs the atoms by the softmax behind
+`posterior_weights`, of the guarded distances below, and takes the moments behind
+`aggregate` and `posterior_variance`. The stream pipeline: a worker's span of replicates
 [first, last) gets the words SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)
 of all its keys from one function of (seed, first, last), `_seed_words`, which redoes numpy's
 seed hash in a few array passes and equals numpy's words for every key. Each replicate then
@@ -28,16 +29,24 @@ into noise by one `noise_rows` call, and every row's uniforms into atom picks by
 searchsorted on the prior's cdf, which is built once per config as rng.choice builds it
 (`_choice_cdf`). Replicates go through in chunks of R_c = `ewa._signal_rows(m, n)` rows (m
 being prior_samples when set), blind to the worker count and to beta: BLOCK_DOUBLES // (m n),
-and one where n outgrows einsum's buffer, the one distance loop's precondition. Per chunk one
-`ewa._atom_sq_distances` call, then per temperature one row-wise softmax and one moments call
+and one where n outgrows einsum's buffer, the one distance loop's precondition. Per chunk the
+weights' distances come from the expansion around the truth, `ewa._expanded_sq_distances`:
+||xi||^2 - 2 (xi . theta_j - xi . t) + ||theta_j - t||^2, the last made once per config by
+`ewa._atom_sq_distances` (the Gibbs bound's own d_j) and the cross term by one BLAS-free
+einsum, with a bound err_r on each row's distance from the explicit kernel. A row keeps the
+expansion at a beta where err_r <= 2^-30 beta (`ewa.EXPANSION_TOLERANCE`), so its d_j / beta
+is within 2^-30 of `posterior_weights`'; the rows refused at the pass's lowest finite beta
+take `ewa._atom_sq_distances` once, and each beta takes the explicit rows its own guard
+refuses. Then per temperature one row-wise softmax and one moments call
 (`ewa._posterior_moments`: two stacked matmuls, each row's BLAS call where a 2-D gemm would
-sum in another order, and the squared norms by the same loop), each row giving the bits of
-its one-replicate call. So results are bit-identical however many workers run, however
-replicates are chunked and however many temperatures share the pass: `certify_config` makes
-one pass for its two, and each report equals its own `mc_risk` run. The softmax makes the
-weights alone (`ewa._posterior`), no log-weights. EWA_AGG_THREADS (default 1) workers share a
-config whose chunks hold one row; one with more rows per chunk runs on one, as its numpy
-calls hold the GIL. A single span runs in the calling thread, with no pool.
+sum in another order, and the squared norms by the explicit loop), each row giving the bits
+of its one-replicate call. So results are bit-identical however many workers run, however
+replicates are chunked, at any OPENBLAS_NUM_THREADS and however many temperatures share the
+pass: `certify_config` makes one pass for its two, and each report equals its own `mc_risk`
+run. The softmax makes the weights alone (`ewa._posterior`), no log-weights. EWA_AGG_THREADS
+(default 1) workers share a config whose chunks hold one row; one with more rows per chunk
+runs on one, as its numpy calls hold the GIL. A single span runs in the calling thread, with
+no pool.
 
 Where the posterior is a point mass on atom j, a tie passes: every risk is the bound's
 d_j bit for bit (both sum in `ewa._atom_sq_distances`), every posterior variance is 0, a
@@ -59,8 +68,10 @@ import numpy as np
 from .bernstein import _gamma, beta_threshold, variance_penalty_coefficient
 from .coupling import Report, _as_count
 from .ewa import (
+    EXPANSION_TOLERANCE,
     _atom_sq_distances,
     _ewa_inputs,
+    _expanded_sq_distances,
     _posterior,
     _posterior_moments,
     _signal_rows,
@@ -272,14 +283,18 @@ def _run_replicates(config, betas):
     replicate or beta changes is made once. A worker's span seeds its replicates' streams as
     the module docstring's stream pipeline says, for each one's raw noise draw and prior
     uniforms. It goes in chunks of `_signal_rows` replicates, whatever the worker count or
-    beta: one noise transform, prior pick and distance block (none if every beta is +inf) per
-    chunk, then a row-wise softmax (weights only) and moments call per beta, so each pair is
-    bit for bit a pass at its beta alone. A config whose chunks hold more than one row runs on
-    one worker, as their small numpy calls hold the GIL; one span runs in the calling thread,
-    with no pool."""
+    beta: one noise transform, prior pick and expanded distance block with its row bounds per
+    chunk, and explicit distances for the rows the guard refuses at the lowest finite beta
+    (none of either if every beta is +inf); then per beta a row-wise softmax (weights only) of
+    the distances that beta's guard picks per row, and a moments call, so each pair is bit for
+    bit a pass at its beta alone. A config whose chunks hold more than one row runs on one
+    worker, as their small numpy calls hold the GIL; one span runs in the calling thread, with
+    no pool."""
     total, sampled = config.replicates, config.prior_samples
-    atoms = config.dictionary.atoms
-    norms = _atom_sq_distances(0.0, atoms)
+    atoms, truth = config.dictionary.atoms, config.truth
+    norms, gaps = _atom_sq_distances(0.0, atoms), _atom_sq_distances(truth, atoms)
+    reach = math.sqrt(norms.max()) + math.hypot(*truth.tolist())
+    lowest = min((beta for beta in betas if not math.isinf(beta)), default=None)
     prior = config.prior if sampled is None else WeightVector.uniform(sampled)
     if sampled is not None:
         cdf = _choice_cdf(config.prior.weights)
@@ -294,20 +309,26 @@ def _run_replicates(config, betas):
             if sampled is not None:
                 picks.append(rng.random(sampled))
         raws = np.array(raws)  # the list goes before the transform's blocks are made
-        y = config.truth + config.noise.noise_rows(raws)[0]
+        xi = config.noise.noise_rows(raws)[0]
         del raws  # and the block before the distance block is
+        y = truth + xi
         if not np.all(np.isfinite(y)):
             raise ValueError("signal entries must be finite")
         idx = cdf.searchsorted(np.array(picks), side="right") if sampled else slice(None)
         theta, sq = atoms[idx], norms[idx]  # sampled: each replicate's own (s, n) atoms
-        if not all(map(math.isinf, betas)):
-            d = _atom_sq_distances(y, theta)
+        if lowest is not None:
+            d, err = _expanded_sq_distances(xi, theta, truth, gaps[idx], reach)
+            explicit, refit = d, ~(err <= EXPANSION_TOLERANCE * lowest)
+            if refit.any():  # the rows the guard refuses at the lowest beta, once
+                explicit = d.copy()
+                explicit[refit] = _atom_sq_distances(y[refit], theta[refit] if sampled else theta)
         for beta, (risks, pvars) in zip(betas, runs):
             if math.isinf(beta):
                 w = np.broadcast_to(prior.weights, (len(words), len(prior)))
             else:
-                w = _posterior(prior.log_weights, d, beta)
-            pvars[chunk], risks[chunk] = _posterior_moments(w, theta, sq, config.truth)
+                kept = (err <= EXPANSION_TOLERANCE * beta)[:, None]
+                w = _posterior(prior.log_weights, np.where(kept, d, explicit), beta)
+            pvars[chunk], risks[chunk] = _posterior_moments(w, theta, sq, truth)
 
     def fill_span(lo, hi):  # a chunk's arrays go before the next one's are made
         keys_at_once = rows * max(1, _STATE_KEYS // rows)  # whole chunks
@@ -365,7 +386,9 @@ def _rounding_allowance(config, bound, penalty, pvar):
     and the mean P at most C + pvar, so the computed left-hand side exceeds the bound by at
     most 2 H C + 2 (1 + H) G (T sqrt(P) + P + G (T^2 + P)), the allowance, to first order in
     its inputs; atoms of no posterior weight add nothing. Left out: the exp and log of the
-    softmax and the bound, the replicate mean and the posterior variance's rounding. At a tie
+    softmax and the bound, the replicate distances' expansion (at most 2^-30 in each d_j /
+    beta, and equal for equal atoms), the replicate mean and the posterior variance's
+    rounding. At a tie
     between copies of one atom each posterior is uniform over them, the bound is its clamped
     d_j, a constant series keeps its value and the computed variance is at least the exact 0.
     A non-finite allowance (an overflowing norm) is 0, leaving the strict verdict."""

@@ -519,3 +519,46 @@ def test_verify_bernstein_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path
         assert proc.stdout.count(b'"verdict": "pass"') == 2
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+_CERTIFY_BYTES = """
+import sys
+from ewa_agg import cli
+for path in sys.argv[1:]:
+    cli.main(["certify", path, "--format", "json"])
+"""
+
+
+def test_certify_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
+    # the replicates' distances take their cross terms from einsum, without BLAS: a BLAS
+    # product's rows change bits with OPENBLAS_NUM_THREADS and with their row count. The
+    # canned shape chunks many rows; the wide one (m n > BLOCK_DOUBLES) one row per chunk,
+    # shared by two workers at EWA_AGG_THREADS=2. Its atoms also come 20 times nearer the
+    # truth, with and without a sampled prior, so that the weights spread over many atoms
+    # and a last-bit change in any distance reaches the reports
+    canned = make_scenario("gaussian", seed=3, replicates=200)
+    wide = make_scenario("gaussian", n=64, m=1100, replicates=24, seed=3)
+    near = wide.truth + 0.05 * (wide.dictionary.atoms - wide.truth)
+    configs = {
+        "canned": canned.to_json(),
+        "wide": wide.to_json(),
+        "near": wide.to_json() | {"dictionary": near.tolist()},
+        "sampled": wide.to_json() | {"dictionary": near.tolist(), "prior_samples": 700},
+    }
+    paths = []
+    for name, doc in configs.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    outputs = set()
+    for blas, workers in (("1", "1"), ("2", "1"), ("1", "2")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, EWA_AGG_THREADS=workers)
+        proc = subprocess.run(
+            [sys.executable, "-c", _CERTIFY_BYTES, *map(str, paths)],
+            capture_output=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(b'"verdict": "pass"') == 8
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 import moments_reference as moments
 from ewa_agg.ewa import (
     EINSUM_BUFFER,
+    EXPANSION_TOLERANCE,
     _atom_sq_distances,
+    _expanded_sq_distances,
     _posterior_moments,
     _signal_rows,
     aggregate,
@@ -276,6 +278,67 @@ def test_moment_rows_equal_the_one_row_formulas(m, n, rows, picks, weights, scal
         if weights in ("dense", "broadcast") and picks is None:  # one row, a probability vector
             one = posterior_variance(Dictionary(atoms), w[0])
             assert np.float64(one).tobytes() == want[0, 0].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 64),
+    rows=st.integers(1, 6),
+    picks=st.one_of(st.none(), st.integers(1, 8)),
+    scales=st.tuples(*[st.integers(-170, 100)] * 3),
+    planted=st.booleans(),
+    log_ratio=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=4, n=9, rows=3, picks=None, scales=(0, 0, 0), planted=True, log_ratio=0.0, seed=1)
+@example(m=3, n=5, rows=4, picks=6, scales=(-160, -165, -170), planted=False, log_ratio=-1.0,
+         seed=2)
+@example(m=5, n=64, rows=6, picks=None, scales=(100, -3, 2), planted=True, log_ratio=0.5,
+         seed=3)
+def test_expanded_distances_lie_within_their_bound(
+    m, n, rows, picks, scales, planted, log_ratio, seed
+):
+    # the expansion about the truth stays within its stated bound of the explicit kernel at
+    # every scale, subnormal products included, and where the guard keeps a row at beta its
+    # log-weights are within 2^-30 of the explicit ones; a row's bits are its one-row call's,
+    # and equal atoms give equal columns. "planted" puts row 0 within 1e-6 of atom 0
+    # (relative to the spread), where the expansion cancels
+    truth_scale, spread, noise_scale = (10.0**k for k in scales)
+    rng = np.random.default_rng(seed)
+    truth = rng.normal(size=n) * truth_scale
+    atoms = truth + rng.normal(size=(m, n)) * spread
+    atoms = np.vstack([atoms, atoms[:1]])  # a copy of atom 0
+    noise = rng.normal(size=(rows, n)) * noise_scale
+    if planted:
+        noise[0] = atoms[0] - truth + rng.normal(size=n) * 1e-6 * spread
+    y = truth + noise
+    gaps = _atom_sq_distances(truth, atoms)
+    reach = math.sqrt(_atom_sq_distances(0.0, atoms).max()) + math.hypot(*truth.tolist())
+    theta, own_gaps = atoms, gaps
+    if picks is not None:
+        idx = rng.integers(0, m + 1, (rows, picks))
+        theta, own_gaps = atoms[idx], gaps[idx]
+    d, err = _expanded_sq_distances(noise, theta, truth, own_gaps, reach)
+    explicit = _atom_sq_distances(y, theta)
+    assert np.all(np.abs(d - explicit) <= err[:, None])
+    for r in range(rows):
+        one = (theta[r : r + 1], own_gaps[r : r + 1]) if picks else (theta, gaps)
+        d_r, err_r = _expanded_sq_distances(noise[r : r + 1], one[0], truth, one[1], reach)
+        assert d_r.tobytes() == d[r : r + 1].tobytes() and err_r[0] == err[r]
+    if picks is None:
+        assert np.array_equal(d[:, -1], d[:, 0])
+    else:
+        for r in range(rows):
+            copies = idx[r] % m == 0  # atom 0 or its copy
+            assert np.unique(d[r, copies]).size <= 1
+    beta = err.max() / EXPANSION_TOLERANCE * 10.0**log_ratio
+    kept = err <= EXPANSION_TOLERANCE * beta
+    assert kept.any() or log_ratio < 0.0
+    log_prior = -math.log(theta.shape[-2])
+    with np.errstate(over="ignore"):
+        gap = np.abs((log_prior - d / beta) - (log_prior - explicit / beta))
+    assert np.all(gap[kept] <= 2.0**-30)
 
 
 def test_posterior_variance_never_negative():

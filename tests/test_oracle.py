@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import draw_reference as draws
 import moments_reference as moments
 from ewa_agg import cli, ewa, oracle
-from ewa_agg.bernstein import beta_threshold
+from ewa_agg.bernstein import _gamma, beta_threshold
 from ewa_agg.ewa import gibbs_objective, kl_divergence, posterior_weights, squared_distance
 from ewa_agg.model import (
     Dictionary,
@@ -491,19 +491,64 @@ class TestMcRisk:
         assert sampled.risk == pytest.approx(exact.risk, rel=0.25)
 
 
+def _replicate_inputs(config, r):
+    """Replicate r's noise, atoms, prior and the atoms' picks (None without prior_samples),
+    drawn from numpy's own (seed, r) stream."""
+    rng = _numpy_stream(config.seed, r)
+    xi = config.noise.sample(rng)
+    atoms, prior, picks = config.dictionary.atoms, config.prior, None
+    if config.prior_samples is not None:
+        picks = rng.choice(len(atoms), size=config.prior_samples, p=prior.weights)
+        atoms, prior = atoms[picks], WeightVector.uniform(config.prior_samples)
+    return xi, atoms, prior, picks
+
+
 def _public_replicate(config, r):
     """Replicate r through posterior_weights and the one-row moment formulas, drawing from
     numpy's own (seed, r) stream."""
-    rng = _numpy_stream(config.seed, r)
-    y = config.truth + config.noise.sample(rng)
-    atoms, prior = config.dictionary.atoms, config.prior
-    if config.prior_samples is not None:
-        atoms = atoms[rng.choice(len(atoms), size=config.prior_samples, p=prior.weights)]
-        prior = WeightVector.uniform(config.prior_samples)
-    post = posterior_weights(y, Dictionary(atoms), prior, config.beta)
+    xi, atoms, prior, _ = _replicate_inputs(config, r)
+    post = posterior_weights(config.truth + xi, Dictionary(atoms), prior, config.beta)
     norms = ewa._atom_sq_distances(0.0, atoms)
     pvar, risk = moments.one_row(post.weights, atoms, norms, config.truth)
     return risk, pvar
+
+
+def _expansion(config, xi, picks=None):
+    """`ewa._expanded_sq_distances` of the (R, n) noise rows xi against the config's atoms,
+    or against each row's own picks (R, s), with the gaps and the reach `_run_replicates`
+    makes once per config."""
+    atoms, truth = config.dictionary.atoms, config.truth
+    gaps = ewa._atom_sq_distances(truth, atoms)
+    reach = math.sqrt(ewa._atom_sq_distances(0.0, atoms).max()) + math.hypot(*truth.tolist())
+    if picks is not None:
+        atoms, gaps = atoms[picks], gaps[picks]
+    return ewa._expanded_sq_distances(xi, atoms, truth, gaps, reach)
+
+
+def _guarded_replicate(config, r):
+    """(risk, pvar, kept): replicate r by the distance rule of `_run_replicates` on that row
+    alone. Where the expansion's bound keeps the row at config.beta (finite), its distances
+    go through the public softmax and the one-row moment formulas; elsewhere the replicate
+    is its `posterior_weights` path."""
+    xi, atoms, prior, picks = _replicate_inputs(config, r)
+    d, err = _expansion(config, xi[None], None if picks is None else picks[None])
+    if math.isinf(config.beta) or not err[0] <= ewa.EXPANSION_TOLERANCE * config.beta:
+        return (*_public_replicate(config, r), False)
+    post = WeightVector.from_log_weights(prior.log_weights - d[0] / config.beta)
+    norms = ewa._atom_sq_distances(0.0, atoms)
+    pvar, risk = moments.one_row(post.weights, atoms, norms, config.truth)
+    return risk, pvar, True
+
+
+def _guarded_replicates(config):
+    """Every replicate's (risk, pvar) by `_guarded_replicate`: a row the guard refuses is
+    compared with its `posterior_weights` path."""
+    return [_guarded_replicate(config, r)[:2] for r in range(config.replicates)]
+
+
+def _kept_rows(config):
+    """Whether the guard keeps each replicate's expansion at config.beta."""
+    return [_guarded_replicate(config, r)[2] for r in range(config.replicates)]
 
 
 def _public_path_configs(family, replicates):
@@ -524,24 +569,20 @@ def _public_path_configs(family, replicates):
 def test_replicates_equal_the_public_path(family):
     for config in _public_path_configs(family, replicates=12):
         risks, pvars = _run_replicates(config, (config.beta,))[0]
-        for r in range(config.replicates):
-            assert (risks[r], pvars[r]) == _public_replicate(config, r)
+        assert list(zip(risks, pvars)) == _guarded_replicates(config)
 
 
 def _assert_chunks_equal_the_public_path(monkeypatch, config, chunk_rows):
-    """Every replicate of `config` equals its public path when `_run_replicates` takes each
-    row count in `chunk_rows` (set through ewa.BLOCK_DOUBLES) at 1 and at 3 workers, alone at
-    config.beta and in one pass that also serves +inf, 1e-310 and a finite beta, each of them
-    at its own public path. A span derives its states 10 keys at a time (whole chunks), so
-    spans cross several key blocks."""
+    """Every replicate of `config` equals its one-replicate reference (`_guarded_replicate`)
+    when `_run_replicates` takes each row count in `chunk_rows` (set through
+    ewa.BLOCK_DOUBLES) at 1 and at 3 workers, alone at config.beta and in one pass that also
+    serves +inf, 1e-310 and a finite beta, each of them at its own reference. A span derives
+    its states 10 keys at a time (whole chunks), so spans cross several key blocks."""
     monkeypatch.setattr(oracle, "_STATE_KEYS", 10)
     n = config.truth.size
     m_eff = config.prior_samples or config.dictionary.m
     betas = (config.beta, math.inf, 1e-310, 0.37)
-    public = [
-        [_public_replicate(replace(config, beta=beta), r) for r in range(config.replicates)]
-        for beta in betas
-    ]
+    public = [_guarded_replicates(replace(config, beta=beta)) for beta in betas]
     for rows in chunk_rows:
         monkeypatch.setattr(ewa, "BLOCK_DOUBLES", rows * m_eff * n)
         assert ewa._signal_rows(m_eff, n) == rows
@@ -673,10 +714,7 @@ def test_fallback_seating_equals_the_direct_write(family, monkeypatch):
         monkeypatch.setenv("EWA_AGG_THREADS", threads)
         betas = (config.beta, config.beta / 2.0)
         for beta, (risks, pvars) in zip(betas, _run_replicates(config, betas), strict=True):
-            public = replace(config, beta=beta)
-            assert list(zip(risks, pvars)) == [
-                _public_replicate(public, r) for r in range(config.replicates)
-            ]
+            assert list(zip(risks, pvars)) == _guarded_replicates(replace(config, beta=beta))
 
 
 def test_long_signals_take_one_row_at_a_time():
@@ -684,7 +722,7 @@ def test_long_signals_take_one_row_at_a_time():
     config = make_scenario("gaussian", n=9000, m=2, replicates=3, seed=3)
     assert ewa._signal_rows(2, 9000) == 1
     risks, pvars = _run_replicates(config, (config.beta,))[0]
-    assert list(zip(risks, pvars)) == [_public_replicate(config, r) for r in range(3)]
+    assert list(zip(risks, pvars)) == _guarded_replicates(config)
 
 
 def test_chunk_mixing_rows_with_and_without_mass(monkeypatch):
@@ -719,6 +757,95 @@ def test_distance_blocks_and_threads_do_not_change_replicates(monkeypatch):
             got_risks, got_pvars = _run_replicates(config, (config.beta,))[0]
             assert np.array_equal(got_risks, risks)
             assert np.array_equal(got_pvars, pvars)
+
+
+def test_a_replicate_at_two_atoms_takes_the_fallback_at_tiny_beta():
+    # atoms 0 and 1 sit within 1e-6 of replicate 0's signal, where the expansion cancels
+    # terms of order ||xi||^2 down to ~1e-12; at beta = 1e-12 the posterior spreads over the
+    # two and the expansion's rounding would move their log-weights by far more than 2^-30.
+    # The guard refuses every row there, as their posterior_weights paths, and keeps every
+    # row at the threshold; one pass serves both
+    base = _toy_config(replicates=8)
+    xi = base.noise.sample(derived_stream(base.seed, 0))
+    atoms = base.dictionary.atoms.copy()
+    atoms[:2] = base.truth + xi + np.array([[1e-6], [-5e-7]]) / math.sqrt(xi.size)
+    config = replace(base, dictionary=Dictionary(atoms), beta=1e-12)
+    planted = posterior_weights(config.truth + xi, config.dictionary, config.prior, 1e-12)
+    assert min(planted.weights[:2]) > 0.1
+    d, err = _expansion(config, xi[None])
+    explicit = ewa._atom_sq_distances(config.truth + xi, atoms)
+    assert np.abs(d[0, :2] - explicit[:2]).max() / 1e-12 > 2.0**-30 * 1e3
+    assert not any(_kept_rows(config)) and all(_kept_rows(replace(config, beta=base.beta)))
+    runs = _run_replicates(config, (1e-12, base.beta))
+    public = [_public_replicate(config, r) for r in range(8)]
+    assert [list(zip(risks, pvars)) for risks, pvars in runs] == [
+        public, _guarded_replicates(replace(config, beta=base.beta))
+    ]
+
+
+def test_every_row_falls_back_at_subnormal_beta_or_an_overflowing_atom():
+    # at beta = 1e-310 no bound passes the guard, nor the +inf one that a far atom of
+    # weight 0 at 1e155 gives (its squared norm overflows): every row takes the explicit
+    # kernel, with the bits of its posterior_weights path
+    toy = _toy_config(replicates=20)
+    far = np.vstack([toy.dictionary.atoms, np.full((1, 6), 1e155)])
+    far_toy = replace(toy, dictionary=Dictionary(far), prior=WeightVector([0.2] * 5 + [0.0]))
+    configs = [
+        replace(toy, beta=1e-310),
+        replace(_toy_config(replicates=20, prior_samples=7), beta=1e-310),
+        far_toy,
+        replace(far_toy, prior_samples=9),
+        _far_atom_config(1e155, 20, seed=0),
+    ]
+    for config in configs:
+        betas = (config.beta, config.beta / 2.0)
+        for beta, (risks, pvars) in zip(betas, _run_replicates(config, betas), strict=True):
+            public = replace(config, beta=beta)
+            assert not any(_kept_rows(public))
+            assert list(zip(risks, pvars)) == [
+                _public_replicate(public, r) for r in range(config.replicates)
+            ]
+
+
+def _straddling_config(edge):
+    """A gaussian n = 1 config, truth and atoms shifted far from 0, whose median replicate's
+    bound sits on the guard at `edge` times the certified threshold: about half of the rows
+    keep the expansion there."""
+    base = make_scenario("gaussian", n=1, m=5, replicates=40, seed=3)
+    threshold = beta_threshold(base.noise.profile(), sup_diameter(base.dictionary))
+    xi = [abs(_replicate_inputs(base, r)[0][0]) for r in range(base.replicates)]
+    # err = 2 gamma_{n+5} (|xi| + reach)^2 + 2^-1072, reach = max_j |theta_j| + |t|
+    reach = math.sqrt(ewa.EXPANSION_TOLERANCE * edge * threshold / (2.0 * _gamma(6)))
+    atoms = base.dictionary.atoms
+    shift = (reach - float(np.median(xi)) - atoms.max() - base.truth[0]) / 2.0
+    return replace(base, truth=base.truth + shift, dictionary=Dictionary(atoms + shift))
+
+
+@pytest.mark.parametrize("edge", [1.0, 0.5])
+def test_rows_straddling_the_guard_keep_their_own_temperature(edge, monkeypatch):
+    # the guard cuts the rows at the threshold (edge 1) or at half of it, within one chunk:
+    # each beta keeps the rows its own bound admits, so one certify pass gives each report
+    # its own mc_risk run, in chunks of 1, 7 or every row and at 1 or 3 workers
+    config = _straddling_config(edge)
+    threshold = beta_threshold(config.noise.profile(), sup_diameter(config.dictionary))
+    betas = (threshold, threshold / 2.0)
+    kept = [_kept_rows(replace(config, beta=beta)) for beta in betas]
+    assert 0 < sum(kept[edge == 0.5]) < config.replicates
+    assert all(kept[0]) if edge == 0.5 else not any(kept[1])
+    public = [_guarded_replicates(replace(config, beta=beta)) for beta in betas]
+    for rows in (1, 7, 64):
+        monkeypatch.setattr(ewa, "BLOCK_DOUBLES", rows * config.dictionary.m)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("EWA_AGG_THREADS", threads)
+            runs = _run_replicates(config, betas)
+            assert [list(zip(risks, pvars)) for risks, pvars in runs] == public
+            separate = [
+                mc_risk(replace(config, beta=betas[0]), "clean"),
+                mc_risk(replace(config, beta=betas[1]), "variance_penalty"),
+            ]
+            assert [r.to_json() for r in certify_config(config)] == [
+                r.to_json() for r in separate
+            ]
 
 
 def test_overflowing_observation_is_rejected():
