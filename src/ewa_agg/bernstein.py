@@ -15,9 +15,10 @@ for |t| < 1/b(alpha) (all t when b = 0). The per-family table:
     centered_binomial       a^2 k alpha (1 + alpha)       a (1 + alpha) / 3     2
     laplace                 alpha (2 + alpha) mu^2        (1 + alpha) mu        1
 
-with sigma and mu taken as the largest coordinate scale. Two derived
-quantities drive the oracle-inequality harness: the temperature threshold
-2 v'(0) + 2 b(0) d0 and, below it, the variance penalty coefficient
+with sigma and mu taken as the largest coordinate scale. The centered_bernoulli
+row is the centered_binomial row at a = 1, k = 1, the profile it inherits. Two
+derived quantities drive the oracle-inequality harness: the temperature
+threshold 2 v'(0) + 2 b(0) d0 and, below it, the variance penalty coefficient
 2 v'(0) / (beta - 2 b(0) d0) - 1.
 
 Each row of the table lives on its family's class in `noise` (its

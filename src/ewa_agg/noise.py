@@ -3,7 +3,7 @@
 Five families are supported, each with per-coordinate parameters:
 
 * ``centered_bernoulli``: coordinate i takes 1 - rho_i with probability
-  rho_i and -rho_i otherwise.
+  rho_i and -rho_i otherwise: the centered binomial at a = 1, k = 1.
 * ``gaussian``: coordinate i is N(0, sigma_i^2).
 * ``bounded_binary_mixture``: coordinate i first draws a pair (a, b) from a
   finite mixing law on [0, a_max] x [0, b_max], then takes a with
@@ -19,12 +19,12 @@ gives every coordinate's exact finite law as `marginal_rows()`. Sampling
 consumes only the caller's generator, so draws are reproducible from a seed.
 
 A draw comes in two parts. `raw_draw(rng)` is its one generator call:
-``rng.random(K)`` for the four uniform families (K = n for Bernoulli and
-Laplace, 2n for the mixture, its pair picks then its sides, and k n for the
-binomial) and ``rng.standard_normal(n)`` for the Gaussian. `noise_rows(raw)`
-turns an (R, K) block of raw draws into (R, n) noise and the latents, row by
-row, so a caller that draws many vectors (`oracle.mc_risk`) runs it once per
-block. `sample` and `sample_with_latents` are its one-row case, so each
+``rng.random(K)`` for the four uniform families (K = n for Laplace, 2n for
+the mixture, its pair picks then its sides, and k n for the binomial, so n
+for the Bernoulli) and ``rng.standard_normal(n)`` for the Gaussian.
+`noise_rows(raw)` turns an (R, K) block of raw draws into (R, n) noise and
+the latents, row by row, so a caller that draws many vectors
+(`oracle.mc_risk`) runs it once per block. `sample` and `sample_with_latents` are its one-row case, so each
 formula is written once, and each row's floats equal the one-row call's.
 
 Everything that depends on the family lives on its class, each formula
@@ -38,7 +38,9 @@ records of all its coordinates at once, as flat arrays. Every exact law is
 built from them as one `laws.LawRows` batch, one merge per step: the
 marginals of xi, the coupled sums, the conditional means and laws. A
 family whose coordinate sums several coupled terms states its lift from
-one term's law to the coordinate's once, in `_lift`.
+one term's law to the coordinate's once, in `_lift`. The Bernoulli is the
+binomial at a = 1, k = 1, a subclass that keeps only its tag, JSON
+parameters and scenario.
 ``FAMILIES`` maps each family tag to its class and is the one list of
 families. The modules below this one know no family: `laws` holds the
 finite-law primitives (re-exported here), `coupling` the two-branch draw
@@ -214,68 +216,6 @@ class _ContinuousNoise(NoiseModel):
         scale = float(params.pop(cls.json_keys[0], 1.0))  # sigma or mu, as named in JSON
         truth = rng.uniform(0.0, 1.0, n)
         return truth, cls.homogeneous(n, scale), truth + rng.uniform(-0.5, 0.5, (m, n))
-
-
-class CenteredBernoulli(_DiscreteNoise):
-    """Coordinate i equals 1 - rho_i w.p. rho_i, else -rho_i.
-
-    Coupling: given xi, zeta = alpha * xi w.p. (1 + alpha - alpha |xi|) / (1 + alpha),
-    else zeta = -sgn(xi) (1 + alpha - alpha |xi|).
-    """
-
-    family = "centered_bernoulli"
-    json_keys = ("rho",)
-
-    @staticmethod
-    def branches(xi, alpha):
-        xi = np.asarray(xi, dtype=np.float64)
-        s = np.abs(xi)
-        stay_prob = (1.0 + alpha - alpha * s) / (1.0 + alpha)
-        stay_value = alpha * xi
-        jump_value = -np.sign(xi) * (1.0 + alpha - alpha * s)
-        jump_prob = alpha * s / (1.0 + alpha)
-        return stay_value, stay_prob, jump_value, jump_prob
-
-    def __init__(self, rho):
-        self.rho = _coordinate_array(rho, "rho", low=0.0, high=1.0)
-
-    @property
-    def dim(self):
-        return int(self.rho.size)
-
-    def raw_draw(self, rng):
-        return rng.random(self.dim)
-
-    def noise_rows(self, raw):
-        xi = np.where(raw < self.rho, 1.0 - self.rho, -self.rho)
-        return xi, {"xi": xi}
-
-    def coupling_records(self, alpha):
-        return _bernoulli_records(self.rho, alpha)
-
-    def companion(self, record, alpha, rng):
-        return two_branch_draw(self.branches(record["xi"], alpha), rng)
-
-    def profile(self):
-        return BernsteinProfile(
-            v=lambda alpha: alpha * (1.0 + alpha),
-            b=lambda alpha: (1.0 + alpha) / 3.0,
-            v_prime_0=1.0,
-            mgf_normalization=2.0,
-        )
-
-    @classmethod
-    def scenario(cls, n, m, rng, params):
-        # success rates equal the truth, so observations are honest counts
-        truth = rng.uniform(0.2, 0.8, n)
-        return truth, cls(truth.copy()), _clipped_atoms(truth, m, rng)
-
-
-def _bernoulli_records(rho, alpha):
-    """Coordinate i's records: xi = 1 - rho_i w.p. rho_i, then xi = -rho_i."""
-    xi = _pairs(1.0 - rho, -rho)
-    branches = CenteredBernoulli.branches(xi, alpha)
-    return np.arange(rho.size).repeat(2), _pairs(rho, 1.0 - rho), xi, branches
 
 
 class Gaussian(_ContinuousNoise):
@@ -466,11 +406,25 @@ def _term_count(k):
 
 class CenteredBinomial(_DiscreteNoise):
     """Coordinate i is a * (Binomial(k, rho_i) - k * rho_i), realized as a
-    sum of k centered Bernoulli terms scaled by a. Coupling: zeta is a times
-    the sum of the k terms' independent `CenteredBernoulli` couplings."""
+    sum of k centered Bernoulli terms scaled by a.
+
+    Coupling: each term eta is coupled on its own, zeta_eta = alpha * eta w.p.
+    (1 + alpha - alpha |eta|) / (1 + alpha), else -sgn(eta) (1 + alpha - alpha |eta|),
+    and zeta is a times the sum of the k terms' companions.
+    """
 
     family = "centered_binomial"
     json_keys = ("a", "k", "rho")
+
+    @staticmethod
+    def branches(eta, alpha):
+        eta = np.asarray(eta, dtype=np.float64)
+        s = np.abs(eta)
+        stay_prob = (1.0 + alpha - alpha * s) / (1.0 + alpha)
+        stay_value = alpha * eta
+        jump_value = -np.sign(eta) * (1.0 + alpha - alpha * s)
+        jump_prob = alpha * s / (1.0 + alpha)
+        return stay_value, stay_prob, jump_value, jump_prob
 
     def __init__(self, a, k, rho):
         self.a = float(a)
@@ -497,9 +451,12 @@ class CenteredBinomial(_DiscreteNoise):
         return self.a * eta.sum(axis=1), {"eta": eta}
 
     def coupling_records(self, alpha):
-        """The records of one Bernoulli(rho_i) term: each of the k terms is
-        coupled on its own, and the coordinate is a times their sum."""
-        return _bernoulli_records(self.rho, alpha)
+        """The records of one term of coordinate i: eta = 1 - rho_i w.p. rho_i, then
+        eta = -rho_i. Each of the k terms is coupled on its own, and the coordinate is a
+        times their sum (`_lift`)."""
+        eta = _pairs(1.0 - self.rho, -self.rho)
+        coord = np.arange(self.dim).repeat(2)
+        return coord, _pairs(self.rho, 1.0 - self.rho), eta, self.branches(eta, alpha)
 
     def _lift(self, rows):
         """a times the sum of k independent terms of one term's law."""
@@ -512,7 +469,7 @@ class CenteredBinomial(_DiscreteNoise):
         return (self.a * (c * m_hi + (self.k - c) * m_lo)).ravel()
 
     def conditional_rows(self, alpha):
-        # a term's rows are 2i (xi = 1 - rho_i) and 2i + 1; record (i, c) sums c
+        # a term's rows are 2i (eta = 1 - rho_i) and 2i + 1; record (i, c) sums c
         # terms of the first and k - c of the second
         terms = super().conditional_rows(alpha)
         powers = LawRows.concat(terms.convolution_powers(self.k))
@@ -522,8 +479,7 @@ class CenteredBinomial(_DiscreteNoise):
         return powers.take(hi).convolve(powers.take(lo)).scale(self.a)
 
     def companion(self, record, alpha, rng):
-        branches = CenteredBernoulli.branches(record["eta"], alpha)
-        return self.a * two_branch_draw(branches, rng).sum(axis=0)
+        return self.a * two_branch_draw(self.branches(record["eta"], alpha), rng).sum(axis=0)
 
     def profile(self):
         a, k = self.a, self.k
@@ -540,6 +496,28 @@ class CenteredBinomial(_DiscreteNoise):
         a = float(params.pop("a", 1.0 / k))
         truth = rng.uniform(0.2, 0.8, n)
         return truth, cls(a, k, truth.copy()), _clipped_atoms(truth, m, rng)
+
+
+class CenteredBernoulli(CenteredBinomial):
+    """Coordinate i equals 1 - rho_i w.p. rho_i, else -rho_i: the binomial at a = 1, k = 1,
+    whose one term is the coordinate. Its records and latents are the binomial's: the count
+    c of terms at 1 - rho_i (xi = -rho_i first), and the terms as "eta" of shape (1, n)."""
+
+    family = "centered_bernoulli"
+    json_keys = ("rho",)
+
+    def __init__(self, rho):
+        super().__init__(1.0, 1, rho)
+
+    @classmethod
+    def homogeneous(cls, n, rho):
+        return cls(np.full(n, float(rho)))
+
+    @classmethod
+    def scenario(cls, n, m, rng, params):
+        # success rates equal the truth, so observations are honest counts
+        truth = rng.uniform(0.2, 0.8, n)
+        return truth, cls(truth.copy()), _clipped_atoms(truth, m, rng)
 
 
 def laplace_inverse_cdf(u, scale):

@@ -191,14 +191,19 @@ def oracle_bound_finite(dictionary, truth, prior, beta):
 
 def oracle_bound_gibbs(dictionary, truth, prior, beta):
     """-beta log sum_j pi0(j) exp(-d_j / beta), the infimum of the Gibbs objective, never
-    above the finite bound f; the prior-mean distance at beta = +inf. Where
-    s = sum_j pi0(j) expm1(-d_j / beta) >= -1/16 (large beta) it is log1p(s) / s times
-    -beta s = sum_j pi0(j) beta (1 - exp(-d_j / beta)), a term being d_j where d_j / beta is
-    subnormal, so no digit cancels. Elsewhere it is f - beta log sum_j exp((f - t_j) / beta)
-    over the finite bound's terms t_j: one exponent is exactly 0, so the log-sum-exp is >= 0
-    (f where every (t_j - f) / beta overflows, as at subnormal beta). Either value is clamped
-    to [min_j d_j, f], which bracket the bound exactly, so a point-mass prior gives its d_j."""
-    prior, d, beta = _ewa_inputs(truth, dictionary, prior, beta)
+    above the finite bound; the prior-mean distance at beta = +inf (`_gibbs_bound`)."""
+    return _gibbs_bound(*_ewa_inputs(truth, dictionary, prior, beta))
+
+
+def _gibbs_bound(prior, d, beta):
+    """The Gibbs bound of checked inputs: a prior `WeightVector`, the truth's squared
+    distances d_j to the atoms and beta. Where s = sum_j pi0(j) expm1(-d_j / beta) >= -1/16
+    (large beta) it is log1p(s) / s times -beta s = sum_j pi0(j) beta (1 - exp(-d_j / beta)),
+    a term being d_j where d_j / beta is subnormal, so no digit cancels. Elsewhere it is
+    f - beta log sum_j exp((f - t_j) / beta) over the finite bound f's terms t_j: one exponent
+    is exactly 0, so the log-sum-exp is >= 0 (f where every (t_j - f) / beta overflows, as at
+    subnormal beta). Either value is clamped to [min_j d_j, f], which bracket the bound
+    exactly, so a point-mass prior gives its d_j."""
     if math.isinf(beta):
         return float(prior.weights @ d)
     t = _penalized_distances(prior, d, beta)
@@ -278,21 +283,22 @@ def _choice_cdf(p):
     return cdf
 
 
-def _run_replicates(config, betas):
-    """One (risks, pvars) pair of per-replicate series per temperature in betas; what no
-    replicate or beta changes is made once. A worker's span seeds its replicates' streams as
-    the module docstring's stream pipeline says, for each one's raw noise draw and prior
-    uniforms. It goes in chunks of `_signal_rows` replicates, whatever the worker count or
-    beta: one noise transform, prior pick and expanded distance block with its row bounds per
-    chunk, and explicit distances for the rows the guard refuses at the lowest finite beta
-    (none of either if every beta is +inf); then per beta a row-wise softmax (weights only) of
-    the distances that beta's guard picks per row, and a moments call, so each pair is bit for
+def _run_replicates(config, betas, gaps):
+    """One (risks, pvars) pair of per-replicate series per temperature in betas, given gaps,
+    the truth's squared distances to the atoms (the Gibbs bound's d_j); what no replicate or
+    beta changes is made once. A worker's span seeds its replicates' streams as the module
+    docstring's stream pipeline says, for each one's raw noise draw and prior uniforms. It
+    goes in chunks of `_signal_rows` replicates, whatever the worker count or beta: one noise
+    transform, prior pick and expanded distance block with its row bounds per chunk, and
+    explicit distances for the rows the guard refuses at the lowest finite beta (none of
+    either if every beta is +inf); then per beta a row-wise softmax (weights only) of the
+    distances that beta's guard picks per row, and a moments call, so each pair is bit for
     bit a pass at its beta alone. A config whose chunks hold more than one row runs on one
-    worker, as their small numpy calls hold the GIL; one span runs in the calling thread, with
-    no pool."""
+    worker, as their small numpy calls hold the GIL; one span runs in the calling thread,
+    with no pool."""
     total, sampled = config.replicates, config.prior_samples
     atoms, truth = config.dictionary.atoms, config.truth
-    norms, gaps = _atom_sq_distances(0.0, atoms), _atom_sq_distances(truth, atoms)
+    norms = _atom_sq_distances(0.0, atoms)
     reach = math.sqrt(norms.max()) + math.hypot(*truth.tolist())
     lowest = min((beta for beta in betas if not math.isinf(beta)), default=None)
     prior = config.prior if sampled is None else WeightVector.uniform(sampled)
@@ -401,7 +407,8 @@ def _rounding_allowance(config, bound, penalty, pvar):
 
 def _reports(checks, profile, d0, threshold):
     """The `RiskReport` of each (config, mode) in checks, configs that differ only in beta.
-    Every check runs before one replicate pass serves every beta (`_run_replicates`)."""
+    Every check runs before one replicate pass serves every beta (`_run_replicates`). The
+    truth's squared distances to the atoms are made once, for that pass and every bound."""
     for config, mode in checks:
         if mode == "variance_penalty" and math.isinf(config.beta):
             raise ValueError("variance_penalty mode requires finite beta")
@@ -415,12 +422,14 @@ def _reports(checks, profile, d0, threshold):
         0.0 if mode == "clean" else variance_penalty_coefficient(config.beta, profile, d0)
         for config, mode in checks
     ]
-    runs = _run_replicates(checks[0][0], tuple(config.beta for config, _ in checks))
+    first = checks[0][0]
+    gaps = _atom_sq_distances(first.truth, first.dictionary.atoms)
+    runs = _run_replicates(first, tuple(config.beta for config, _ in checks), gaps)
     reports = []
     for (config, mode), coeff, (risks, pvars) in zip(checks, coeffs, runs):
         risk, risk_se = _mean_and_stderr(risks)
         pvar, pvar_se = _mean_and_stderr(pvars)
-        bound = oracle_bound_gibbs(config.dictionary, config.truth, config.prior, config.beta)
+        bound = _gibbs_bound(config.prior, gaps, config.beta)
         if coeff != 0.0:
             combined, combined_se = _mean_and_stderr(risks - coeff * pvars)
         else:

@@ -28,7 +28,7 @@ def sample_with_latents(model, rng):
     if isinstance(model, CenteredBernoulli):
         u = rng.random(n)
         xi = np.where(u < model.rho, 1.0 - model.rho, -model.rho)
-        return xi, {"xi": xi}
+        return xi, {"eta": xi[None]}  # its one term, as the binomial's latents hold them
     if isinstance(model, BoundedBinaryMixture):
         u = rng.random(n)
         idx = np.minimum(np.sum(model._cum < u[:, None], axis=1), model._a.shape[1] - 1)

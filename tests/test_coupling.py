@@ -158,11 +158,17 @@ def _plant_branch_fault(monkeypatch, cls):
     monkeypatch.setattr(cls, "branches", staticmethod(faulty))
 
 
-# each discrete model and the class whose branches its records take
-BRANCH_OWNERS = [CenteredBernoulli, BoundedBinaryMixture, CenteredBernoulli]
+# each discrete model and the class whose branches its records take: the Bernoulli's are
+# the binomial's; each case is named by its model and the law whose branches are planted
+BRANCH_OWNERS = [CenteredBinomial, BoundedBinaryMixture, CenteredBinomial]
+BRANCH_LAWS = ["centered_bernoulli", "bounded_binary_mixture", "centered_bernoulli"]
 
 
-@pytest.mark.parametrize("model, owner", zip(DISCRETE_MODELS, BRANCH_OWNERS), ids=lambda m: m.family)
+@pytest.mark.parametrize(
+    "model, owner",
+    zip(DISCRETE_MODELS, BRANCH_OWNERS),
+    ids=[f"{model.family}-{law}" for model, law in zip(DISCRETE_MODELS, BRANCH_LAWS)],
+)
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_a_branch_fault_fails_the_exact_verdict(monkeypatch, model, owner, alpha):
     # the marginal and the coupled sum come from one enumeration of records, so a

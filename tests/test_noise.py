@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from scipy import stats
 
 import draw_reference as draws
 import law_reference as ref
-from ewa_agg.coupling import EXACT_TOL
+from ewa_agg.bernstein import check_noise_mgf
+from ewa_agg.coupling import EXACT_TOL, sample_coupling, verify_coupling
 from ewa_agg.laws import MERGE_ATOL, LawRows
 from ewa_agg.noise import (
     FAMILIES,
@@ -29,6 +31,7 @@ from ewa_agg.noise import (
 from ewa_agg.oracle import make_scenario
 
 MIXING = [((0.6, 0.6), 0.4), ((0.35, 0.2), 0.35), ((0.1, 0.45), 0.25)]
+ALPHAS = (0.1, 0.5, 1.0)
 
 
 class TestDiscreteLaw:
@@ -329,6 +332,55 @@ class TestCenteredBernoulli:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 CenteredBernoulli([bad])
+
+
+def _fields(rows):
+    return rows.offsets, rows.values, rows.probs
+
+
+def _coordinate_laws(rows, n):
+    """Each coordinate's two conditional laws as a sorted pair of (values, probs) lists: the
+    order of a coordinate's records is not compared."""
+    laws = [(law.values.tolist(), law.probs.tolist()) for law in rows.laws()]
+    return [sorted(laws[2 * i : 2 * i + 2]) for i in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=6),
+    rows=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bernoulli_is_the_binomial_at_one_term(rho, rows, seed):
+    # CenteredBernoulli(rho) and CenteredBinomial(1, 1, rho) are one family under two tags:
+    # draws, exact laws, reports, profiles and coupling draws are equal under ==
+    bern, binom = CenteredBernoulli(rho), CenteredBinomial(1.0, 1, rho)
+    n = len(rho)
+    raw = np.random.default_rng(seed).random((rows, n))
+    (xi, latents), (want, want_latents) = bern.noise_rows(raw.copy()), binom.noise_rows(raw)
+    _assert_same(xi, want)
+    for got, value in zip(latents.values(), want_latents.values(), strict=True):
+        _assert_same(got.reshape(rows, n), value.reshape(rows, n))
+    for got, value in zip(_fields(bern.marginal_rows()), _fields(binom.marginal_rows())):
+        _assert_same(got, value)
+    for alpha in ALPHAS:
+        sums = bern.coupled_sum_rows(alpha), binom.coupled_sum_rows(alpha)
+        for got, value in zip(_fields(sums[0]), _fields(sums[1])):
+            _assert_same(got, value)
+        means = [model.conditional_means(alpha).reshape(n, 2).tolist() for model in (bern, binom)]
+        assert [sorted(pair) for pair in means[0]] == [sorted(pair) for pair in means[1]]
+        laws = bern.conditional_rows(alpha), binom.conditional_rows(alpha)
+        assert _coordinate_laws(laws[0], n) == _coordinate_laws(laws[1], n)
+        for check in (verify_coupling, check_noise_mgf):
+            assert replace(check(bern, alpha), family=binom.family) == check(binom, alpha)
+    profile, want_profile = bern.profile(), binom.profile()
+    for alpha in ALPHAS:
+        assert (profile.v(alpha), profile.b(alpha)) == (want_profile.v(alpha), want_profile.b(alpha))
+    assert profile.v_prime_0 == want_profile.v_prime_0
+    for key in range(3):
+        got, value = (sample_coupling(m, 0.5, np.random.default_rng([seed, key])) for m in (bern, binom))
+        _assert_same(got.xi, value.xi)
+        _assert_same(got.zeta, value.zeta)
 
 
 class TestGaussian:

@@ -565,10 +565,16 @@ def _public_path_configs(family, replicates):
     ]
 
 
+def _replicates(config, betas):
+    """`_run_replicates` over betas, given the gaps `_reports` makes once per pass."""
+    gaps = ewa._atom_sq_distances(config.truth, config.dictionary.atoms)
+    return _run_replicates(config, betas, gaps)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_replicates_equal_the_public_path(family):
     for config in _public_path_configs(family, replicates=12):
-        risks, pvars = _run_replicates(config, (config.beta,))[0]
+        risks, pvars = _replicates(config, (config.beta,))[0]
         assert list(zip(risks, pvars)) == _guarded_replicates(config)
 
 
@@ -588,9 +594,9 @@ def _assert_chunks_equal_the_public_path(monkeypatch, config, chunk_rows):
         assert ewa._signal_rows(m_eff, n) == rows
         for threads in ("1", "3"):
             monkeypatch.setenv("EWA_AGG_THREADS", threads)
-            [(risks, pvars)] = _run_replicates(config, betas[:1])
+            [(risks, pvars)] = _replicates(config, betas[:1])
             assert list(zip(risks, pvars)) == public[0]
-            runs = _run_replicates(config, betas)
+            runs = _replicates(config, betas)
             assert [list(zip(risks, pvars)) for risks, pvars in runs] == public
 
 
@@ -691,12 +697,12 @@ def test_chunked_configs_take_one_worker(monkeypatch):
     config = _toy_config(replicates=20)  # 5 atoms of length 6
     assert ewa._signal_rows(5, 6) > 1
     barrier = None
-    _run_replicates(config, (config.beta,))
+    _replicates(config, (config.beta,))
     assert spans == [((0, 20), True)]  # one span, run inline
     spans.clear()
     monkeypatch.setattr(ewa, "BLOCK_DOUBLES", 30)  # one row per chunk
     barrier = threading.Barrier(3, timeout=30)
-    _run_replicates(config, (config.beta,))
+    _replicates(config, (config.beta,))
     assert sorted(spans) == [((0, 7), False), ((7, 14), False), ((14, 20), False)]
 
 
@@ -713,7 +719,7 @@ def test_fallback_seating_equals_the_direct_write(family, monkeypatch):
     for config, threads in cases:
         monkeypatch.setenv("EWA_AGG_THREADS", threads)
         betas = (config.beta, config.beta / 2.0)
-        for beta, (risks, pvars) in zip(betas, _run_replicates(config, betas), strict=True):
+        for beta, (risks, pvars) in zip(betas, _replicates(config, betas), strict=True):
             assert list(zip(risks, pvars)) == _guarded_replicates(replace(config, beta=beta))
 
 
@@ -721,7 +727,7 @@ def test_long_signals_take_one_row_at_a_time():
     # a row past einsum's buffer sums in other pieces in a 3-D block, so it goes alone
     config = make_scenario("gaussian", n=9000, m=2, replicates=3, seed=3)
     assert ewa._signal_rows(2, 9000) == 1
-    risks, pvars = _run_replicates(config, (config.beta,))[0]
+    risks, pvars = _replicates(config, (config.beta,))[0]
     assert list(zip(risks, pvars)) == _guarded_replicates(config)
 
 
@@ -749,14 +755,36 @@ def test_distance_blocks_and_threads_do_not_change_replicates(monkeypatch):
     # a 12-double block differences the toy's 6-dimensional atoms two rows at a time
     monkeypatch.delenv("EWA_AGG_THREADS", raising=False)
     configs = [_toy_config(replicates=40), _toy_config(replicates=40, prior_samples=7)]
-    whole = [_run_replicates(config, (config.beta,))[0] for config in configs]
+    whole = [_replicates(config, (config.beta,))[0] for config in configs]
     monkeypatch.setattr(ewa, "BLOCK_DOUBLES", 12)
     for threads in ("1", "3"):
         monkeypatch.setenv("EWA_AGG_THREADS", threads)
         for config, (risks, pvars) in zip(configs, whole):
-            got_risks, got_pvars = _run_replicates(config, (config.beta,))[0]
+            got_risks, got_pvars = _replicates(config, (config.beta,))[0]
             assert np.array_equal(got_risks, risks)
             assert np.array_equal(got_pvars, pvars)
+
+
+@pytest.mark.parametrize("prior_samples", [None, 4])
+def test_one_truth_distance_pass_serves_the_replicates_and_every_bound(prior_samples, monkeypatch):
+    # the truth's squared distances to the atoms are the expansion's gaps and the Gibbs
+    # bound's d_j: one (m, n) pass per certify_config (two reports) and per mc_risk
+    config = make_scenario("gaussian", n=8, m=6, replicates=5, seed=3)
+    config = replace(config, prior_samples=prior_samples)
+    kernel, passes = ewa._atom_sq_distances, []
+
+    def counted(y, atoms):
+        truth, dictionary = config.truth, config.dictionary.atoms
+        if np.shape(y) == truth.shape and np.array_equal(y, truth) and atoms is dictionary:
+            passes.append(atoms.shape)
+        return kernel(y, atoms)
+
+    monkeypatch.setattr(ewa, "_atom_sq_distances", counted)
+    monkeypatch.setattr(oracle, "_atom_sq_distances", counted)
+    certify_config(config)
+    assert passes == [(6, 8)]
+    mc_risk(config)
+    assert passes == [(6, 8)] * 2
 
 
 def test_a_replicate_at_two_atoms_takes_the_fallback_at_tiny_beta():
@@ -776,7 +804,7 @@ def test_a_replicate_at_two_atoms_takes_the_fallback_at_tiny_beta():
     explicit = ewa._atom_sq_distances(config.truth + xi, atoms)
     assert np.abs(d[0, :2] - explicit[:2]).max() / 1e-12 > 2.0**-30 * 1e3
     assert not any(_kept_rows(config)) and all(_kept_rows(replace(config, beta=base.beta)))
-    runs = _run_replicates(config, (1e-12, base.beta))
+    runs = _replicates(config, (1e-12, base.beta))
     public = [_public_replicate(config, r) for r in range(8)]
     assert [list(zip(risks, pvars)) for risks, pvars in runs] == [
         public, _guarded_replicates(replace(config, beta=base.beta))
@@ -799,7 +827,7 @@ def test_every_row_falls_back_at_subnormal_beta_or_an_overflowing_atom():
     ]
     for config in configs:
         betas = (config.beta, config.beta / 2.0)
-        for beta, (risks, pvars) in zip(betas, _run_replicates(config, betas), strict=True):
+        for beta, (risks, pvars) in zip(betas, _replicates(config, betas), strict=True):
             public = replace(config, beta=beta)
             assert not any(_kept_rows(public))
             assert list(zip(risks, pvars)) == [
@@ -837,7 +865,7 @@ def test_rows_straddling_the_guard_keep_their_own_temperature(edge, monkeypatch)
         monkeypatch.setattr(ewa, "BLOCK_DOUBLES", rows * config.dictionary.m)
         for threads in ("1", "3"):
             monkeypatch.setenv("EWA_AGG_THREADS", threads)
-            runs = _run_replicates(config, betas)
+            runs = _replicates(config, betas)
             assert [list(zip(risks, pvars)) for risks, pvars in runs] == public
             separate = [
                 mc_risk(replace(config, beta=betas[0]), "clean"),
@@ -882,10 +910,10 @@ def _point_mass(family, n, seed, replicates, dirac):
 def _tie_report(config, mode, scale=1.0):
     """mc_risk's report, or certify_config's two where mode is "certify", with the Gibbs bound
     scaled by `scale` (below 1: a planted fault)."""
-    bound = oracle.oracle_bound_gibbs
+    bound = oracle._gibbs_bound
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # clean mode below the threshold
-        patch.setattr(oracle, "oracle_bound_gibbs", lambda *args: scale * bound(*args))
+        patch.setattr(oracle, "_gibbs_bound", lambda *args: scale * bound(*args))
         return certify_config(config) if mode == "certify" else mc_risk(config, mode)
 
 

@@ -10,11 +10,13 @@ import types
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ewa_agg
-from ewa_agg.ewa import _signal_rows
-from ewa_agg.model import ExperimentConfig, WeightVector
+from ewa_agg.coupling import CF_BLOCK
+from ewa_agg.ewa import _signal_rows, posterior_weights
+from ewa_agg.model import Dictionary, ExperimentConfig, WeightVector
 from ewa_agg.noise import FAMILIES
 from ewa_agg.oracle import certify_config, make_scenario, mc_risk
 
@@ -92,6 +94,30 @@ def test_snapshot_exact_tree_runs_the_verify_workloads_binomial():
     workload = _load(ROOT / "perfbench" / "workload.py")
     assert snapshot.EXACT["centered_binomial"] == {"k": workload.BINOMIAL_TRIALS}
     assert all(FAMILIES[family].discrete for family in snapshot.EXACT)
+
+
+def test_snapshot_near_tree_spreads_the_wide_weights():
+    # every family runs certify on the wide shape with its atoms at 0.05 of their offset from
+    # the truth, as the CLI's BLAS test builds them, one replicate per chunk at two workers:
+    # the weights spread over more atoms than at the wide shape, so that a last-bit change
+    # in a replicate's distances reaches the reports
+    snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
+    runs = snapshot._runs(FAMILIES, make_scenario, CF_BLOCK)
+    near = [run for run in runs if run[3] == "cli-threads2/near"]
+    assert [family for _, shapes, *_ in near for family in shapes] == list(FAMILIES)
+    for _, shapes, extras, _, commands, threads in near:
+        [(family, shape)] = shapes.items()
+        assert (shape, commands, threads) == (snapshot.WIDE, ("certify",), "2")
+        wide = make_scenario(family, replicates=snapshot.REPLICATES, seed=snapshot.SEED, **shape)
+        atoms = np.array(extras["dictionary"])
+        assert np.array_equal(atoms, wide.truth + 0.05 * (wide.dictionary.atoms - wide.truth))
+        assert _signal_rows(*atoms.shape) == 1
+        y = wide.truth + wide.noise.sample(np.random.default_rng(0))
+        spread = []
+        for dictionary in (wide.dictionary, Dictionary(atoms)):
+            w = posterior_weights(y, dictionary, wide.prior, wide.beta / 2.0).weights
+            spread.append(1.0 / (w @ w))  # the effective number of atoms
+        assert spread[1] > 1.05 * spread[0] and spread[1] > 0.9 * wide.dictionary.m
 
 
 def test_snapshot_sampled_trees_cover_the_prior_pick():

@@ -11,8 +11,11 @@ written to OUT/demos/<name>.txt. These runs take EWA_AGG_THREADS=1, whatever the
 caller's environment holds. A wide scenario per family (n = 64, m = 1100, so
 m n > BLOCK_DOUBLES and each chunk holds one replicate) runs simulate and certify
 at EWA_AGG_THREADS=2 into OUT/cli-threads2/: two workers share those runs, so a
-diff also covers the worker count. For gaussian and laplace, verify-coupling (by
-the cf_grid method) and verify-bernstein also run at sample_size
+diff also covers the worker count. certify also runs on each wide scenario with its
+atoms moved to 0.05 of their offset from the truth (NEAR), at EWA_AGG_THREADS=2, into
+OUT/cli-threads2/near/: there the weights spread over nearly all atoms, so a last-bit
+change in any replicate's distances reaches the reports. For gaussian and laplace,
+verify-coupling (by the cf_grid method) and verify-bernstein also run at sample_size
 2 * CF_BLOCK + 123 into OUT/cli-blocks/, so that the blocked CF sums and the
 blocked MGF moments go through several blocks of draws. For centered_binomial at
 k = 20 (the size the benchmark's verify workload runs) and for
@@ -66,6 +69,7 @@ SAMPLE_SIZE = 20_000
 COMMANDS = ("simulate", "certify", "verify-coupling", "verify-bernstein", "dv-check", "oracle-bound")
 FORMATS = ("csv", "json")
 WIDE = {"n": 64, "m": 1100}
+NEAR = 0.05  # cli-threads2/near: the wide atoms at this fraction of their offset from the truth
 BLOCK_FAMILIES = ("gaussian", "laplace")
 EXACT = {"centered_binomial": {"k": 20}, "bounded_binary_mixture": {}}
 CANNED_M, PICKS, WIDE_PICKS = 10, 25, 1100
@@ -100,6 +104,12 @@ def _skewed(m, picks):
     """prior_samples and a prior over m atoms in proportion to j mod 7: every seventh has none."""
     weights = [j % 7 for j in range(m)]
     return {"prior_samples": picks, "prior": [w / sum(weights) for w in weights]}
+
+
+def _near(config):
+    """The config extras that move each atom to NEAR of its offset from the truth."""
+    atoms = config.truth + NEAR * (config.dictionary.atoms - config.truth)
+    return {"dictionary": atoms.tolist()}
 
 
 def _duplicated(doc):
@@ -147,6 +157,55 @@ def golden_lines():
     return lines
 
 
+def _runs(families, make_scenario, cf_block):
+    """Every run but cli-seeds', for the checkout's families, make_scenario and CF_BLOCK, as
+    (config suffix, make_scenario arguments per family, config extras, folder, commands,
+    EWA_AGG_THREADS)."""
+    sampled = {"sample_size": SAMPLE_SIZE}
+    blocks = {"sample_size": 2 * cf_block + 123, "method": "cf_grid"}
+    picks, wide_picks = _skewed(CANNED_M, PICKS), _skewed(WIDE["m"], WIDE_PICKS)
+    scaled_family, scaled_shape, scale = SCALED
+    scaled = make_scenario(scaled_family, replicates=REPLICATES, seed=SEED, **scaled_shape)
+    scaled_atoms = {"dictionary": (scale * scaled.dictionary.atoms).tolist()}
+    duplicated = {  # cli-ties/duplicated takes one run per family, each copying its own atom
+        family: make_scenario(family, n=n, m=1, replicates=REPLICATES, seed=SEED).to_json()
+        for family, n in DUPLICATED_N.items()
+    }
+    near = {  # cli-threads2/near: each family's wide atoms pulled towards its truth
+        family: _near(make_scenario(family, replicates=REPLICATES, seed=SEED, **WIDE))
+        for family in families
+    }
+    return (
+        ("", dict.fromkeys(families, {}), sampled, "cli", COMMANDS, "1"),
+        (".wide", dict.fromkeys(families, WIDE), sampled, "cli-threads2", COMMANDS[:2], "2"),
+        *(
+            (".near", {family: WIDE}, extras, "cli-threads2/near", COMMANDS[1:2], "2")
+            for family, extras in near.items()
+        ),
+        (".blocks", dict.fromkeys(BLOCK_FAMILIES, {}), blocks, "cli-blocks", COMMANDS[2:4], "1"),
+        (".exact", EXACT, {}, "cli-exact", COMMANDS[2:4], "1"),
+        (".sampled", dict.fromkeys(families, {}), picks, "cli-sampled", COMMANDS[:2], "1"),
+        (".sampled-wide", dict.fromkeys(families, WIDE), wide_picks, "cli-sampled-threads2", COMMANDS[:2], "2"),
+        *(
+            (f".{case}", dict.fromkeys(families, shape), extras, f"cli-limits/{case}", COMMANDS[:1], "1")
+            for case, (shape, extras) in LIMITS.items()
+        ),
+        *(
+            (f".ties-{case}", shapes, extras, f"cli-ties/{case}", COMMANDS[:2], "1")
+            for case, (shapes, extras) in TIES.items()
+        ),
+        *(
+            (".ties-duplicated", {family: {"n": DUPLICATED_N[family], "m": 1}}, _duplicated(doc),
+             "cli-ties/duplicated", COMMANDS[:2], "1")
+            for family, doc in duplicated.items()
+        ),
+        (
+            ".scaled", {scaled_family: scaled_shape}, scaled_atoms, "cli-limits/scaled-atoms",
+            COMMANDS[1:2], "1",
+        ),
+    )
+
+
 def main(argv):
     if argv[1:] == ["--write-golden"]:
         sys.path.insert(0, str(ROOT / "src"))
@@ -168,42 +227,7 @@ def main(argv):
 
     env = dict(os.environ, PYTHONPATH=str(src / "src"), **{THREADS: "1"})
     codes = []
-    sampled = {"sample_size": SAMPLE_SIZE}
-    blocks = {"sample_size": 2 * CF_BLOCK + 123, "method": "cf_grid"}
-    picks, wide_picks = _skewed(CANNED_M, PICKS), _skewed(WIDE["m"], WIDE_PICKS)
-    scaled_family, scaled_shape, scale = SCALED
-    scaled = make_scenario(scaled_family, replicates=REPLICATES, seed=SEED, **scaled_shape)
-    scaled_atoms = {"dictionary": (scale * scaled.dictionary.atoms).tolist()}
-    duplicated = {  # cli-ties/duplicated takes one run per family, each copying its own atom
-        family: make_scenario(family, n=n, m=1, replicates=REPLICATES, seed=SEED).to_json()
-        for family, n in DUPLICATED_N.items()
-    }
-    # (config suffix, make_scenario arguments per family, config extras, folder, ...)
-    runs = (
-        ("", dict.fromkeys(FAMILIES, {}), sampled, "cli", COMMANDS, "1"),
-        (".wide", dict.fromkeys(FAMILIES, WIDE), sampled, "cli-threads2", COMMANDS[:2], "2"),
-        (".blocks", dict.fromkeys(BLOCK_FAMILIES, {}), blocks, "cli-blocks", COMMANDS[2:4], "1"),
-        (".exact", EXACT, {}, "cli-exact", COMMANDS[2:4], "1"),
-        (".sampled", dict.fromkeys(FAMILIES, {}), picks, "cli-sampled", COMMANDS[:2], "1"),
-        (".sampled-wide", dict.fromkeys(FAMILIES, WIDE), wide_picks, "cli-sampled-threads2", COMMANDS[:2], "2"),
-        *(
-            (f".{case}", dict.fromkeys(FAMILIES, shape), extras, f"cli-limits/{case}", COMMANDS[:1], "1")
-            for case, (shape, extras) in LIMITS.items()
-        ),
-        *(
-            (f".ties-{case}", shapes, extras, f"cli-ties/{case}", COMMANDS[:2], "1")
-            for case, (shapes, extras) in TIES.items()
-        ),
-        *(
-            (".ties-duplicated", {family: {"n": DUPLICATED_N[family], "m": 1}}, _duplicated(doc),
-             "cli-ties/duplicated", COMMANDS[:2], "1")
-            for family, doc in duplicated.items()
-        ),
-        (
-            ".scaled", {scaled_family: scaled_shape}, scaled_atoms, "cli-limits/scaled-atoms",
-            COMMANDS[1:2], "1",
-        ),
-    )
+    runs = _runs(FAMILIES, make_scenario, CF_BLOCK)
     for folder in ("configs", *(run[3] for run in runs), "cli-seeds", "demos"):
         (out / folder).mkdir(parents=True, exist_ok=True)
     for family in FAMILIES:
