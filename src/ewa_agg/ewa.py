@@ -52,9 +52,11 @@ class DvMinimalityReport(Report):
 
 
 def _signal_rows(k, n):
-    """How many signals go in a chunk against k atoms of length n, or atoms in a block against
-    k signals (`_atom_sq_distances`): as many as keep a block's differences within
-    BLOCK_DOUBLES, and one where a row outgrows einsum's buffer, which sums it in pieces."""
+    """How many atoms of length n go in a block against k signals (`_atom_sq_distances`, and
+    `_expanded_sq_distances`' cross term at k = 1), or rows in a sampled-prior chunk, each
+    gathering its own k atoms: as many as keep a block within BLOCK_DOUBLES, and one where a
+    row outgrows einsum's buffer, which sums it in pieces. A chunk against the dictionary
+    makes no (m, n) difference block, so its (R, m) weights size it (`oracle._run_replicates`)."""
     return 1 if n > EINSUM_BUFFER else max(1, BLOCK_DOUBLES // (k * n))
 
 
@@ -66,7 +68,7 @@ def _atom_sq_distances(y, atoms):
     own in (R, m, n). One loop: blocks of `_signal_rows(R, n)` atoms, each one C-ordered
     difference, which stays in cache, and one einsum, which sums a C-ordered row that fits its
     buffer alike in any block and whatever the atoms' memory order. Precondition: R is 1 where
-    n > EINSUM_BUFFER (a longer row must go alone), as in chunks of `_signal_rows(m, n)`."""
+    n > EINSUM_BUFFER (a longer row must go alone), as in every replicate chunk there."""
     y = np.asarray(y)
     signals = y.reshape(-1, 1, y.shape[-1] if y.ndim else 1)
     atoms = atoms if atoms.ndim == 3 else atoms[None]
@@ -90,8 +92,9 @@ def _expanded_sq_distances(noise, atoms, truth, gaps, reach):
     `_atom_sq_distances(y, atoms)`. reach is max_j ||theta_j|| + ||t|| over every atom the
     rows may hold. The cross terms are einsums, which call no BLAS and sum each (r, j) alike
     in any block and at any BLAS thread count, so equal atoms give equal columns; no (m, n)
-    difference is made. Precondition, as for `_atom_sq_distances`: R is 1 where
-    n > EINSUM_BUFFER.
+    difference is made. Against one set of atoms they go in blocks of `_signal_rows(1, n)`
+    atoms, each of which serves every row from cache. Precondition, as for
+    `_atom_sq_distances`: R is 1 where n > EINSUM_BUFFER.
 
     The bound: with u = 2^-53 and gamma_k = k u / (1 - k u) (Higham 2002, section 3.1), take
     S = (||xi|| + reach)^2, which dominates ||xi||^2 + 2 ||xi|| (||theta_j|| + ||t||) +
@@ -117,7 +120,12 @@ def _expanded_sq_distances(noise, atoms, truth, gaps, reach):
     bound = 2.0 * _gamma(noise.shape[-1] + 5)
     sq_noise = _atom_sq_distances(0.0, noise)
     with np.errstate(over="ignore", invalid="ignore"):
-        d = np.einsum("rk,jk->rj" if atoms.ndim == 2 else "rk,rjk->rj", noise, atoms)
+        if atoms.ndim == 3:
+            d = np.einsum("rk,rjk->rj", noise, atoms)
+        else:  # one block of atoms, read from cache, serves every row
+            d, step = np.empty((len(noise), len(atoms))), _signal_rows(1, noise.shape[-1])
+            for lo in range(0, len(atoms), step):
+                np.einsum("rk,jk->rj", noise, atoms[lo : lo + step], out=d[:, lo : lo + step])
         d -= np.einsum("rk,k->r", noise, truth)[:, None]
         d *= -2.0
         d += sq_noise[:, None]

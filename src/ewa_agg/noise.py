@@ -178,6 +178,14 @@ class _DiscreteNoise(NoiseModel):
         return LawRows.from_atoms(record, _pairs(sv, jv), _pairs(sp, jp), sv.size)
 
 
+def _scaled(factor, scale):
+    """factor * scale; a broadcast scale (every stride 0) scales its one value, as the
+    product of a full array would, and stays broadcast."""
+    if any(scale.strides):
+        return factor * scale
+    return np.broadcast_to(factor * scale.flat[0], scale.shape)
+
+
 class _ContinuousNoise(NoiseModel):
     """A family with one continuous scale parameter per coordinate, defined by three
     static formulas: `raw(rng, shape)`, its one generator call; `transform(raw, scale)`,
@@ -241,7 +249,7 @@ class Gaussian(_ContinuousNoise):
 
     @staticmethod
     def couple(sigma, alpha, rng):
-        return Gaussian.draw(math.sqrt(2.0 * alpha + alpha * alpha) * sigma, rng)
+        return Gaussian.draw(_scaled(math.sqrt(2.0 * alpha + alpha * alpha), sigma), rng)
 
     def __init__(self, sigma):
         self.sigma = _coordinate_array(sigma, "sigma", low=0.0)
@@ -521,12 +529,17 @@ class CenteredBernoulli(CenteredBinomial):
 
 
 def laplace_inverse_cdf(u, scale):
-    """Quantile transform of the centered Laplace law with the given scale."""
-    u = np.asarray(u, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
-    lo = np.maximum(2.0 * u, 1e-300)  # u = 0.0 has probability 0 but would log to -inf
-    hi = np.maximum(2.0 * (1.0 - u), 1e-300)
-    return np.where(u < 0.5, scale * np.log(lo), -scale * np.log(hi))
+    """Quantile transform of the centered Laplace law with the given scale, u and scale
+    broadcast. It goes in blocks of numpy's iterator buffer into one new array, so that its
+    temporaries stay in cache; u is not written."""
+    operands = [np.asarray(u, dtype=np.float64), np.asarray(scale, dtype=np.float64), None]
+    flags = [["readonly"], ["readonly"], ["writeonly", "allocate"]]
+    with np.nditer(operands, ["external_loop", "buffered", "zerosize_ok"], flags) as blocks:
+        for u, scale, out in blocks:
+            lo = np.maximum(2.0 * u, 1e-300)  # u = 0.0 has probability 0 but would log to -inf
+            hi = np.maximum(2.0 * (1.0 - u), 1e-300)
+            out[...] = np.where(u < 0.5, scale * np.log(lo), -scale * np.log(hi))
+        return blocks.operands[2]
 
 
 class Laplace(_ContinuousNoise):
@@ -545,7 +558,9 @@ class Laplace(_ContinuousNoise):
     @staticmethod
     def couple(mu, alpha, rng):
         stay = rng.random(mu.shape) < 1.0 / (1.0 + alpha) ** 2
-        return np.where(stay, 0.0, Laplace.draw((1.0 + alpha) * mu, rng))
+        zeta = Laplace.draw(_scaled(1.0 + alpha, mu), rng)
+        zeta[stay] = 0.0
+        return zeta
 
     def __init__(self, mu):
         self.mu = _coordinate_array(mu, "mu", low=0.0)

@@ -27,13 +27,16 @@ generator makes only the replicate's own calls: the family's raw draw
 prior_samples, p=prior). Its chunk then turns every row's raw draw
 into noise by one `noise_rows` call, and every row's uniforms into atom picks by one
 searchsorted on the prior's cdf, which is built once per config as rng.choice builds it
-(`_choice_cdf`). Replicates go through in chunks of R_c = `ewa._signal_rows(m, n)` rows (m
-being prior_samples when set), blind to the worker count and to beta: BLOCK_DOUBLES // (m n),
-and one where n outgrows einsum's buffer, the one distance loop's precondition. Per chunk the
-weights' distances come from the expansion around the truth, `ewa._expanded_sq_distances`:
-||xi||^2 - 2 (xi . theta_j - xi . t) + ||theta_j - t||^2, the last made once per config by
-`ewa._atom_sq_distances` (the Gibbs bound's own d_j) and the cross term by one BLAS-free
-einsum, with a bound err_r on each row's distance from the explicit kernel. A row keeps the
+(`_choice_cdf`). Replicates go through in chunks of R_c rows, blind to the worker count and
+to beta. No chunk makes an (m, n) difference block, so its (R_c, m) distances and weights are
+the largest block it makes: R_c = BLOCK_DOUBLES // max(m, n). A sampled prior, whose rows
+gather their own (s, n) atoms, keeps R_c = `ewa._signal_rows(s, n)`, BLOCK_DOUBLES // (s n).
+Either is one where n outgrows einsum's buffer, the one distance loop's precondition. Per
+chunk the weights' distances come from the expansion around the truth,
+`ewa._expanded_sq_distances`: ||xi||^2 - 2 (xi . theta_j - xi . t) + ||theta_j - t||^2, the
+last made once per config by `ewa._atom_sq_distances` (the Gibbs bound's own d_j) and the
+cross term by BLAS-free einsums over blocks of atoms that stay in cache, with a bound err_r
+on each row's distance from the explicit kernel. A row keeps the
 expansion at a beta where err_r <= 2^-30 beta (`ewa.EXPANSION_TOLERANCE`), so its d_j / beta
 is within 2^-30 of `posterior_weights`'; the rows refused at the pass's lowest finite beta
 take `ewa._atom_sq_distances` once, and each beta takes the explicit rows its own guard
@@ -44,9 +47,10 @@ of its one-replicate call. So results are bit-identical however many workers run
 replicates are chunked, at any OPENBLAS_NUM_THREADS and however many temperatures share the
 pass: `certify_config` makes one pass for its two, and each report equals its own `mc_risk`
 run. The softmax makes the weights alone (`ewa._posterior`), no log-weights. EWA_AGG_THREADS
-(default 1) workers share a config whose chunks hold one row; one with more rows per chunk
-runs on one, as its numpy calls hold the GIL. A single span runs in the calling thread, with
-no pool.
+(default 1) workers share a config whose rows each take m n > BLOCK_DOUBLES / 2 terms
+(`ewa._signal_rows(m, n)` is 1, m being prior_samples when set), whatever its chunks' rows;
+a smaller one runs on one, as its small numpy calls hold the GIL. A single span runs in the
+calling thread, with no pool.
 
 Where the posterior is a point mass on atom j, a tie passes: every risk is the bound's
 d_j bit for bit (both sum in `ewa._atom_sq_distances`), every posterior variance is 0, a
@@ -65,6 +69,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import ewa
 from .bernstein import _gamma, beta_threshold, variance_penalty_coefficient
 from .coupling import Report, _as_count
 from .ewa import (
@@ -288,14 +293,16 @@ def _run_replicates(config, betas, gaps):
     the truth's squared distances to the atoms (the Gibbs bound's d_j); what no replicate or
     beta changes is made once. A worker's span seeds its replicates' streams as the module
     docstring's stream pipeline says, for each one's raw noise draw and prior uniforms. It
-    goes in chunks of `_signal_rows` replicates, whatever the worker count or beta: one noise
-    transform, prior pick and expanded distance block with its row bounds per chunk, and
+    goes in chunks whatever the worker count or beta, of BLOCK_DOUBLES // max(m, n) rows, as
+    the (R, m) weights are the largest block a chunk makes, or `_signal_rows(s, n)` for
+    prior_samples s, whose rows gather (s, n) atoms each (one row where n > EINSUM_BUFFER):
+    one noise transform, prior pick and expanded distance block with its row bounds, and
     explicit distances for the rows the guard refuses at the lowest finite beta (none of
     either if every beta is +inf); then per beta a row-wise softmax (weights only) of the
     distances that beta's guard picks per row, and a moments call, so each pair is bit for
-    bit a pass at its beta alone. A config whose chunks hold more than one row runs on one
-    worker, as their small numpy calls hold the GIL; one span runs in the calling thread,
-    with no pool."""
+    bit a pass at its beta alone. A config with `_signal_rows(m, n)` > 1 (m n at most
+    BLOCK_DOUBLES / 2) runs on one worker, as its small numpy calls hold the GIL; one span
+    runs in the calling thread, with no pool."""
     total, sampled = config.replicates, config.prior_samples
     atoms, truth = config.dictionary.atoms, config.truth
     norms = _atom_sq_distances(0.0, atoms)
@@ -304,7 +311,11 @@ def _run_replicates(config, betas, gaps):
     prior = config.prior if sampled is None else WeightVector.uniform(sampled)
     if sampled is not None:
         cdf = _choice_cdf(config.prior.weights)
-    rows = _signal_rows(sampled or len(atoms), config.truth.size)
+    n = truth.size
+    rows = _signal_rows(sampled or len(atoms), n)
+    pooled = rows == 1  # keyed to a row's m n terms, not to the chunk's rows
+    if sampled is None and n <= ewa.EINSUM_BUFFER:  # its (R, m) weights: a chunk's largest block
+        rows = max(1, ewa.BLOCK_DOUBLES // max(len(atoms), n))
     runs = [(np.empty(total), np.empty(total)) for _ in betas]
 
     def fill(chunk, words):
@@ -346,7 +357,7 @@ def _run_replicates(config, betas, gaps):
                 fill(slice(start, stop), words[start - first : stop - first])
 
     workers = worker_count()  # checked even where one worker is taken
-    if rows > 1:
+    if not pooled:
         workers = 1
     step = -(-total // workers)
     spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]

@@ -229,7 +229,7 @@ def test_kl_identity_and_bound_ordering():
 
 
 def test_certification_is_thread_deterministic(tmp_path):
-    # m n > BLOCK_DOUBLES: chunks of one row, so 4 workers really share the replicates
+    # m n > BLOCK_DOUBLES, so 4 workers really share the replicates
     n, m = 64, 1100
     assert _signal_rows(m, n) == 1
     config = make_scenario("gaussian", n=n, m=m, replicates=2_000, seed=424242)

@@ -463,7 +463,7 @@ def test_package_exports_each_public_name_once():
 
 
 def test_certify_is_deterministic_across_thread_counts(tmp_path):
-    # chunks of one row (m n > BLOCK_DOUBLES), so 4 workers really share the replicates
+    # m n > BLOCK_DOUBLES, so 4 workers really share the replicates
     cfg = tmp_path / "cfg.json"
     config = make_scenario("gaussian", n=64, m=1100, replicates=50, seed=99)
     cfg.write_text(json.dumps(config.to_json()))
@@ -532,10 +532,11 @@ for path in sys.argv[1:]:
 def test_certify_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
     # the replicates' distances take their cross terms from einsum, without BLAS: a BLAS
     # product's rows change bits with OPENBLAS_NUM_THREADS and with their row count. The
-    # canned shape chunks many rows; the wide one (m n > BLOCK_DOUBLES) one row per chunk,
-    # shared by two workers at EWA_AGG_THREADS=2. Its atoms also come 20 times nearer the
-    # truth, with and without a sampled prior, so that the weights spread over many atoms
-    # and a last-bit change in any distance reaches the reports
+    # canned shape chunks many rows. The wide one (m n > BLOCK_DOUBLES) takes up to
+    # BLOCK_DOUBLES // m rows per chunk, and two or three workers split its one-worker chunk
+    # mid-way; with a sampled prior it takes one row per chunk. Its atoms also come 20 times
+    # nearer the truth, with and without a sampled prior, so that the weights spread over
+    # many atoms and a last-bit change in any distance reaches the reports
     canned = make_scenario("gaussian", seed=3, replicates=200)
     wide = make_scenario("gaussian", n=64, m=1100, replicates=24, seed=3)
     near = wide.truth + 0.05 * (wide.dictionary.atoms - wide.truth)
@@ -550,7 +551,7 @@ def test_certify_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(doc))
     outputs = set()
-    for blas, workers in (("1", "1"), ("2", "1"), ("1", "2")):
+    for blas, workers in (("1", "1"), ("2", "1"), ("1", "2"), ("1", "3")):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, EWA_AGG_THREADS=workers)
         proc = subprocess.run(
             [sys.executable, "-c", _CERTIFY_BYTES, *map(str, paths)],

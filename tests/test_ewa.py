@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import moments_reference as moments
 from ewa_agg.ewa import (
+    BLOCK_DOUBLES,
     EINSUM_BUFFER,
     EXPANSION_TOLERANCE,
     _atom_sq_distances,
@@ -192,13 +193,15 @@ def test_posterior_variance_hand_value():
 def test_atom_distances_equal_whole_differences_bit_for_bit(m, n, order):
     # each row sums as its whole C-ordered difference does (a row past einsum's buffer
     # alone), whatever the atoms' memory order and however many rows share the call: one
-    # signal, 0.0 for the squared norms, or a chunk of _signal_rows(m, n) signals (a span's
-    # last chunk may hold one) against shared or their own atoms
+    # signal, 0.0 for the squared norms, or a chunk of _signal_rows(m, n) signals (a sampled
+    # chunk; a span's last chunk may hold one) against shared or their own atoms, or a
+    # dictionary chunk's BLOCK_DOUBLES // max(m, n) signals against shared ones
     rng = np.random.default_rng(RNG_SEED)
     atoms = np.array(rng.normal(scale=30.0, size=(m, n)), order=order)
     signals = _signal_rows(m, n)
+    chunk_rows = 1 if n > EINSUM_BUFFER else BLOCK_DOUBLES // max(m, n)
     own = np.array(rng.normal(scale=30.0, size=(signals, m, n)), order=order)
-    ys = rng.normal(size=(signals, n))
+    ys = rng.normal(size=(max(signals, chunk_rows), n))
 
     def whole(y, a):
         diff = np.ascontiguousarray(a - y)
@@ -219,6 +222,9 @@ def test_atom_distances_equal_whole_differences_bit_for_bit(m, n, order):
         chunk = ys[:k, None]
         assert np.array_equal(_atom_sq_distances(ys[:k], atoms), whole(chunk, atoms[None]))
         assert np.array_equal(_atom_sq_distances(ys[:k], own[:k]), whole(chunk, own[:k]))
+    rows = _atom_sq_distances(ys[:chunk_rows], atoms)
+    assert np.array_equal(rows[0], got)
+    assert np.array_equal(rows[-1], whole(ys[chunk_rows - 1], atoms))
 
 
 @settings(max_examples=200, deadline=None)
@@ -296,6 +302,9 @@ def test_moment_rows_equal_the_one_row_formulas(m, n, rows, picks, weights, scal
          seed=2)
 @example(m=5, n=64, rows=6, picks=None, scales=(100, -3, 2), planted=True, log_ratio=0.5,
          seed=3)
+# two blocks of atoms in the cross term (_signal_rows(1, 300) = 218), atom 0's copy in the second
+@example(m=300, n=300, rows=6, picks=None, scales=(0, 0, 0), planted=False, log_ratio=0.0,
+         seed=4)
 def test_expanded_distances_lie_within_their_bound(
     m, n, rows, picks, scales, planted, log_ratio, seed
 ):
@@ -339,6 +348,25 @@ def test_expanded_distances_lie_within_their_bound(
     with np.errstate(over="ignore"):
         gap = np.abs((log_prior - d / beta) - (log_prior - explicit / beta))
     assert np.all(gap[kept] <= 2.0**-30)
+
+
+@pytest.mark.parametrize(
+    "m, n, order", [(1000, 300, "C"), (700, 129, "F"), (3, EINSUM_BUFFER, "C"), (9000, 8, "C")]
+)
+def test_blocked_cross_term_equals_one_einsum(m, n, order):
+    # the cross term goes over blocks of _signal_rows(1, n) atoms, and each (r, j) is still one
+    # einsum dot over the same n terms: d is bit for bit the expansion from one einsum
+    rng = np.random.default_rng(RNG_SEED)
+    truth, noise = rng.normal(size=n), rng.normal(size=(7, n))
+    atoms = np.array(truth + rng.normal(size=(m, n)), order=order)
+    gaps = _atom_sq_distances(truth, atoms)
+    d, _ = _expanded_sq_distances(noise, atoms, truth, gaps, 1.0)
+    want = np.einsum("rk,jk->rj", noise, atoms)
+    want -= np.einsum("rk,k->r", noise, truth)[:, None]
+    want *= -2.0
+    want += _atom_sq_distances(0.0, noise)[:, None]
+    want += gaps
+    assert d.tobytes() == want.tobytes()
 
 
 def test_posterior_variance_never_negative():

@@ -246,6 +246,41 @@ def test_laplace_inverse_cdf_matches_scipy():
     assert np.isfinite(laplace_inverse_cdf(np.array([0.0]), 1.0))[0]
 
 
+# u at 0 (clamped before its log), the least subnormal, either side of the branch at 1/2 and
+# the largest double below 1
+LAPLACE_EDGES = (0.0, 5e-324, np.nextafter(0.5, 0.0), 0.5, 1.0 - 2.0**-53)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 300)),
+        st.tuples(st.integers(1, 40), st.integers(1, 300)),
+        st.just((3 * 8192 + 5,)),
+        st.just((40, 1000)),
+    ),
+    scale_kind=st.sampled_from(("scalar", "coordinates", "broadcast")),
+    scale=st.floats(0.0, 1e300, exclude_min=True),  # mu log(1e-300) stays finite
+    edges=st.lists(st.sampled_from(LAPLACE_EDGES), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_laplace_inverse_cdf_equals_its_full_array_formula(shape, scale_kind, scale, edges, seed):
+    # the quantile goes in blocks of numpy's iterator buffer into one array (several blocks
+    # past 8192 draws): each draw is the full-array formula's, sign bits included, with a
+    # scalar, a per-coordinate and a broadcast scale, and the caller's u is not written
+    rng = np.random.default_rng(seed)
+    u = rng.random(shape)
+    u.flat[rng.integers(0, u.size, len(edges))] = edges
+    if scale_kind == "coordinates":
+        scale = scale * rng.uniform(0.5, 1.0, shape[-1])
+    elif scale_kind == "broadcast":
+        scale = np.broadcast_to(scale, shape)
+    before = u.copy()
+    got, want = laplace_inverse_cdf(u, scale), draws._laplace(u, scale)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert u.tobytes() == before.tobytes()
+
+
 def _check_law_centered(model):
     for law in model.marginal_rows().laws():
         assert abs(sum(p for _, p in law.atoms()) - 1.0) <= 1e-12
@@ -562,8 +597,8 @@ def test_continuous_draws_and_companions_equal_their_formulas(family, data):
     model = data.draw(draws.models(family, max_n=3), label="model")
     assume(np.max(model.scale) < 1e300)  # (1 + alpha) sigma must not overflow
     i = data.draw(st.integers(0, model.dim - 1))
-    size, seed = data.draw(st.integers(1, 300)), data.draw(st.integers(0, 2**32 - 1))
-    alpha = data.draw(st.floats(0.0, 1.0))
+    size = data.draw(st.integers(1, 300) | st.just(3 * 8192 + 5))  # several iterator buffers
+    seed, alpha = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.floats(0.0, 1.0))
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     scale = np.full(size, float(model.scale[i]))
     _assert_same(model.coordinate_draws(i, size, ours), draws.continuous_draw(model, scale, theirs))

@@ -447,7 +447,7 @@ class TestMcRisk:
         assert a.mean_posterior_variance == b.mean_posterior_variance
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setattr(ewa, "BLOCK_DOUBLES", 30)  # chunks of one row: 3 workers run
+        monkeypatch.setattr(ewa, "BLOCK_DOUBLES", 30)  # m n = 30: 3 workers, chunks of 30 // 6
         assert ewa._signal_rows(5, 6) == 1
         monkeypatch.delenv("EWA_AGG_THREADS", raising=False)
         serial = mc_risk(_toy_config())
@@ -580,10 +580,12 @@ def test_replicates_equal_the_public_path(family):
 
 def _assert_chunks_equal_the_public_path(monkeypatch, config, chunk_rows):
     """Every replicate of `config` equals its one-replicate reference (`_guarded_replicate`)
-    when `_run_replicates` takes each row count in `chunk_rows` (set through
-    ewa.BLOCK_DOUBLES) at 1 and at 3 workers, alone at config.beta and in one pass that also
-    serves +inf, 1e-310 and a finite beta, each of them at its own reference. A span derives
-    its states 10 keys at a time (whole chunks), so spans cross several key blocks."""
+    when ewa.BLOCK_DOUBLES makes `_signal_rows(m, n)` each row count in `chunk_rows` (m being
+    prior_samples when set), at 1 and at 3 workers, alone at config.beta and in one pass that
+    also serves +inf, 1e-310 and a finite beta, each of them at its own reference. A sampled
+    prior's chunks hold that many rows, the dictionary's min(m, n) times as many (they take
+    BLOCK_DOUBLES // max(m, n)). A span derives its states 10 keys at a time (whole chunks),
+    so spans cross several key blocks."""
     monkeypatch.setattr(oracle, "_STATE_KEYS", 10)
     n = config.truth.size
     m_eff = config.prior_samples or config.dictionary.m
@@ -700,7 +702,7 @@ def test_chunked_configs_take_one_worker(monkeypatch):
     _replicates(config, (config.beta,))
     assert spans == [((0, 20), True)]  # one span, run inline
     spans.clear()
-    monkeypatch.setattr(ewa, "BLOCK_DOUBLES", 30)  # one row per chunk
+    monkeypatch.setattr(ewa, "BLOCK_DOUBLES", 30)  # m n = 30 > BLOCK_DOUBLES / 2: the pool runs
     barrier = threading.Barrier(3, timeout=30)
     _replicates(config, (config.beta,))
     assert sorted(spans) == [((0, 7), False), ((7, 14), False), ((14, 20), False)]
@@ -721,6 +723,37 @@ def test_fallback_seating_equals_the_direct_write(family, monkeypatch):
         betas = (config.beta, config.beta / 2.0)
         for beta, (risks, pvars) in zip(betas, _replicates(config, betas), strict=True):
             assert list(zip(risks, pvars)) == _guarded_replicates(replace(config, beta=beta))
+
+
+def test_wide_chunks_hold_block_doubles_over_m_rows(monkeypatch):
+    # no chunk makes an (m, n) difference block, so an unsampled wide config (m n >
+    # BLOCK_DOUBLES) takes BLOCK_DOUBLES // max(m, n) rows per chunk, several chunks per span,
+    # across EWA_AGG_THREADS workers; a sampled prior's rows gather their own (s, n) atoms, so
+    # it keeps one row per chunk. Each chunk's noise reaches the expansion as one block
+    calls, expand = [], oracle._expanded_sq_distances
+
+    def recorded(noise, *args):
+        calls.append((len(noise), threading.current_thread() is threading.main_thread()))
+        return expand(noise, *args)
+
+    monkeypatch.setattr(oracle, "_expanded_sq_distances", recorded)
+    wide = make_scenario("gaussian", n=64, m=1100, replicates=200, seed=7)
+    sampled = replace(wide, prior_samples=1100, replicates=20)
+    m, n = wide.dictionary.m, wide.dictionary.n
+    assert m * n > ewa.BLOCK_DOUBLES and ewa.BLOCK_DOUBLES // max(m, n) == 59
+    for config, rows in ((wide, 59), (sampled, 1)):
+        runs, total = [], config.replicates
+        for workers in (1, 3):
+            monkeypatch.setenv("EWA_AGG_THREADS", str(workers))
+            calls.clear()
+            [run] = _replicates(config, (config.beta,))
+            runs.append(np.array(run))
+            step = -(-total // workers)
+            spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+            chunks = [min(rows, hi - at) for lo, hi in spans for at in range(lo, hi, rows)]
+            assert len(spans) == workers and len(chunks) > workers
+            assert sorted(calls) == sorted((chunk, workers == 1) for chunk in chunks)
+        assert runs[0].tobytes() == runs[1].tobytes()
 
 
 def test_long_signals_take_one_row_at_a_time():

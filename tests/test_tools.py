@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ewa_agg
+from ewa_agg import oracle
 from ewa_agg.coupling import CF_BLOCK
 from ewa_agg.ewa import _signal_rows, posterior_weights
 from ewa_agg.model import Dictionary, ExperimentConfig, WeightVector
@@ -98,9 +99,9 @@ def test_snapshot_exact_tree_runs_the_verify_workloads_binomial():
 
 def test_snapshot_near_tree_spreads_the_wide_weights():
     # every family runs certify on the wide shape with its atoms at 0.05 of their offset from
-    # the truth, as the CLI's BLAS test builds them, one replicate per chunk at two workers:
-    # the weights spread over more atoms than at the wide shape, so that a last-bit change
-    # in a replicate's distances reaches the reports
+    # the truth, as the CLI's BLAS test builds them, at two workers: the weights spread over
+    # more atoms than at the wide shape, so that a last-bit change in a replicate's distances
+    # reaches the reports
     snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
     runs = snapshot._runs(FAMILIES, make_scenario, CF_BLOCK)
     near = [run for run in runs if run[3] == "cli-threads2/near"]
@@ -118,6 +119,31 @@ def test_snapshot_near_tree_spreads_the_wide_weights():
             w = posterior_weights(y, dictionary, wide.prior, wide.beta / 2.0).weights
             spread.append(1.0 / (w @ w))  # the effective number of atoms
         assert spread[1] > 1.05 * spread[0] and spread[1] > 0.9 * wide.dictionary.m
+
+
+def test_snapshot_wide_trees_cover_chunk_edges(monkeypatch):
+    # the wide runs at two workers: cli-threads2 puts 59 rows (BLOCK_DOUBLES // m) in a chunk,
+    # so each span of 100 replicates ends in a partial one; cli-sampled-threads2, whose rows
+    # gather their own picks, keeps one row per chunk. The expansion takes one call per chunk
+    snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
+    runs = {run[3]: run for run in snapshot._runs(FAMILIES, make_scenario, CF_BLOCK)}
+    chunks, expand = [], oracle._expanded_sq_distances
+
+    def recorded(noise, *args):
+        chunks.append(len(noise))
+        return expand(noise, *args)
+
+    monkeypatch.setattr(oracle, "_expanded_sq_distances", recorded)
+    one_row = [1] * snapshot.REPLICATES
+    for folder, rows in (("cli-threads2", [41, 41, 59, 59]), ("cli-sampled-threads2", one_row)):
+        _, shapes, extras, _, commands, threads = runs[folder]
+        assert "certify" in commands and threads == "2"
+        monkeypatch.setenv("EWA_AGG_THREADS", threads)
+        for family, shape in shapes.items():
+            doc = make_scenario(family, replicates=snapshot.REPLICATES, seed=snapshot.SEED, **shape)
+            chunks.clear()
+            certify_config(ExperimentConfig.from_json(doc.to_json() | extras))
+            assert sorted(chunks) == rows, (folder, family)
 
 
 def test_snapshot_sampled_trees_cover_the_prior_pick():

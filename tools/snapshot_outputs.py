@@ -9,10 +9,12 @@ families (seed 3, R = 200, sample_size 20 000) the six subcommands run through
 OUT/cli/<family>.<subcommand>.<format>; each script in SRC/demos has its stdout
 written to OUT/demos/<name>.txt. These runs take EWA_AGG_THREADS=1, whatever the
 caller's environment holds. A wide scenario per family (n = 64, m = 1100, so
-m n > BLOCK_DOUBLES and each chunk holds one replicate) runs simulate and certify
-at EWA_AGG_THREADS=2 into OUT/cli-threads2/: two workers share those runs, so a
-diff also covers the worker count. certify also runs on each wide scenario with its
-atoms moved to 0.05 of their offset from the truth (NEAR), at EWA_AGG_THREADS=2, into
+m n > BLOCK_DOUBLES) runs simulate and certify at EWA_AGG_THREADS=2 into
+OUT/cli-threads2/: two workers share those runs, so a diff also covers the worker
+count, and each span of 100 replicates runs one full chunk of BLOCK_DOUBLES // m = 59
+rows and one partial chunk of 41, so it covers the chunk edges too. certify also runs
+on each wide scenario with its atoms moved to 0.05 of their offset from the truth
+(NEAR), at EWA_AGG_THREADS=2, into
 OUT/cli-threads2/near/: there the weights spread over nearly all atoms, so a last-bit
 change in any replicate's distances reaches the reports. For gaussian and laplace,
 verify-coupling (by the cf_grid method) and verify-bernstein also run at sample_size
