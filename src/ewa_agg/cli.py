@@ -18,12 +18,12 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .bernstein import check_noise_mgf
 from .coupling import _as_count, verify_coupling
 from .ewa import dv_minimality_test
-from .model import ExperimentConfig, _CONFIG_KEYS
+from .model import ExperimentConfig
 from .oracle import (
     OracleBoundReport,
     certify_config,
@@ -70,7 +70,7 @@ def _parse_config(path, seed_override):
     doc = _load_document(path)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(doc) - set(_CONFIG_KEYS) - set(_EXTENSION_KEYS)
+    unknown = set(doc) - {field.name for field in fields(ExperimentConfig)} - set(_EXTENSION_KEYS)
     if unknown:
         raise ValueError(f"unknown key: {sorted(unknown)[0]}")
     config = ExperimentConfig.from_json(doc)

@@ -1,9 +1,11 @@
 """Core data types: signal vectors, dictionaries of candidate signals,
 probability weights over atoms (normalized by the one logsumexp and softmax),
-and the experiment configuration that the Monte Carlo harness and the CLI consume."""
+and the experiment configuration that the Monte Carlo harness and the CLI consume.
+The configuration's dataclass fields are its JSON keys, in order; only the truth, the
+dictionary, the prior and the noise have a JSON form of their own."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -196,18 +198,6 @@ def _as_weight_array(w, m=None):
     return arr
 
 
-_CONFIG_KEYS = (
-    "truth",
-    "dictionary",
-    "prior",
-    "noise",
-    "beta",
-    "replicates",
-    "seed",
-    "prior_samples",
-)
-
-
 def _as_beta(value):
     if isinstance(value, str):
         try:
@@ -255,44 +245,27 @@ class ExperimentConfig:
             raise ValueError("prior length must match the number of atoms")
 
     def to_json(self):
-        return {
-            "truth": self.truth.tolist(),
-            "dictionary": self.dictionary.atoms.tolist(),
-            "prior": self.prior.weights.tolist(),
-            "noise": noise_to_json(self.noise),
-            "beta": self.beta,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "prior_samples": self.prior_samples,
-        }
+        doc = {field.name: getattr(self, field.name) for field in fields(self)}
+        doc.update(
+            truth=self.truth.tolist(),
+            dictionary=self.dictionary.atoms.tolist(),
+            prior=self.prior.weights.tolist(),
+            noise=noise_to_json(self.noise),
+        )
+        return doc
 
     @classmethod
     def from_json(cls, doc):
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
-        for key in _CONFIG_KEYS:
-            if key != "prior_samples" and key not in doc:
-                raise ValueError(f"missing key: {key}")
-        try:
-            truth = as_signal(doc["truth"])
-        except ValueError as exc:
-            raise ValueError(f"truth is invalid: {exc}") from None
-        try:
-            dictionary = Dictionary(doc["dictionary"])
-        except ValueError as exc:
-            raise ValueError(f"dictionary is invalid: {exc}") from None
-        try:
-            prior = WeightVector(doc["prior"])
-        except ValueError as exc:
-            raise ValueError(f"prior is invalid: {exc}") from None
-        noise = noise_from_json(doc["noise"])
-        return cls(
-            truth=truth,
-            dictionary=dictionary,
-            prior=prior,
-            noise=noise,
-            beta=doc["beta"],
-            replicates=doc["replicates"],
-            seed=doc["seed"],
-            prior_samples=doc.get("prior_samples"),
-        )
+        for field in fields(cls):
+            if field.default is MISSING and field.name not in doc:
+                raise ValueError(f"missing key: {field.name}")
+        args = {field.name: doc[field.name] for field in fields(cls) if field.name in doc}
+        for key, decode in (("truth", as_signal), ("dictionary", Dictionary), ("prior", WeightVector)):
+            try:
+                args[key] = decode(args[key])
+            except ValueError as exc:
+                raise ValueError(f"{key} is invalid: {exc}") from None
+        args["noise"] = noise_from_json(args["noise"])  # its messages name their keys
+        return cls(**args)

@@ -48,6 +48,7 @@ and the coupling checks, `bernstein` the profile type and the MGF checks.
 """
 
 import math
+from copy import deepcopy
 
 import numpy as np
 
@@ -82,7 +83,7 @@ class NoiseModel:
 
     family = ""
     discrete = False  # True: finite exact laws, so the coupling is checked by enumeration
-    json_keys = ()  # the constructor's arguments, in order, as JSON parameter names
+    json_keys = ()  # the constructor's arguments, in order: the JSON params and their attributes
 
     @property
     def dim(self):
@@ -121,7 +122,9 @@ class NoiseModel:
         raise NotImplementedError
 
     def params_json(self):
-        return {key: np.asarray(getattr(self, key)).tolist() for key in self.json_keys}
+        """The JSON params: a copy of each of `json_keys`' attributes, arrays as lists."""
+        copies = {key: deepcopy(getattr(self, key)) for key in self.json_keys}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in copies.items()}
 
     @classmethod
     def scenario(cls, n, m, rng, params):
@@ -276,7 +279,8 @@ class BoundedBinaryMixture(_DiscreteNoise):
     mixing law, then takes a w.p. b/(a+b) and -b w.p. a/(a+b).
 
     ``mixing`` is a per-coordinate list of ((a, b), prob) entries with
-    0 <= a <= a_max, 0 <= b <= b_max, a + b > 0.
+    0 <= a <= a_max, 0 <= b <= b_max, a + b > 0; the attribute keeps them as
+    floats in their JSON form, [[a, b], prob].
 
     Coupling: given (a, b) and eta = a, zeta = alpha a w.p.
     ((1 + alpha) b + a) / ((1 + alpha)(a + b)), else -(1 + alpha) b - a; given
@@ -335,9 +339,8 @@ class BoundedBinaryMixture(_DiscreteNoise):
         pad = self._p == 0.0
         self._a[pad & (self._a + self._b == 0.0)] = 1.0
         self._cum = np.cumsum(self._p, axis=1)
-        self.mixing = [
-            [((float(a), float(b)), float(p)) for (a, b), p in entries] for entries in mixing
-        ]
+        # each coordinate's row of entries, as floats in their JSON form
+        self.mixing = [[[[float(a), float(b)], float(p)] for (a, b), p in row] for row in mixing]
         for arr in (self._a, self._b, self._p, self._cum, self._listed):
             arr.setflags(write=False)
 
@@ -386,13 +389,6 @@ class BoundedBinaryMixture(_DiscreteNoise):
             v_prime_0=span * span,
             mgf_normalization=2.0,
         )
-
-    def params_json(self):
-        return {
-            "a_max": self.a_max,
-            "b_max": self.b_max,
-            "mixing": [[[[a, b], p] for (a, b), p in entries] for entries in self.mixing],
-        }
 
     @classmethod
     def scenario(cls, n, m, rng, params):

@@ -532,8 +532,7 @@ def certify_config(config):
     return _reports([(clean, "clean"), (half, "variance_penalty")], profile, d0, threshold)
 
 
-def certify_corollary(family, n=50, m=10, replicates=10_000, seed=20250822, **params):
-    """Build the family's natural scenario and certify it both ways."""
-    return certify_config(
-        make_scenario(family, n=n, m=m, replicates=replicates, seed=seed, **params)
-    )
+def certify_corollary(family, **params):
+    """Build the family's natural scenario (`make_scenario`, its keywords and defaults) and
+    certify it both ways."""
+    return certify_config(make_scenario(family, **params))

@@ -23,6 +23,7 @@ from ewa_agg.model import (
     sup_diameter,
 )
 from ewa_agg.noise import FAMILIES, Gaussian
+from ewa_agg.oracle import make_scenario
 
 
 def test_as_signal_coerces_lists():
@@ -230,6 +231,29 @@ def _small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# json.dumps of make_scenario(family, n=2, m=2, replicates=5, seed=1).to_json()
+_PINNED_DOCUMENTS = {
+    "bounded_binary_mixture": (
+        '{"truth": [0.3888860818484182, 0.3657233893101427], '
+        '"dictionary": [[0.5901066883956507, 0.19800133309276613], '
+        '[0.6078473840658869, 0.5619644584620687]], "prior": [0.5, 0.5], '
+        '"noise": {"family": "bounded_binary_mixture", "params": {"a_max": 0.6, '
+        '"b_max": 0.6, "mixing": [[[[0.6, 0.6], 0.4], [[0.35, 0.2], 0.35], '
+        '[[0.1, 0.45], 0.25]], [[[0.6, 0.6], 0.4], [[0.35, 0.2], 0.35], '
+        '[[0.1, 0.45], 0.25]]]}}, "beta": 3.171170500295442, "replicates": 5, '
+        '"seed": 1, "prior_samples": null}'
+    ),
+    "centered_binomial": (
+        '{"truth": [0.433331649109051, 0.41943403358608566], '
+        '"dictionary": [[0.6345522556562835, 0.2517119773687091], '
+        '[0.6522929513265197, 0.6156751027380116]], "prior": [0.5, 0.5], '
+        '"noise": {"family": "centered_binomial", "params": {"a": 0.2, "k": 5, '
+        '"rho": [0.433331649109051, 0.41943403358608566]}}, '
+        '"beta": 0.4485284167159071, "replicates": 5, "seed": 1, "prior_samples": null}'
+    ),
+}
+
+
 class TestExperimentConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="beta must be positive"):
@@ -302,6 +326,18 @@ class TestExperimentConfig:
         assert (back.replicates, back.seed) == (cfg.replicates, cfg.seed)
         assert back.noise.family == "gaussian"
 
+    @pytest.mark.parametrize("family", _PINNED_DOCUMENTS)
+    def test_json_document_is_pinned(self, family):
+        # the document format: key order, nested mixing lists, an int k, a null prior_samples
+        text = _PINNED_DOCUMENTS[family]
+        cfg = make_scenario(family, n=2, m=2, replicates=5, seed=1)
+        assert json.dumps(cfg.to_json()) == text
+        for value in cfg.to_json()["noise"]["params"].values():
+            if isinstance(value, list):
+                value.clear()  # a written document is the caller's: the config keeps its own
+        assert json.dumps(cfg.to_json()) == text
+        assert json.dumps(ExperimentConfig.from_json(json.loads(text)).to_json()) == text
+
     @pytest.mark.parametrize("family", FAMILIES)
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -363,4 +399,8 @@ class TestExperimentConfig:
         broken = dict(doc)
         broken["truth"] = [[0.1]]
         with pytest.raises(ValueError, match="truth is invalid"):
+            ExperimentConfig.from_json(broken)
+        broken = {**doc, "truth": [[0.1]]}
+        del broken["seed"]  # the missing key is reported before the bad truth
+        with pytest.raises(ValueError, match="^missing key: seed$"):
             ExperimentConfig.from_json(broken)

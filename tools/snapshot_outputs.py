@@ -3,13 +3,16 @@
 Usage: python3 tools/snapshot_outputs.py SRC OUT | --write-golden
 
 SRC is a checkout of this repository and OUT a directory to create; the script
-exits 2 if SRC/src holds no package. For each of the five `make_scenario`
-families (seed 3, R = 200, sample_size 20 000) the six subcommands run through
-`python -m ewa_agg.cli` in CSV and in JSON, and their stdout goes to
-OUT/cli/<family>.<subcommand>.<format>; each script in SRC/demos has its stdout
-written to OUT/demos/<name>.txt. These runs take EWA_AGG_THREADS=1, whatever the
-caller's environment holds. A wide scenario per family (n = 64, m = 1100, so
-m n > BLOCK_DOUBLES) runs simulate and certify at EWA_AGG_THREADS=2 into
+exits 2 if SRC/src holds no package, or if the package it imports is not SRC's.
+Every CLI output runs in this process through `cli.main`, with stdout redirected
+and EWA_AGG_THREADS patched for the run (`_cli`). For each of the five
+`make_scenario` families (seed 3, R = 200, sample_size 20 000) the six subcommands
+run in CSV and in JSON, and their stdout goes to
+OUT/cli/<family>.<subcommand>.<format>; each script in SRC/demos runs as its own
+interpreter, and has its stdout written to OUT/demos/<name>.txt. These runs take
+EWA_AGG_THREADS=1, whatever the caller's environment holds. A wide scenario per
+family (n = 64, m = 1100, so m n > BLOCK_DOUBLES) runs simulate and certify at
+EWA_AGG_THREADS=2 into
 OUT/cli-threads2/: two workers share those runs, so a diff also covers the worker
 count, and each span of 100 replicates runs one full chunk of BLOCK_DOUBLES // m = 59
 rows and one partial chunk of 41, so it covers the chunk edges too. certify also runs
@@ -42,12 +45,12 @@ simulate and certify on five copies of the family's one atom under a uniform pri
 the n where the last bit of the weighted mean once failed all three verdicts. certify
 also runs on each family's canned shape at --seed 0, 2^32 and 2^64 - 1, seeds of one
 32-bit word and of two, into OUT/cli-seeds/<family>.certify.<seed>.<format>.
-OUT/exit_codes.txt lists every exit code.
+OUT/exit_codes.txt lists every exit code: `cli.main`'s return value, or a demo's status.
 Snapshots of two checkouts compare with `diff -r OUT_A OUT_B`.
 
 With --write-golden the script instead re-records GOLDEN, tests/golden/outputs.sha256
 of its own checkout: the sha256 of the stdout of each OUT/cli/ run (five families, six
-commands, CSV and JSON), made in process through `cli.main` at EWA_AGG_THREADS=1, in
+commands, CSV and JSON), made as OUT/cli/ is, in
 `sha256sum` form under a first line naming numpy's version and SIMD extensions
 (`environment`). The Tier-1 suite checks that the package reproduces every digest.
 """
@@ -119,10 +122,17 @@ def _duplicated(doc):
     return {"dictionary": doc["dictionary"] * COPIES, "prior": [1.0 / COPIES] * COPIES}
 
 
-def _run(args, env, path, codes):
-    proc = subprocess.run(args, stdout=subprocess.PIPE, env=env, check=False)
-    path.write_bytes(proc.stdout)
-    codes.append(f"{path.parent.name}/{path.name} {proc.returncode}\n")
+def _cli(cli, args, threads):
+    """(stdout bytes, exit code) of `cli.main(args)`, run in process at EWA_AGG_THREADS=threads."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {THREADS: threads}), contextlib.redirect_stdout(out):
+        code = cli.main(args)
+    return out.getvalue().encode(), code
+
+
+def _write(path, stdout, code, codes):
+    path.write_bytes(stdout)
+    codes.append(f"{path.parent.name}/{path.name} {code}\n")
 
 
 def environment():
@@ -144,17 +154,15 @@ def golden_lines():
     from ewa_agg.oracle import make_scenario
 
     lines = [f"# {environment()}"]
-    with mock.patch.dict(os.environ, {THREADS: "1"}), tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         for family in FAMILIES:
             doc = make_scenario(family, replicates=REPLICATES, seed=SEED).to_json()
             config = Path(tmp) / f"{family}.json"
             config.write_text(json.dumps({**doc, "sample_size": SAMPLE_SIZE}))
             for command in COMMANDS:
                 for fmt in FORMATS:
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out):
-                        cli.main([command, str(config), "--format", fmt])
-                    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                    stdout, _code = _cli(cli, [command, str(config), "--format", fmt], "1")
+                    digest = hashlib.sha256(stdout).hexdigest()
                     lines.append(f"{digest}  cli/{family}.{command}.{fmt}")
     return lines
 
@@ -223,11 +231,15 @@ def main(argv):
         print(f"{init} is missing: {argv[1]} is not a checkout", file=sys.stderr)
         return 2
     sys.path.insert(0, str(src / "src"))
+    import ewa_agg
+    from ewa_agg import cli
     from ewa_agg.coupling import CF_BLOCK
     from ewa_agg.noise import FAMILIES
     from ewa_agg.oracle import make_scenario
 
-    env = dict(os.environ, PYTHONPATH=str(src / "src"), **{THREADS: "1"})
+    if Path(ewa_agg.__file__).resolve().parent != init.parent:
+        print(f"ewa_agg was imported from {ewa_agg.__file__}, not from {init.parent}", file=sys.stderr)
+        return 2
     codes = []
     runs = _runs(FAMILIES, make_scenario, CF_BLOCK)
     for folder in ("configs", *(run[3] for run in runs), "cli-seeds", "demos"):
@@ -242,17 +254,18 @@ def main(argv):
             config.write_text(json.dumps({**doc, **extras}))
             for command in commands:
                 for fmt in FORMATS:
-                    args = [sys.executable, "-m", "ewa_agg.cli", command, str(config)]
                     path = out / folder / f"{family}.{command}.{fmt}"
-                    _run([*args, "--format", fmt], {**env, THREADS: threads}, path, codes)
+                    _write(path, *_cli(cli, [command, str(config), "--format", fmt], threads), codes)
         canned = str(out / "configs" / f"{family}.json")  # the first run's config
         for seed in SEEDS:
             for fmt in FORMATS:
-                args = [sys.executable, "-m", "ewa_agg.cli", "certify", canned, "--seed", str(seed)]
                 path = out / "cli-seeds" / f"{family}.certify.{seed}.{fmt}"
-                _run([*args, "--format", fmt], env, path, codes)
+                args = ["certify", canned, "--seed", str(seed), "--format", fmt]
+                _write(path, *_cli(cli, args, "1"), codes)
+    env = dict(os.environ, PYTHONPATH=str(src / "src"), **{THREADS: "1"})
     for demo in sorted((src / "demos").glob("*.py")):
-        _run([sys.executable, str(demo)], env, out / "demos" / f"{demo.stem}.txt", codes)
+        proc = subprocess.run([sys.executable, str(demo)], stdout=subprocess.PIPE, env=env)
+        _write(out / "demos" / f"{demo.stem}.txt", proc.stdout, proc.returncode, codes)
     (out / "exit_codes.txt").write_text("".join(codes))
     return 0
 
