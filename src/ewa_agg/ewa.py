@@ -56,7 +56,7 @@ def _signal_rows(k, n):
     `_expanded_sq_distances`' cross term at k = 1), or rows in a sampled-prior chunk, each
     gathering its own k atoms: as many as keep a block within BLOCK_DOUBLES, and one where a
     row outgrows einsum's buffer, which sums it in pieces. A chunk against the dictionary
-    makes no (m, n) difference block, so its (R, m) weights size it (`oracle._run_replicates`)."""
+    makes no (m, n) difference block, so its (R, m) weights size it (`_chunk_rows`)."""
     return 1 if n > EINSUM_BUFFER else max(1, BLOCK_DOUBLES // (k * n))
 
 
@@ -169,18 +169,73 @@ def _posterior(log_prior, sq_distances, beta):
 
 
 def _posterior_moments(w, atoms, sq_norms, truth):
-    """(variances, risks) per row of an (R, m) block of weights over (m, n) atoms and their
-    squared norms, or each row's own (R, m, n) and (R, m): w . sq_norms - ||mean||^2 clamped
-    at 0 as Python's max clamps it (NaN passes) and ||mean - truth||^2. The two weighted sums
-    are stacked matmuls, each row's BLAS gemv or dot of its 1-D product (a 2-D gemm sums
-    otherwise); both squared norms come from `_atom_sq_distances` on the (R, n) means, so a
-    point-mass row gives the bound's own d_j and a variance of exactly 0."""
+    """(risks, variances) per row of an (R, m) block of weights over (m, n) atoms and their
+    squared norms, or each row's own (R, m, n) and (R, m): ||mean - truth||^2 and
+    w . sq_norms - ||mean||^2 clamped at 0 as Python's max clamps it (NaN passes). The two
+    weighted sums are stacked matmuls, each row's BLAS gemv or dot of its 1-D product (a 2-D
+    gemm sums otherwise); both squared norms come from `_atom_sq_distances` on the (R, n)
+    means, so a point-mass row gives the bound's own d_j and a variance of exactly 0."""
     mean = (w[:, None] @ atoms)[:, 0]
     if np.isinf(sq_norms).any():  # an atom of weight 0 adds 0 to w . sq_norms, not 0 * inf
         sq_norms = np.where(w == 0.0, 0.0, sq_norms)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats
         spread = (w[:, None] @ sq_norms[..., None])[:, 0, 0] - _atom_sq_distances(0.0, mean)
-    return np.where(0.0 > spread, 0.0, spread), _atom_sq_distances(truth, mean)
+    return _atom_sq_distances(truth, mean), np.where(0.0 > spread, 0.0, spread)
+
+
+def _chunk_rows(m, n, s):
+    """How many replicates go in a `_replicate_chunk` call against m atoms of length n, or
+    against s sampled picks per row (s None: the dictionary itself). A chunk against the
+    dictionary makes no (m, n) difference block, so its (R, m) distances and weights are the
+    largest block it makes: BLOCK_DOUBLES // max(m, n) rows. A sampled prior's rows gather
+    their own (s, n) atoms, so it takes `_signal_rows(s, n)`. Either is one where n outgrows
+    einsum's buffer, the precondition of the kernel's distance loops."""
+    if s is not None or n > EINSUM_BUFFER:
+        return _signal_rows(s or m, n)
+    return max(1, BLOCK_DOUBLES // max(m, n))
+
+
+def _replicate_chunk(xi, atoms, sq_norms, gaps, truth, reach, prior, betas):
+    """One (risks, variances) pair of (R,) series per temperature in betas for a chunk of
+    replicates: the (R, n) noise rows xi about the truth t, each row's signal y = fl(t + xi),
+    against one (m, n) set of atoms or each row's own (R, s, n) picks, given with their
+    squared norms and gaps ||theta_j - t||^2 (the Gibbs bound's own d_j), reach (max_j
+    ||theta_j|| + ||t|| over every atom a row may hold, `_expanded_sq_distances`), the prior
+    (a `model.WeightVector` over a row's atoms) and the temperatures. Precondition, as for
+    `_atom_sq_distances`: R is 1 where n > EINSUM_BUFFER; `_chunk_rows` sizes a chunk.
+
+    The weights' distances come from the expansion around the truth,
+    `_expanded_sq_distances`: ||xi||^2 - 2 (xi . theta_j - xi . t) + ||theta_j - t||^2, the
+    cross term by BLAS-free einsums over blocks of atoms that stay in cache, with a bound
+    err_r on each row's distance from the explicit kernel. A row keeps the expansion at a
+    beta where err_r <= 2^-30 beta (EXPANSION_TOLERANCE), so its d_j / beta is within 2^-30
+    of `posterior_weights`'; the rows refused at the lowest finite beta take
+    `_atom_sq_distances` once, and each beta takes the explicit rows its own guard refuses
+    (none of either if every beta is +inf, whose weights are the prior). Then per
+    temperature one row-wise softmax, of the weights alone (`_posterior`), and one moments
+    call (`_posterior_moments`: two stacked matmuls, each row's BLAS call where a 2-D gemm
+    would sum in another order, and the squared norms by the explicit loop). So each row
+    gives the bits of its one-row call, at any BLAS thread count and whatever betas share
+    the call, and each pair is bit for bit a call at its beta alone."""
+    y = truth + xi
+    if not np.all(np.isfinite(y)):
+        raise ValueError("signal entries must be finite")
+    lowest = min((beta for beta in betas if not math.isinf(beta)), default=None)
+    if lowest is not None:
+        d, err = _expanded_sq_distances(xi, atoms, truth, gaps, reach)
+        explicit, refit = d, ~(err <= EXPANSION_TOLERANCE * lowest)
+        if refit.any():  # the rows the guard refuses at the lowest beta, once
+            explicit, own = d.copy(), atoms[refit] if atoms.ndim == 3 else atoms
+            explicit[refit] = _atom_sq_distances(y[refit], own)
+    pairs = []
+    for beta in betas:
+        if math.isinf(beta):
+            w = np.broadcast_to(prior.weights, (len(xi), len(prior)))
+        else:
+            kept = (err <= EXPANSION_TOLERANCE * beta)[:, None]
+            w = _posterior(prior.log_weights, np.where(kept, d, explicit), beta)
+        pairs.append(_posterior_moments(w, atoms, sq_norms, truth))
+    return pairs
 
 
 def _ewa_inputs(y, dictionary, prior, beta):
@@ -215,7 +270,7 @@ def aggregate(dictionary, w):
 def posterior_variance(dictionary, w):
     """sum_j w_j ||theta_j||^2 - ||sum_j w_j theta_j||^2, clamped at 0."""
     w, norms = _as_weight_array(w, dictionary.m)[None], _atom_sq_distances(0.0, dictionary.atoms)
-    return float(_posterior_moments(w, dictionary.atoms, norms, 0.0)[0][0])
+    return float(_posterior_moments(w, dictionary.atoms, norms, 0.0)[1][0])
 
 
 def kl_divergence(p, q):

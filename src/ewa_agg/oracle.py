@@ -14,10 +14,12 @@ for `ewa-agg oracle-bound`; each report's fields are its JSON keys
 (`coupling.Report`), and its CSV_HEADER picks the CSV columns.
 
 Replicate r draws its noise from the stream numpy derives for (seed, r),
-Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))), weighs the atoms by the softmax behind
-`posterior_weights`, of the guarded distances below, and takes the moments behind
-`aggregate` and `posterior_variance`. The stream pipeline: a worker's span of replicates
-[first, last) gets the words SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)
+Generator(PCG64(SeedSequence(seed, spawn_key=(r,)))). The chunk kernel `ewa._replicate_chunk`
+turns a chunk's noise rows into their risks and posterior variances, each row the bits of its
+one-row call; its docstring says how (guarded distances, the softmax behind
+`posterior_weights`, the moments behind `aggregate` and `posterior_variance`). The stream
+pipeline: a worker's span of replicates [first, last) gets the words
+SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)
 of all its keys from one function of (seed, first, last), `_seed_words`, which redoes numpy's
 seed hash in a few array passes and equals numpy's words for every key. Each replicate then
 takes Generator(PCG64(_SeedWords(row))): `_SeedWords` holds its row behind numpy's public
@@ -27,30 +29,14 @@ generator makes only the replicate's own calls: the family's raw draw
 prior_samples, p=prior). Its chunk then turns every row's raw draw
 into noise by one `noise_rows` call, and every row's uniforms into atom picks by one
 searchsorted on the prior's cdf, which is built once per config as rng.choice builds it
-(`_choice_cdf`). Replicates go through in chunks of R_c rows, blind to the worker count and
-to beta. No chunk makes an (m, n) difference block, so its (R_c, m) distances and weights are
-the largest block it makes: R_c = BLOCK_DOUBLES // max(m, n). A sampled prior, whose rows
-gather their own (s, n) atoms, keeps R_c = `ewa._signal_rows(s, n)`, BLOCK_DOUBLES // (s n).
-Either is one where n outgrows einsum's buffer, the one distance loop's precondition. Per
-chunk the weights' distances come from the expansion around the truth,
-`ewa._expanded_sq_distances`: ||xi||^2 - 2 (xi . theta_j - xi . t) + ||theta_j - t||^2, the
-last made once per config by `ewa._atom_sq_distances` (the Gibbs bound's own d_j) and the
-cross term by BLAS-free einsums over blocks of atoms that stay in cache, with a bound err_r
-on each row's distance from the explicit kernel. A row keeps the
-expansion at a beta where err_r <= 2^-30 beta (`ewa.EXPANSION_TOLERANCE`), so its d_j / beta
-is within 2^-30 of `posterior_weights`'; the rows refused at the pass's lowest finite beta
-take `ewa._atom_sq_distances` once, and each beta takes the explicit rows its own guard
-refuses. Then per temperature one row-wise softmax and one moments call
-(`ewa._posterior_moments`: two stacked matmuls, each row's BLAS call where a 2-D gemm would
-sum in another order, and the squared norms by the explicit loop), each row giving the bits
-of its one-replicate call. So results are bit-identical however many workers run, however
+(`_choice_cdf`). Replicates go through in chunks of `ewa._chunk_rows` rows, blind to the
+worker count and to beta. So results are bit-identical however many workers run, however
 replicates are chunked, at any OPENBLAS_NUM_THREADS and however many temperatures share the
 pass: `certify_config` makes one pass for its two, and each report equals its own `mc_risk`
-run. The softmax makes the weights alone (`ewa._posterior`), no log-weights. EWA_AGG_THREADS
-(default 1) workers share a config whose rows each take m n > BLOCK_DOUBLES / 2 terms
-(`ewa._signal_rows(m, n)` is 1, m being prior_samples when set), whatever its chunks' rows;
-a smaller one runs on one, as its small numpy calls hold the GIL. A single span runs in the
-calling thread, with no pool.
+run. EWA_AGG_THREADS (default 1) workers share a config whose rows each take
+m n > BLOCK_DOUBLES / 2 terms (`ewa._signal_rows(m, n)` is 1, m being prior_samples when
+set), whatever its chunks' rows; a smaller one runs on one, as its small numpy calls hold
+the GIL. A single span runs in the calling thread, with no pool.
 
 Where the posterior is a point mass on atom j, a tie passes: every risk is the bound's
 d_j bit for bit (both sum in `ewa._atom_sq_distances`), every posterior variance is 0, a
@@ -69,18 +55,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import ewa
 from .bernstein import _gamma, beta_threshold, variance_penalty_coefficient
 from .coupling import Report, _as_count
-from .ewa import (
-    EXPANSION_TOLERANCE,
-    _atom_sq_distances,
-    _ewa_inputs,
-    _expanded_sq_distances,
-    _posterior,
-    _posterior_moments,
-    _signal_rows,
-)
+from .ewa import _atom_sq_distances, _chunk_rows, _ewa_inputs, _replicate_chunk, _signal_rows
 from .model import (
     Dictionary,
     ExperimentConfig,
@@ -293,29 +270,20 @@ def _run_replicates(config, betas, gaps):
     the truth's squared distances to the atoms (the Gibbs bound's d_j); what no replicate or
     beta changes is made once. A worker's span seeds its replicates' streams as the module
     docstring's stream pipeline says, for each one's raw noise draw and prior uniforms. It
-    goes in chunks whatever the worker count or beta, of BLOCK_DOUBLES // max(m, n) rows, as
-    the (R, m) weights are the largest block a chunk makes, or `_signal_rows(s, n)` for
-    prior_samples s, whose rows gather (s, n) atoms each (one row where n > EINSUM_BUFFER):
-    one noise transform, prior pick and expanded distance block with its row bounds, and
-    explicit distances for the rows the guard refuses at the lowest finite beta (none of
-    either if every beta is +inf); then per beta a row-wise softmax (weights only) of the
-    distances that beta's guard picks per row, and a moments call, so each pair is bit for
-    bit a pass at its beta alone. A config with `_signal_rows(m, n)` > 1 (m n at most
-    BLOCK_DOUBLES / 2) runs on one worker, as its small numpy calls hold the GIL; one span
-    runs in the calling thread, with no pool."""
+    goes in chunks of `_chunk_rows` rows whatever the worker count or beta: one noise
+    transform and prior pick, then one `_replicate_chunk` call for every beta, so each pair
+    is bit for bit a pass at its beta alone. A config with `_signal_rows(m, n)` > 1 (m n at
+    most BLOCK_DOUBLES / 2) runs on one worker, as its small numpy calls hold the GIL; one
+    span runs in the calling thread, with no pool."""
     total, sampled = config.replicates, config.prior_samples
     atoms, truth = config.dictionary.atoms, config.truth
     norms = _atom_sq_distances(0.0, atoms)
     reach = math.sqrt(norms.max()) + math.hypot(*truth.tolist())
-    lowest = min((beta for beta in betas if not math.isinf(beta)), default=None)
     prior = config.prior if sampled is None else WeightVector.uniform(sampled)
     if sampled is not None:
         cdf = _choice_cdf(config.prior.weights)
-    n = truth.size
-    rows = _signal_rows(sampled or len(atoms), n)
-    pooled = rows == 1  # keyed to a row's m n terms, not to the chunk's rows
-    if sampled is None and n <= ewa.EINSUM_BUFFER:  # its (R, m) weights: a chunk's largest block
-        rows = max(1, ewa.BLOCK_DOUBLES // max(len(atoms), n))
+    m, n = atoms.shape
+    rows = _chunk_rows(m, n, sampled)
     runs = [(np.empty(total), np.empty(total)) for _ in betas]
 
     def fill(chunk, words):
@@ -328,24 +296,10 @@ def _run_replicates(config, betas, gaps):
         raws = np.array(raws)  # the list goes before the transform's blocks are made
         xi = config.noise.noise_rows(raws)[0]
         del raws  # and the block before the distance block is
-        y = truth + xi
-        if not np.all(np.isfinite(y)):
-            raise ValueError("signal entries must be finite")
         idx = cdf.searchsorted(np.array(picks), side="right") if sampled else slice(None)
-        theta, sq = atoms[idx], norms[idx]  # sampled: each replicate's own (s, n) atoms
-        if lowest is not None:
-            d, err = _expanded_sq_distances(xi, theta, truth, gaps[idx], reach)
-            explicit, refit = d, ~(err <= EXPANSION_TOLERANCE * lowest)
-            if refit.any():  # the rows the guard refuses at the lowest beta, once
-                explicit = d.copy()
-                explicit[refit] = _atom_sq_distances(y[refit], theta[refit] if sampled else theta)
-        for beta, (risks, pvars) in zip(betas, runs):
-            if math.isinf(beta):
-                w = np.broadcast_to(prior.weights, (len(words), len(prior)))
-            else:
-                kept = (err <= EXPANSION_TOLERANCE * beta)[:, None]
-                w = _posterior(prior.log_weights, np.where(kept, d, explicit), beta)
-            pvars[chunk], risks[chunk] = _posterior_moments(w, theta, sq, truth)
+        pairs = _replicate_chunk(xi, atoms[idx], norms[idx], gaps[idx], truth, reach, prior, betas)
+        for (risks, pvars), pair in zip(runs, pairs):
+            risks[chunk], pvars[chunk] = pair
 
     def fill_span(lo, hi):  # a chunk's arrays go before the next one's are made
         keys_at_once = rows * max(1, _STATE_KEYS // rows)  # whole chunks
@@ -357,7 +311,7 @@ def _run_replicates(config, betas, gaps):
                 fill(slice(start, stop), words[start - first : stop - first])
 
     workers = worker_count()  # checked even where one worker is taken
-    if not pooled:
+    if _signal_rows(sampled or m, n) > 1:  # keyed to a row's m n terms, not to the chunk's rows
         workers = 1
     step = -(-total // workers)
     spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]

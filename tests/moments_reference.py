@@ -10,11 +10,11 @@ from ewa_agg.ewa import squared_distance
 
 
 def one_row(w, atoms, sq_norms, truth):
-    """(posterior variance, squared error) of one row of weights w against its (m, n) atoms
-    and their (m,) squared norms: the mean is w @ atoms, the variance
-    w . sq_norms - ||mean||^2 clamped at 0 by Python's max, an atom of weight 0 adding 0 to
-    w . sq_norms even where its squared norm overflows, the error ||mean - truth||^2."""
+    """(squared error, posterior variance) of one row of weights w against its (m, n) atoms
+    and their (m,) squared norms: the mean is w @ atoms, the error ||mean - truth||^2, the
+    variance w . sq_norms - ||mean||^2 clamped at 0 by Python's max, an atom of weight 0
+    adding 0 to w . sq_norms even where its squared norm overflows."""
     mean = w @ atoms
     sq_norms = np.where(w == 0.0, 0.0, sq_norms)
     norm = squared_distance(mean, np.zeros_like(mean))
-    return max(float(w @ sq_norms) - norm, 0.0), squared_distance(mean, truth)
+    return squared_distance(mean, truth), max(float(w @ sq_norms) - norm, 0.0)

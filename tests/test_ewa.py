@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moments_reference as moments
+from ewa_agg.bernstein import beta_threshold
 from ewa_agg.ewa import (
     BLOCK_DOUBLES,
     EINSUM_BUFFER,
@@ -16,6 +17,7 @@ from ewa_agg.ewa import (
     _atom_sq_distances,
     _expanded_sq_distances,
     _posterior_moments,
+    _replicate_chunk,
     _signal_rows,
     aggregate,
     dv_minimality_test,
@@ -27,7 +29,8 @@ from ewa_agg.ewa import (
     sampled_prior_ewa,
     squared_distance,
 )
-from ewa_agg.model import Dictionary, WeightVector
+from ewa_agg.model import Dictionary, WeightVector, sup_diameter
+from ewa_agg.noise import Gaussian
 
 RNG_SEED = 20250822
 
@@ -283,7 +286,7 @@ def test_moment_rows_equal_the_one_row_formulas(m, n, rows, picks, weights, scal
         assert got.tobytes() == want.tobytes()  # NaN and the sign of zero included
         if weights in ("dense", "broadcast") and picks is None:  # one row, a probability vector
             one = posterior_variance(Dictionary(atoms), w[0])
-            assert np.float64(one).tobytes() == want[0, 0].tobytes()
+            assert np.float64(one).tobytes() == want[1, 0].tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -348,6 +351,62 @@ def test_expanded_distances_lie_within_their_bound(
     with np.errstate(over="ignore"):
         gap = np.abs((log_prior - d / beta) - (log_prior - explicit / beta))
     assert np.all(gap[kept] <= 2.0**-30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 300),
+    n=st.integers(1, 300),
+    rows=st.integers(1, 70),
+    picks=st.one_of(st.none(), st.integers(1, 8)),
+    scales=st.tuples(*[st.integers(-150, 100)] * 3),
+    loud=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+# two blocks of atoms in the cross term (_signal_rows(1, 300) = 218), atom 0's copy in the second
+@example(m=300, n=300, rows=70, picks=None, scales=(0, 0, 0), loud=0, seed=1)
+@example(m=300, n=300, rows=70, picks=None, scales=(0, 0, 0), loud=4, seed=2)
+@example(m=4, n=9, rows=33, picks=6, scales=(6, -1, 0), loud=2, seed=3)
+def test_chunk_kernel_rows_equal_their_one_row_calls(m, n, rows, picks, scales, loud, seed):
+    # each row of a chunk is bit for bit its one-row call, at the threshold, at half of it,
+    # at +inf (the prior) and at 1e-310 (every row refused, the beta -> 0 limit) in one call,
+    # and each beta's pair is its call at that beta alone; against the dictionary, one atom
+    # of which has a copy, or each row's own picks. About half the rows carry noise 10^loud
+    # times the family's, so that the guard keeps some rows of a chunk and refuses others.
+    # Permuting the chunk's rows permutes its outputs
+    truth_scale, spread, noise_scale = (10.0**k for k in scales)
+    rng = np.random.default_rng(seed)
+    truth = rng.normal(size=n) * truth_scale
+    atoms = truth + rng.normal(size=(m, n)) * spread
+    atoms = np.vstack([atoms, atoms[:1]])  # a copy of atom 0
+    noise = Gaussian.homogeneous(n, noise_scale)
+    xi = noise.noise_rows(rng.standard_normal((rows, n)))[0]
+    xi[rng.random(rows) < 0.5] *= 10.0**loud
+    threshold = beta_threshold(noise.profile(), sup_diameter(Dictionary(atoms)))
+    betas = (threshold, threshold / 2.0, math.inf, 1e-310)
+    norms, gaps = _atom_sq_distances(0.0, atoms), _atom_sq_distances(truth, atoms)
+    reach = math.sqrt(norms.max()) + math.hypot(*truth.tolist())
+    weights = rng.dirichlet(np.ones(picks or m + 1))
+    weights[rng.random(weights.size) < 0.3] = 0.0
+    weights[0] += 1.0 - weights.sum()  # every prior keeps atom 0, or its first pick
+    prior = WeightVector(weights)
+    theta, sq, own_gaps = atoms, norms, gaps
+    if picks is not None:
+        idx = rng.integers(0, m + 1, (rows, picks))
+        theta, sq, own_gaps = atoms[idx], norms[idx], gaps[idx]
+
+    def kernel(r, temperatures=betas):
+        own = (theta, sq, own_gaps) if picks is None else (theta[r], sq[r], own_gaps[r])
+        return np.array(_replicate_chunk(xi[r], *own, truth, reach, prior, temperatures))
+
+    with np.errstate(over="ignore"):
+        chunk = kernel(slice(None))  # (beta, risk or variance, row)
+        for b, beta in enumerate(betas):
+            assert kernel(slice(None), (beta,)).tobytes() == chunk[b : b + 1].tobytes()
+        for r in range(rows):
+            assert kernel(slice(r, r + 1)).tobytes() == chunk[..., r : r + 1].tobytes()
+        order = rng.permutation(rows)
+        assert kernel(order).tobytes() == chunk[..., order].tobytes()
 
 
 @pytest.mark.parametrize(

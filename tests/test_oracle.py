@@ -509,7 +509,7 @@ def _public_replicate(config, r):
     xi, atoms, prior, _ = _replicate_inputs(config, r)
     post = posterior_weights(config.truth + xi, Dictionary(atoms), prior, config.beta)
     norms = ewa._atom_sq_distances(0.0, atoms)
-    pvar, risk = moments.one_row(post.weights, atoms, norms, config.truth)
+    risk, pvar = moments.one_row(post.weights, atoms, norms, config.truth)
     return risk, pvar
 
 
@@ -536,7 +536,7 @@ def _guarded_replicate(config, r):
         return (*_public_replicate(config, r), False)
     post = WeightVector.from_log_weights(prior.log_weights - d[0] / config.beta)
     norms = ewa._atom_sq_distances(0.0, atoms)
-    pvar, risk = moments.one_row(post.weights, atoms, norms, config.truth)
+    risk, pvar = moments.one_row(post.weights, atoms, norms, config.truth)
     return risk, pvar, True
 
 
@@ -730,13 +730,13 @@ def test_wide_chunks_hold_block_doubles_over_m_rows(monkeypatch):
     # BLOCK_DOUBLES) takes BLOCK_DOUBLES // max(m, n) rows per chunk, several chunks per span,
     # across EWA_AGG_THREADS workers; a sampled prior's rows gather their own (s, n) atoms, so
     # it keeps one row per chunk. Each chunk's noise reaches the expansion as one block
-    calls, expand = [], oracle._expanded_sq_distances
+    calls, expand = [], ewa._expanded_sq_distances
 
     def recorded(noise, *args):
         calls.append((len(noise), threading.current_thread() is threading.main_thread()))
         return expand(noise, *args)
 
-    monkeypatch.setattr(oracle, "_expanded_sq_distances", recorded)
+    monkeypatch.setattr(ewa, "_expanded_sq_distances", recorded)
     wide = make_scenario("gaussian", n=64, m=1100, replicates=200, seed=7)
     sampled = replace(wide, prior_samples=1100, replicates=20)
     m, n = wide.dictionary.m, wide.dictionary.n

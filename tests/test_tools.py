@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ewa_agg
-from ewa_agg import oracle
+from ewa_agg import ewa
 from ewa_agg.coupling import CF_BLOCK
 from ewa_agg.ewa import _signal_rows, posterior_weights
 from ewa_agg.model import Dictionary, ExperimentConfig, WeightVector
@@ -71,6 +71,23 @@ def test_surface_counts_the_checkout():
         "def g():\n    import ctypes\n"
     )
     assert surface._imports(source) == {"os", "numpy", "collections", "ctypes"}
+    # private imports: the _-prefixed names and UPPER-case constants taken from a package
+    # module, by name or as attributes of a module an import binds, each once
+    source = (
+        "import numpy as np\nfrom numpy import _core\nfrom . import ewa, laws as lw\n"
+        "from .ewa import EXPANSION_TOLERANCE, _posterior, posterior_weights\n"
+        "from ewa_agg.model import Dictionary, _check_beta\n\n\n"
+        "def f():\n    return ewa.BLOCK_DOUBLES, ewa._posterior, ewa.aggregate, lw.LAW_ATOL\n"
+        "\n\nnp._x\n"
+    )
+    assert surface._private_imports(source) == {
+        "ewa": ["BLOCK_DOUBLES", "EXPANSION_TOLERANCE", "_posterior"],
+        "laws": ["LAW_ATOL"],
+        "model": ["_check_beta"],
+    }
+    # the replicate chunk kernel keeps ewa's guard and block constants in ewa
+    oracle_takes = doc["private_imports"]["oracle"]["ewa"]
+    assert len(oracle_takes) <= 5 and not any(name.isupper() for name in oracle_takes)
     assert doc["imports"] == sorted(doc["imports"])
     assert set(doc["imports"]) - sys.stdlib_module_names == {"numpy"}
     assert "ctypes" not in doc["imports"]  # no raw memory access
@@ -127,13 +144,13 @@ def test_snapshot_wide_trees_cover_chunk_edges(monkeypatch):
     # gather their own picks, keeps one row per chunk. The expansion takes one call per chunk
     snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
     runs = {run[3]: run for run in snapshot._runs(FAMILIES, make_scenario, CF_BLOCK)}
-    chunks, expand = [], oracle._expanded_sq_distances
+    chunks, expand = [], ewa._expanded_sq_distances
 
     def recorded(noise, *args):
         chunks.append(len(noise))
         return expand(noise, *args)
 
-    monkeypatch.setattr(oracle, "_expanded_sq_distances", recorded)
+    monkeypatch.setattr(ewa, "_expanded_sq_distances", recorded)
     one_row = [1] * snapshot.REPLICATES
     for folder, rows in (("cli-threads2", [41, 41, 59, 59]), ("cli-sampled-threads2", one_row)):
         _, shapes, extras, _, commands, threads = runs[folder]

@@ -13,6 +13,10 @@ one JSON object:
   prose does not read as deleted code;
 - "imports": the top-level modules that SRC/src/ewa_agg imports from outside
   the package (standard library included), sorted;
+- "private_imports": per module, the private names (`_`-prefixed) and
+  UPPER-case constants it takes from each other module of the package, by
+  `from .x import _y` or as `x._y` / `x.CONST` on a module `from . import x`
+  binds, sorted; a module that takes none is left out;
 - "exports": len(ewa_agg.__all__);
 - "extension_keys": the CLI's config keys beyond the experiment's own;
 - "environment": the environment variables the package reads, found in its
@@ -64,6 +68,42 @@ def _imports(source):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.partition(".")[0])
     return names - {"ewa_agg"}
+
+
+def _package_module(node):
+    """The package module an ImportFrom takes from, "" for the package itself, None for a
+    module outside it."""
+    if node.level:
+        return node.module or ""
+    if node.module == "ewa_agg" or node.module.startswith("ewa_agg."):
+        return node.module.partition(".")[2]
+    return None
+
+
+def _private(name):
+    return name.startswith("_") or name.isupper()
+
+
+def _private_imports(source):
+    """Per package module, the sorted private names and UPPER-case constants source takes
+    from it, by name in an import or as an attribute of the module an import binds."""
+    taken, modules = {}, {}
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or (module := _package_module(node)) is None:
+            continue
+        for alias in node.names:
+            if not module:  # from . import x: x is a module of the package
+                modules[alias.asname or alias.name] = alias.name
+            elif _private(alias.name):
+                taken.setdefault(module, set()).add(alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _private(node.attr)
+        ):
+            taken.setdefault(modules[node.value.id], set()).add(node.attr)
+    return {module: sorted(names) for module, names in sorted(taken.items())}
 
 
 def _env_reads(path):
@@ -152,6 +192,9 @@ def main(argv):
         "lines": lines,
         "code_lines": code_lines,
         "imports": sorted(set().union(*(_imports(path.read_text()) for path in modules))),
+        "private_imports": {
+            path.stem: taken for path in modules if (taken := _private_imports(path.read_text()))
+        },
         "exports": len(ewa_agg.__all__),
         "extension_keys": list(cli._EXTENSION_KEYS),
         "environment": environment,
