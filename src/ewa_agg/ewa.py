@@ -53,48 +53,46 @@ class DvMinimalityReport(Report):
 
 def _signal_rows(k, n):
     """How many atoms of length n go in a block against k signals (`_atom_sq_distances`, and
-    `_expanded_sq_distances`' cross term at k = 1), or rows in a sampled-prior chunk, each
-    gathering its own k atoms: as many as keep a block within BLOCK_DOUBLES, and one where a
-    row outgrows einsum's buffer, which sums it in pieces. A chunk against the dictionary
-    makes no (m, n) difference block, so its (R, m) weights size it (`_chunk_rows`)."""
+    `_expanded_sq_distances`' cross term at k = 1): as many as keep a block within
+    BLOCK_DOUBLES, and one where a row outgrows einsum's buffer, which sums it in pieces. A
+    replicate chunk makes no (m, n) difference block, so its (R, m) weights size it
+    (`_chunk_rows`)."""
     return 1 if n > EINSUM_BUFFER else max(1, BLOCK_DOUBLES // (k * n))
 
 
 def _atom_sq_distances(y, atoms):
     """||theta_j - y||^2 per row theta_j of atoms, from explicit differences (||y||^2 - 2 y.theta
     cancels); at y = 0.0, the squared norms: the package's one explicit reduction (replicate
-    weights take `_expanded_sq_distances`, guarded by their distance from it). One
-    signal gives (m,), an (R, n) block (R, m), against one (m, n) set of atoms or each signal's
-    own in (R, m, n). One loop: blocks of `_signal_rows(R, n)` atoms, each one C-ordered
-    difference, which stays in cache, and one einsum, which sums a C-ordered row that fits its
-    buffer alike in any block and whatever the atoms' memory order. Precondition: R is 1 where
-    n > EINSUM_BUFFER (a longer row must go alone), as in every replicate chunk there."""
+    weights take `_expanded_sq_distances`, guarded by their distance from it). One signal
+    gives (m,), an (R, n) block (R, m), against (m, n) atoms. One loop: blocks of
+    `_signal_rows(R, n)` atoms, each one C-ordered difference, which stays in cache, and one
+    einsum, which sums a C-ordered row that fits its buffer alike in any block and whatever
+    the atoms' memory order. Precondition: R is 1 where n > EINSUM_BUFFER (a longer row must
+    go alone), as in every replicate chunk there."""
     y = np.asarray(y)
     signals = y.reshape(-1, 1, y.shape[-1] if y.ndim else 1)
-    atoms = atoms if atoms.ndim == 3 else atoms[None]
-    m, n = atoms.shape[1:]
+    m, n = atoms.shape
     rows, out = _signal_rows(len(signals), n), np.empty((len(signals), m))
     for lo in range(0, m, rows):
-        diff = np.subtract(atoms[:, lo : lo + rows], signals, order="C")
+        diff = np.subtract(atoms[lo : lo + rows], signals, order="C")
         np.einsum("rij,rij->ri", diff, diff, out=out[:, lo : lo + rows])
     return out if y.ndim == 2 else out[0]
 
 
 def _expanded_sq_distances(noise, atoms, truth, gaps, reach):
     """(d, err) for an (R, n) block of noise rows xi, the signals y = fl(t + xi) about the
-    truth t, against one (m, n) set of atoms or each row's own (R, m, n): d is (R, m), the
-    expansion of ||y - theta_j||^2 around the truth, with a_j = theta_j - t,
+    truth t, against (m, n) atoms: d is (R, m), the expansion of ||y - theta_j||^2 around the
+    truth, with a_j = theta_j - t,
 
         d_j = ||xi||^2 - 2 (xi . theta_j - xi . t) + ||a_j||^2,
 
-    gaps holding ||a_j||^2 (`_atom_sq_distances(truth, atoms)`, made once per set of atoms,
-    picked with them), and err (R,) bounds |d_j - d~_j| over j, d~ being the explicit kernel
-    `_atom_sq_distances(y, atoms)`. reach is max_j ||theta_j|| + ||t|| over every atom the
-    rows may hold. The cross terms are einsums, which call no BLAS and sum each (r, j) alike
-    in any block and at any BLAS thread count, so equal atoms give equal columns; no (m, n)
-    difference is made. Against one set of atoms they go in blocks of `_signal_rows(1, n)`
-    atoms, each of which serves every row from cache. Precondition, as for
-    `_atom_sq_distances`: R is 1 where n > EINSUM_BUFFER.
+    gaps holding ||a_j||^2 (`_atom_sq_distances(truth, atoms)`, made once per set of atoms),
+    and err (R,) bounds |d_j - d~_j| over j, d~ being the explicit kernel
+    `_atom_sq_distances(y, atoms)`. reach is max_j ||theta_j|| + ||t||. The cross terms are
+    einsums, which call no BLAS and sum each (r, j) alike in any block and at any BLAS thread
+    count, so equal atoms give equal columns; no (m, n) difference is made. They go in blocks
+    of `_signal_rows(1, n)` atoms, each of which serves every row from cache. Precondition,
+    as for `_atom_sq_distances`: R is 1 where n > EINSUM_BUFFER.
 
     The bound: with u = 2^-53 and gamma_k = k u / (1 - k u) (Higham 2002, section 3.1), take
     S = (||xi|| + reach)^2, which dominates ||xi||^2 + 2 ||xi|| (||theta_j|| + ||t||) +
@@ -119,13 +117,10 @@ def _expanded_sq_distances(noise, atoms, truth, gaps, reach):
     +inf, which no beta admits."""
     bound = 2.0 * _gamma(noise.shape[-1] + 5)
     sq_noise = _atom_sq_distances(0.0, noise)
+    d, step = np.empty((len(noise), len(atoms))), _signal_rows(1, noise.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        if atoms.ndim == 3:
-            d = np.einsum("rk,rjk->rj", noise, atoms)
-        else:  # one block of atoms, read from cache, serves every row
-            d, step = np.empty((len(noise), len(atoms))), _signal_rows(1, noise.shape[-1])
-            for lo in range(0, len(atoms), step):
-                np.einsum("rk,jk->rj", noise, atoms[lo : lo + step], out=d[:, lo : lo + step])
+        for lo in range(0, len(atoms), step):  # a block of atoms, from cache, serves every row
+            np.einsum("rk,jk->rj", noise, atoms[lo : lo + step], out=d[:, lo : lo + step])
         d -= np.einsum("rk,k->r", noise, truth)[:, None]
         d *= -2.0
         d += sq_noise[:, None]
@@ -170,11 +165,11 @@ def _posterior(log_prior, sq_distances, beta):
 
 def _posterior_moments(w, atoms, sq_norms, truth):
     """(risks, variances) per row of an (R, m) block of weights over (m, n) atoms and their
-    squared norms, or each row's own (R, m, n) and (R, m): ||mean - truth||^2 and
-    w . sq_norms - ||mean||^2 clamped at 0 as Python's max clamps it (NaN passes). The two
-    weighted sums are stacked matmuls, each row's BLAS gemv or dot of its 1-D product (a 2-D
-    gemm sums otherwise); both squared norms come from `_atom_sq_distances` on the (R, n)
-    means, so a point-mass row gives the bound's own d_j and a variance of exactly 0."""
+    squared norms: ||mean - truth||^2 and w . sq_norms - ||mean||^2 clamped at 0 as Python's
+    max clamps it (NaN passes). The two weighted sums are stacked matmuls, each row's BLAS
+    gemv or dot of its 1-D product (a 2-D gemm sums otherwise); both squared norms come from
+    `_atom_sq_distances` on the (R, n) means, so a point-mass row gives the bound's own d_j
+    and a variance of exactly 0."""
     mean = (w[:, None] @ atoms)[:, 0]
     if np.isinf(sq_norms).any():  # an atom of weight 0 adds 0 to w . sq_norms, not 0 * inf
         sq_norms = np.where(w == 0.0, 0.0, sq_norms)
@@ -183,25 +178,21 @@ def _posterior_moments(w, atoms, sq_norms, truth):
     return _atom_sq_distances(truth, mean), np.where(0.0 > spread, 0.0, spread)
 
 
-def _chunk_rows(m, n, s):
-    """How many replicates go in a `_replicate_chunk` call against m atoms of length n, or
-    against s sampled picks per row (s None: the dictionary itself). A chunk against the
-    dictionary makes no (m, n) difference block, so its (R, m) distances and weights are the
-    largest block it makes: BLOCK_DOUBLES // max(m, n) rows. A sampled prior's rows gather
-    their own (s, n) atoms, so it takes `_signal_rows(s, n)`. Either is one where n outgrows
-    einsum's buffer, the precondition of the kernel's distance loops."""
-    if s is not None or n > EINSUM_BUFFER:
-        return _signal_rows(s or m, n)
-    return max(1, BLOCK_DOUBLES // max(m, n))
+def _chunk_rows(m, n):
+    """How many replicates go in a `_replicate_chunk` call against m atoms of length n. A chunk
+    makes no (m, n) difference block, so its (R, m) distances, weights and priors are the
+    largest blocks it makes: BLOCK_DOUBLES // max(m, n) rows, or one where n outgrows einsum's
+    buffer, the precondition of the kernel's distance loops."""
+    return 1 if n > EINSUM_BUFFER else max(1, BLOCK_DOUBLES // max(m, n))
 
 
-def _replicate_chunk(xi, atoms, sq_norms, gaps, truth, reach, prior, betas):
+def _replicate_chunk(xi, atoms, sq_norms, gaps, truth, reach, weights, log_weights, betas):
     """One (risks, variances) pair of (R,) series per temperature in betas for a chunk of
     replicates: the (R, n) noise rows xi about the truth t, each row's signal y = fl(t + xi),
-    against one (m, n) set of atoms or each row's own (R, s, n) picks, given with their
-    squared norms and gaps ||theta_j - t||^2 (the Gibbs bound's own d_j), reach (max_j
-    ||theta_j|| + ||t|| over every atom a row may hold, `_expanded_sq_distances`), the prior
-    (a `model.WeightVector` over a row's atoms) and the temperatures. Precondition, as for
+    against the (m, n) atoms, given with their squared norms and gaps ||theta_j - t||^2 (the
+    Gibbs bound's own d_j), reach (max_j ||theta_j|| + ||t||, `_expanded_sq_distances`), the
+    prior's weights and log-weights, which broadcast to (R, m): one (m,) prior that every row
+    shares, or each row's own, and the temperatures. Precondition, as for
     `_atom_sq_distances`: R is 1 where n > EINSUM_BUFFER; `_chunk_rows` sizes a chunk.
 
     The weights' distances come from the expansion around the truth,
@@ -225,15 +216,15 @@ def _replicate_chunk(xi, atoms, sq_norms, gaps, truth, reach, prior, betas):
         d, err = _expanded_sq_distances(xi, atoms, truth, gaps, reach)
         explicit, refit = d, ~(err <= EXPANSION_TOLERANCE * lowest)
         if refit.any():  # the rows the guard refuses at the lowest beta, once
-            explicit, own = d.copy(), atoms[refit] if atoms.ndim == 3 else atoms
-            explicit[refit] = _atom_sq_distances(y[refit], own)
+            explicit = d.copy()
+            explicit[refit] = _atom_sq_distances(y[refit], atoms)
     pairs = []
     for beta in betas:
         if math.isinf(beta):
-            w = np.broadcast_to(prior.weights, (len(xi), len(prior)))
+            w = np.broadcast_to(weights, (len(xi), len(atoms)))
         else:
             kept = (err <= EXPANSION_TOLERANCE * beta)[:, None]
-            w = _posterior(prior.log_weights, np.where(kept, d, explicit), beta)
+            w = _posterior(log_weights, np.where(kept, d, explicit), beta)
         pairs.append(_posterior_moments(w, atoms, sq_norms, truth))
     return pairs
 

@@ -26,17 +26,20 @@ takes Generator(PCG64(_SeedWords(row))): `_SeedWords` holds its row behind numpy
 `ISeedSequence` interface, and PCG64 seeds itself from it as from the SeedSequence. The
 generator makes only the replicate's own calls: the family's raw draw
 (`NoiseModel.raw_draw`) and, with prior_samples set, the uniforms of rng.choice(m,
-prior_samples, p=prior). Its chunk then turns every row's raw draw
-into noise by one `noise_rows` call, and every row's uniforms into atom picks by one
-searchsorted on the prior's cdf, which is built once per config as rng.choice builds it
-(`_choice_cdf`). Replicates go through in chunks of `ewa._chunk_rows` rows, blind to the
+prior_samples, p=prior), which a searchsorted on the prior's cdf, built once per config
+as rng.choice builds it (`_choice_cdf`), turns into the replicate's picks. EWA over its
+s = prior_samples picks weighted alike is EWA over all m atoms under the picks' counts
+c_j / s, so each replicate's counts become its own prior over the dictionary
+(`_counted_prior`), and every replicate runs against the one (m, n) atom set. Its chunk then
+turns every row's raw draw into noise by one `noise_rows` call. Replicates go through in
+chunks of `ewa._chunk_rows` rows, blind to the
 worker count and to beta. So results are bit-identical however many workers run, however
 replicates are chunked, at any OPENBLAS_NUM_THREADS and however many temperatures share the
 pass: `certify_config` makes one pass for its two, and each report equals its own `mc_risk`
 run. EWA_AGG_THREADS (default 1) workers share a config whose rows each take
-m n > BLOCK_DOUBLES / 2 terms (`ewa._signal_rows(m, n)` is 1, m being prior_samples when
-set), whatever its chunks' rows; a smaller one runs on one, as its small numpy calls hold
-the GIL. A single span runs in the calling thread, with no pool.
+m n > BLOCK_DOUBLES / 2 terms (`ewa._signal_rows(m, n)` is 1), whatever its chunks' rows
+and its prior; a smaller one runs on one, as its small numpy calls hold the GIL. A single
+span runs in the calling thread, with no pool.
 
 Where the posterior is a point mass on atom j, a tie passes: every risk is the bound's
 d_j bit for bit (both sum in `ewa._atom_sq_distances`), every posterior variance is 0, a
@@ -265,39 +268,49 @@ def _choice_cdf(p):
     return cdf
 
 
+def _counted_prior(counts, s):
+    """The (weights, log-weights) of each row's sampled prior over the m atoms, from the
+    (R, m) float counts c_j of its s picks: c_j / s and its log, as WeightVector(c / s) makes
+    them, the log written over the counts."""
+    weights = counts / s
+    with np.errstate(divide="ignore"):
+        return weights, np.log(weights, out=counts)
+
+
 def _run_replicates(config, betas, gaps):
     """One (risks, pvars) pair of per-replicate series per temperature in betas, given gaps,
     the truth's squared distances to the atoms (the Gibbs bound's d_j); what no replicate or
     beta changes is made once. A worker's span seeds its replicates' streams as the module
-    docstring's stream pipeline says, for each one's raw noise draw and prior uniforms. It
-    goes in chunks of `_chunk_rows` rows whatever the worker count or beta: one noise
-    transform and prior pick, then one `_replicate_chunk` call for every beta, so each pair
-    is bit for bit a pass at its beta alone. A config with `_signal_rows(m, n)` > 1 (m n at
-    most BLOCK_DOUBLES / 2) runs on one worker, as its small numpy calls hold the GIL; one
-    span runs in the calling thread, with no pool."""
+    docstring's stream pipeline says, for each one's raw noise draw and prior picks, which
+    each row counts on its own, so a chunk holds one row's picks at a time. It goes in chunks
+    of `_chunk_rows` rows whatever the worker count, beta or prior: one noise transform, then
+    one `_replicate_chunk` call for every beta, so each pair is bit for bit a pass at its
+    beta alone. A config with `_signal_rows(m, n)` > 1 (m n at most BLOCK_DOUBLES / 2) runs on
+    one worker, as its small numpy calls hold the GIL; one span runs in the calling thread,
+    with no pool."""
     total, sampled = config.replicates, config.prior_samples
     atoms, truth = config.dictionary.atoms, config.truth
     norms = _atom_sq_distances(0.0, atoms)
     reach = math.sqrt(norms.max()) + math.hypot(*truth.tolist())
-    prior = config.prior if sampled is None else WeightVector.uniform(sampled)
-    if sampled is not None:
-        cdf = _choice_cdf(config.prior.weights)
+    prior = config.prior.weights, config.prior.log_weights
+    cdf = _choice_cdf(config.prior.weights)
     m, n = atoms.shape
-    rows = _chunk_rows(m, n, sampled)
+    rows = _chunk_rows(m, n)
     runs = [(np.empty(total), np.empty(total)) for _ in betas]
 
     def fill(chunk, words):
-        raws, picks = [], []
-        for row in words:
+        raws, counts = [], np.empty((len(words), m)) if sampled else None
+        for i, row in enumerate(words):
             rng = np.random.Generator(np.random.PCG64(_SeedWords(row)))
             raws.append(config.noise.raw_draw(rng))
-            if sampled is not None:
-                picks.append(rng.random(sampled))
+            if sampled is not None:  # the picks of rng.choice(m, sampled, p=prior), counted
+                picks = cdf.searchsorted(rng.random(sampled), side="right")
+                counts[i] = np.bincount(picks, minlength=m)
         raws = np.array(raws)  # the list goes before the transform's blocks are made
         xi = config.noise.noise_rows(raws)[0]
         del raws  # and the block before the distance block is
-        idx = cdf.searchsorted(np.array(picks), side="right") if sampled else slice(None)
-        pairs = _replicate_chunk(xi, atoms[idx], norms[idx], gaps[idx], truth, reach, prior, betas)
+        own = prior if sampled is None else _counted_prior(counts, sampled)
+        pairs = _replicate_chunk(xi, atoms, norms, gaps, truth, reach, *own, betas)
         for (risks, pvars), pair in zip(runs, pairs):
             risks[chunk], pvars[chunk] = pair
 
@@ -311,7 +324,7 @@ def _run_replicates(config, betas, gaps):
                 fill(slice(start, stop), words[start - first : stop - first])
 
     workers = worker_count()  # checked even where one worker is taken
-    if _signal_rows(sampled or m, n) > 1:  # keyed to a row's m n terms, not to the chunk's rows
+    if _signal_rows(m, n) > 1:  # keyed to a row's m n terms, not to the chunk's rows
         workers = 1
     step = -(-total // workers)
     spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
@@ -339,13 +352,17 @@ def _rounding_allowance(config, bound, penalty, pvar):
     """What a report's verdict adds to its right-hand side: how far rounding alone may put the
     computed left-hand side (mean risk less penalty) above the computed Gibbs bound where the
     exact one is at most the exact bound. With u = 2^-53, gamma_k = k u / (1 - k u) bounds k
-    roundings (Higham 2002, section 3.1); take G = gamma_2s over s weights (m, or
-    prior_samples), H = gamma_{n+2} over n coordinates and T = ||t||. Per replicate let M =
-    sum_j w_j theta_j be the exact mean, R = ||M - t||^2 the exact risk, V the posterior
-    variance and P = sum_j w_j ||theta_j - t||^2 = R + V:
+    roundings (Higham 2002, section 3.1); take G = gamma_2k over the k atoms a replicate's
+    prior may weigh, H = gamma_{n+2} over n coordinates and T = ||t||. k is m, or min(s, m)
+    for a prior of s picks: its other atoms have weight 0, and so posterior weight exactly 0,
+    and a zero weight adds exact zeros (0 theta = 0 and x + 0 = x for finite theta) to the
+    weights' sum and the mean, so whatever order they sum in, each makes at most k - 1
+    inexact additions per term. Per replicate let M = sum_j w_j theta_j be the exact mean,
+    R = ||M - t||^2 the exact risk, V the posterior variance and P = sum_j w_j ||theta_j -
+    t||^2 = R + V:
 
     - the weights' sum and the gemv mean: fl(sum_j w^_j theta_ji) = sum_j w_j theta_ji
-      (1 + theta_2s) lies within G sum_j w_j (|t_i| + |theta_ji - t_i|) of M_i, so the
+      (1 + theta_2k) lies within G sum_j w_j (|t_i| + |theta_ji - t_i|) of M_i, so the
       computed mean lies within e = G (T + sqrt(P)) of M (Jensen);
     - the squared distance: n + 2 roundings of nonnegative terms, so the computed risk is at
       most (1 + H) (sqrt(R) + e)^2 <= (1 + H) (R + 2 G (T sqrt(P) + P + G (T^2 + P))), and its
@@ -363,7 +380,8 @@ def _rounding_allowance(config, bound, penalty, pvar):
     between copies of one atom each posterior is uniform over them, the bound is its clamped
     d_j, a constant series keeps its value and the computed variance is at least the exact 0.
     A non-finite allowance (an overflowing norm) is 0, leaving the strict verdict."""
-    h, g = _gamma(config.truth.size + 2), _gamma(2 * (config.prior_samples or config.dictionary.m))
+    m = config.dictionary.m
+    h, g = _gamma(config.truth.size + 2), _gamma(2 * min(config.prior_samples or m, m))
     cap = (bound + max(penalty, 0.0)) / (1.0 - h)
     p, t = cap + pvar, math.hypot(*config.truth.tolist())
     allowance = 2.0 * h * cap + 2.0 * (1.0 + h) * g * (t * math.sqrt(p) + p + g * (t * t + p))

@@ -534,7 +534,7 @@ def test_certify_bytes_do_not_depend_on_blas_or_worker_threads(tmp_path):
     # product's rows change bits with OPENBLAS_NUM_THREADS and with their row count. The
     # canned shape chunks many rows. The wide one (m n > BLOCK_DOUBLES) takes up to
     # BLOCK_DOUBLES // m rows per chunk, and two or three workers split its one-worker chunk
-    # mid-way; with a sampled prior it takes one row per chunk. Its atoms also come 20 times
+    # mid-way, with a sampled prior too, each row counting its picks. Its atoms also come 20 times
     # nearer the truth, with and without a sampled prior, so that the weights spread over
     # many atoms and a last-bit change in any distance reaches the reports
     canned = make_scenario("gaussian", seed=3, replicates=200)

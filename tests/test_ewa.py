@@ -42,6 +42,16 @@ def _naive_weights(y, atoms, prior, beta):
     return raw / raw.sum()
 
 
+def _count_priors(rng, m, rows, picks):
+    """Each row's sampled prior over m atoms, as a replicate with prior_samples = picks takes
+    it: c_j / picks from the counts c_j of its uniform picks, 0 on every atom left unpicked
+    (always some where picks < m), and the logs of those weights, -inf at the zeros."""
+    idx = rng.integers(0, m, (rows, picks))
+    w = np.stack([np.bincount(row, minlength=m) for row in idx]) / picks
+    with np.errstate(divide="ignore"):
+        return w, np.log(w)
+
+
 def test_scalar_two_atom_hand_value():
     # y = 1, atoms {0, 1}, uniform prior, beta = 1:
     # distances are 1 and 0, so the weights are
@@ -178,7 +188,7 @@ def test_posterior_variance_hand_value():
     [
         (10, 50, "C"),  # the canned configs' shape
         (4096, 256, "C"),  # the wide config's
-        (1024, 256, "C"),  # and its 1024 sampled atoms per replicate
+        (1024, 256, "C"),
         (1100, 64, "C"),
         (300, 256, "C"),
         (20000, 7, "C"),
@@ -196,14 +206,13 @@ def test_posterior_variance_hand_value():
 def test_atom_distances_equal_whole_differences_bit_for_bit(m, n, order):
     # each row sums as its whole C-ordered difference does (a row past einsum's buffer
     # alone), whatever the atoms' memory order and however many rows share the call: one
-    # signal, 0.0 for the squared norms, or a chunk of _signal_rows(m, n) signals (a sampled
-    # chunk; a span's last chunk may hold one) against shared or their own atoms, or a
-    # dictionary chunk's BLOCK_DOUBLES // max(m, n) signals against shared ones
+    # signal, 0.0 for the squared norms, a block of _signal_rows(m, n) signals or one (a
+    # span's last chunk may hold one), or a replicate chunk's BLOCK_DOUBLES // max(m, n)
+    # signals, sampled prior or not, each against the one set of atoms
     rng = np.random.default_rng(RNG_SEED)
     atoms = np.array(rng.normal(scale=30.0, size=(m, n)), order=order)
     signals = _signal_rows(m, n)
     chunk_rows = 1 if n > EINSUM_BUFFER else BLOCK_DOUBLES // max(m, n)
-    own = np.array(rng.normal(scale=30.0, size=(signals, m, n)), order=order)
     ys = rng.normal(size=(max(signals, chunk_rows), n))
 
     def whole(y, a):
@@ -224,7 +233,6 @@ def test_atom_distances_equal_whole_differences_bit_for_bit(m, n, order):
     for k in {signals, 1}:
         chunk = ys[:k, None]
         assert np.array_equal(_atom_sq_distances(ys[:k], atoms), whole(chunk, atoms[None]))
-        assert np.array_equal(_atom_sq_distances(ys[:k], own[:k]), whole(chunk, own[:k]))
     rows = _atom_sq_distances(ys[:chunk_rows], atoms)
     assert np.array_equal(rows[0], got)
     assert np.array_equal(rows[-1], whole(ys[chunk_rows - 1], atoms))
@@ -248,8 +256,9 @@ def test_atom_distances_equal_whole_differences_bit_for_bit(m, n, order):
 @example(m=6, n=3, rows=8, picks=None, weights="far", scale=0, seed=6)
 def test_moment_rows_equal_the_one_row_formulas(m, n, rows, picks, weights, scale, seed):
     # rows of weights that are exactly zero or subnormal, or one row broadcast as at
-    # beta = +inf (stride 0), against shared or each row's own sampled atoms; at scale 155
-    # and up the squared norms overflow: inf - inf gives NaN, and an atom of weight 0 adds 0.
+    # beta = +inf (stride 0), drawn from the simplex or, with picks, each row's own sampled
+    # prior (`_count_priors`, zeros on unpicked atoms); at scale 155 and up the squared
+    # norms overflow: inf - inf gives NaN, and an atom of weight 0 adds 0.
     # "far": only the odd atoms, of weight 0 in every row, overflow, so 0 * inf = NaN would
     # show where every other term is finite
     assert _signal_rows(40, 64) < 26 and _signal_rows(3, EINSUM_BUFFER + 1) == 1
@@ -262,29 +271,24 @@ def test_moment_rows_equal_the_one_row_formulas(m, n, rows, picks, weights, scal
         atoms[far] = base[far] * 1e170
     with np.errstate(over="ignore"):
         norms = _atom_sq_distances(0.0, atoms)
-    k = picks or m
-    if weights == "broadcast":
-        w = np.broadcast_to(rng.dirichlet(np.ones(k)), (rows, k))
-    else:
-        w = rng.dirichlet(np.ones(k), size=rows)
+
+    def draw(count):
+        if picks is None:
+            return rng.dirichlet(np.ones(m), size=count)
+        return _count_priors(rng, m, count, picks)[0]
+
+    w = np.broadcast_to(draw(1)[0], (rows, m)) if weights == "broadcast" else draw(rows)
     if weights == "sparse":
         w[rng.random(w.shape) < 0.3] = 0.0
         tiny = rng.random(w.shape) < 0.3
         w[tiny] = rng.integers(1, 2**52, tiny.sum()) * 5e-324
-    theta, sq = atoms, norms
-    if picks is not None:
-        idx = rng.integers(0, m, (rows, picks))
-        theta, sq = atoms[idx], norms[idx]
     if weights == "far":
-        w *= ~(far[idx] if picks else far)  # a row's own picks, or the shared atoms
+        w *= ~far
     with np.errstate(over="ignore", invalid="ignore"):
-        got = np.array(_posterior_moments(w, theta, sq, truth))
-        want = np.array([
-            moments.one_row(w[r], *((theta[r], sq[r]) if picks else (theta, sq)), truth)
-            for r in range(rows)
-        ]).T
+        got = np.array(_posterior_moments(w, atoms, norms, truth))
+        want = np.array([moments.one_row(w[r], atoms, norms, truth) for r in range(rows)]).T
         assert got.tobytes() == want.tobytes()  # NaN and the sign of zero included
-        if weights in ("dense", "broadcast") and picks is None:  # one row, a probability vector
+        if weights in ("dense", "broadcast"):  # one row, a probability vector
             one = posterior_variance(Dictionary(atoms), w[0])
             assert np.float64(one).tobytes() == want[1, 0].tobytes()
 
@@ -313,9 +317,10 @@ def test_expanded_distances_lie_within_their_bound(
 ):
     # the expansion about the truth stays within its stated bound of the explicit kernel at
     # every scale, subnormal products included, and where the guard keeps a row at beta its
-    # log-weights are within 2^-30 of the explicit ones; a row's bits are its one-row call's,
-    # and equal atoms give equal columns. "planted" puts row 0 within 1e-6 of atom 0
-    # (relative to the spread), where the expansion cancels
+    # log-weights are within 2^-30 of the explicit ones, under a uniform prior or, with
+    # picks, each row's own sampled prior (`_count_priors`), whose unpicked atoms keep -inf;
+    # a row's bits are its one-row call's, and equal atoms give equal columns. "planted"
+    # puts row 0 within 1e-6 of atom 0 (relative to the spread), where the expansion cancels
     truth_scale, spread, noise_scale = (10.0**k for k in scales)
     rng = np.random.default_rng(seed)
     truth = rng.normal(size=n) * truth_scale
@@ -327,30 +332,26 @@ def test_expanded_distances_lie_within_their_bound(
     y = truth + noise
     gaps = _atom_sq_distances(truth, atoms)
     reach = math.sqrt(_atom_sq_distances(0.0, atoms).max()) + math.hypot(*truth.tolist())
-    theta, own_gaps = atoms, gaps
-    if picks is not None:
-        idx = rng.integers(0, m + 1, (rows, picks))
-        theta, own_gaps = atoms[idx], gaps[idx]
-    d, err = _expanded_sq_distances(noise, theta, truth, own_gaps, reach)
-    explicit = _atom_sq_distances(y, theta)
+    d, err = _expanded_sq_distances(noise, atoms, truth, gaps, reach)
+    explicit = _atom_sq_distances(y, atoms)
     assert np.all(np.abs(d - explicit) <= err[:, None])
     for r in range(rows):
-        one = (theta[r : r + 1], own_gaps[r : r + 1]) if picks else (theta, gaps)
-        d_r, err_r = _expanded_sq_distances(noise[r : r + 1], one[0], truth, one[1], reach)
+        d_r, err_r = _expanded_sq_distances(noise[r : r + 1], atoms, truth, gaps, reach)
         assert d_r.tobytes() == d[r : r + 1].tobytes() and err_r[0] == err[r]
-    if picks is None:
-        assert np.array_equal(d[:, -1], d[:, 0])
-    else:
-        for r in range(rows):
-            copies = idx[r] % m == 0  # atom 0 or its copy
-            assert np.unique(d[r, copies]).size <= 1
+    assert np.array_equal(d[:, -1], d[:, 0])
     beta = err.max() / EXPANSION_TOLERANCE * 10.0**log_ratio
     kept = err <= EXPANSION_TOLERANCE * beta
     assert kept.any() or log_ratio < 0.0
-    log_prior = -math.log(theta.shape[-2])
-    with np.errstate(over="ignore"):
-        gap = np.abs((log_prior - d / beta) - (log_prior - explicit / beta))
-    assert np.all(gap[kept] <= 2.0**-30)
+    if picks is None:
+        log_prior = np.full((rows, m + 1), -math.log(m + 1))
+    else:
+        log_prior = _count_priors(rng, m + 1, rows, picks)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # -inf - -inf at the zeros is NaN
+        expanded, direct = log_prior - d / beta, log_prior - explicit / beta
+        gap = np.abs(expanded - direct)
+    held = log_prior > -np.inf
+    assert np.all(gap[kept[:, None] & held] <= 2.0**-30)
+    assert np.all(expanded[~held] == -np.inf) and np.all(direct[~held] == -np.inf)
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,7 +372,8 @@ def test_chunk_kernel_rows_equal_their_one_row_calls(m, n, rows, picks, scales, 
     # each row of a chunk is bit for bit its one-row call, at the threshold, at half of it,
     # at +inf (the prior) and at 1e-310 (every row refused, the beta -> 0 limit) in one call,
     # and each beta's pair is its call at that beta alone; against the dictionary, one atom
-    # of which has a copy, or each row's own picks. About half the rows carry noise 10^loud
+    # of which has a copy, under one shared prior or, with picks, each row's own sampled
+    # prior (`_count_priors`, zeros on unpicked atoms). About half the rows carry noise 10^loud
     # times the family's, so that the guard keeps some rows of a chunk and refuses others.
     # Permuting the chunk's rows permutes its outputs
     truth_scale, spread, noise_scale = (10.0**k for k in scales)
@@ -386,18 +388,19 @@ def test_chunk_kernel_rows_equal_their_one_row_calls(m, n, rows, picks, scales, 
     betas = (threshold, threshold / 2.0, math.inf, 1e-310)
     norms, gaps = _atom_sq_distances(0.0, atoms), _atom_sq_distances(truth, atoms)
     reach = math.sqrt(norms.max()) + math.hypot(*truth.tolist())
-    weights = rng.dirichlet(np.ones(picks or m + 1))
-    weights[rng.random(weights.size) < 0.3] = 0.0
-    weights[0] += 1.0 - weights.sum()  # every prior keeps atom 0, or its first pick
-    prior = WeightVector(weights)
-    theta, sq, own_gaps = atoms, norms, gaps
-    if picks is not None:
-        idx = rng.integers(0, m + 1, (rows, picks))
-        theta, sq, own_gaps = atoms[idx], norms[idx], gaps[idx]
+    if picks is None:
+        weights = rng.dirichlet(np.ones(m + 1))
+        weights[rng.random(weights.size) < 0.3] = 0.0
+        weights[0] += 1.0 - weights.sum()  # the prior keeps atom 0
+        prior = WeightVector(weights)
+        shared = prior.weights, prior.log_weights
+    else:
+        sampled = _count_priors(rng, m + 1, rows, picks)
 
     def kernel(r, temperatures=betas):
-        own = (theta, sq, own_gaps) if picks is None else (theta[r], sq[r], own_gaps[r])
-        return np.array(_replicate_chunk(xi[r], *own, truth, reach, prior, temperatures))
+        own = shared if picks is None else (sampled[0][r], sampled[1][r])
+        pairs = _replicate_chunk(xi[r], atoms, norms, gaps, truth, reach, *own, temperatures)
+        return np.array(pairs)
 
     with np.errstate(over="ignore"):
         chunk = kernel(slice(None))  # (beta, risk or variance, row)

@@ -492,36 +492,34 @@ class TestMcRisk:
 
 
 def _replicate_inputs(config, r):
-    """Replicate r's noise, atoms, prior and the atoms' picks (None without prior_samples),
-    drawn from numpy's own (seed, r) stream."""
+    """Replicate r's noise and prior, drawn from numpy's own (seed, r) stream: with
+    prior_samples s, the counts c_j of its picks rng.choice(m, s, p=prior) make the prior
+    c_j / s over the dictionary."""
     rng = _numpy_stream(config.seed, r)
-    xi = config.noise.sample(rng)
-    atoms, prior, picks = config.dictionary.atoms, config.prior, None
+    xi, prior, m = config.noise.sample(rng), config.prior, config.dictionary.m
     if config.prior_samples is not None:
-        picks = rng.choice(len(atoms), size=config.prior_samples, p=prior.weights)
-        atoms, prior = atoms[picks], WeightVector.uniform(config.prior_samples)
-    return xi, atoms, prior, picks
+        picks = rng.choice(m, size=config.prior_samples, p=prior.weights)
+        prior = WeightVector(np.bincount(picks, minlength=m) / config.prior_samples)
+    return xi, prior
 
 
 def _public_replicate(config, r):
     """Replicate r through posterior_weights and the one-row moment formulas, drawing from
     numpy's own (seed, r) stream."""
-    xi, atoms, prior, _ = _replicate_inputs(config, r)
-    post = posterior_weights(config.truth + xi, Dictionary(atoms), prior, config.beta)
+    xi, prior = _replicate_inputs(config, r)
+    post = posterior_weights(config.truth + xi, config.dictionary, prior, config.beta)
+    atoms = config.dictionary.atoms
     norms = ewa._atom_sq_distances(0.0, atoms)
     risk, pvar = moments.one_row(post.weights, atoms, norms, config.truth)
     return risk, pvar
 
 
-def _expansion(config, xi, picks=None):
+def _expansion(config, xi):
     """`ewa._expanded_sq_distances` of the (R, n) noise rows xi against the config's atoms,
-    or against each row's own picks (R, s), with the gaps and the reach `_run_replicates`
-    makes once per config."""
+    with the gaps and the reach `_run_replicates` makes once per config."""
     atoms, truth = config.dictionary.atoms, config.truth
     gaps = ewa._atom_sq_distances(truth, atoms)
     reach = math.sqrt(ewa._atom_sq_distances(0.0, atoms).max()) + math.hypot(*truth.tolist())
-    if picks is not None:
-        atoms, gaps = atoms[picks], gaps[picks]
     return ewa._expanded_sq_distances(xi, atoms, truth, gaps, reach)
 
 
@@ -530,11 +528,12 @@ def _guarded_replicate(config, r):
     alone. Where the expansion's bound keeps the row at config.beta (finite), its distances
     go through the public softmax and the one-row moment formulas; elsewhere the replicate
     is its `posterior_weights` path."""
-    xi, atoms, prior, picks = _replicate_inputs(config, r)
-    d, err = _expansion(config, xi[None], None if picks is None else picks[None])
+    xi, prior = _replicate_inputs(config, r)
+    d, err = _expansion(config, xi[None])
     if math.isinf(config.beta) or not err[0] <= ewa.EXPANSION_TOLERANCE * config.beta:
         return (*_public_replicate(config, r), False)
     post = WeightVector.from_log_weights(prior.log_weights - d[0] / config.beta)
+    atoms = config.dictionary.atoms
     norms = ewa._atom_sq_distances(0.0, atoms)
     risk, pvar = moments.one_row(post.weights, atoms, norms, config.truth)
     return risk, pvar, True
@@ -580,20 +579,18 @@ def test_replicates_equal_the_public_path(family):
 
 def _assert_chunks_equal_the_public_path(monkeypatch, config, chunk_rows):
     """Every replicate of `config` equals its one-replicate reference (`_guarded_replicate`)
-    when ewa.BLOCK_DOUBLES makes `_signal_rows(m, n)` each row count in `chunk_rows` (m being
-    prior_samples when set), at 1 and at 3 workers, alone at config.beta and in one pass that
-    also serves +inf, 1e-310 and a finite beta, each of them at its own reference. A sampled
-    prior's chunks hold that many rows, the dictionary's min(m, n) times as many (they take
-    BLOCK_DOUBLES // max(m, n)). A span derives its states 10 keys at a time (whole chunks),
-    so spans cross several key blocks."""
+    when ewa.BLOCK_DOUBLES makes `_signal_rows(m, n)` each row count in `chunk_rows`, at 1 and
+    at 3 workers, alone at config.beta and in one pass that also serves +inf, 1e-310 and a
+    finite beta, each of them at its own reference. Chunks, sampled prior or not, hold
+    min(m, n) times as many rows (they take BLOCK_DOUBLES // max(m, n)). A span derives its
+    states 10 keys at a time (whole chunks), so spans cross several key blocks."""
     monkeypatch.setattr(oracle, "_STATE_KEYS", 10)
-    n = config.truth.size
-    m_eff = config.prior_samples or config.dictionary.m
+    m, n = config.dictionary.m, config.truth.size
     betas = (config.beta, math.inf, 1e-310, 0.37)
     public = [_guarded_replicates(replace(config, beta=beta)) for beta in betas]
     for rows in chunk_rows:
-        monkeypatch.setattr(ewa, "BLOCK_DOUBLES", rows * m_eff * n)
-        assert ewa._signal_rows(m_eff, n) == rows
+        monkeypatch.setattr(ewa, "BLOCK_DOUBLES", rows * m * n)
+        assert ewa._signal_rows(m, n) == rows
         for threads in ("1", "3"):
             monkeypatch.setenv("EWA_AGG_THREADS", threads)
             [(risks, pvars)] = _replicates(config, betas[:1])
@@ -607,6 +604,84 @@ def test_replicate_chunks_equal_the_public_path(family, monkeypatch):
     # R = 37 is no multiple of 5 or 7 and splits 13 + 13 + 11 over 3 workers; 64 rows exceed R
     for config in _public_path_configs(family, replicates=37):
         _assert_chunks_equal_the_public_path(monkeypatch, config, (1, 5, 7, 64))
+
+
+def _gathered_replicate(config, r, beta):
+    """Replicate r of a sampled prior in its gathered form: its picks rng.choice(m, s, p=prior)
+    from numpy's own (seed, r) stream, their atoms as a dictionary of s rows under the uniform
+    prior, `posterior_weights` and the one-row moment formulas. Returns (risk, pvar), the
+    counts c_j of the picks and the explicit squared distances of the signal to the picks."""
+    rng = _numpy_stream(config.seed, r)
+    xi, m, s = config.noise.sample(rng), config.dictionary.m, config.prior_samples
+    picks = rng.choice(m, size=s, p=config.prior.weights)
+    atoms, y = config.dictionary.atoms[picks], config.truth + xi
+    post = posterior_weights(y, Dictionary(atoms), WeightVector.uniform(s), beta)
+    norms = ewa._atom_sq_distances(0.0, atoms)
+    pair = moments.one_row(post.weights, atoms, norms, config.truth)
+    return pair, np.bincount(picks, minlength=m), ewa._atom_sq_distances(y, atoms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    n=st.integers(1, 12),
+    m=st.integers(1, 12),
+    s=st.integers(1, 30),
+    zeros=st.integers(0, 3),
+    log_beta=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="gaussian", n=6, m=10, s=4, zeros=3, log_beta=0.0, seed=1)  # s < m
+@example(family="laplace", n=3, m=7, s=7, zeros=2, log_beta=-1.0, seed=2)  # s = m
+@example(family="centered_binomial", n=9, m=5, s=30, zeros=1, log_beta=1.0, seed=3)  # s > m
+@example(family="centered_bernoulli", n=1, m=1, s=12, zeros=0, log_beta=0.5, seed=4)
+def test_counted_prior_equals_the_gathered_picks(family, n, m, s, zeros, log_beta, seed):
+    # EWA over s picks weighted alike is EWA over the m atoms under the counts c_j / s: each
+    # `_run_replicates` risk and posterior variance, at beta = threshold 10^log_beta and at
+    # +inf in one pass, lies within a bound of the gathered form (`_gathered_replicate`),
+    # over priors with zero-mass atoms (never picked) and picks that repeat.
+    #
+    # The bound, with u = 2^-53 and gamma_k = k u / (1 - k u): both forms' exact posteriors
+    # are w_j proportional to c_j exp(-D_j / beta). In either, each log-weight log pi_j - d_j /
+    # beta, with |log pi_j| <= log s (pi_j is 1/s or c_j / s), errs from its exact value by at
+    # most A = a + gamma_{n+8} (2 L + log s + 1), L = log s + max_j d~_j / beta over the
+    # picks' explicit distances d~: a = err / beta where the counted form keeps the expansion
+    # (`_expanded_sq_distances`' bound; 0 where its guard refuses it), gamma_{n+2} for d~
+    # against the exact D, and a few roundings of each log, quotient and difference and of
+    # the shift by the log-sum-exp, at most 2 L + log s + 1 in size. The shift is common, so
+    # each computed weight is w_j exp(+-2 A) (1 + theta_{s+9}) (an exp within 4 ulps, at most
+    # s - 1 additions, as zero weights add exact zeros, a quotient): within eps = 2 A +
+    # gamma_{s+9} of w_j, to first order. Take T = ||t||, P = risk + pvar (the exact
+    # sum_j w_j ||theta_j - t||^2) and Q = (T + sqrt(P))^2, so that sum_j w_j ||theta_j||^2 <=
+    # Q. The mean is within e = (eps + gamma_s) (T + sqrt(P)) of the exact one, so each
+    # form's risk is within (2 eps + 2 gamma_s + gamma_{n+2}) Q of the exact risk and its
+    # variance within (3 eps + 3 gamma_s + 2 gamma_{n+2}) Q of the exact variance (weights,
+    # squared norms and the dot for w . ||theta||^2, the mean's norm, the difference).
+    # The two forms then differ by at most 8 (eps + gamma_s + gamma_{n+2}) Q, the margin
+    # over 6 covering second-order terms and P's own rounding.
+    config = make_scenario(family, n=n, m=m, replicates=6, seed=seed)
+    rng = np.random.default_rng(seed)
+    mass = rng.dirichlet(np.ones(m))
+    mass[rng.permutation(m)[: min(zeros, m - 1)]] = 0.0
+    prior = WeightVector(mass / mass.sum())
+    beta = config.beta * 10.0**log_beta
+    config = replace(config, prior=prior, prior_samples=s, beta=beta)
+    runs = _replicates(config, (beta, math.inf))
+    t = math.hypot(*config.truth.tolist())
+    for r in range(config.replicates):
+        xi = _replicate_inputs(config, r)[0]
+        err = _expansion(config, xi[None])[1][0]
+        for temperature, (risks, pvars) in zip((beta, math.inf), runs):
+            (risk, pvar), counts, d = _gathered_replicate(config, r, temperature)
+            assert counts[prior.weights == 0.0].sum() == 0 and counts.sum() == s
+            assert counts.max() > 1 or s <= m
+            a = err / temperature if err <= ewa.EXPANSION_TOLERANCE * temperature else 0.0
+            top = math.log(s) + d.max() / temperature
+            eps = 2.0 * (a + _gamma(n + 8) * (2.0 * top + math.log(s) + 1.0)) + _gamma(s + 9)
+            q = (t + math.sqrt(risk + pvar)) ** 2
+            bound = 8.0 * (eps + _gamma(s) + _gamma(n + 2)) * q
+            assert eps < 1e-9
+            assert abs(risks[r] - risk) <= bound and abs(pvars[r] - pvar) <= bound
 
 
 @settings(max_examples=200, deadline=None)
@@ -726,10 +801,10 @@ def test_fallback_seating_equals_the_direct_write(family, monkeypatch):
 
 
 def test_wide_chunks_hold_block_doubles_over_m_rows(monkeypatch):
-    # no chunk makes an (m, n) difference block, so an unsampled wide config (m n >
-    # BLOCK_DOUBLES) takes BLOCK_DOUBLES // max(m, n) rows per chunk, several chunks per span,
-    # across EWA_AGG_THREADS workers; a sampled prior's rows gather their own (s, n) atoms, so
-    # it keeps one row per chunk. Each chunk's noise reaches the expansion as one block
+    # no chunk makes an (m, n) difference block, so a wide config (m n > BLOCK_DOUBLES) takes
+    # BLOCK_DOUBLES // max(m, n) rows per chunk, several chunks per span, across
+    # EWA_AGG_THREADS workers, with a sampled prior too: each row counts its picks over the
+    # one set of atoms. Each chunk's noise reaches the expansion as one block
     calls, expand = [], ewa._expanded_sq_distances
 
     def recorded(noise, *args):
@@ -738,10 +813,10 @@ def test_wide_chunks_hold_block_doubles_over_m_rows(monkeypatch):
 
     monkeypatch.setattr(ewa, "_expanded_sq_distances", recorded)
     wide = make_scenario("gaussian", n=64, m=1100, replicates=200, seed=7)
-    sampled = replace(wide, prior_samples=1100, replicates=20)
+    sampled = replace(wide, prior_samples=1100)
     m, n = wide.dictionary.m, wide.dictionary.n
     assert m * n > ewa.BLOCK_DOUBLES and ewa.BLOCK_DOUBLES // max(m, n) == 59
-    for config, rows in ((wide, 59), (sampled, 1)):
+    for config, rows in ((wide, 59), (sampled, 59)):
         runs, total = [], config.replicates
         for workers in (1, 3):
             monkeypatch.setenv("EWA_AGG_THREADS", str(workers))
@@ -1015,6 +1090,22 @@ def test_an_atom_of_no_weight_leaves_the_allowance_alone(far):
     )
     assert 0.0 <= allowance <= 1e-12 * report.bound
     assert not _tie_report(config, "clean", _PLANTED).verdict
+
+
+def test_a_sampled_prior_takes_the_allowance_of_the_atoms_it_can_weigh():
+    # s picks weigh at most min(s, m) atoms, and an unpicked one adds exact zeros to the
+    # weights' sum and the mean: s = 4m and s = m take the unsampled allowance over m atoms,
+    # the canned 25 picks of 10 atoms gamma_20 where it once took gamma_50, and s < m less
+    config = make_scenario("gaussian", n=50, m=10, replicates=5, seed=3)
+    args = (1.3, 0.2, 0.4)  # bound, penalty, mean posterior variance
+
+    def allowance(s):
+        return oracle._rounding_allowance(replace(config, prior_samples=s), *args)
+
+    assert allowance(40) == allowance(10) == allowance(25) == oracle._rounding_allowance(
+        config, *args
+    )
+    assert 0.0 < allowance(4) < allowance(10)
 
 
 def test_an_overflowing_atom_of_no_weight_leaves_the_variance_finite():

@@ -16,7 +16,7 @@ import pytest
 import ewa_agg
 from ewa_agg import ewa
 from ewa_agg.coupling import CF_BLOCK
-from ewa_agg.ewa import _signal_rows, posterior_weights
+from ewa_agg.ewa import _chunk_rows, _signal_rows, posterior_weights
 from ewa_agg.model import Dictionary, ExperimentConfig, WeightVector
 from ewa_agg.noise import FAMILIES
 from ewa_agg.oracle import certify_config, make_scenario, mc_risk
@@ -139,9 +139,9 @@ def test_snapshot_near_tree_spreads_the_wide_weights():
 
 
 def test_snapshot_wide_trees_cover_chunk_edges(monkeypatch):
-    # the wide runs at two workers: cli-threads2 puts 59 rows (BLOCK_DOUBLES // m) in a chunk,
-    # so each span of 100 replicates ends in a partial one; cli-sampled-threads2, whose rows
-    # gather their own picks, keeps one row per chunk. The expansion takes one call per chunk
+    # the wide runs at two workers: cli-threads2 and cli-sampled-threads2, whose rows count
+    # their picks over the same atoms, put 59 rows (BLOCK_DOUBLES // m) in a chunk, so each
+    # span of 100 replicates ends in a partial one. The expansion takes one call per chunk
     snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
     runs = {run[3]: run for run in snapshot._runs(FAMILIES, make_scenario, CF_BLOCK)}
     chunks, expand = [], ewa._expanded_sq_distances
@@ -151,8 +151,7 @@ def test_snapshot_wide_trees_cover_chunk_edges(monkeypatch):
         return expand(noise, *args)
 
     monkeypatch.setattr(ewa, "_expanded_sq_distances", recorded)
-    one_row = [1] * snapshot.REPLICATES
-    for folder, rows in (("cli-threads2", [41, 41, 59, 59]), ("cli-sampled-threads2", one_row)):
+    for folder in ("cli-threads2", "cli-sampled-threads2"):
         _, shapes, extras, _, commands, threads = runs[folder]
         assert "certify" in commands and threads == "2"
         monkeypatch.setenv("EWA_AGG_THREADS", threads)
@@ -160,22 +159,25 @@ def test_snapshot_wide_trees_cover_chunk_edges(monkeypatch):
             doc = make_scenario(family, replicates=snapshot.REPLICATES, seed=snapshot.SEED, **shape)
             chunks.clear()
             certify_config(ExperimentConfig.from_json(doc.to_json() | extras))
-            assert sorted(chunks) == rows, (folder, family)
+            assert sorted(chunks) == [41, 41, 59, 59], (folder, family)
 
 
 def test_snapshot_sampled_trees_cover_the_prior_pick():
-    # the canned sampled runs take several replicates per chunk, the wide ones one, so that
-    # two workers share them; both priors are skewed and leave atoms without mass
+    # both sampled runs take several replicates per chunk, the canned ones at one worker and
+    # the wide ones (m n > BLOCK_DOUBLES / 2) shared by two; the canned runs pick more atoms
+    # than there are (s > m, so picks repeat), the wide ones as many (s = m); both priors are
+    # skewed and leave atoms without mass
     snapshot = _load(ROOT / "tools" / "snapshot_outputs.py")
     canned = make_scenario("gaussian", replicates=1).dictionary
     assert canned.m == snapshot.CANNED_M
     wide = snapshot.WIDE
-    for m, n, picks, rows in [
-        (canned.m, canned.n, snapshot.PICKS, lambda r: r > 1),
-        (wide["m"], wide["n"], snapshot.WIDE_PICKS, lambda r: r == 1),
+    for m, n, picks, shared in [
+        (canned.m, canned.n, snapshot.PICKS, False),
+        (wide["m"], wide["n"], snapshot.WIDE_PICKS, True),
     ]:
         extras = snapshot._skewed(m, picks)
-        assert extras["prior_samples"] == picks and rows(_signal_rows(picks, n))
+        assert extras["prior_samples"] == picks and _chunk_rows(m, n) > 1
+        assert (_signal_rows(m, n) == 1) == shared and picks >= m
         prior = WeightVector(extras["prior"])
         assert 0 < prior.support.sum() < m
         assert len(set(prior.weights[prior.support])) > 1

@@ -29,8 +29,9 @@ enumeration, run into OUT/cli-exact/, so that a diff covers the exact-law rows a
 that size. Each family's scenario also runs simulate and certify with a sampled
 prior (prior_samples set, and a skewed prior with zero-mass atoms, so that a
 diff covers the prior pick): the canned shape with 25 picks at EWA_AGG_THREADS=1
-into OUT/cli-sampled/, and the wide shape with 1100 picks (one replicate per
-chunk) at EWA_AGG_THREADS=2 into OUT/cli-sampled-threads2/. Each family's canned
+into OUT/cli-sampled/, and the wide shape with 1100 picks (each row counting its
+picks over the dictionary, so each span of 100 replicates again runs a chunk of 59
+rows and one of 41) at EWA_AGG_THREADS=2 into OUT/cli-sampled-threads2/. Each family's canned
 shape also runs simulate at EWA_AGG_THREADS=1 at the edges of a chunk's moment rows,
 each into its folder under OUT/cli-limits/: beta-inf (beta = +inf, every row the
 prior's weights), beta-1e-310 (every d_j / beta overflows, so rows lose their mass)
